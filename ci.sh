@@ -57,4 +57,7 @@ cmp "$perf_tmp/tiers1.json" "$perf_tmp/tiers2.json" \
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark API (perfbench compiles against the public entry points and passes its tests)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

@@ -7,17 +7,9 @@
 //! by re-fetching the file range from disk and re-encrypting with the
 //! stream-offset-derived nonce.
 
-use dcn_crypto::{RECORD_HEADER_LEN, RECORD_PAYLOAD_MAX};
-use dcn_httpd::RequestParser;
+use dcn_crypto::RECORD_PAYLOAD_MAX;
+use dcn_httpd::response::{RECORD_OVERHEAD, RECORD_WIRE};
 use dcn_store::FileId;
-use dcn_tcpstack::Tcb;
-
-/// Wire overhead per record (header + GCM tag).
-pub const RECORD_OVERHEAD: u64 = (RECORD_HEADER_LEN + dcn_crypto::GCM_TAG_LEN) as u64;
-/// Plaintext bytes per record.
-pub const RECORD_PLAIN: u64 = RECORD_PAYLOAD_MAX as u64;
-/// Wire bytes per full record.
-pub const RECORD_WIRE: u64 = RECORD_PLAIN + RECORD_OVERHEAD;
 
 /// Where a stream byte of a response body falls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,7 +54,7 @@ impl ResponseLayout {
     #[must_use]
     pub fn body_wire_len(&self) -> u64 {
         if self.encrypted {
-            let records = self.body_len.div_ceil(RECORD_PLAIN).max(1);
+            let records = self.body_len.div_ceil(RECORD_PAYLOAD_MAX).max(1);
             self.body_len + records * RECORD_OVERHEAD
         } else {
             self.body_len
@@ -79,14 +71,14 @@ impl ResponseLayout {
     /// (plaintext) in the body.
     #[must_use]
     pub fn n_records(&self) -> u64 {
-        self.body_len.div_ceil(RECORD_PLAIN).max(1)
+        self.body_len.div_ceil(RECORD_PAYLOAD_MAX).max(1)
     }
 
     /// Plaintext length of record `i`.
     #[must_use]
     pub fn record_plain_len(&self, i: u64) -> u64 {
-        let start = i * RECORD_PLAIN;
-        (self.body_len - start).min(RECORD_PLAIN)
+        let start = i * RECORD_PAYLOAD_MAX;
+        (self.body_len - start).min(RECORD_PAYLOAD_MAX)
     }
 
     /// Wire length of record `i`.
@@ -101,7 +93,7 @@ impl ResponseLayout {
         let per = if self.encrypted {
             RECORD_WIRE
         } else {
-            RECORD_PLAIN
+            RECORD_PAYLOAD_MAX
         };
         self.body_start() + i * per
     }
@@ -109,7 +101,7 @@ impl ResponseLayout {
     /// File offset of record `i`'s plaintext.
     #[must_use]
     pub fn record_file_off(&self, i: u64) -> u64 {
-        self.file_off + i * RECORD_PLAIN
+        self.file_off + i * RECORD_PAYLOAD_MAX
     }
 
     /// Locate a body stream offset. Returns None for header bytes or
@@ -123,7 +115,7 @@ impl ResponseLayout {
         let per = if self.encrypted {
             RECORD_WIRE
         } else {
-            RECORD_PLAIN
+            RECORD_PAYLOAD_MAX
         };
         Some(BodyPos {
             record: rel / per,
@@ -149,10 +141,10 @@ pub struct InflightFetch {
     pub retx: Option<(u64, u64)>,
 }
 
-/// Per-connection state.
+/// Atlas's per-connection state (the TCB, request parser and cipher
+/// live in the shared front end's slot).
+#[derive(Default)]
 pub struct AtlasConn {
-    pub tcb: Tcb,
-    pub parser: RequestParser,
     /// Responses with unacknowledged bytes, oldest first. The last
     /// one may still be transmitting.
     pub layouts: Vec<ResponseLayout>,
@@ -165,10 +157,6 @@ pub struct AtlasConn {
     pub next_layout_id: u64,
     /// Window bytes reserved by issued-but-unsent fetches.
     pub reserved: u64,
-    /// Requests parsed but not yet started (pipelining).
-    pub pending_requests: std::collections::VecDeque<FileId>,
-    /// GCM session cipher (encrypted runs).
-    pub cipher: Option<dcn_crypto::RecordCipher>,
     /// Retransmit ranges waiting for a disk fetch.
     pub retx_inflight: u32,
     pub fetches_inflight: u32,
@@ -206,34 +194,6 @@ pub struct AtlasConn {
 }
 
 impl AtlasConn {
-    #[must_use]
-    pub fn new(tcb: Tcb, cipher: Option<dcn_crypto::RecordCipher>) -> Self {
-        AtlasConn {
-            tcb,
-            parser: RequestParser::new(),
-            layouts: Vec::new(),
-            next_record: 0,
-            ready_tx: std::collections::BTreeMap::new(),
-            next_layout_id: 0,
-            reserved: 0,
-            pending_requests: std::collections::VecDeque::new(),
-            cipher,
-            retx_inflight: 0,
-            fetches_inflight: 0,
-            fetch_failures: 0,
-            aborted: false,
-            responses_completed: 0,
-            established_at: dcn_simcore::Nanos::ZERO,
-            last_progress: dcn_simcore::Nanos::ZERO,
-            got_request: false,
-            acked_stream_off: 0,
-            drain_mark: 0,
-            drain_mark_at: dcn_simcore::Nanos::ZERO,
-            sweep_acked: 0,
-            tx_sweep: 0,
-        }
-    }
-
     /// Is the connection pinning DMA buffers right now (in-flight
     /// fetches, retransmit fetches, or completed records parked for
     /// their stream turn)?
@@ -251,7 +211,6 @@ impl AtlasConn {
             && self.ready_tx.is_empty()
             && self.fetches_inflight == 0
             && self.retx_inflight == 0
-            && self.pending_requests.is_empty()
     }
 
     /// The response currently being transmitted (if any records
@@ -357,15 +316,15 @@ mod tests {
     #[test]
     fn resumed_layout_offsets_records_into_the_file() {
         let l = ResponseLayout {
-            file_off: 5 * RECORD_PLAIN,
-            body_len: 300 * 1024 - 5 * RECORD_PLAIN,
+            file_off: 5 * RECORD_PAYLOAD_MAX,
+            body_len: 300 * 1024 - 5 * RECORD_PAYLOAD_MAX,
             ..layout(0, true)
         };
         // Record framing is response-relative…
         assert_eq!(l.record_stream_off(1), l.body_start() + RECORD_WIRE);
         // …but disk reads are file-relative.
-        assert_eq!(l.record_file_off(0), 5 * RECORD_PLAIN);
-        assert_eq!(l.record_file_off(2), 7 * RECORD_PLAIN);
+        assert_eq!(l.record_file_off(0), 5 * RECORD_PAYLOAD_MAX);
+        assert_eq!(l.record_file_off(2), 7 * RECORD_PAYLOAD_MAX);
         assert_eq!(l.n_records(), 19 - 5);
     }
 

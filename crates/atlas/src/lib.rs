@@ -34,14 +34,5 @@
 pub mod conn;
 pub mod server;
 
-/// Overload policy now lives in `dcn-srvcore` (shared with kstack);
-/// re-exported here so existing `dcn_atlas::overload::…` paths keep
-/// working.
-pub use dcn_srvcore::overload;
-
 pub use conn::{AtlasConn, ResponseLayout};
-pub use dcn_srvcore::{
-    AdmissionConfig, AutotuneConfig, ControlPlane, IoTuner, LadderLevel, OverloadState,
-    ResourceSnapshot,
-};
-pub use server::{parse_frame, AtlasConfig, AtlasMetrics, AtlasServer, FramePayload};
+pub use server::{AtlasConfig, AtlasMetrics, AtlasServer};

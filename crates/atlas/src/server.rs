@@ -2,25 +2,26 @@
 //! hardware (NIC, disks, memory system), each running the §3 control
 //! loop process-to-completion.
 
-use crate::conn::{AtlasConn, InflightFetch, ResponseLayout, RECORD_PLAIN};
-use crate::overload::{AdmissionConfig, LadderLevel, ResourceSnapshot};
-use dcn_crypto::RecordCipher;
+use crate::conn::{AtlasConn, InflightFetch, ResponseLayout};
+use dcn_crypto::RECORD_PAYLOAD_MAX;
 use dcn_diskmap::{BufId, DiskId, DiskmapKernel, IoDesc, NvmeQueue};
-use dcn_httpd::{parse_chunk_path, response_header, ResponseInfo};
+use dcn_httpd::{response_header, ResponseInfo};
 use dcn_mem::{
     Agent, CoreSet, CostParams, Fidelity, HostMem, LlcConfig, MemSystem, PhysAlloc, PhysRegion,
 };
+/// The frame demux Atlas's RX path uses, re-exported for harnesses
+/// that route frames by flow.
+pub use dcn_netdev::parse_frame;
 use dcn_netdev::{Nic, NicConfig, SentBurst, SgList, WireFrame};
 use dcn_nvme::{FirmwareParams, NvmeConfig, NvmeDevice};
-use dcn_obs::{
-    ChunkKind, CounterId, GaugeId, HistId, ProfHandle, ProfStage, Registry, Stage, StageProfiler,
-    StallKind, Tracer,
-};
-use dcn_packet::{FlowId, Ipv4Repr, SeqNumber, TcpRepr, ETH_HEADER_LEN};
+use dcn_obs::{ChunkKind, CounterId, GaugeId, Prof, ProfStage, Registry, Stage, StallKind, Tracer};
 use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
-use dcn_srvcore::{AutotuneConfig, ControlPlane, CoreControl, IoTuner};
+use dcn_srvcore::{
+    AdmissionConfig, AutotuneConfig, Front, FrontConfig, LadderLevel, ResourceSnapshot, Rx,
+    ServerControl, TierIds,
+};
 use dcn_store::{Catalog, CatalogBacking};
-use dcn_tcpstack::{rst_for_syn, Endpoint, Tcb, TcbConfig, TcbEvent};
+use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
 use dcn_tier::{CacheConfig, GetTicket, HotChunkCache, Placement, TierConfig, TierEngine};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -99,7 +100,7 @@ impl Default for AtlasConfig {
         AtlasConfig {
             cores: 4,
             bufs_per_queue: 320,
-            buf_size: RECORD_PLAIN,
+            buf_size: RECORD_PAYLOAD_MAX,
             watermark: 10 * 1448,
             encrypted: false,
             tcb: TcbConfig::default(),
@@ -160,16 +161,11 @@ struct AtlasIds {
     fetch_errors: Vec<CounterId>,
     /// Failed fresh reads re-issued by the backoff policy.
     fetch_retries: Vec<CounterId>,
-    /// Overload ladder actions: SYNs refused with RST.
-    shed_new: Vec<CounterId>,
-    /// …idle / never-sent-a-request connections reaped.
+    /// Overload ladder actions (the front end counts refused SYNs,
+    /// 503s and 431s): idle / never-sent-a-request connections reaped.
     reaped_idle: Vec<CounterId>,
     /// …slow-draining buffer-holders aborted.
     aborted_slow: Vec<CounterId>,
-    /// Requests answered 503 + Retry-After while shedding.
-    retry_503: Vec<CounterId>,
-    /// Oversized / malformed request heads answered 431 and aborted.
-    bad_requests: Vec<CounterId>,
     /// Connections parked on the buffer-pool waiter list because an
     /// alloc came up empty.
     empty_waits: Vec<CounterId>,
@@ -188,118 +184,20 @@ impl AtlasIds {
         AtlasIds {
             conns: reg.counter("atlas.conns"),
             conns_aborted: reg.counter("atlas.conns_aborted"),
-            responses: (0..cores)
-                .map(|c| reg.counter_core("atlas.responses", c))
-                .collect(),
-            http_payload_bytes: (0..cores)
-                .map(|c| reg.counter_core("atlas.http_payload_bytes", c))
-                .collect(),
-            disk_read_bytes: (0..cores)
-                .map(|c| reg.counter_core("atlas.disk_read_bytes", c))
-                .collect(),
-            retransmit_fetches: (0..cores)
-                .map(|c| reg.counter_core("atlas.retransmit_fetches", c))
-                .collect(),
-            disk_reads: (0..cores)
-                .map(|c| reg.counter_core("atlas.disk_reads", c))
-                .collect(),
-            fetch_errors: (0..cores)
-                .map(|c| reg.counter_core("atlas.fetch_errors", c))
-                .collect(),
-            fetch_retries: (0..cores)
-                .map(|c| reg.counter_core("atlas.fetch_retries", c))
-                .collect(),
-            shed_new: (0..cores)
-                .map(|c| reg.counter_core("atlas.overload.shed_new", c))
-                .collect(),
-            reaped_idle: (0..cores)
-                .map(|c| reg.counter_core("atlas.overload.reaped_idle", c))
-                .collect(),
-            aborted_slow: (0..cores)
-                .map(|c| reg.counter_core("atlas.overload.aborted_slow", c))
-                .collect(),
-            retry_503: (0..cores)
-                .map(|c| reg.counter_core("atlas.overload.retry_503", c))
-                .collect(),
-            bad_requests: (0..cores)
-                .map(|c| reg.counter_core("atlas.overload.bad_requests", c))
-                .collect(),
-            empty_waits: (0..cores)
-                .map(|c| reg.counter_core("atlas.bufpool.empty_waits", c))
-                .collect(),
-            pool_free_bufs: (0..cores)
-                .map(|c| reg.gauge_core("atlas.pool_free_bufs", c))
-                .collect(),
-            overload_level: (0..cores)
-                .map(|c| reg.gauge_core("atlas.overload.level", c))
-                .collect(),
-            live_conns: (0..cores)
-                .map(|c| reg.gauge_core("atlas.live_conns", c))
-                .collect(),
+            responses: reg.counters_per_core("atlas.responses", cores),
+            http_payload_bytes: reg.counters_per_core("atlas.http_payload_bytes", cores),
+            disk_read_bytes: reg.counters_per_core("atlas.disk_read_bytes", cores),
+            retransmit_fetches: reg.counters_per_core("atlas.retransmit_fetches", cores),
+            disk_reads: reg.counters_per_core("atlas.disk_reads", cores),
+            fetch_errors: reg.counters_per_core("atlas.fetch_errors", cores),
+            fetch_retries: reg.counters_per_core("atlas.fetch_retries", cores),
+            reaped_idle: reg.counters_per_core("atlas.overload.reaped_idle", cores),
+            aborted_slow: reg.counters_per_core("atlas.overload.aborted_slow", cores),
+            empty_waits: reg.counters_per_core("atlas.bufpool.empty_waits", cores),
+            pool_free_bufs: reg.gauges_per_core("atlas.pool_free_bufs", cores),
+            overload_level: reg.gauges_per_core("atlas.overload.level", cores),
+            live_conns: reg.gauges_per_core("atlas.live_conns", cores),
             leaked_bufs: reg.gauge("atlas.leaked_bufs"),
-        }
-    }
-}
-
-/// Pre-registered `tier.*` registry handles; only present when
-/// tiering and/or the DMA cache is configured, so flat-namespace runs
-/// publish no tier metrics at all.
-struct TierIds {
-    hot_hits: Vec<CounterId>,
-    cold_misses: Vec<CounterId>,
-    /// Cold-tier egress actually delivered into DMA buffers.
-    cold_bytes: Vec<CounterId>,
-    cache_hits: Vec<CounterId>,
-    cache_misses: Vec<CounterId>,
-    /// Demand cold-fetch latency (issue → bytes landed), nanoseconds.
-    cold_fetch_ns: HistId,
-    hot_count: GaugeId,
-    hit_ratio: GaugeId,
-    cold_requests: GaugeId,
-    cold_cost_ucents: GaugeId,
-    promotions: GaugeId,
-    demotions: GaugeId,
-    promote_deferred: GaugeId,
-    promoted_bytes: GaugeId,
-    epochs: GaugeId,
-    cache_inserts: GaugeId,
-    cache_evictions: GaugeId,
-    cache_hit_ratio: GaugeId,
-    cache_dram_bytes: GaugeId,
-}
-
-impl TierIds {
-    fn register(reg: &mut Registry, cores: usize) -> Self {
-        TierIds {
-            hot_hits: (0..cores)
-                .map(|c| reg.counter_core("tier.hot_hits", c))
-                .collect(),
-            cold_misses: (0..cores)
-                .map(|c| reg.counter_core("tier.cold_misses", c))
-                .collect(),
-            cold_bytes: (0..cores)
-                .map(|c| reg.counter_core("tier.cold_bytes", c))
-                .collect(),
-            cache_hits: (0..cores)
-                .map(|c| reg.counter_core("tier.cache_hits", c))
-                .collect(),
-            cache_misses: (0..cores)
-                .map(|c| reg.counter_core("tier.cache_misses", c))
-                .collect(),
-            cold_fetch_ns: reg.histogram("tier.cold_fetch_ns", 1e5, 1e9, 40),
-            hot_count: reg.gauge("tier.hot_count"),
-            hit_ratio: reg.gauge("tier.hit_ratio"),
-            cold_requests: reg.gauge("tier.cold_requests"),
-            cold_cost_ucents: reg.gauge("tier.cold_cost_ucents"),
-            promotions: reg.gauge("tier.promotions"),
-            demotions: reg.gauge("tier.demotions"),
-            promote_deferred: reg.gauge("tier.promote_deferred"),
-            promoted_bytes: reg.gauge("tier.promoted_bytes"),
-            epochs: reg.gauge("tier.epochs"),
-            cache_inserts: reg.gauge("tier.cache_inserts"),
-            cache_evictions: reg.gauge("tier.cache_evictions"),
-            cache_hit_ratio: reg.gauge("tier.cache_hit_ratio"),
-            cache_dram_bytes: reg.gauge("tier.cache_dram_bytes"),
         }
     }
 }
@@ -314,12 +212,6 @@ enum FetchSrc {
     Cold,
     /// Hot-chunk DMA cache (ablation; no storage round trip).
     Cache,
-}
-
-struct ConnSlot {
-    conn: AtlasConn,
-    core: usize,
-    flow: FlowId,
 }
 
 /// A failed fresh fetch waiting for its backoff deadline.
@@ -344,11 +236,9 @@ pub struct AtlasServer {
     pub cores: CoreSet,
     pub catalog: Catalog,
     core_disks: Vec<CoreDisks>,
-    conns: HashMap<FlowId, usize>,
-    slots: Vec<ConnSlot>,
-    /// (deadline, slot) index for TCB timers.
-    timers: BTreeSet<(Nanos, usize)>,
-    timer_of: Vec<Option<Nanos>>,
+    /// The connection front end shared with the kstack: flow table,
+    /// TCB timers, admission/accept, RX demux, request classifier.
+    front: Front<AtlasConn>,
     /// user-token → fetch bookkeeping. Token encodes (slot, seq of
     /// fetch); details live here.
     fetches: HashMap<u64, (usize, InflightFetch, BufId, usize, u32, FetchSrc)>, // slot, fetch, buf, disk, attempt, source
@@ -360,18 +250,14 @@ pub struct AtlasServer {
     /// When to re-`sqsync` commands a QueueFull left staged (SQ
     /// backpressure recovery). `None` = nothing staged anywhere.
     resync_at: Option<Nanos>,
-    /// RX slot DMA targets (one small region per ring, reused — RX
-    /// traffic is pure ACKs).
-    rx_slots: Vec<PhysRegion>,
-    rng: SimRng,
     /// Unified dcn-obs registry: every subsystem (server, TCP, NIC,
     /// diskmap) publishes here; [`AtlasServer::metrics`] is a view.
     pub reg: Registry,
     /// Chunk-lifecycle tracer (no-op unless `cfg.trace`).
     pub tracer: Tracer,
     /// Per-stage cycle/DRAM profiler, shared with the CoreSet and
-    /// MemSystem. `None` unless `cfg.profile`.
-    profiler: Option<ProfHandle>,
+    /// MemSystem. A no-op handle unless `cfg.profile`.
+    prof: Prof,
     ids: AtlasIds,
     /// Virtual time of the wire event (RX frame or timer) that the
     /// current control-loop pass is servicing — the AckArrival stamp
@@ -380,8 +266,8 @@ pub struct AtlasServer {
     phys: PhysAlloc,
     /// Per-core control plane: hysteretic overload state (admission
     /// latch + ladder), live-connection count, and the I/O-window
-    /// tuner — the [`ControlPlane`] skeleton shared with the kstack.
-    ctl: Vec<CoreControl>,
+    /// tuner.
+    ctl: ServerControl,
     /// Connections parked waiting for a DMA buffer, per core; woken
     /// (re-pumped) after TX reclaim and disk completions free buffers.
     buf_waiters: Vec<BTreeSet<usize>>,
@@ -396,11 +282,6 @@ pub struct AtlasServer {
     /// (capacity established during warm-up; growth is a counted
     /// steady-state allocation fallback).
     completed_scratch: Vec<dcn_diskmap::CompletedIo>,
-    /// Reusable RX-payload scratch (frames' TCP payloads are copied
-    /// here instead of materializing a fresh `Vec` per frame).
-    rx_scratch: Vec<u8>,
-    /// Reusable per-call scratch for parsed-but-unstarted responses.
-    resp_scratch: Vec<(ResponseInfo, Option<dcn_store::FileId>)>,
     /// Completion-sweep serial: bumped once per (core, advance) batch
     /// so connections can tell "first record this sweep" (full TCP TX
     /// op cost) from "later record, hot TCB" (batched cost).
@@ -429,10 +310,8 @@ impl AtlasServer {
         let mut phys = PhysAlloc::new();
         let mut mem = MemSystem::new(cfg.llc, cfg.costs, Nanos::from_millis(1));
         let mut cores = CoreSet::new(cfg.cores, &cfg.costs, Nanos::from_millis(1), true);
-        let profiler = cfg
-            .profile
-            .then(|| std::rc::Rc::new(std::cell::RefCell::new(StageProfiler::enabled(cfg.cores))));
-        if let Some(p) = &profiler {
+        let prof = Prof::new(cfg.profile, cfg.cores);
+        if let Some(p) = prof.handle() {
             cores.set_profiler(p.clone());
             mem.set_profiler(p.clone());
         }
@@ -490,6 +369,19 @@ impl AtlasServer {
         } else {
             Tracer::disabled()
         };
+        let front = Front::new(
+            FrontConfig {
+                endpoint: cfg.server_endpoint,
+                tcb: cfg.tcb,
+                encrypted: cfg.encrypted,
+                rx_ack_cycles: cfg.costs.tcp_rx_ack_cycles,
+            },
+            &mut reg,
+            "atlas",
+            SimRng::new(seed ^ 0xA71A5),
+            rx_slots,
+            prof.clone(),
+        );
         AtlasServer {
             nic: Nic::new(NicConfig {
                 rings: cfg.cores,
@@ -502,37 +394,28 @@ impl AtlasServer {
             host,
             catalog,
             core_disks,
-            conns: HashMap::new(),
-            slots: Vec::new(),
-            timers: BTreeSet::new(),
-            timer_of: Vec::new(),
+            front,
             fetches: HashMap::new(),
             next_token: 1,
             retries: std::collections::BTreeMap::new(),
             next_retry: 0,
             resync_at: None,
-            rx_slots,
-            rng: SimRng::new(seed ^ 0xA71A5),
             reg,
             tracer,
-            profiler,
+            prof,
             ids,
             trace_rx_at: Nanos::ZERO,
-            ctl: (0..cfg.cores)
-                .map(|c| {
-                    CoreControl::new(IoTuner::new(
-                        cfg.autotune,
-                        cfg.watermark,
-                        seed ^ 0xA070 ^ ((c as u64) << 20),
-                    ))
-                })
-                .collect(),
+            ctl: ServerControl::new(
+                cfg.admission,
+                cfg.autotune,
+                cfg.watermark,
+                seed ^ 0xA070,
+                cfg.cores,
+            ),
             buf_waiters: vec![BTreeSet::new(); cfg.cores],
             next_sweep: cfg.admission.sweep_interval,
             dirty_doorbells: BTreeMap::new(),
             completed_scratch: Vec::new(),
-            rx_scratch: Vec::new(),
-            resp_scratch: Vec::new(),
             sweep_serial: 0,
             tier,
             tier_ids,
@@ -589,78 +472,23 @@ impl AtlasServer {
             );
             self.reg
                 .set(self.ids.live_conns[core], self.ctl[core].live_conns as f64);
-            let tcbs = self
-                .slots
-                .iter()
-                .filter(|s| s.core == core)
-                .map(|s| &s.conn.tcb);
-            dcn_tcpstack::publish_tcb_metrics(&mut self.reg, core, tcbs);
         }
+        self.front.publish_tcb_metrics(&mut self.reg);
         self.nic.publish_metrics(&mut self.reg);
         self.kernel.publish_metrics(&mut self.reg);
         self.mem.counters.publish_metrics(&mut self.reg);
         let leaked = self.leaked_buffers();
         self.reg.set(self.ids.leaked_bufs, leaked as f64);
         if let Some(ids) = &self.tier_ids {
-            if let Some(tier) = &self.tier {
-                self.reg.set(ids.hot_count, tier.hot_count() as f64);
-                self.reg.set(ids.hit_ratio, tier.hit_ratio());
-                self.reg
-                    .set(ids.cold_requests, tier.cold.stats.requests as f64);
-                self.reg
-                    .set(ids.cold_cost_ucents, tier.cold.stats.cost_ucents as f64);
-                self.reg.set(ids.promotions, tier.stats.promotions as f64);
-                self.reg.set(ids.demotions, tier.stats.demotions as f64);
-                self.reg
-                    .set(ids.promote_deferred, tier.stats.promote_deferred as f64);
-                self.reg
-                    .set(ids.promoted_bytes, tier.stats.promoted_bytes as f64);
-                self.reg.set(ids.epochs, tier.stats.epochs as f64);
-            }
-            if let Some(cache) = &self.cache {
-                self.reg.set(ids.cache_inserts, cache.stats.inserts as f64);
-                self.reg
-                    .set(ids.cache_evictions, cache.stats.evictions as f64);
-                self.reg.set(ids.cache_hit_ratio, cache.hit_ratio());
-                self.reg
-                    .set(ids.cache_dram_bytes, cache.approx_dram_bytes() as f64);
-            }
+            ids.publish(&mut self.reg, self.tier.as_ref(), self.cache.as_ref());
         }
-        if let Some(p) = &self.profiler {
-            p.borrow().publish(&mut self.reg);
-        }
+        self.prof.publish(&mut self.reg);
     }
 
     /// Snapshot the per-stage profile (`None` unless `cfg.profile`).
     #[must_use]
     pub fn prof_report(&self) -> Option<dcn_obs::ProfReport> {
-        self.profiler.as_ref().map(|p| p.borrow().report())
-    }
-
-    // Profiler shims: one `Option` check when profiling is off.
-    #[inline]
-    fn prof_stage(&self, core: usize, stage: ProfStage) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().set_context(core, stage);
-        }
-    }
-
-    #[inline]
-    fn prof_chunk(&self, stage: ProfStage, cycles: u64) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().chunk_sample(stage, cycles);
-        }
-    }
-
-    #[inline]
-    fn prof_stall(&self, kind: StallKind) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().stall(kind);
-        }
-    }
-
-    fn core_of_flow(&self, flow: FlowId) -> usize {
-        (flow.rss_hash() as usize) % self.cfg.cores
+        self.prof.report()
     }
 
     /// One core's resource observation for the admission policy:
@@ -687,11 +515,7 @@ impl AtlasServer {
     /// cluster dispatcher treats a shedding server like `Draining`.
     #[must_use]
     pub fn is_shedding(&self) -> bool {
-        self.any_shedding()
-            || self
-                .ctl
-                .iter()
-                .any(|c| c.live_conns >= self.cfg.admission.max_conns_per_core)
+        self.ctl.is_shedding()
     }
 
     /// Current degradation-ladder rung for one core.
@@ -706,28 +530,35 @@ impl AtlasServer {
     /// flow hash). Runs the full receive→fetch→(encrypt)→send loop
     /// and returns any bursts that left the NIC.
     pub fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst> {
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
         for frame in frames {
-            let Some((flow, tcp, payload)) = parse_frame(&frame) else {
+            let (ctl, nic, mem, cores) = (&self.ctl, &mut self.nic, &mut self.mem, &mut self.cores);
+            let Some(rx) = self.front.rx(now, frame, ctl, nic, mem, cores) else {
                 continue;
             };
-            let core = self.core_of_flow(flow);
-            self.prof_stage(core, ProfStage::Parse);
-            // Copy the borrowed payload into the reusable RX scratch
-            // (no per-frame Vec; growth past the warm-up high-water
-            // mark is a counted fallback allocation).
-            let cap_before = scratch.capacity();
-            payload.copy_into(&mut scratch);
-            dcn_obs::steady::note_growth(cap_before, scratch.capacity());
-            self.nic
-                .rx_deliver(core, now, frame, &mut self.mem, self.rx_slots[core]);
-            self.handle_segment(now, core, flow, &tcp, &scratch);
+            // Any fetch this frame's processing issues is stamped with
+            // the frame's arrival.
+            self.trace_rx_at = now;
+            match rx {
+                Rx::Syn(syn) => {
+                    let snap = self.resource_snapshot(syn.core);
+                    let (ctl, nic, reg) = (&mut self.ctl, &mut self.nic, &mut self.reg);
+                    if let Some(slot_idx) = self.front.accept(now, syn, snap, ctl, nic, reg) {
+                        let conn = &mut self.front.slots[slot_idx].conn;
+                        conn.established_at = now;
+                        conn.last_progress = now;
+                        conn.drain_mark_at = now;
+                        self.reg.inc(self.ids.conns);
+                    }
+                }
+                Rx::Segment { slot, done } => self.process_conn_events(done, slot),
+                Rx::Stray => {}
+            }
         }
-        self.rx_scratch = scratch;
         self.flush_doorbells();
+        // NIC TX DMA reads        self.flush_doorbells();
         // NIC TX DMA reads (payload leaving over the wire) attribute
         // to the TX-completion/drain stage.
-        self.prof_stage(0, ProfStage::TxComplete);
+        self.prof.stage(0, ProfStage::TxComplete);
         let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
         self.trace_bursts(&bursts);
         self.reclaim_tx(now);
@@ -754,95 +585,16 @@ impl AtlasServer {
         }
     }
 
-    fn handle_segment(
-        &mut self,
-        now: Nanos,
-        core: usize,
-        flow: FlowId,
-        tcp: &TcpRepr,
-        payload: &[u8],
-    ) {
-        let costs = self.cfg.costs;
-        self.trace_rx_at = now;
-        if tcp.flags.contains(dcn_packet::TcpFlags::SYN)
-            && !tcp.flags.contains(dcn_packet::TcpFlags::ACK)
-        {
-            self.accept_conn(now, core, flow, tcp);
-            return;
-        }
-        let Some(&slot_idx) = self.conns.get(&flow) else {
-            return;
-        };
-        let cycles = costs.tcp_rx_ack_cycles;
-        self.prof_stage(core, ProfStage::Parse);
-        let done_at = self.cores.run_on(core, now, cycles);
-        let slot = &mut self.slots[slot_idx];
-        let outs = slot.conn.tcb.on_segment(now, tcp, payload);
-        for out in outs {
-            self.nic.tx_rings[core].push(out.into_tx(0));
-        }
-        self.process_conn_events(done_at, slot_idx);
-    }
-
-    fn accept_conn(&mut self, now: Nanos, core: usize, flow: FlowId, syn: &TcpRepr) {
-        if self.conns.contains_key(&flow) {
-            return; // duplicate SYN
-        }
-        let remote = Endpoint {
-            mac: dcn_packet::MacAddr::from_host_id(flow.src_ip.0),
-            ip: flow.src_ip,
-            port: flow.src_port,
-        };
-        // Admission control: consult the per-core policy (connection
-        // cap, pool low-watermark, SQ high-watermark) before spending
-        // anything on this connection. Refused SYNs get an RST — the
-        // cheapest possible "go away", no TCB, no DMA buffer.
-        if !self.admit_syn(core) {
-            let rst = rst_for_syn(self.cfg.server_endpoint, remote, syn);
-            self.nic.tx_rings[core].push(rst.into_tx(0));
-            self.reg.inc(self.ids.shed_new[core]);
-            return;
-        }
-        let iss = SeqNumber(self.rng.next_u64() as u32);
-        let (tcb, synack) = Tcb::accept(
-            self.cfg.tcb,
-            self.cfg.server_endpoint,
-            remote,
-            syn,
-            iss,
-            now,
-        );
-        let cipher = self.cfg.encrypted.then(|| {
-            // Per-session key material (dummy keys, as in §4.2's TLS
-            // emulation — handshake out of scope).
-            let mut key = [0u8; 16];
-            dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-            RecordCipher::new(&key, flow.rss_hash())
-        });
-        let slot_idx = self.slots.len();
-        let mut conn = AtlasConn::new(tcb, cipher);
-        conn.established_at = now;
-        conn.last_progress = now;
-        conn.drain_mark_at = now;
-        self.slots.push(ConnSlot { conn, core, flow });
-        self.timer_of.push(None);
-        self.conns.insert(flow, slot_idx);
-        self.note_conn_opened(core);
-        self.nic.tx_rings[core].push(synack.into_tx(0));
-        self.sync_timer(slot_idx);
-        self.reg.inc(self.ids.conns);
-    }
-
     // ------------------------------------------------- event processing
 
     fn process_conn_events(&mut self, now: Nanos, slot_idx: usize) {
-        let events = self.slots[slot_idx].conn.tcb.take_events();
+        let events = self.front.slots[slot_idx].tcb.take_events();
         for ev in events {
             match ev {
                 TcbEvent::Data(bytes) => self.on_request_bytes(now, slot_idx, &bytes),
                 TcbEvent::WindowOpen(_) => {}
                 TcbEvent::AckedTo(off) => {
-                    let conn = &mut self.slots[slot_idx].conn;
+                    let conn = &mut self.front.slots[slot_idx].conn;
                     conn.prune_acked(off);
                     if off > conn.acked_stream_off {
                         conn.acked_stream_off = off;
@@ -858,80 +610,47 @@ impl AtlasServer {
         }
         self.drain_tx(now, slot_idx);
         self.pump(now, slot_idx);
-        self.sync_timer(slot_idx);
+        self.front.sync_timer(slot_idx);
     }
 
     fn on_request_bytes(&mut self, now: Nanos, slot_idx: usize, bytes: &[u8]) {
-        let core = self.slots[slot_idx].core;
-        let costs = self.cfg.costs;
-        let file_size = self.catalog.file_size();
-        let n_files = self.catalog.n_files();
+        let core = self.front.slots[slot_idx].core;
         let encrypted = self.cfg.encrypted;
         // While this core is shedding, requests on already-established
         // keepalive connections are answered 503 + Retry-After instead
-        // of being admitted into the fetch pipeline.
+        // of being admitted into the fetch pipeline. (The latch is read
+        // as the last sweep or SYN left it.)
         let shedding = self.ctl[core].overload.is_shedding();
-        let retry_after_ms = (self.cfg.admission.retry_after.as_nanos() / 1_000_000).max(1);
-        let slot = &mut self.slots[slot_idx];
-        slot.conn.parser.push(bytes);
-        // Reusable per-call scratch (most calls park zero or one
-        // response; the capacity persists across calls).
-        let mut new_responses = std::mem::take(&mut self.resp_scratch);
-        debug_assert!(new_responses.is_empty());
-        let resp_cap_before = new_responses.capacity();
-        let mut fatal_parse = false;
-        loop {
-            match slot.conn.parser.next_request() {
-                Ok(Some(req)) => {
-                    slot.conn.got_request = true;
-                    slot.conn.last_progress = now;
-                    if shedding {
-                        new_responses
-                            .push((ResponseInfo::ServiceUnavailable { retry_after_ms }, None));
-                        self.reg.inc(self.ids.retry_503[core]);
-                        continue;
-                    }
-                    // Range resumes are floored to a record boundary:
-                    // records are the unit of both disk fetches and
-                    // GCM framing, and reconnecting clients only ever
-                    // ask for record-aligned offsets anyway.
-                    let start = req.range_start.unwrap_or(0) / crate::conn::RECORD_PLAIN
-                        * crate::conn::RECORD_PLAIN;
-                    let info = match parse_chunk_path(&req.path) {
-                        Some(f) if f.0 < n_files && start == 0 => ResponseInfo::Ok {
-                            body_len: file_size,
-                        },
-                        Some(f) if f.0 < n_files && start < file_size => ResponseInfo::Partial {
-                            body_len: file_size - start,
-                            offset: start,
-                        },
-                        _ => ResponseInfo::NotFound,
-                    };
-                    new_responses.push((info, parse_chunk_path(&req.path)));
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Fatal parse error (oversized request line or
-                    // header block, garbage framing): answer 431 and
-                    // tear the connection down — an unparseable stream
-                    // has no request boundary to resynchronize on.
-                    new_responses.push((ResponseInfo::HeaderTooLarge, None));
-                    self.reg.inc(self.ids.bad_requests[core]);
-                    fatal_parse = true;
-                    break;
-                }
-            }
+        let mut answers = self.front.parse_requests(
+            slot_idx,
+            bytes,
+            shedding,
+            self.cfg.admission.retry_after,
+            &self.catalog,
+            &mut self.reg,
+        );
+        if answers
+            .iter()
+            .any(|(info, _)| *info != ResponseInfo::HeaderTooLarge)
+        {
+            let conn = &mut self.front.slots[slot_idx].conn;
+            conn.got_request = true;
+            conn.last_progress = now;
         }
-        dcn_obs::steady::note_growth(resp_cap_before, new_responses.capacity());
-        for (info, file) in new_responses.drain(..) {
-            let cycles = costs.atlas_request_cycles;
-            self.prof_stage(core, ProfStage::Parse);
-            let done = self.cores.run_on(core, now, cycles);
+        for (info, file) in answers.drain(..) {
+            self.prof.stage(core, ProfStage::Parse);
+            let done = self
+                .cores
+                .run_on(core, now, self.cfg.costs.atlas_request_cycles);
             // Shared header block: the layout keeps one reference for
             // retransmit regeneration, the send path slices it into
             // the scatter-gather list without copying.
             let header: Arc<[u8]> = response_header(info, encrypted).into();
-            let slot = &mut self.slots[slot_idx];
+            if let (Some(f), Some(tier)) = (file, self.tier.as_mut()) {
+                let ids = self.tier_ids.as_ref().expect("tier ids registered");
+                ids.note_request(&mut self.reg, tier, core, f);
+            }
+            let slot = &mut self.front.slots[slot_idx];
             // The next response starts where the previous one ends —
             // or, with nothing outstanding, at snd_nxt's stream
             // offset. The header goes out immediately (it is tiny and
@@ -941,32 +660,14 @@ impl AtlasServer {
                 .layouts
                 .last()
                 .map(|l| l.end())
-                .unwrap_or_else(|| slot.conn.tcb.stream_offset_of_snd_nxt());
-            let served = match info {
-                ResponseInfo::Ok { body_len } => Some((body_len, 0)),
-                ResponseInfo::Partial { body_len, offset } => Some((body_len, offset)),
-                ResponseInfo::NotFound
-                | ResponseInfo::ServiceUnavailable { .. }
-                | ResponseInfo::HeaderTooLarge => None,
-            };
-            // Tier classification is per admitted request (not per
-            // record fetch): bump the object's heat once, count the
-            // hit/miss, queue a promotion candidate if it crossed the
-            // threshold.
-            if let (Some(_), Some(f)) = (served, file) {
-                if let Some(tier) = self.tier.as_mut() {
-                    let ids = self.tier_ids.as_ref().expect("tier ids registered");
-                    match tier.classify(f) {
-                        Placement::Hot => self.reg.inc(ids.hot_hits[core]),
-                        Placement::Cold => self.reg.inc(ids.cold_misses[core]),
-                    }
-                }
-            }
-            match (served, file) {
-                (Some((body_len, file_off)), Some(file)) => {
+                .unwrap_or_else(|| slot.tcb.stream_offset_of_snd_nxt());
+            let at = match info.body().zip(file) {
+                Some(((file_off, body_len), file)) => {
                     let id = slot.conn.next_layout_id;
                     slot.conn.next_layout_id += 1;
-                    let was_idle = slot.conn.active_layout().is_none();
+                    if slot.conn.active_layout().is_none() {
+                        slot.conn.next_record = 0;
+                    }
                     slot.conn.layouts.push(ResponseLayout {
                         id,
                         start: cursor,
@@ -976,63 +677,44 @@ impl AtlasServer {
                         body_len,
                         encrypted,
                     });
-                    if was_idle {
-                        slot.conn.next_record = 0;
-                    }
-                    let hdr_len = header.len();
-                    slot.conn.ready_tx.insert(
-                        cursor,
-                        crate::conn::ReadyTx {
-                            sg: SgList::from_shared(header, 0, hdr_len),
-                            token: 0,
-                            completes_response: false,
-                        },
-                    );
-                    self.drain_tx(done, slot_idx);
+                    cursor
                 }
-                _ => {
-                    let slot = &mut self.slots[slot_idx];
-                    let cursor2 = slot
-                        .conn
-                        .ready_tx
-                        .last_key_value()
-                        .map(|(k, v)| *k + v.sg.len())
-                        .unwrap_or(cursor)
-                        .max(cursor);
-                    let hdr_len = header.len();
-                    slot.conn.ready_tx.insert(
-                        cursor2,
-                        crate::conn::ReadyTx {
-                            sg: SgList::from_shared(header, 0, hdr_len),
-                            token: 0,
-                            completes_response: false,
-                        },
-                    );
-                    self.drain_tx(done, slot_idx);
-                }
-            }
+                // A bodiless answer queues behind whatever is parked.
+                None => slot
+                    .conn
+                    .ready_tx
+                    .last_key_value()
+                    .map(|(k, v)| *k + v.sg.len())
+                    .unwrap_or(cursor)
+                    .max(cursor),
+            };
+            let hdr_len = header.len();
+            slot.conn.ready_tx.insert(
+                at,
+                crate::conn::ReadyTx {
+                    sg: SgList::from_shared(header, 0, hdr_len),
+                    token: 0,
+                    completes_response: false,
+                },
+            );
+            self.drain_tx(done, slot_idx);
         }
-        self.resp_scratch = new_responses;
-        if fatal_parse {
-            // The 431 just parked drains above if the stream is
-            // caught up; either way the connection is done.
-            self.abort_conn(now, slot_idx);
-        }
+        self.front.recycle(answers);
     }
 
     /// Transmit ready items whose stream offset has arrived — disk
     /// completions may arrive out of order, the TCP stream goes out
     /// in order.
     fn drain_tx(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         loop {
             // TX-ring backpressure: if the ring is full the item
             // stays parked; the next ACK (or TX completion) retries.
             if self.nic.tx_rings[core].space() == 0 {
                 break;
             }
-            let slot = &mut self.slots[slot_idx];
-            let cursor = slot.conn.tcb.stream_offset_of_snd_nxt();
+            let slot = &mut self.front.slots[slot_idx];
+            let cursor = slot.tcb.stream_offset_of_snd_nxt();
             let Some((&off, _)) = slot.conn.ready_tx.first_key_value() else {
                 break;
             };
@@ -1043,7 +725,7 @@ impl AtlasServer {
             if off != cursor {
                 // A hole: an earlier record's disk read is still in
                 // flight — the in-order stream is NVMe-wait stalled.
-                self.prof_stall(StallKind::NvmeWait);
+                self.prof.stall(StallKind::NvmeWait);
                 break;
             }
             let item = slot.conn.ready_tx.remove(&off).expect("just peeked");
@@ -1053,7 +735,7 @@ impl AtlasServer {
                 slot.conn.responses_completed += 1;
                 self.reg.inc(self.ids.responses[core]);
             }
-            let out = slot.conn.tcb.send_data(now, item.sg, false);
+            let out = slot.tcb.send_data(now, item.sg, false);
             self.nic.tx_rings[core].push(out.into_tx(item.token));
             if item.token != 0 {
                 self.tracer.stamp_tx(item.token, Stage::TsoPacketize, now);
@@ -1064,24 +746,20 @@ impl AtlasServer {
     /// §3 steps 1–2: issue on-demand reads for the active response
     /// while window space clears the watermark.
     fn pump(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         // Tuned per-core operating point (the fixed `cfg.watermark`
         // and an unbounded cap when autotuning is off).
         let watermark = self.ctl[core].tuner.watermark();
         let inflight_cap = self.ctl[core].tuner.inflight_cap();
         loop {
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             // Start the next queued request if the active one is done.
             let Some(layout) = slot.conn.active_layout() else {
                 break;
             };
             let record = slot.conn.next_record;
             let wire = layout.record_wire_len(record);
-            let usable = slot
-                .conn
-                .tcb
-                .usable_window()
-                .saturating_sub(slot.conn.reserved);
+            let usable = slot.tcb.usable_window().saturating_sub(slot.conn.reserved);
             // The §3.2 watermark rule: issue the I/O once the window
             // clears 10×MSS (or the whole remaining tail, whichever is
             // smaller). A full 16 KiB record may overshoot the window
@@ -1095,14 +773,14 @@ impl AtlasServer {
             // requests" — without it, a post-loss cwnd below the
             // watermark with nothing in flight would deadlock the ACK
             // clock.
-            let idle = slot.conn.tcb.inflight() == 0
+            let idle = slot.tcb.inflight() == 0
                 && slot.conn.fetches_inflight == 0
                 && slot.conn.retx_inflight == 0
                 && slot.conn.ready_tx.is_empty();
             if usable < watermark.min(wire) && !idle {
                 // Window below the watermark with data in flight: the
                 // pipeline is waiting on client ACKs, not on us.
-                self.prof_stall(StallKind::CwndLimited);
+                self.prof.stall(StallKind::CwndLimited);
                 break;
             }
             // Tuned in-flight cap: when the tuner has backed off
@@ -1115,7 +793,7 @@ impl AtlasServer {
                     .map(|q| (q.inflight() + q.staged_count()) as u32)
                     .sum();
                 if outstanding >= inflight_cap {
-                    self.prof_stall(StallKind::NvmeWait);
+                    self.prof.stall(StallKind::NvmeWait);
                     break;
                 }
             }
@@ -1144,14 +822,14 @@ impl AtlasServer {
                 // buffers shortly): undo, park on the waiter list —
                 // the reclaim path re-pumps parked connections the
                 // moment a buffer frees — and stop this round.
-                let slot = &mut self.slots[slot_idx];
+                let slot = &mut self.front.slots[slot_idx];
                 slot.conn.next_record -= 1;
                 slot.conn.reserved -= wire;
                 slot.conn.fetches_inflight -= 1;
                 if self.buf_waiters[core].insert(slot_idx) {
                     self.reg.inc(self.ids.empty_waits[core]);
                 }
-                self.prof_stall(StallKind::PoolEmpty);
+                self.prof.stall(StallKind::PoolEmpty);
                 break;
             }
         }
@@ -1171,7 +849,7 @@ impl AtlasServer {
         plain_len: u64,
         attempt: u32,
     ) -> bool {
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         let (loc, aligned_len, _pre) = self.catalog.read_span(file, file_off, plain_len);
         let q = &mut self.core_disks[core].queues[loc.disk];
         // Retransmit-fetch priority: hold the last few buffers back
@@ -1241,8 +919,9 @@ impl AtlasServer {
                     .entry((core, loc.disk))
                     .and_modify(|t| *t = (*t).max(now))
                     .or_insert(now);
-                self.prof_stage(core, ProfStage::Fetch);
-                self.prof_chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
+                self.prof.stage(core, ProfStage::Fetch);
+                self.prof
+                    .chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
             }
             FetchSrc::Cold => {
                 // Issue a byte-range GET to the cold store. No SQE, no
@@ -1250,8 +929,9 @@ impl AtlasServer {
                 // here is the same submit-side CPU work as a disk read.
                 let tier = self.tier.as_mut().expect("cold route without tier");
                 tier.cold_fetch(now, file, file_off, aligned, token);
-                self.prof_stage(core, ProfStage::Fetch);
-                self.prof_chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
+                self.prof.stage(core, ProfStage::Fetch);
+                self.prof
+                    .chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
                 self.cores
                     .run_on(core, now, self.cfg.costs.nvme_submit_cycles);
             }
@@ -1266,8 +946,8 @@ impl AtlasServer {
                 let cycles = rd.stall_cycles
                     + wr.stall_cycles
                     + (plain_len as f64 * self.cfg.costs.memcpy_cycles_per_byte) as u64;
-                self.prof_stage(core, ProfStage::Fetch);
-                self.prof_chunk(ProfStage::Fetch, cycles);
+                self.prof.stage(core, ProfStage::Fetch);
+                self.prof.chunk(ProfStage::Fetch, cycles);
                 let done = self.cores.run_on(core, now, cycles);
                 if self.cfg.fidelity == Fidelity::Full {
                     let data = self.host.read_region(slot_region);
@@ -1336,13 +1016,13 @@ impl AtlasServer {
                 let t = at + RESYNC_DELAY;
                 self.resync_at = Some(self.resync_at.map_or(t, |x| x.min(t)));
             }
-            self.prof_stage(core, ProfStage::Fetch);
+            self.prof.stage(core, ProfStage::Fetch);
             self.cores.run_on(core, at, cycles);
         }
     }
 
     fn on_retransmit_needed(&mut self, now: Nanos, slot_idx: usize, offset: u64, len: u64) {
-        let slot = &mut self.slots[slot_idx];
+        let slot = &mut self.front.slots[slot_idx];
         let Some(layout_idx) = slot.conn.layout_at(offset) else {
             // Nothing known at this offset (already pruned?): nothing
             // we can do; the RTO path will re-ask.
@@ -1355,7 +1035,7 @@ impl AtlasServer {
             let rel = (offset - layout.start) as usize;
             let end = (rel + len as usize).min(layout.header.len());
             let sg = SgList::from_shared(layout.header.clone(), rel, end - rel);
-            let out = slot.conn.tcb.send_retransmit(now, offset, sg);
+            let out = slot.tcb.send_retransmit(now, offset, sg);
             let core = slot.core;
             self.nic.tx_rings[core].push(out.into_tx(0));
             return;
@@ -1389,9 +1069,9 @@ impl AtlasServer {
         if !issued {
             // No buffer for the retransmit right now: tell the TCB so
             // the RTO (or further dup ACKs) can re-request it.
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             slot.conn.retx_inflight -= 1;
-            slot.conn.tcb.retransmit_abandoned();
+            slot.tcb.retransmit_abandoned();
         }
     }
 
@@ -1402,12 +1082,11 @@ impl AtlasServer {
     #[must_use]
     pub fn poll_at(&self) -> Option<Nanos> {
         let t = self.kernel.poll_at();
-        let timer = self.timers.iter().next().map(|(d, _)| *d);
+        let timer = self.front.next_timer();
         let retry = self.retries.keys().next().map(|&(d, _)| d);
         // The overload sweep only needs to run while connections
         // exist; an empty server stays fully quiescent.
-        let sweep =
-            (self.ctl.iter().map(|c| c.live_conns).sum::<usize>() > 0).then_some(self.next_sweep);
+        let sweep = (self.ctl.live_conns() > 0).then_some(self.next_sweep);
         let tier = self
             .tier
             .as_ref()
@@ -1428,7 +1107,7 @@ impl AtlasServer {
     pub fn advance(&mut self, now: Nanos) -> Vec<SentBurst> {
         // Disk-completion DMA writes (and any DDIO-cap evictions they
         // force) attribute to the fetch stage.
-        self.prof_stage(0, ProfStage::Fetch);
+        self.prof.stage(0, ProfStage::Fetch);
         self.kernel.advance(now, &mut self.mem, &mut self.host);
         if self.resync_at.is_some_and(|t| t <= now) {
             self.resync_at = None;
@@ -1467,7 +1146,7 @@ impl AtlasServer {
                     .expect("consume")
                 };
                 if cycles > 0 {
-                    self.prof_stage(core, ProfStage::Fetch);
+                    self.prof.stage(core, ProfStage::Fetch);
                     self.cores.run_on(core, now, cycles);
                 }
                 if batch.len() > mark {
@@ -1489,18 +1168,12 @@ impl AtlasServer {
         }
         self.drain_tier(now);
         // TCB timers.
-        let due: Vec<usize> = self
-            .timers
-            .range(..=(now, usize::MAX))
-            .map(|&(_, s)| s)
-            .collect();
-        for slot_idx in due {
+        for slot_idx in self.front.due_timers(now) {
             self.trace_rx_at = now;
-            let slot = &mut self.slots[slot_idx];
-            slot.conn.tcb.on_timer(now);
+            self.front.slots[slot_idx].tcb.on_timer(now);
             self.process_conn_events(now, slot_idx);
         }
-        self.prof_stage(0, ProfStage::TxComplete);
+        self.prof.stage(0, ProfStage::TxComplete);
         let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
         self.trace_bursts(&bursts);
         self.reclaim_tx(now);
@@ -1529,21 +1202,17 @@ impl AtlasServer {
                     let Some(&(slot_idx, _, buf, disk, _, _)) = self.fetches.get(&tk.token) else {
                         continue;
                     };
-                    let core = self.slots[slot_idx].core;
+                    let core = self.front.slots[slot_idx].core;
                     let region = self.core_disks[core].queues[disk].buf_region(buf, tk.len);
                     if self.cfg.fidelity == Fidelity::Full {
                         let seed = self.catalog.file_seed(tk.file);
                         self.host
                             .update_region(region, |data| prf_bytes(seed, tk.offset, data));
                     }
-                    self.prof_stage(core, ProfStage::Fetch);
+                    self.prof.stage(core, ProfStage::Fetch);
                     self.mem.dma_write(now, Agent::NicDma, region);
                     if let Some(ids) = &self.tier_ids {
-                        self.reg.add(ids.cold_bytes[core], tk.len);
-                        self.reg.observe(
-                            ids.cold_fetch_ns,
-                            (tk.done_at - tk.issued_at).as_nanos() as f64,
-                        );
+                        ids.note_cold_fill(&mut self.reg, core, &tk);
                     }
                     self.complete_fetch(
                         now,
@@ -1582,9 +1251,9 @@ impl AtlasServer {
         };
         self.tracer
             .stamp(io.user, Stage::FirmwareComplete, io.completed_at);
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         let costs = self.cfg.costs;
-        if self.slots[slot_idx].conn.aborted {
+        if self.front.slots[slot_idx].conn.aborted {
             // Late completion for a torn-down connection: the only
             // obligation left is returning the buffer to its pool.
             self.core_disks[core].queues[disk].pool().free(buf);
@@ -1595,7 +1264,7 @@ impl AtlasServer {
             self.fetch_failed(now, io.user, slot_idx, fetch, buf, disk, attempt);
             return;
         }
-        let slot = &mut self.slots[slot_idx];
+        let slot = &mut self.front.slots[slot_idx];
         slot.conn.fetch_failures = 0;
         let Some(layout) = slot.conn.layout_by_id(fetch.layout_id) else {
             // The response was fully acked and pruned while this
@@ -1605,7 +1274,7 @@ impl AtlasServer {
             match fetch.retx {
                 Some(_) => {
                     slot.conn.retx_inflight = slot.conn.retx_inflight.saturating_sub(1);
-                    slot.conn.tcb.retransmit_abandoned();
+                    slot.tcb.retransmit_abandoned();
                 }
                 None => {
                     slot.conn.fetches_inflight = slot.conn.fetches_inflight.saturating_sub(1);
@@ -1677,27 +1346,16 @@ impl AtlasServer {
                 self.tracer.llc_at_encrypt(io.user, resident);
                 self.tracer.stamp(io.user, Stage::EncryptStart, now);
             }
-            // (Field access, not the shim: `slot` holds a mutable
-            // borrow of self.slots across this region.)
-            if let Some(p) = &self.profiler {
-                let mut p = p.borrow_mut();
-                p.set_context(core, ProfStage::Encrypt);
-                p.add_encrypt_bytes(plain_len);
-            }
+            self.prof.stage(core, ProfStage::Encrypt);
+            self.prof.encrypt_bytes(plain_len);
             let rmw = self.mem.cpu_rmw(now, buf_region);
             let enc_cycles =
                 rmw.stall_cycles + (plain_len as f64 * costs.aes_gcm_cycles_per_byte) as u64;
             cycles += enc_cycles;
-            if let Some(p) = &self.profiler {
-                p.borrow_mut().chunk_sample(ProfStage::Encrypt, enc_cycles);
-            }
-            let record_plain_off = fetch.record * RECORD_PLAIN;
+            self.prof.chunk(ProfStage::Encrypt, enc_cycles);
+            let record_plain_off = fetch.record * RECORD_PAYLOAD_MAX;
             let tag = if self.cfg.fidelity == Fidelity::Full {
-                let cipher = slot
-                    .conn
-                    .cipher
-                    .as_ref()
-                    .expect("encrypted conn has cipher");
+                let cipher = slot.cipher.as_ref().expect("encrypted conn has cipher");
                 self.host.update_region(buf_region, |data| {
                     cipher.seal_record(record_plain_off, data)
                 })
@@ -1714,9 +1372,7 @@ impl AtlasServer {
         } else {
             // Plaintext path still touches headers only; payload goes
             // DMA→DMA untouched (the paper's Fig 5 ideal).
-            if let Some(p) = &self.profiler {
-                p.borrow_mut().set_context(core, ProfStage::Packetize);
-            }
+            self.prof.stage(core, ProfStage::Packetize);
         }
 
         // Build the record's wire SgList. TLS framing (5-byte record
@@ -1731,11 +1387,8 @@ impl AtlasServer {
             sg.push_region(buf_region);
         }
 
-        if let Some(p) = &self.profiler {
-            let mut p = p.borrow_mut();
-            p.chunk_sample(ProfStage::Packetize, tx_op_cycles);
-            p.chunk_done(core);
-        }
+        self.prof.chunk(ProfStage::Packetize, tx_op_cycles);
+        self.prof.chunk_done(core);
         let done_at = self.cores.run_on(core, now, cycles);
         if layout.encrypted {
             self.tracer.stamp(io.user, Stage::EncryptEnd, done_at);
@@ -1779,7 +1432,7 @@ impl AtlasServer {
                     // the floor. Same policy as a failed retransmit
                     // read: recycle the buffer and abandon to the
                     // RTO, which re-drives the range.
-                    slot.conn.tcb.retransmit_abandoned();
+                    slot.tcb.retransmit_abandoned();
                     self.core_disks[core].queues[disk].pool().free(buf);
                     self.tracer.discard(io.user);
                 } else {
@@ -1792,7 +1445,7 @@ impl AtlasServer {
                     let mut want = rest;
                     let piece = want.split_front(len.min(want.len()));
                     let stream_off = layout.record_stream_off(fetch.record) + off;
-                    let out = slot.conn.tcb.send_retransmit(done_at, stream_off, piece);
+                    let out = slot.tcb.send_retransmit(done_at, stream_off, piece);
                     self.nic.tx_rings[core].push(out.into_tx(token));
                     self.tracer.stamp_tx(token, Stage::TsoPacketize, done_at);
                 }
@@ -1801,7 +1454,7 @@ impl AtlasServer {
         // Keep pumping: completing a fetch freed a buffer slot and the
         // window may allow more.
         self.pump(done_at, slot_idx);
-        self.sync_timer(slot_idx);
+        self.front.sync_timer(slot_idx);
     }
 
     /// Recovery policy for a read that completed with an error. The
@@ -1822,25 +1475,25 @@ impl AtlasServer {
         disk: usize,
         attempt: u32,
     ) {
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         self.core_disks[core].queues[disk].pool().free(buf);
         self.tracer.discard(user);
         self.reg.inc(self.ids.fetch_errors[core]);
         let max_conn = self.cfg.max_conn_failures;
-        let slot = &mut self.slots[slot_idx];
+        let slot = &mut self.front.slots[slot_idx];
         slot.conn.fetch_failures += 1;
         let failures = slot.conn.fetch_failures;
         match fetch.retx {
             Some(_) => {
                 slot.conn.retx_inflight -= 1;
-                slot.conn.tcb.retransmit_abandoned();
+                slot.tcb.retransmit_abandoned();
                 if failures > max_conn {
                     self.abort_conn(now, slot_idx);
                 } else {
                     // The RTO timer is armed (unacked data exists by
                     // definition of a retransmission); it will ask
                     // again.
-                    self.sync_timer(slot_idx);
+                    self.front.sync_timer(slot_idx);
                 }
             }
             None => {
@@ -1876,7 +1529,7 @@ impl AtlasServer {
                 break;
             }
             let entry = self.retries.remove(&(deadline, serial)).expect("peeked");
-            let slot = &mut self.slots[entry.slot_idx];
+            let slot = &mut self.front.slots[entry.slot_idx];
             if slot.conn.aborted {
                 continue; // teardown already reconciled the counters
             }
@@ -1928,9 +1581,7 @@ impl AtlasServer {
                 let cycles = q
                     .nvme_sqsync(&mut self.kernel, now, &self.cfg.costs)
                     .expect("sqsync");
-                if let Some(p) = &self.profiler {
-                    p.borrow_mut().set_context(core, ProfStage::Fetch);
-                }
+                self.prof.stage(core, ProfStage::Fetch);
                 self.cores.run_on(core, now, cycles);
                 if q.staged_count() > 0 {
                     still_staged = true;
@@ -1966,13 +1617,12 @@ impl AtlasServer {
             let min_drain_per_window = acfg.min_drain_bytes_per_sec as u128
                 * acfg.drain_window.as_nanos() as u128
                 / 1_000_000_000;
-            let slot_ids: Vec<usize> = (0..self.slots.len())
-                .filter(|&i| self.slots[i].core == core && !self.slots[i].conn.aborted)
-                .filter(|&i| self.conns.contains_key(&self.slots[i].flow))
+            let slot_ids: Vec<usize> = (0..self.front.slots.len())
+                .filter(|&i| self.front.slots[i].core == core && !self.front.slots[i].conn.aborted)
                 .collect();
             let mut slowest: Option<(u64, usize)> = None;
             for slot_idx in slot_ids {
-                let conn = &mut self.slots[slot_idx].conn;
+                let conn = &mut self.front.slots[slot_idx].conn;
                 // Slowloris defense: handshake done, no complete
                 // request head within the deadline.
                 if !conn.got_request && now - conn.established_at > acfg.header_timeout {
@@ -2032,13 +1682,13 @@ impl AtlasServer {
                 .into_iter()
                 .collect();
             for slot_idx in waiters {
-                if self.slots[slot_idx].conn.aborted {
+                if self.front.slots[slot_idx].conn.aborted {
                     continue;
                 }
                 // pump() re-parks the slot if the pool is still dry.
                 self.pump(now, slot_idx);
                 self.drain_tx(now, slot_idx);
-                self.sync_timer(slot_idx);
+                self.front.sync_timer(slot_idx);
             }
         }
     }
@@ -2050,24 +1700,22 @@ impl AtlasServer {
     /// frames already on the NIC TX path via normal completion
     /// collection.
     fn abort_conn(&mut self, now: Nanos, slot_idx: usize) {
-        let slot = &mut self.slots[slot_idx];
+        let slot = &mut self.front.slots[slot_idx];
         if slot.conn.aborted {
             return;
         }
         slot.conn.aborted = true;
-        let flow = slot.flow;
         let core = slot.core;
         // Tell the peer: one RST (best-effort — a full TX ring just
         // drops it and the client's RTO discovers the teardown).
-        let rst = slot.conn.tcb.send_rst();
+        let rst = slot.tcb.send_rst();
         if self.nic.tx_rings[core].space() > 0 {
             self.nic.tx_rings[core].push(rst.into_tx(0));
         }
-        let slot = &mut self.slots[slot_idx];
+        let slot = &mut self.front.slots[slot_idx];
         let ready = std::mem::take(&mut slot.conn.ready_tx);
         slot.conn.reserved = 0;
         slot.conn.layouts.clear();
-        slot.conn.pending_requests.clear();
         for item in ready.into_values() {
             if item.token != 0 {
                 self.tracer.finish_tx(item.token, now);
@@ -2075,13 +1723,9 @@ impl AtlasServer {
                 self.core_disks[c].queues[d].pool().free(b);
             }
         }
-        if let Some(d) = self.timer_of[slot_idx] {
-            self.timers.remove(&(d, slot_idx));
-            self.timer_of[slot_idx] = None;
-        }
+        self.front.close(slot_idx);
         self.buf_waiters[core].remove(&slot_idx);
-        self.conns.remove(&flow);
-        self.note_conn_closed(core);
+        self.ctl.note_conn_closed(core);
         self.reg.inc(self.ids.conns_aborted);
     }
 
@@ -2097,21 +1741,6 @@ impl AtlasServer {
                 self.core_disks[c].queues[disk].pool().free(buf);
             }
         }
-    }
-
-    fn sync_timer(&mut self, slot_idx: usize) {
-        let new = self.slots[slot_idx].conn.tcb.poll_at();
-        let old = self.timer_of[slot_idx];
-        if old == new {
-            return;
-        }
-        if let Some(d) = old {
-            self.timers.remove(&(d, slot_idx));
-        }
-        if let Some(d) = new {
-            self.timers.insert((d, slot_idx));
-        }
-        self.timer_of[slot_idx] = new;
     }
 
     /// Diagnostics: total diskmap buffers currently free across pools.
@@ -2150,6 +1779,7 @@ impl AtlasServer {
         let free = i64::from(self.free_buffers());
         let inflight = self.fetches.len() as i64;
         let parked: i64 = self
+            .front
             .slots
             .iter()
             .map(|s| s.conn.ready_tx.values().filter(|r| r.token != 0).count() as i64)
@@ -2187,7 +1817,7 @@ impl AtlasServer {
         format!(
             "kernel={:?} timer={:?} nic={:?}",
             self.kernel.poll_at(),
-            self.timers.iter().next().map(|(d, _)| *d),
+            self.front.next_timer(),
             self.nic.poll_at()
         ) + &format!(" [{}]", self.nic.ring_state())
     }
@@ -2196,21 +1826,21 @@ impl AtlasServer {
     #[must_use]
     pub fn debug_stats_string(&self) -> String {
         let mut per_conn = String::new();
-        for (i, s) in self.slots.iter().enumerate().take(4) {
+        for (i, s) in self.front.slots.iter().enumerate().take(4) {
             let c = &s.conn;
             per_conn.push_str(&format!(
                 " [conn{i}: state={:?} layouts={} next_rec={} ready={} reserved={} fetches={} retx_in={} usable={} inflight={} cwnd={} retx_bytes={}]",
-                c.tcb.state,
+                s.tcb.state,
                 c.layouts.len(),
                 c.next_record,
                 c.ready_tx.len(),
                 c.reserved,
                 c.fetches_inflight,
                 c.retx_inflight,
-                c.tcb.usable_window(),
-                c.tcb.inflight(),
-                c.tcb.cc.cwnd(),
-                c.tcb.bytes_retransmitted,
+                s.tcb.usable_window(),
+                s.tcb.inflight(),
+                s.tcb.cc.cwnd(),
+                s.tcb.bytes_retransmitted,
             ));
         }
         format!(
@@ -2219,31 +1849,6 @@ impl AtlasServer {
             self.fetches.len(),
             self.free_buffers(),
         )
-    }
-}
-
-/// The shared control-loop skeleton: admission, shedding, connection
-/// accounting and the I/O tuner all route through `dcn-srvcore` so
-/// Atlas and the kstack cannot drift apart on policy semantics.
-impl ControlPlane for AtlasServer {
-    fn admission_cfg(&self) -> AdmissionConfig {
-        self.cfg.admission
-    }
-
-    fn n_cores(&self) -> usize {
-        self.cfg.cores
-    }
-
-    fn resource_snapshot(&self, core: usize) -> ResourceSnapshot {
-        AtlasServer::resource_snapshot(self, core)
-    }
-
-    fn core_control(&mut self, core: usize) -> &mut CoreControl {
-        &mut self.ctl[core]
-    }
-
-    fn core_control_ref(&self, core: usize) -> &CoreControl {
-        &self.ctl[core]
     }
 }
 
@@ -2262,84 +1867,4 @@ fn untx_token(token: u64) -> (usize, usize, BufId) {
         ((token >> 9) & 0xFF) as usize,
         BufId((token >> 17) as u32),
     )
-}
-
-/// A parsed frame's TCP payload, borrowed from the frame. Parsing
-/// allocates nothing — in particular, a virtual (length-only) payload
-/// is no longer materialized as a `Vec` of zeros unless a caller
-/// explicitly asks for one. Servers copy into a reusable scratch via
-/// [`FramePayload::copy_into`]; flow-routing callers that only look
-/// at headers never touch the payload at all.
-#[derive(Debug)]
-pub enum FramePayload<'a> {
-    /// Payload bytes present in the frame.
-    Slice(&'a [u8]),
-    /// Virtual payload: `n` bytes of zeros, by convention.
-    Virtual(u64),
-}
-
-impl FramePayload<'_> {
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            FramePayload::Slice(b) => b.len(),
-            FramePayload::Virtual(n) => *n as usize,
-        }
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy the payload into a reusable scratch buffer (cleared
-    /// first; the buffer's capacity persists across calls).
-    pub fn copy_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            FramePayload::Slice(b) => out.extend_from_slice(b),
-            FramePayload::Virtual(n) => out.resize(*n as usize, 0),
-        }
-    }
-
-    /// Materialize an owned copy (client-side convenience; the server
-    /// hot path uses [`FramePayload::copy_into`] instead).
-    #[must_use]
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.len());
-        self.copy_into(&mut v);
-        v
-    }
-}
-
-/// Parse the flow/TCP header out of a wire frame (what RSS + the
-/// stack's demux do).
-#[must_use]
-pub fn parse_frame(frame: &WireFrame) -> Option<(FlowId, TcpRepr, FramePayload<'_>)> {
-    let h = &frame.headers;
-    if h.len() < ETH_HEADER_LEN {
-        return None;
-    }
-    let extra = frame.payload.len() as usize;
-    let (ip, ip_off) = Ipv4Repr::parse_with_extra(&h[ETH_HEADER_LEN..], extra).ok()?;
-    let (tcp, tcp_off) = TcpRepr::parse(&h[ETH_HEADER_LEN + ip_off..], None).ok()?;
-    let flow = FlowId {
-        src_ip: ip.src,
-        dst_ip: ip.dst,
-        src_port: tcp.src_port,
-        dst_port: tcp.dst_port,
-    };
-    // Payload may live in headers (inline frames) or in the payload
-    // field (data frames).
-    let inline = &h[ETH_HEADER_LEN + ip_off + tcp_off..];
-    let payload = if !inline.is_empty() {
-        FramePayload::Slice(inline)
-    } else {
-        match &frame.payload {
-            dcn_netdev::PayloadBytes::Real(b) => FramePayload::Slice(b),
-            dcn_netdev::PayloadBytes::Virtual(n) => FramePayload::Virtual(*n),
-        }
-    };
-    Some((flow, tcp, payload))
 }

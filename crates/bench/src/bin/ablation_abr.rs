@@ -24,10 +24,11 @@
 //! 100 ms) — pure burst cadence, no adaptation; the adaptive variants
 //! use their default thresholds.
 
-use dcn_atlas::{AtlasConfig, AutotuneConfig};
+use dcn_atlas::AtlasConfig;
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
+use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
 use dcn_workload::{run_scenario, AbrConfig, FleetConfig, RunMetrics, Scenario, ServerKind};
 

@@ -11,11 +11,12 @@
 //! "slow" triples the controller's fixed command overhead (a drive
 //! three generations older, or one busy with GC).
 
-use dcn_atlas::{AtlasConfig, AutotuneConfig};
+use dcn_atlas::AtlasConfig;
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_nvme::FirmwareParams;
 use dcn_simcore::Nanos;
+use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
 use dcn_workload::{run_scenario, FleetConfig, Scenario, ServerKind};
 

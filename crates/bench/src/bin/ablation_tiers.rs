@@ -26,11 +26,12 @@
 //!   ablation_tiers --zipf <θ>      # restrict the skew axis to one θ
 //!   ablation_tiers --catalog <n>   # catalog size (default 1M objects)
 
-use dcn_atlas::{AtlasConfig, AutotuneConfig};
+use dcn_atlas::AtlasConfig;
 use dcn_bench::perf::fmt_f64;
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
+use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
 use dcn_tier::{CacheConfig, ColdStoreConfig, TierConfig};
 use dcn_workload::{run_scenario, FleetConfig, Scenario, ServerKind, TierMetrics};

@@ -15,11 +15,12 @@
 //!   perf_baseline --check <baseline>   # exit 1 if regressed vs <baseline>
 //!   perf_baseline --write              # refresh BENCH_perf_baseline.json (CWD)
 
-use dcn_atlas::{AtlasConfig, AutotuneConfig};
+use dcn_atlas::AtlasConfig;
 use dcn_bench::perf::{compare_perf, perf_document, PerfCell};
 use dcn_bench::print_table;
 use dcn_kstack::KstackConfig;
 use dcn_mem::Fidelity;
+use dcn_srvcore::AutotuneConfig;
 use dcn_workload::{run_scenario, Scenario, ServerKind};
 
 const SEED: u64 = 7001;

@@ -15,10 +15,10 @@
 //! replica with a `Range: bytes=N-` resume.
 
 use crate::dispatcher::{Dispatcher, Health};
-use dcn_atlas::server::parse_frame;
 use dcn_atlas::{AtlasConfig, AtlasServer};
 use dcn_faults::{salt, FaultConfig, FrameFate, FrameInfo, LinkFaults};
 use dcn_mem::Fidelity;
+use dcn_netdev::parse_frame;
 use dcn_netdev::{tcp_frame_info, DelayMiddlebox, SentBurst, WireFrame};
 use dcn_obs::export::{chunk_to_json, stage_summary, TimeSeries};
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr};

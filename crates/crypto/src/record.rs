@@ -22,7 +22,7 @@ pub const GCM_TAG_LEN: usize = TAG_LEN;
 pub const RECORD_HEADER_LEN: usize = 5;
 /// Max plaintext per record. 16 KiB — one diskmap sweet-spot read
 /// (§3.1.3) maps to exactly one record.
-pub const RECORD_PAYLOAD_MAX: usize = 16 * 1024;
+pub const RECORD_PAYLOAD_MAX: u64 = 16 * 1024;
 
 /// Per-record wire overhead.
 #[must_use]
@@ -36,7 +36,7 @@ pub fn record_overhead() -> usize {
 /// has.
 #[must_use]
 pub fn derive_nonce(salt: u32, stream_offset: u64) -> [u8; 12] {
-    let record_index = stream_offset / RECORD_PAYLOAD_MAX as u64;
+    let record_index = stream_offset / RECORD_PAYLOAD_MAX;
     let mut n = [0u8; 12];
     n[..4].copy_from_slice(&salt.to_be_bytes());
     n[4..].copy_from_slice(&record_index.to_be_bytes());
@@ -64,9 +64,9 @@ impl RecordCipher {
     /// be record-aligned) and doubles as the AAD so records cannot be
     /// reordered.
     pub fn seal_record(&self, stream_offset: u64, payload: &mut [u8]) -> [u8; GCM_TAG_LEN] {
-        assert!(payload.len() <= RECORD_PAYLOAD_MAX);
+        assert!(payload.len() as u64 <= RECORD_PAYLOAD_MAX);
         assert_eq!(
-            stream_offset % RECORD_PAYLOAD_MAX as u64,
+            stream_offset % RECORD_PAYLOAD_MAX,
             0,
             "records are aligned on stream offsets"
         );
@@ -93,12 +93,12 @@ impl RecordCipher {
         tags: &mut Vec<[u8; GCM_TAG_LEN]>,
     ) {
         assert_eq!(
-            stream_offset % RECORD_PAYLOAD_MAX as u64,
+            stream_offset % RECORD_PAYLOAD_MAX,
             0,
             "batch starts on a record boundary"
         );
-        for (i, rec) in payload.chunks_mut(RECORD_PAYLOAD_MAX).enumerate() {
-            tags.push(self.seal_record(stream_offset + (i * RECORD_PAYLOAD_MAX) as u64, rec));
+        for (i, rec) in payload.chunks_mut(RECORD_PAYLOAD_MAX as usize).enumerate() {
+            tags.push(self.seal_record(stream_offset + i as u64 * RECORD_PAYLOAD_MAX, rec));
         }
     }
 
@@ -123,8 +123,8 @@ mod tests {
     #[test]
     fn nonce_is_stable_within_record_and_changes_across() {
         let a = derive_nonce(7, 0);
-        let b = derive_nonce(7, RECORD_PAYLOAD_MAX as u64 - 1);
-        let c = derive_nonce(7, RECORD_PAYLOAD_MAX as u64);
+        let b = derive_nonce(7, RECORD_PAYLOAD_MAX - 1);
+        let c = derive_nonce(7, RECORD_PAYLOAD_MAX);
         assert_eq!(a, b, "same record, same nonce");
         assert_ne!(a, c, "next record, next nonce");
         assert_ne!(derive_nonce(8, 0), a, "salt matters");
@@ -137,7 +137,7 @@ mod tests {
         // ciphertext.
         let rc = RecordCipher::new(b"sessionkey123456", 0xDEAD_BEEF);
         let original: Vec<u8> = (0..16384u32).map(|i| (i % 256) as u8).collect();
-        let off = 5 * RECORD_PAYLOAD_MAX as u64;
+        let off = 5 * RECORD_PAYLOAD_MAX;
 
         let mut first = original.clone();
         let tag1 = rc.seal_record(off, &mut first);
@@ -153,7 +153,7 @@ mod tests {
         let mut data = vec![9u8; 100];
         let tag = rc.seal_record(0, &mut data);
         // Replaying record 0's bytes at record 1's offset fails.
-        assert!(!rc.open_record(RECORD_PAYLOAD_MAX as u64, &mut data, &tag));
+        assert!(!rc.open_record(RECORD_PAYLOAD_MAX, &mut data, &tag));
         assert!(rc.open_record(0, &mut data, &tag));
         assert_eq!(data, vec![9u8; 100]);
     }
@@ -169,8 +169,8 @@ mod tests {
     #[test]
     fn batch_seal_matches_per_record_seal() {
         let rc = RecordCipher::new(b"sessionkey123456", 3);
-        let base = 4 * RECORD_PAYLOAD_MAX as u64;
-        let stream: Vec<u8> = (0..2 * RECORD_PAYLOAD_MAX + 777)
+        let base = 4 * RECORD_PAYLOAD_MAX;
+        let stream: Vec<u8> = (0..2 * RECORD_PAYLOAD_MAX as usize + 777)
             .map(|i| (i * 17 % 256) as u8)
             .collect();
 
@@ -180,8 +180,8 @@ mod tests {
         assert_eq!(tags.len(), 3);
 
         let mut singly = stream.clone();
-        for (i, rec) in singly.chunks_mut(RECORD_PAYLOAD_MAX).enumerate() {
-            let tag = rc.seal_record(base + (i * RECORD_PAYLOAD_MAX) as u64, rec);
+        for (i, rec) in singly.chunks_mut(RECORD_PAYLOAD_MAX as usize).enumerate() {
+            let tag = rc.seal_record(base + i as u64 * RECORD_PAYLOAD_MAX, rec);
             assert_eq!(tag, tags[i]);
         }
         assert_eq!(batch, singly);
@@ -192,8 +192,8 @@ mod tests {
         let rc = RecordCipher::new(b"sessionkey123456", 2);
         let stream: Vec<u8> = (0..100_000u32).map(|i| (i * 31 % 256) as u8).collect();
         let mut reassembled = Vec::new();
-        for (i, chunk) in stream.chunks(RECORD_PAYLOAD_MAX).enumerate() {
-            let off = (i * RECORD_PAYLOAD_MAX) as u64;
+        for (i, chunk) in stream.chunks(RECORD_PAYLOAD_MAX as usize).enumerate() {
+            let off = i as u64 * RECORD_PAYLOAD_MAX;
             let mut ct = chunk.to_vec();
             let tag = rc.seal_record(off, &mut ct);
             assert!(rc.open_record(off, &mut ct, &tag));

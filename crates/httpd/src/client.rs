@@ -6,7 +6,8 @@
 //! driver consumes the response byte stream (headers + body),
 //! verifies progress, and decides when to fire the next request.
 
-use crate::response::{scan_response_head, RECORD_PLAIN, RECORD_WIRE};
+use crate::response::{scan_response_head, RECORD_WIRE};
+use dcn_crypto::RECORD_PAYLOAD_MAX;
 use dcn_simcore::{RankPerm, SimRng, Zipf};
 use dcn_store::FileId;
 
@@ -167,9 +168,9 @@ impl RequestDriver {
         // starts to record boundaries (keeps encrypted re-framing
         // aligned with disk reads).
         let offset = if self.current_encrypted {
-            (wire_got / RECORD_WIRE) * RECORD_PLAIN
+            (wire_got / RECORD_WIRE) * RECORD_PAYLOAD_MAX
         } else {
-            (wire_got / RECORD_PLAIN) * RECORD_PLAIN
+            (wire_got / RECORD_PAYLOAD_MAX) * RECORD_PAYLOAD_MAX
         };
         if self.body_remaining.is_some() || !self.header_buf.is_empty() {
             self.responses_abandoned += 1;
@@ -311,7 +312,7 @@ mod tests {
         assert_eq!(d.on_bytes(&stream), 0);
         let plan = d.disconnect().unwrap();
         assert_eq!(plan.file, f);
-        assert_eq!(plan.offset, 2 * RECORD_PLAIN);
+        assert_eq!(plan.offset, 2 * RECORD_PAYLOAD_MAX);
         assert_eq!(d.responses_abandoned, 1);
         assert!(d.awaiting_response(), "request still outstanding");
         // The resumed (partial) response then completes normally.
@@ -364,7 +365,10 @@ mod tests {
         stream.extend_from_slice(&vec![0u8; 50_000]);
         d.on_bytes(&stream);
         let plan = d.disconnect().unwrap();
-        assert_eq!(plan.offset, (50_000 / RECORD_PLAIN) * RECORD_PLAIN);
+        assert_eq!(
+            plan.offset,
+            (50_000 / RECORD_PAYLOAD_MAX) * RECORD_PAYLOAD_MAX
+        );
     }
 
     #[test]

@@ -24,17 +24,20 @@ pub enum HttpError {
 }
 
 /// Hard cap on a request head (request line + all headers). Anything
-/// larger is rejected with a 431-style abort before it can pin server
+/// larger is rejected (the server answers 431) before it can pin server
 /// memory — the parser never buffers past this.
 pub const MAX_HEADER: usize = 8 * 1024;
 /// Cap on the request line alone (nginx: large_client_header_buffers).
 pub const MAX_REQUEST_LINE: usize = 2 * 1024;
 
 /// Accumulates bytes until full request heads are available.
-/// Pipelined requests are surfaced one per call.
+/// Pipelined requests are surfaced one per call. The first parse error
+/// is final: the stream has no request boundary left to resynchronize
+/// on, so the parser drops its buffer and ignores everything after.
 #[derive(Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
+    failed: bool,
 }
 
 impl RequestParser {
@@ -45,7 +48,9 @@ impl RequestParser {
 
     /// Feed received bytes.
     pub fn push(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        if !self.failed {
+            self.buf.extend_from_slice(data);
+        }
     }
 
     #[must_use]
@@ -53,8 +58,21 @@ impl RequestParser {
         self.buf.len()
     }
 
-    /// Try to extract the next complete request.
+    /// Try to extract the next complete request. After an error
+    /// every later call returns `Ok(None)`.
     pub fn next_request(&mut self) -> Result<Option<HttpRequest>, HttpError> {
+        if self.failed {
+            return Ok(None);
+        }
+        let next = self.parse_head();
+        if next.is_err() {
+            self.failed = true;
+            self.buf = Vec::new();
+        }
+        next
+    }
+
+    fn parse_head(&mut self) -> Result<Option<HttpRequest>, HttpError> {
         let Some(end) = find_double_crlf(&self.buf) else {
             if self.buf.len() > MAX_HEADER {
                 return Err(HttpError::HeaderTooLarge);
@@ -229,6 +247,17 @@ mod tests {
         let mut p = RequestParser::new();
         p.push(&vec![b'a'; 9000]);
         assert_eq!(p.next_request(), Err(HttpError::HeaderTooLarge));
+    }
+
+    #[test]
+    fn first_error_ends_the_stream() {
+        let mut p = RequestParser::new();
+        p.push(b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\n\r\n");
+        assert_eq!(p.next_request().unwrap().unwrap().path, "/a");
+        assert_eq!(p.next_request(), Err(HttpError::UnsupportedMethod));
+        p.push(b"GET /c HTTP/1.1\r\n\r\n");
+        assert_eq!(p.next_request(), Ok(None));
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]

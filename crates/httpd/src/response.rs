@@ -5,6 +5,8 @@
 //! raw file content for plaintext runs, GCM-sealed records for
 //! encrypted ones.
 
+use dcn_crypto::{GCM_TAG_LEN, RECORD_HEADER_LEN, RECORD_PAYLOAD_MAX};
+
 /// What the server decided about a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResponseInfo {
@@ -28,9 +30,23 @@ pub enum ResponseInfo {
     ServiceUnavailable {
         retry_after_ms: u64,
     },
-    /// 431-style reject for oversized request lines / header blocks;
-    /// the connection is torn down after this is sent.
+    /// 431-style reject for oversized request lines / header blocks.
+    /// The server stops parsing that request stream but keeps the
+    /// socket; its idle deadlines bound how long it lives.
     HeaderTooLarge,
+}
+
+impl ResponseInfo {
+    /// `(file offset, body length)` of the body a 200/206 carries;
+    /// `None` for the bodiless answers.
+    #[must_use]
+    pub fn body(self) -> Option<(u64, u64)> {
+        match self {
+            ResponseInfo::Ok { body_len } => Some((0, body_len)),
+            ResponseInfo::Partial { body_len, offset } => Some((offset, body_len)),
+            _ => None,
+        }
+    }
 }
 
 /// Build the response header block.
@@ -85,18 +101,16 @@ pub fn response_header(info: ResponseInfo, encrypted: bool) -> Vec<u8> {
     }
 }
 
-/// Plaintext bytes per TLS-style record (dcn_crypto::RECORD_PAYLOAD_MAX).
-pub const RECORD_PLAIN: u64 = 16 * 1024;
 /// Wire bytes per full record (payload + header + GCM tag).
-pub const RECORD_WIRE: u64 = RECORD_PLAIN + RECORD_OVERHEAD;
+pub const RECORD_WIRE: u64 = RECORD_PAYLOAD_MAX + RECORD_OVERHEAD;
 /// Record framing overhead: 5-byte header + 16-byte GCM tag.
-pub const RECORD_OVERHEAD: u64 = 5 + 16;
+pub const RECORD_OVERHEAD: u64 = (RECORD_HEADER_LEN + GCM_TAG_LEN) as u64;
 
 /// Wire length of an encrypted body: one TLS-style record per
 /// RECORD_PAYLOAD_MAX plaintext bytes, each adding header + tag.
 #[must_use]
 pub fn encrypted_body_len(plain_len: u64) -> u64 {
-    let records = plain_len.div_ceil(RECORD_PLAIN).max(1);
+    let records = plain_len.div_ceil(RECORD_PAYLOAD_MAX).max(1);
     plain_len + records * RECORD_OVERHEAD
 }
 

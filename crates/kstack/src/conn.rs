@@ -1,10 +1,9 @@
 //! Conventional-stack connection state: the socket buffer.
 
-use dcn_httpd::RequestParser;
 use dcn_mem::PhysRegion;
 use dcn_netdev::SgList;
+use dcn_srvcore::Answer;
 use dcn_store::FileId;
-use dcn_tcpstack::Tcb;
 use std::collections::VecDeque;
 
 /// One run of sendable bytes in the socket buffer.
@@ -43,20 +42,26 @@ impl SendChunk {
 #[derive(Clone, Debug)]
 pub struct StagedResponse {
     pub file: FileId,
-    pub body_len: u64,
-    /// Next body offset to request from disk / the cache.
+    /// File offset the body starts at: 0, or the record-aligned start
+    /// of a `Range` resume. Record framing and GCM nonces count from
+    /// here.
+    pub body_off: u64,
+    /// File offset one past the body's last byte.
+    pub end: u64,
+    /// Next file offset to request from disk / the cache.
     pub next_fill: u64,
-    /// Stream offset where the body starts.
-    pub body_stream_off: u64,
 }
 
-/// Per-connection state.
+/// The kernel stack's per-connection state (the TCB, request parser
+/// and cipher live in the shared front end's slot).
+#[derive(Default)]
 pub struct KConn {
-    pub tcb: Tcb,
-    pub parser: RequestParser,
     /// Socket send buffer: chunks not yet fully acknowledged,
     /// ordered by stream offset.
     pub sendq: VecDeque<SendChunk>,
+    /// Answered requests whose header is not in the socket buffer
+    /// yet: each waits until every earlier body is.
+    pub answered: VecDeque<Answer>,
     /// Responses whose bodies still need staging, oldest first.
     pub staging: VecDeque<StagedResponse>,
     /// Socket-buffer bytes currently held (flow control against
@@ -66,31 +71,10 @@ pub struct KConn {
     pub tx_cursor: u64,
     /// Disk fills in flight for this connection.
     pub fills_inflight: u32,
-    pub cipher: Option<dcn_crypto::RecordCipher>,
     pub responses_completed: u64,
-    /// The request stream hit a fatal parse error (oversized or
-    /// malformed head): a 431 was queued, nothing further is parsed.
-    pub bad_request: bool,
 }
 
 impl KConn {
-    #[must_use]
-    pub fn new(tcb: Tcb, cipher: Option<dcn_crypto::RecordCipher>) -> Self {
-        let tx_cursor = tcb.stream_offset_of_snd_nxt();
-        KConn {
-            tcb,
-            parser: RequestParser::new(),
-            sendq: VecDeque::new(),
-            staging: VecDeque::new(),
-            sb_bytes: 0,
-            tx_cursor,
-            fills_inflight: 0,
-            cipher,
-            responses_completed: 0,
-            bad_request: false,
-        }
-    }
-
     /// Append a chunk to the socket buffer.
     pub fn enqueue(&mut self, sg: SgList, pinned: Vec<(FileId, u64)>, ct: Option<PhysRegion>) {
         let len = sg.len();
@@ -183,52 +167,10 @@ impl KConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_packet::{Ipv4Addr, MacAddr, SeqNumber, TcpFlags, TcpRepr};
-    use dcn_simcore::Nanos;
-    use dcn_tcpstack::{Endpoint, TcbConfig};
 
+    // A fresh connection's stream starts at offset 0, the default.
     fn conn() -> KConn {
-        let local = Endpoint {
-            mac: MacAddr::from_host_id(1),
-            ip: Ipv4Addr::new(10, 0, 0, 1),
-            port: 80,
-        };
-        let remote = Endpoint {
-            mac: MacAddr::from_host_id(2),
-            ip: Ipv4Addr::new(10, 1, 0, 1),
-            port: 999,
-        };
-        let syn = TcpRepr {
-            src_port: 999,
-            dst_port: 80,
-            seq: SeqNumber(100),
-            ack: SeqNumber(0),
-            flags: TcpFlags::SYN,
-            window: 65535,
-            mss: Some(1448),
-            wscale: Some(8),
-        };
-        let (mut tcb, _) = dcn_tcpstack::Tcb::accept(
-            TcbConfig::default(),
-            local,
-            remote,
-            &syn,
-            SeqNumber(5000),
-            Nanos::ZERO,
-        );
-        let ack = TcpRepr {
-            src_port: 999,
-            dst_port: 80,
-            seq: SeqNumber(101),
-            ack: SeqNumber(5001),
-            flags: TcpFlags::ACK,
-            window: 256,
-            mss: None,
-            wscale: None,
-        };
-        tcb.on_segment(Nanos::from_millis(1), &ack, &[]);
-        tcb.take_events();
-        KConn::new(tcb, None)
+        KConn::default()
     }
 
     #[test]

@@ -2,26 +2,24 @@
 //! Netflix-optimized) over the shared hardware models.
 
 use crate::conn::{KConn, StagedResponse};
-use dcn_atlas::server::parse_frame;
-use dcn_atlas::{AdmissionConfig, ResourceSnapshot};
-use dcn_crypto::{RecordCipher, RECORD_PAYLOAD_MAX};
-use dcn_httpd::{parse_chunk_path, response_header, ResponseInfo};
+use dcn_crypto::RECORD_PAYLOAD_MAX;
+use dcn_httpd::response_header;
 use dcn_mem::{
     Agent, CoreSet, CostParams, Fidelity, HostMem, LlcConfig, MemSystem, PhysAlloc, PhysRegion,
     CHUNK_SIZE,
 };
 use dcn_netdev::{Nic, NicConfig, SentBurst, SgList, WireFrame};
 use dcn_nvme::{FirmwareParams, NvmeCommand, NvmeConfig, NvmeDevice, NvmeStatus, Opcode, LBA_SIZE};
-use dcn_obs::{
-    CounterId, GaugeId, HistId, ProfHandle, ProfStage, Registry, StageProfiler, StallKind,
-};
-use dcn_packet::{FlowId, SeqNumber, TcpFlags, TcpRepr};
+use dcn_obs::{CounterId, GaugeId, Prof, ProfStage, Registry, StallKind};
 use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
-use dcn_srvcore::{AutotuneConfig, ControlPlane, CoreControl, IoTuner};
-use dcn_store::{BufferCache, Catalog, CatalogBacking, FileId};
-use dcn_tcpstack::{rst_for_syn, Endpoint, Tcb, TcbConfig, TcbEvent};
+use dcn_srvcore::{
+    AdmissionConfig, AutotuneConfig, Front, FrontConfig, ResourceSnapshot, Rx, ServerControl,
+    TierIds,
+};
+use dcn_store::{BufferCache, Catalog, CatalogBacking};
+use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
 use dcn_tier::{GetTicket, Placement, TierConfig, TierEngine};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Which baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,8 +129,8 @@ impl KstackConfig {
 /// A disk fill in flight.
 struct Fill {
     conn_slot: usize,
-    file: FileId,
-    file_off: u64,
+    /// The response being filled, at the fill's file offset.
+    st: StagedResponse,
     len: u64,
     pages: Vec<(u64, PhysRegion)>, // (page index, frame)
     issued_at: Nanos,
@@ -145,28 +143,12 @@ struct Fill {
 /// kernel-stack analogue of the buffered-I/O EIO retry path.
 const MAX_FILL_ATTEMPTS: u32 = 4;
 
-struct ConnSlot {
-    conn: KConn,
-    core: usize,
-}
-
-/// How one parsed request on a connection is answered.
-enum Disposition {
-    File(Option<FileId>),
-    Unavailable,
-    Malformed,
-}
-
 /// Pre-registered counter handles (per-core), resolved once at
 /// construction so the hot path is a plain indexed add.
 struct KstackIds {
     responses: Vec<CounterId>,
     disk_read_bytes: Vec<CounterId>,
     fill_retries: Vec<CounterId>,
-    /// SYNs refused with RST by the admission policy.
-    shed_new: Vec<CounterId>,
-    /// Requests answered 503 + Retry-After while shedding.
-    retry_503: Vec<CounterId>,
     /// Staging passes parked on buffer-cache VM pressure.
     empty_waits: Vec<CounterId>,
     /// Sample-point gauges, pre-registered so timed metric sampling
@@ -180,73 +162,13 @@ struct KstackIds {
 impl KstackIds {
     fn register(reg: &mut Registry, cores: usize) -> Self {
         KstackIds {
-            responses: (0..cores)
-                .map(|c| reg.counter_core("kstack.responses", c))
-                .collect(),
-            disk_read_bytes: (0..cores)
-                .map(|c| reg.counter_core("kstack.disk_read_bytes", c))
-                .collect(),
-            fill_retries: (0..cores)
-                .map(|c| reg.counter_core("kstack.fill_retries", c))
-                .collect(),
-            shed_new: (0..cores)
-                .map(|c| reg.counter_core("kstack.overload.shed_new", c))
-                .collect(),
-            retry_503: (0..cores)
-                .map(|c| reg.counter_core("kstack.overload.retry_503", c))
-                .collect(),
-            empty_waits: (0..cores)
-                .map(|c| reg.counter_core("kstack.bufcache.empty_waits", c))
-                .collect(),
+            responses: reg.counters_per_core("kstack.responses", cores),
+            disk_read_bytes: reg.counters_per_core("kstack.disk_read_bytes", cores),
+            fill_retries: reg.counters_per_core("kstack.fill_retries", cores),
+            empty_waits: reg.counters_per_core("kstack.bufcache.empty_waits", cores),
             bufcache_hit_ratio: reg.gauge("kstack.bufcache_hit_ratio"),
             nvme_read_errors: reg.gauge("faults.nvme_read_errors"),
             nvme_latency_spikes: reg.gauge("faults.nvme_latency_spikes"),
-        }
-    }
-}
-
-/// Pre-registered `tier.*` handles; only present when `cfg.tier` is
-/// set. Same metric names as the Atlas stack (minus the DMA-cache
-/// family, which has no kernel-stack analogue) so reports aggregate
-/// tiering identically on both stacks.
-struct KTierIds {
-    hot_hits: Vec<CounterId>,
-    cold_misses: Vec<CounterId>,
-    cold_bytes: Vec<CounterId>,
-    cold_fetch_ns: HistId,
-    hot_count: GaugeId,
-    hit_ratio: GaugeId,
-    cold_requests: GaugeId,
-    cold_cost_ucents: GaugeId,
-    promotions: GaugeId,
-    demotions: GaugeId,
-    promote_deferred: GaugeId,
-    promoted_bytes: GaugeId,
-    epochs: GaugeId,
-}
-
-impl KTierIds {
-    fn register(reg: &mut Registry, cores: usize) -> Self {
-        KTierIds {
-            hot_hits: (0..cores)
-                .map(|c| reg.counter_core("tier.hot_hits", c))
-                .collect(),
-            cold_misses: (0..cores)
-                .map(|c| reg.counter_core("tier.cold_misses", c))
-                .collect(),
-            cold_bytes: (0..cores)
-                .map(|c| reg.counter_core("tier.cold_bytes", c))
-                .collect(),
-            cold_fetch_ns: reg.histogram("tier.cold_fetch_ns", 1e5, 1e9, 40),
-            hot_count: reg.gauge("tier.hot_count"),
-            hit_ratio: reg.gauge("tier.hit_ratio"),
-            cold_requests: reg.gauge("tier.cold_requests"),
-            cold_cost_ucents: reg.gauge("tier.cold_cost_ucents"),
-            promotions: reg.gauge("tier.promotions"),
-            demotions: reg.gauge("tier.demotions"),
-            promote_deferred: reg.gauge("tier.promote_deferred"),
-            promoted_bytes: reg.gauge("tier.promoted_bytes"),
-            epochs: reg.gauge("tier.epochs"),
         }
     }
 }
@@ -261,15 +183,14 @@ pub struct KstackServer {
     pub catalog: Catalog,
     pub bufcache: BufferCache,
     disks: Vec<NvmeDevice>,
-    conns: HashMap<FlowId, usize>,
-    slots: Vec<ConnSlot>,
-    timers: BTreeSet<(Nanos, usize)>,
-    timer_of: Vec<Option<Nanos>>,
+    /// The connection front end shared with Atlas: flow table, TCB
+    /// timers, admission/accept, RX demux, request classifier.
+    front: Front<KConn>,
     fills: HashMap<u16, Fill>,
     /// Tiering engine (`cfg.tier`); owns the cold store and the
     /// promotion/demotion policy.
     tier: Option<TierEngine>,
-    tier_ids: Option<KTierIds>,
+    tier_ids: Option<TierIds>,
     /// Cold-store fills in flight, keyed by cold-store token (its own
     /// counter — NVMe cids are u16 and must stay a disjoint space).
     cold_fills: HashMap<u64, Fill>,
@@ -285,18 +206,12 @@ pub struct KstackServer {
     /// worker to unblock.
     stage_waiting: Vec<std::collections::BTreeSet<usize>>,
     next_cid: u16,
-    rx_slots: Vec<PhysRegion>,
     /// Per-core control-plane state (admission latch, I/O tuner,
-    /// live-connection count) — the shared `dcn-srvcore` skeleton.
-    ctl: Vec<CoreControl>,
+    /// live-connection count).
+    ctl: ServerControl,
     /// Connections whose staging hit buffer-cache VM pressure, parked
     /// until ACKs unpin pages.
     alloc_waiting: Vec<std::collections::BTreeSet<usize>>,
-    /// Reusable RX-payload scratch: frames' TCP payloads are copied
-    /// here instead of materializing a fresh `Vec` per frame.
-    rx_scratch: Vec<u8>,
-    /// Reusable per-call scratch for parsed request dispositions.
-    disp_scratch: Vec<Disposition>,
     /// Reusable CQ-drain scratch for `advance`.
     cq_scratch: Vec<dcn_nvme::CompletionEntry>,
     /// Reusable plaintext→ciphertext staging scratch for the
@@ -306,13 +221,12 @@ pub struct KstackServer {
     tag_scratch: Vec<[u8; 16]>,
     /// Reusable per-record plaintext source-region scratch.
     src_scratch: Vec<PhysRegion>,
-    rng: SimRng,
     /// Unified metrics registry (`kstack.*{core=N}`); counters are
     /// bumped on the hot path through pre-registered handles.
     pub reg: Registry,
     ids: KstackIds,
-    /// Per-stage cycle/DRAM profiler; `None` unless `cfg.profile`.
-    profiler: Option<ProfHandle>,
+    /// Per-stage cycle/DRAM profiler; a no-op unless `cfg.profile`.
+    prof: Prof,
     phys: PhysAlloc,
 }
 
@@ -343,7 +257,7 @@ impl KstackServer {
         let cache_bytes = cfg.bufcache_bytes.min(6 << 30);
         let bufcache = BufferCache::new(cache_bytes, &mut phys);
         let ct_pool = (0..4096)
-            .map(|_| phys.alloc(RECORD_PAYLOAD_MAX as u64 + 64))
+            .map(|_| phys.alloc(RECORD_PAYLOAD_MAX + 64))
             .collect();
         let rx_slots = (0..cfg.cores).map(|_| phys.alloc(2048)).collect();
         let mut reg = Registry::new();
@@ -351,15 +265,32 @@ impl KstackServer {
         let tier = cfg.tier.map(|tc| TierEngine::new(tc, &catalog, seed));
         let tier_ids = tier
             .is_some()
-            .then(|| KTierIds::register(&mut reg, cfg.cores));
+            .then(|| TierIds::register(&mut reg, cfg.cores));
         let mut cores = CoreSet::new(cfg.cores, &cfg.costs, Nanos::from_millis(1), false);
-        let profiler = cfg
-            .profile
-            .then(|| std::rc::Rc::new(std::cell::RefCell::new(StageProfiler::enabled(cfg.cores))));
-        if let Some(p) = &profiler {
+        let prof = Prof::new(cfg.profile, cfg.cores);
+        if let Some(p) = prof.handle() {
             cores.set_profiler(p.clone());
             mem.set_profiler(p.clone());
         }
+        // Per-ACK kernel RX cost; Netflix's RSS-assisted LRO saves a
+        // chunk of it (§2.1.3).
+        let mut rx_ack_cycles = cfg.costs.kstack_rx_ack_cycles;
+        if cfg.variant == StackVariant::Netflix {
+            rx_ack_cycles = (rx_ack_cycles as f64 * (1.0 - cfg.costs.lro_rx_discount)) as u64;
+        }
+        let front = Front::new(
+            FrontConfig {
+                endpoint: cfg.server_endpoint,
+                tcb: cfg.tcb,
+                encrypted: cfg.encrypted,
+                rx_ack_cycles,
+            },
+            &mut reg,
+            "kstack",
+            SimRng::new(seed ^ 0x6B57),
+            rx_slots,
+            prof.clone(),
+        );
         KstackServer {
             nic: Nic::new(NicConfig {
                 rings: cfg.cores,
@@ -372,10 +303,7 @@ impl KstackServer {
             catalog,
             bufcache,
             disks,
-            conns: HashMap::new(),
-            slots: Vec::new(),
-            timers: BTreeSet::new(),
-            timer_of: Vec::new(),
+            front,
             fills: HashMap::new(),
             tier,
             tier_ids,
@@ -386,27 +314,21 @@ impl KstackServer {
             sync_busy: vec![false; cfg.cores],
             stage_waiting: vec![std::collections::BTreeSet::new(); cfg.cores],
             next_cid: 0,
-            rx_slots,
-            ctl: (0..cfg.cores)
-                .map(|c| {
-                    CoreControl::new(IoTuner::new(
-                        cfg.autotune,
-                        cfg.fill_bytes,
-                        seed ^ 0x6B70 ^ ((c as u64) << 20),
-                    ))
-                })
-                .collect(),
+            ctl: ServerControl::new(
+                cfg.admission,
+                cfg.autotune,
+                cfg.fill_bytes,
+                seed ^ 0x6B70,
+                cfg.cores,
+            ),
             alloc_waiting: vec![std::collections::BTreeSet::new(); cfg.cores],
-            rx_scratch: Vec::new(),
-            disp_scratch: Vec::new(),
             cq_scratch: Vec::new(),
             crypt_scratch: Vec::new(),
             tag_scratch: Vec::new(),
             src_scratch: Vec::new(),
-            rng: SimRng::new(seed ^ 0x6B57),
             reg,
             ids,
-            profiler,
+            prof,
             cfg,
             phys,
         }
@@ -416,33 +338,7 @@ impl KstackServer {
     /// `cfg.profile`.
     #[must_use]
     pub fn prof_report(&self) -> Option<dcn_obs::ProfReport> {
-        self.profiler.as_ref().map(|p| p.borrow().report())
-    }
-
-    /// Declare the stage subsequent cycle charges / DRAM traffic on
-    /// `core` belong to. Free (one `None` check) when not profiling.
-    #[inline]
-    fn prof_stage(&self, core: usize, stage: ProfStage) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().set_context(core, stage);
-        }
-    }
-
-    /// Record a per-chunk cycle sample for quantile reporting.
-    #[inline]
-    fn prof_chunk(&self, stage: ProfStage, cycles: u64) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().chunk_sample(stage, cycles);
-        }
-    }
-
-    /// Count a stall/backpressure event for the stall-attribution
-    /// breakdown.
-    #[inline]
-    fn prof_stall(&self, kind: StallKind) {
-        if let Some(p) = &self.profiler {
-            p.borrow_mut().stall(kind);
-        }
+        self.prof.report()
     }
 
     /// Responses completed, served from the unified registry.
@@ -460,16 +356,7 @@ impl KstackServer {
     /// Publish sample-point gauges (TCP, NIC, buffer cache) into the
     /// registry. Called at report/sample time, never on the hot path.
     pub fn publish_obs(&mut self) {
-        for core in 0..self.cfg.cores {
-            dcn_tcpstack::publish_tcb_metrics(
-                &mut self.reg,
-                core,
-                self.slots
-                    .iter()
-                    .filter(|s| s.core == core)
-                    .map(|s| &s.conn.tcb),
-            );
-        }
+        self.front.publish_tcb_metrics(&mut self.reg);
         self.nic.publish_metrics(&mut self.reg);
         self.mem.counters.publish_metrics(&mut self.reg);
         self.reg
@@ -480,24 +367,10 @@ impl KstackServer {
         });
         self.reg.set(self.ids.nvme_read_errors, errs as f64);
         self.reg.set(self.ids.nvme_latency_spikes, spikes as f64);
-        if let (Some(tier), Some(ids)) = (&self.tier, &self.tier_ids) {
-            self.reg.set(ids.hot_count, tier.hot_count() as f64);
-            self.reg.set(ids.hit_ratio, tier.hit_ratio());
-            self.reg
-                .set(ids.cold_requests, tier.cold.stats.requests as f64);
-            self.reg
-                .set(ids.cold_cost_ucents, tier.cold.stats.cost_ucents as f64);
-            self.reg.set(ids.promotions, tier.stats.promotions as f64);
-            self.reg.set(ids.demotions, tier.stats.demotions as f64);
-            self.reg
-                .set(ids.promote_deferred, tier.stats.promote_deferred as f64);
-            self.reg
-                .set(ids.promoted_bytes, tier.stats.promoted_bytes as f64);
-            self.reg.set(ids.epochs, tier.stats.epochs as f64);
+        if let Some(ids) = &self.tier_ids {
+            ids.publish(&mut self.reg, self.tier.as_ref(), None);
         }
-        if let Some(p) = &self.profiler {
-            p.borrow().publish(&mut self.reg);
-        }
+        self.prof.publish(&mut self.reg);
     }
 
     /// The tiering engine, when `cfg.tier` is set.
@@ -518,10 +391,6 @@ impl KstackServer {
         )
     }
 
-    fn core_of_flow(&self, flow: FlowId) -> usize {
-        (flow.rss_hash() as usize) % self.cfg.cores
-    }
-
     /// One core's resource observation: live connections, the buffer
     /// cache's allocatable-frame fraction (the kernel stack's scarce
     /// pool), and this core's share of in-flight disk fills against
@@ -531,7 +400,7 @@ impl KstackServer {
         let fills = self
             .fills
             .values()
-            .filter(|f| self.slots[f.conn_slot].core == core)
+            .filter(|f| self.front.slots[f.conn_slot].core == core)
             .count();
         ResourceSnapshot {
             conns: self.ctl[core].live_conns,
@@ -543,122 +412,39 @@ impl KstackServer {
     /// Is any core shedding (latch held) or at its connection cap?
     #[must_use]
     pub fn is_shedding(&self) -> bool {
-        self.any_shedding()
-            || self
-                .ctl
-                .iter()
-                .any(|c| c.live_conns >= self.cfg.admission.max_conns_per_core)
+        self.ctl.is_shedding()
     }
 
     // -------------------------------------------------------------- RX
 
     pub fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst> {
-        let mut scratch = std::mem::take(&mut self.rx_scratch);
         for frame in frames {
-            let Some((flow, tcp, payload)) = parse_frame(&frame) else {
-                continue;
-            };
-            let core = self.core_of_flow(flow);
-            self.prof_stage(core, ProfStage::Parse);
-            // Copy the borrowed payload into the reusable RX scratch
-            // (no per-frame Vec; growth past the warm-up high-water
-            // mark is a counted fallback allocation).
-            let cap_before = scratch.capacity();
-            payload.copy_into(&mut scratch);
-            dcn_obs::steady::note_growth(cap_before, scratch.capacity());
-            self.nic
-                .rx_deliver(core, now, frame, &mut self.mem, self.rx_slots[core]);
-            self.handle_segment(now, core, flow, &tcp, &scratch);
+            let (ctl, nic, mem, cores) = (&self.ctl, &mut self.nic, &mut self.mem, &mut self.cores);
+            match self.front.rx(now, frame, ctl, nic, mem, cores) {
+                Some(Rx::Syn(syn)) => {
+                    let snap = self.resource_snapshot(syn.core);
+                    let (ctl, nic, reg) = (&mut self.ctl, &mut self.nic, &mut self.reg);
+                    self.front.accept(now, syn, snap, ctl, nic, reg);
+                }
+                Some(Rx::Segment { slot, done }) => self.process_conn_events(done, slot),
+                Some(Rx::Stray) | None => {}
+            }
         }
-        self.rx_scratch = scratch;
-        self.prof_stage(0, ProfStage::TxComplete);
+        self.prof.stage(0, ProfStage::TxComplete);
         let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
         self.collect_tx_completions();
         bursts
     }
 
-    fn handle_segment(
-        &mut self,
-        now: Nanos,
-        core: usize,
-        flow: FlowId,
-        tcp: &TcpRepr,
-        payload: &[u8],
-    ) {
-        if tcp.flags.contains(TcpFlags::SYN) && !tcp.flags.contains(TcpFlags::ACK) {
-            self.accept_conn(now, core, flow, tcp);
-            return;
-        }
-        let Some(&slot_idx) = self.conns.get(&flow) else {
-            return;
-        };
-        // Per-ACK kernel RX cost; Netflix's RSS-assisted LRO saves a
-        // chunk of it (§2.1.3).
-        let mut cycles = self.cfg.costs.kstack_rx_ack_cycles;
-        if self.cfg.variant == StackVariant::Netflix {
-            cycles = (cycles as f64 * (1.0 - self.cfg.costs.lro_rx_discount)) as u64;
-        }
-        self.prof_stage(core, ProfStage::Parse);
-        let done = self.cores.run_on(core, now, cycles);
-        let outs = self.slots[slot_idx].conn.tcb.on_segment(now, tcp, payload);
-        for out in outs {
-            self.nic.tx_rings[core].push(out.into_tx(0));
-        }
-        self.process_conn_events(done, slot_idx);
-    }
-
-    fn accept_conn(&mut self, now: Nanos, core: usize, flow: FlowId, syn: &TcpRepr) {
-        if self.conns.contains_key(&flow) {
-            return;
-        }
-        let remote = Endpoint {
-            mac: dcn_packet::MacAddr::from_host_id(flow.src_ip.0),
-            ip: flow.src_ip,
-            port: flow.src_port,
-        };
-        // Admission control (same policy shape as Atlas): refuse the
-        // SYN with an RST when past the cap or the VM-pressure latch.
-        if !self.admit_syn(core) {
-            let rst = rst_for_syn(self.cfg.server_endpoint, remote, syn);
-            self.nic.tx_rings[core].push(rst.into_tx(0));
-            self.reg.inc(self.ids.shed_new[core]);
-            return;
-        }
-        let iss = SeqNumber(self.rng.next_u64() as u32);
-        let (tcb, synack) = Tcb::accept(
-            self.cfg.tcb,
-            self.cfg.server_endpoint,
-            remote,
-            syn,
-            iss,
-            now,
-        );
-        let cipher = self.cfg.encrypted.then(|| {
-            let mut key = [0u8; 16];
-            dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-            RecordCipher::new(&key, flow.rss_hash())
-        });
-        let slot_idx = self.slots.len();
-        self.slots.push(ConnSlot {
-            conn: KConn::new(tcb, cipher),
-            core,
-        });
-        self.timer_of.push(None);
-        self.conns.insert(flow, slot_idx);
-        self.note_conn_opened(core);
-        self.nic.tx_rings[core].push(synack.into_tx(0));
-        self.sync_timer(slot_idx);
-    }
-
     // ---------------------------------------------------------- events
 
     fn process_conn_events(&mut self, now: Nanos, slot_idx: usize) {
-        let events = self.slots[slot_idx].conn.tcb.take_events();
+        let events = self.front.slots[slot_idx].tcb.take_events();
         for ev in events {
             match ev {
                 TcbEvent::Data(bytes) => self.on_request_bytes(now, slot_idx, &bytes),
                 TcbEvent::AckedTo(off) => {
-                    let (pages, regions, _) = self.slots[slot_idx].conn.release_acked(off);
+                    let (pages, regions, _) = self.front.slots[slot_idx].conn.release_acked(off);
                     let unpinned = !pages.is_empty();
                     for (f, p) in pages {
                         self.bufcache.unpin(f, p);
@@ -670,10 +456,10 @@ impl KstackServer {
                 }
                 TcbEvent::NeedRetransmit { offset, len } => {
                     // Socket-buffer semantics: the data is still here.
-                    let core = self.slots[slot_idx].core;
-                    let slot = &mut self.slots[slot_idx];
+                    let core = self.front.slots[slot_idx].core;
+                    let slot = &mut self.front.slots[slot_idx];
                     if let Some(sg) = slot.conn.slice_sent(offset, len) {
-                        let out = slot.conn.tcb.send_retransmit(now, offset, sg);
+                        let out = slot.tcb.send_retransmit(now, offset, sg);
                         self.nic.tx_rings[core].push(out.into_tx(0));
                     }
                 }
@@ -682,110 +468,44 @@ impl KstackServer {
         }
         self.stage(now, slot_idx);
         self.pump_tx(now, slot_idx);
-        self.sync_timer(slot_idx);
+        self.front.sync_timer(slot_idx);
     }
 
     fn on_request_bytes(&mut self, now: Nanos, slot_idx: usize, bytes: &[u8]) {
-        let core = self.slots[slot_idx].core;
-        let n_files = self.catalog.n_files();
-        let file_size = self.catalog.file_size();
-        let encrypted = self.cfg.encrypted;
+        let core = self.front.slots[slot_idx].core;
         let costs = self.cfg.costs;
         // Refresh the hysteretic latch against current resources so
         // keepalive requests on long-lived connections see the same
         // watermark state new SYNs do.
-        let shedding = self.defer_request(core);
-        let retry_after_ms = (self.cfg.admission.retry_after.as_nanos() / 1_000_000).max(1);
-        let slot = &mut self.slots[slot_idx];
-        if slot.conn.bad_request {
-            // Parser wedged on a fatal error; a 431 is already queued
-            // and anything further on this stream is ignored.
-            return;
-        }
-        slot.conn.parser.push(bytes);
-        let mut started = std::mem::take(&mut self.disp_scratch);
-        let disp_cap_before = started.capacity();
-        loop {
-            match slot.conn.parser.next_request() {
-                Ok(Some(_)) if shedding => started.push(Disposition::Unavailable),
-                Ok(Some(req)) => started.push(Disposition::File(
-                    parse_chunk_path(&req.path).filter(|f| f.0 < n_files),
-                )),
-                Ok(None) => break,
-                Err(_) => {
-                    started.push(Disposition::Malformed);
-                    break;
-                }
-            }
-        }
-        dcn_obs::steady::note_growth(disp_cap_before, started.capacity());
-        for disp in started.drain(..) {
-            // nginx userspace work + the sendfile syscall.
-            self.prof_stage(core, ProfStage::Parse);
-            let done = self.cores.run_on(
+        let snap = self.resource_snapshot(core);
+        let shedding = self.ctl.defer_request(core, snap);
+        let mut answers = self.front.parse_requests(
+            slot_idx,
+            bytes,
+            shedding,
+            self.cfg.admission.retry_after,
+            &self.catalog,
+            &mut self.reg,
+        );
+        for (info, file) in answers.drain(..) {
+            // nginx userspace work + the sendfile syscall. The response
+            // is queued at `now`, not when this work completes.
+            self.prof.stage(core, ProfStage::Parse);
+            let _ = self.cores.run_on(
                 core,
                 now,
                 costs.nginx_request_cycles + costs.sendfile_call_cycles,
             );
-            if let Disposition::File(Some(file)) = &disp {
-                // Tier classification is per request (not per fill):
-                // one heat bump per GET, hot/cold hit accounting here.
-                if let Some(tier) = self.tier.as_mut() {
-                    let ids = self.tier_ids.as_ref().expect("tier ids registered");
-                    match tier.classify(*file) {
-                        Placement::Hot => self.reg.inc(ids.hot_hits[core]),
-                        Placement::Cold => self.reg.inc(ids.cold_misses[core]),
-                    }
-                }
+            if let (Some(f), Some(tier)) = (file, self.tier.as_mut()) {
+                let ids = self.tier_ids.as_ref().expect("tier ids registered");
+                ids.note_request(&mut self.reg, tier, core, f);
             }
-            let slot = &mut self.slots[slot_idx];
-            match disp {
-                Disposition::File(Some(file)) => {
-                    let header = response_header(
-                        ResponseInfo::Ok {
-                            body_len: file_size,
-                        },
-                        encrypted,
-                    );
-                    let body_stream_off = slot.conn.tx_cursor + header.len() as u64;
-                    slot.conn
-                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
-                    slot.conn.staging.push_back(StagedResponse {
-                        file,
-                        body_len: file_size,
-                        next_fill: 0,
-                        body_stream_off,
-                    });
-                }
-                Disposition::File(None) => {
-                    let header = response_header(ResponseInfo::NotFound, encrypted);
-                    slot.conn
-                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
-                }
-                Disposition::Unavailable => {
-                    // Shedding: answer 503 + Retry-After instead of
-                    // staging the body; the connection stays up.
-                    let header = response_header(
-                        ResponseInfo::ServiceUnavailable { retry_after_ms },
-                        encrypted,
-                    );
-                    slot.conn
-                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
-                    self.reg.inc(self.ids.retry_503[core]);
-                }
-                Disposition::Malformed => {
-                    // One 431, then the stream is dead to the parser.
-                    // No teardown: the conventional stack keeps the
-                    // socket; it just never parses this stream again.
-                    let header = response_header(ResponseInfo::HeaderTooLarge, encrypted);
-                    slot.conn
-                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
-                    slot.conn.bad_request = true;
-                }
-            }
-            let _ = done;
+            self.front.slots[slot_idx]
+                .conn
+                .answered
+                .push_back((info, file));
         }
-        self.disp_scratch = started;
+        self.front.recycle(answers);
     }
 
     /// Retry staging for connections parked on buffer-cache VM
@@ -801,7 +521,7 @@ impl KstackServer {
             for slot_idx in waiting {
                 self.stage(now, slot_idx);
                 self.pump_tx(now, slot_idx);
-                self.sync_timer(slot_idx);
+                self.front.sync_timer(slot_idx);
             }
         }
     }
@@ -813,42 +533,54 @@ impl KstackServer {
         let fill_bytes = self.cfg.fill_bytes;
         let cores_n = self.cfg.cores;
         loop {
-            let core = self.slots[slot_idx].core;
-            let slot = &mut self.slots[slot_idx];
-            let Some(st) = slot.conn.staging.front().copied_lite() else {
+            let core = self.front.slots[slot_idx].core;
+            let slot = &mut self.front.slots[slot_idx];
+            // A response's header enters the socket buffer only once
+            // every earlier body is in it, so pipelined responses never
+            // interleave.
+            if slot.conn.staging.is_empty() && slot.conn.fills_inflight == 0 {
+                if let Some((info, file)) = slot.conn.answered.pop_front() {
+                    let header = response_header(info, self.cfg.encrypted);
+                    slot.conn
+                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
+                    if let Some(((body_off, body_len), file)) = info.body().zip(file) {
+                        slot.conn.staging.push_back(StagedResponse {
+                            file,
+                            body_off,
+                            end: body_off + body_len,
+                            next_fill: body_off,
+                        });
+                    }
+                    continue;
+                }
+            }
+            let Some(st) = slot.conn.staging.front().cloned() else {
                 break;
             };
-            if st.next_fill >= st.body_len {
+            if st.next_fill >= st.end {
                 slot.conn.staging.pop_front();
                 slot.conn.responses_completed += 1;
                 self.reg.inc(self.ids.responses[core]);
                 continue;
             }
             if slot.conn.sb_bytes >= self.cfg.sb_max {
-                // Direct field access: `slot` still borrows self.slots.
-                if let Some(p) = &self.profiler {
-                    p.borrow_mut().stall(StallKind::CwndLimited);
-                }
+                self.prof.stall(StallKind::CwndLimited);
                 break; // socket buffer full: wait for ACKs
             }
             if slot.conn.fills_inflight > 0 && self.cfg.variant == StackVariant::Netflix {
                 // Async sendfile pipelines one fill per connection.
-                if let Some(p) = &self.profiler {
-                    p.borrow_mut().stall(StallKind::NvmeWait);
-                }
+                self.prof.stall(StallKind::NvmeWait);
                 break;
             }
             if self.cfg.variant == StackVariant::Stock && self.sync_busy[core] {
                 // Synchronous sendfile: this worker is blocked inside
                 // an earlier conn's I/O; nothing else stages on this
                 // core until it returns (§2.1.1).
-                if let Some(p) = &self.profiler {
-                    p.borrow_mut().stall(StallKind::NvmeWait);
-                }
+                self.prof.stall(StallKind::NvmeWait);
                 self.stage_waiting[core].insert(slot_idx);
                 break;
             }
-            let want = fill_bytes.min(st.body_len - st.next_fill);
+            let want = fill_bytes.min(st.end - st.next_fill);
             // Page-by-page cache lookup.
             let first_page = st.next_fill / CHUNK_SIZE;
             let last_page = (st.next_fill + want - 1) / CHUNK_SIZE;
@@ -871,12 +603,12 @@ impl KstackServer {
                     }
                 }
             }
-            self.prof_stage(core, ProfStage::Fetch);
+            self.prof.stage(core, ProfStage::Fetch);
             let t_work = self.cores.run_on(core, now, lookup_cycles);
             if all_hit {
                 // Cache hit: enqueue immediately.
                 self.enqueue_body(t_work, slot_idx, st, want, pages);
-                let slot = &mut self.slots[slot_idx];
+                let slot = &mut self.front.slots[slot_idx];
                 if let Some(front) = slot.conn.staging.front_mut() {
                     front.next_fill += want;
                 }
@@ -906,13 +638,14 @@ impl KstackServer {
                 }
                 self.cores.run_on(core, now, alloc_cycles);
                 // Park: retried when ACKs unpin socket-buffer pages.
-                self.prof_stall(StallKind::PoolEmpty);
+                self.prof.stall(StallKind::PoolEmpty);
                 if self.alloc_waiting[core].insert(slot_idx) {
                     self.reg.inc(self.ids.empty_waits[core]);
                 }
                 break;
             }
-            self.prof_chunk(ProfStage::Fetch, alloc_cycles + costs.kernel_io_cycles);
+            self.prof
+                .chunk(ProfStage::Fetch, alloc_cycles + costs.kernel_io_cycles);
             let t_alloc = self
                 .cores
                 .run_on(core, now, alloc_cycles + costs.kernel_io_cycles);
@@ -924,12 +657,20 @@ impl KstackServer {
                 .tier
                 .as_ref()
                 .is_some_and(|t| t.placement(st.file) == Placement::Cold);
+            let fill = Fill {
+                conn_slot: slot_idx,
+                st,
+                len: want,
+                pages: frames,
+                issued_at: t_alloc,
+                attempts: 1,
+            };
             if cold {
-                self.issue_cold_fill(t_alloc, slot_idx, st, want, frames);
+                self.issue_cold_fill(fill);
             } else {
-                self.issue_fill(t_alloc, slot_idx, st, want, frames);
+                self.issue_fill(fill);
             }
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             if let Some(front) = slot.conn.staging.front_mut() {
                 front.next_fill += want;
             }
@@ -942,22 +683,18 @@ impl KstackServer {
         }
     }
 
-    fn issue_fill(
-        &mut self,
-        now: Nanos,
-        slot_idx: usize,
-        st: StagedResponse,
-        len: u64,
-        pages: Vec<(u64, PhysRegion)>,
-    ) {
-        let loc = self.catalog.locate(st.file, st.next_fill);
-        let aligned = len.div_ceil(LBA_SIZE) * LBA_SIZE;
+    /// Submit `fill` as one NVMe read into its cache frames, at its
+    /// `issued_at`.
+    fn issue_fill(&mut self, fill: Fill) {
+        let now = fill.issued_at;
+        let loc = self.catalog.locate(fill.st.file, fill.st.next_fill);
+        let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
         let cid = self.next_cid;
         self.next_cid = self.next_cid.wrapping_add(1);
         // PRP list = the cache page frames.
         let mut prp: Vec<PhysRegion> = Vec::new();
         let mut remaining = aligned;
-        for (_, frame) in &pages {
+        for (_, frame) in &fill.pages {
             let n = remaining.min(CHUNK_SIZE);
             prp.push(frame.slice(0, n));
             remaining -= n;
@@ -976,20 +713,9 @@ impl KstackServer {
         });
         assert!(pushed, "kernel NVMe queue overflow");
         dev.ring_sq_doorbell(now, 0);
-        self.fills.insert(
-            cid,
-            Fill {
-                conn_slot: slot_idx,
-                file: st.file,
-                file_off: st.next_fill,
-                len,
-                pages,
-                issued_at: now,
-                attempts: 1,
-            },
-        );
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[fill.conn_slot].core;
         self.reg.add(self.ids.disk_read_bytes[core], aligned);
+        self.fills.insert(cid, fill);
     }
 
     /// Issue a cold-tier byte-range GET into freshly allocated buffer
@@ -999,33 +725,21 @@ impl KstackServer {
     /// latency). Stock's synchronous-sendfile block applies here too:
     /// the worker would block inside a remote read exactly as it does
     /// on a local one.
-    fn issue_cold_fill(
-        &mut self,
-        now: Nanos,
-        slot_idx: usize,
-        st: StagedResponse,
-        len: u64,
-        pages: Vec<(u64, PhysRegion)>,
-    ) {
-        let aligned = len.div_ceil(LBA_SIZE) * LBA_SIZE;
+    fn issue_cold_fill(&mut self, fill: Fill) {
+        let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
         let token = self.next_cold;
         self.next_cold += 1;
         let tier = self.tier.as_mut().expect("cold fill without tier");
-        tier.cold_fetch(now, st.file, st.next_fill, aligned, token);
-        self.cold_fills.insert(
+        tier.cold_fetch(
+            fill.issued_at,
+            fill.st.file,
+            fill.st.next_fill,
+            aligned,
             token,
-            Fill {
-                conn_slot: slot_idx,
-                file: st.file,
-                file_off: st.next_fill,
-                len,
-                pages,
-                issued_at: now,
-                attempts: 1,
-            },
         );
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[fill.conn_slot].core;
         self.reg.add(self.ids.disk_read_bytes[core], aligned);
+        self.cold_fills.insert(token, fill);
     }
 
     /// A fill came back with a device error: re-issue the same read
@@ -1037,8 +751,8 @@ impl KstackServer {
             return;
         };
         let slot_idx = fill.conn_slot;
-        let core = self.slots[slot_idx].core;
-        self.prof_stage(core, ProfStage::Fetch);
+        let core = self.front.slots[slot_idx].core;
+        self.prof.stage(core, ProfStage::Fetch);
         self.cores.run_on(
             core,
             now + Nanos::from_nanos(self.cfg.costs.interrupt_latency_ns),
@@ -1056,49 +770,20 @@ impl KstackServer {
             );
         }
         if fill.attempts >= MAX_FILL_ATTEMPTS {
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             slot.conn.fills_inflight -= 1;
             if self.cfg.variant == StackVariant::Stock {
                 self.sync_busy[core] = false;
             }
-            self.sync_timer(slot_idx);
+            self.front.sync_timer(slot_idx);
             return;
         }
         self.reg.inc(self.ids.fill_retries[core]);
-        let loc = self.catalog.locate(fill.file, fill.file_off);
-        let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
-        let new_cid = self.next_cid;
-        self.next_cid = self.next_cid.wrapping_add(1);
-        let mut prp: Vec<PhysRegion> = Vec::new();
-        let mut remaining = aligned;
-        for (_, frame) in &fill.pages {
-            let n = remaining.min(CHUNK_SIZE);
-            prp.push(frame.slice(0, n));
-            remaining -= n;
-            if remaining == 0 {
-                break;
-            }
-        }
-        let dev = &mut self.disks[loc.disk];
-        let pushed = dev.qpair(0).sq_push(NvmeCommand {
-            opcode: Opcode::Read,
-            cid: new_cid,
-            nsid: loc.nsid,
-            slba: loc.dev_offset / LBA_SIZE,
-            nlb: (aligned / LBA_SIZE) as u32,
-            prp,
+        self.issue_fill(Fill {
+            issued_at: now,
+            attempts: fill.attempts + 1,
+            ..fill
         });
-        assert!(pushed, "kernel NVMe queue overflow");
-        dev.ring_sq_doorbell(now, 0);
-        self.reg.add(self.ids.disk_read_bytes[core], aligned);
-        self.fills.insert(
-            new_cid,
-            Fill {
-                issued_at: now,
-                attempts: fill.attempts + 1,
-                ..fill
-            },
-        );
     }
 
     /// Arm the seeded device fault injectors. The in-kernel stack has
@@ -1116,7 +801,7 @@ impl KstackServer {
         let Some(fill) = self.fills.remove(&cid) else {
             return;
         };
-        let core = self.slots[fill.conn_slot].core;
+        let core = self.front.slots[fill.conn_slot].core;
         // Feed the fill's completion latency to the core's I/O tuner.
         // Observational here: the kernel stack's read-ahead is a
         // global heuristic with no per-core window to steer (see
@@ -1124,8 +809,7 @@ impl KstackServer {
         // stacks' telemetry comparable.
         let lat = now.saturating_sub(fill.issued_at).as_nanos();
         let outstanding = self.fills.len();
-        self.observe_io_completion(
-            core,
+        self.ctl[core].tuner.observe_completion(
             lat,
             outstanding,
             usize::from(NvmeConfig::default().queue_depth),
@@ -1138,9 +822,9 @@ impl KstackServer {
     /// enqueue, and the restage/unblock cascade.
     fn finish_fill(&mut self, now: Nanos, fill: Fill) {
         let slot_idx = fill.conn_slot;
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         // Interrupt + completion handling.
-        self.prof_stage(core, ProfStage::Fetch);
+        self.prof.stage(core, ProfStage::Fetch);
         let irq_done = self.cores.run_on(
             core,
             now + Nanos::from_nanos(self.cfg.costs.interrupt_latency_ns),
@@ -1159,21 +843,15 @@ impl KstackServer {
             );
             self.sync_busy[core] = false;
         }
-        let st = StagedResponse {
-            file: fill.file,
-            body_len: self.catalog.file_size(),
-            next_fill: fill.file_off,
-            body_stream_off: 0, // recomputed inside enqueue_body
-        };
-        self.enqueue_body(irq_done, slot_idx, st, fill.len, fill.pages);
-        let slot = &mut self.slots[slot_idx];
+        self.enqueue_body(irq_done, slot_idx, fill.st, fill.len, fill.pages);
+        let slot = &mut self.front.slots[slot_idx];
         slot.conn.fills_inflight -= 1;
         self.stage(irq_done, slot_idx);
         self.pump_tx(irq_done, slot_idx);
-        self.sync_timer(slot_idx);
+        self.front.sync_timer(slot_idx);
         // Stock: the unblocked worker services connections that were
         // waiting on it, until it blocks again.
-        let core2 = self.slots[slot_idx].core;
+        let core2 = self.front.slots[slot_idx].core;
         while !self.sync_busy[core2] {
             let Some(&waiting) = self.stage_waiting[core2].iter().next() else {
                 break;
@@ -1181,7 +859,7 @@ impl KstackServer {
             self.stage_waiting[core2].remove(&waiting);
             self.stage(irq_done, waiting);
             self.pump_tx(irq_done, waiting);
-            self.sync_timer(waiting);
+            self.front.sync_timer(waiting);
         }
     }
 
@@ -1196,7 +874,7 @@ impl KstackServer {
         pages: Vec<(u64, PhysRegion)>,
     ) {
         let costs = self.cfg.costs;
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         let encrypted = self.cfg.encrypted;
         let variant = self.cfg.variant;
         let file_off = st.next_fill;
@@ -1220,13 +898,11 @@ impl KstackServer {
             // At full fidelity the cache pages must really hold the
             // file content (the NIC materializes from them). Fills
             // wrote them via device DMA; cache hits reuse them.
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             slot.conn.enqueue(sg, pinned, None);
             // Plaintext "chunk" = one sendfile fill staged into the
             // socket buffer.
-            if let Some(p) = &self.profiler {
-                p.borrow_mut().chunk_done(core);
-            }
+            self.prof.chunk_done(core);
             return;
         }
 
@@ -1252,21 +928,23 @@ impl KstackServer {
             }
             let tag_cap_before = self.tag_scratch.capacity();
             self.tag_scratch.clear();
-            let cipher = self.slots[slot_idx]
-                .conn
+            let cipher = self.front.slots[slot_idx]
                 .cipher
                 .as_ref()
                 .expect("encrypted conn");
-            cipher.seal_records(file_off, &mut self.crypt_scratch, &mut self.tag_scratch);
+            // GCM framing restarts at the response body, so a ranged
+            // response seals from record 0 of its own stream.
+            let rec_off = file_off - st.body_off;
+            cipher.seal_records(rec_off, &mut self.crypt_scratch, &mut self.tag_scratch);
             dcn_obs::steady::note_growth(tag_cap_before, self.tag_scratch.capacity());
         }
         let mut off_in_fill = 0u64;
         while off_in_fill < len {
-            self.prof_stage(core, ProfStage::Encrypt);
+            self.prof.stage(core, ProfStage::Encrypt);
             let rec_plain_off = file_off + off_in_fill;
-            debug_assert_eq!(rec_plain_off % RECORD_PAYLOAD_MAX as u64, 0);
-            let rec_plain = (st.body_len - rec_plain_off)
-                .min(RECORD_PAYLOAD_MAX as u64)
+            debug_assert_eq!(rec_plain_off % RECORD_PAYLOAD_MAX, 0);
+            let rec_plain = (st.end - rec_plain_off)
+                .min(RECORD_PAYLOAD_MAX)
                 .min(len - off_in_fill);
             // Gather the plaintext source regions into the reusable
             // scratch (no per-record SgList spine allocation).
@@ -1288,7 +966,7 @@ impl KstackServer {
                 // The pool grows on demand: the real bound on
                 // ciphertext socket-buffer memory is sb_max per
                 // connection, enforced at staging time.
-                self.phys.alloc(RECORD_PAYLOAD_MAX as u64 + 64)
+                self.phys.alloc(RECORD_PAYLOAD_MAX + 64)
             });
             let ct_region = ct_region.slice(0, rec_plain);
             let mut cycles = (rec_plain as f64 * costs.aes_gcm_cycles_per_byte) as u64;
@@ -1326,12 +1004,9 @@ impl KstackServer {
             }
             // Encrypted "chunk" = one TLS record through the variant's
             // crypto path.
-            if let Some(p) = &self.profiler {
-                let mut p = p.borrow_mut();
-                p.add_encrypt_bytes(rec_plain);
-                p.chunk_sample(ProfStage::Encrypt, cycles);
-                p.chunk_done(core);
-            }
+            self.prof.encrypt_bytes(rec_plain);
+            self.prof.chunk(ProfStage::Encrypt, cycles);
+            self.prof.chunk_done(core);
             let t_enc = self.cores.run_on(core, now, cycles);
             // Real encryption at full fidelity: the batch pre-pass
             // already sealed this record in the scratch; copy its
@@ -1342,7 +1017,7 @@ impl KstackServer {
                     ct_region.addr,
                     &self.crypt_scratch[s..s + rec_plain as usize],
                 );
-                self.tag_scratch[(off_in_fill / RECORD_PAYLOAD_MAX as u64) as usize]
+                self.tag_scratch[(off_in_fill / RECORD_PAYLOAD_MAX) as usize]
             } else {
                 [0u8; 16]
             };
@@ -1356,16 +1031,13 @@ impl KstackServer {
             sg.push_inline(&rec_hdr);
             sg.push_region(ct_region);
             sg.push_inline(&tag);
-            let slot = &mut self.slots[slot_idx];
+            let slot = &mut self.front.slots[slot_idx];
             slot.conn
                 .enqueue(sg, Vec::new(), Some(ct_region.slice(0, 0).slice(0, 0)));
             // Track the full pool region for release (not the
             // truncated slice).
             if let Some(last) = slot.conn.sendq.back_mut() {
-                last.ct_region = Some(PhysRegion::new(
-                    ct_region.addr,
-                    RECORD_PAYLOAD_MAX as u64 + 64,
-                ));
+                last.ct_region = Some(PhysRegion::new(ct_region.addr, RECORD_PAYLOAD_MAX + 64));
             }
             off_in_fill += rec_plain;
             let _ = t_enc;
@@ -1378,7 +1050,7 @@ impl KstackServer {
 
     /// Send from socket buffers as windows allow.
     fn pump_tx(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.slots[slot_idx].core;
+        let core = self.front.slots[slot_idx].core;
         let costs = self.cfg.costs;
         // Batched packetize: the first TSO send of this pump pays the
         // full per-op cost; subsequent sends of the same connection in
@@ -1392,18 +1064,18 @@ impl KstackServer {
             if self.nic.tx_rings[core].space() == 0 {
                 break;
             }
-            self.prof_stage(core, ProfStage::Packetize);
-            let slot = &mut self.slots[slot_idx];
-            let usable = slot.conn.tcb.usable_window();
-            let tso_max = u64::from(slot.conn.tcb.cfg.tso_max);
+            self.prof.stage(core, ProfStage::Packetize);
+            let slot = &mut self.front.slots[slot_idx];
+            let usable = slot.tcb.usable_window();
+            let tso_max = u64::from(slot.tcb.cfg.tso_max);
             let budget = usable.min(tso_max);
-            if budget < u64::from(slot.conn.tcb.cfg.mss) && slot.conn.unsent() > budget {
+            if budget < u64::from(slot.tcb.cfg.mss) && slot.conn.unsent() > budget {
                 break;
             }
             let Some((_, sg)) = slot.conn.take_for_tx(budget) else {
                 break;
             };
-            let n_segs = sg.len().div_ceil(u64::from(slot.conn.tcb.cfg.mss));
+            let n_segs = sg.len().div_ceil(u64::from(slot.tcb.cfg.mss));
             let tx_op = if first_op {
                 costs.tcp_tx_op_cycles
             } else {
@@ -1422,12 +1094,9 @@ impl KstackServer {
                     cycles += self.mem.cpu_read_once(now, t).stall_cycles;
                 }
             }
-            let out = slot.conn.tcb.send_data(now, sg, false);
+            let out = slot.tcb.send_data(now, sg, false);
             self.nic.tx_rings[core].push(out.into_tx(0));
-            // Direct field access: `slot` still borrows self.slots.
-            if let Some(p) = &self.profiler {
-                p.borrow_mut().chunk_sample(ProfStage::Packetize, cycles);
-            }
+            self.prof.chunk(ProfStage::Packetize, cycles);
             self.cores.run_on(core, now, cycles);
         }
     }
@@ -1449,8 +1118,8 @@ impl KstackServer {
             let Some(fill) = self.cold_fills.remove(&tk.token) else {
                 continue;
             };
-            let core = self.slots[fill.conn_slot].core;
-            self.prof_stage(core, ProfStage::Fetch);
+            let core = self.front.slots[fill.conn_slot].core;
+            self.prof.stage(core, ProfStage::Fetch);
             // NIC DMA writes the object bytes into the cache frames,
             // page by page — same layout the NVMe PRP list would use.
             let mut remaining = tk.len;
@@ -1458,7 +1127,7 @@ impl KstackServer {
                 let n = remaining.min(CHUNK_SIZE);
                 let region = frame.slice(0, n);
                 if self.cfg.fidelity == Fidelity::Full {
-                    let seed = self.catalog.file_seed(fill.file);
+                    let seed = self.catalog.file_seed(fill.st.file);
                     self.host
                         .update_region(region, |data| prf_bytes(seed, p * CHUNK_SIZE, data));
                 }
@@ -1469,11 +1138,7 @@ impl KstackServer {
                 }
             }
             if let Some(ids) = &self.tier_ids {
-                self.reg.add(ids.cold_bytes[core], tk.len);
-                self.reg.observe(
-                    ids.cold_fetch_ns,
-                    tk.done_at.saturating_sub(tk.issued_at).as_nanos() as f64,
-                );
+                ids.note_cold_fill(&mut self.reg, core, &tk);
             }
             self.finish_fill(now, fill);
         }
@@ -1488,7 +1153,7 @@ impl KstackServer {
             .disks
             .iter()
             .fold(None, |acc, d| earliest(acc, d.poll_at()));
-        let timer = self.timers.iter().next().map(|(d, _)| *d);
+        let timer = self.front.next_timer();
         let tier = self
             .tier
             .as_ref()
@@ -1500,7 +1165,7 @@ impl KstackServer {
     pub fn advance(&mut self, now: Nanos) -> Vec<SentBurst> {
         // Disk completions. Disk-controller DMA into cache frames is
         // fetch-stage memory traffic.
-        self.prof_stage(0, ProfStage::Fetch);
+        self.prof.stage(0, ProfStage::Fetch);
         let mut done = std::mem::take(&mut self.cq_scratch);
         let cap_before = done.capacity();
         for disk in &mut self.disks {
@@ -1521,16 +1186,11 @@ impl KstackServer {
             self.drain_cold(now);
         }
         // TCP timers.
-        let due: Vec<usize> = self
-            .timers
-            .range(..=(now, usize::MAX))
-            .map(|&(_, s)| s)
-            .collect();
-        for slot_idx in due {
-            self.slots[slot_idx].conn.tcb.on_timer(now);
+        for slot_idx in self.front.due_timers(now) {
+            self.front.slots[slot_idx].tcb.on_timer(now);
             self.process_conn_events(now, slot_idx);
         }
-        self.prof_stage(0, ProfStage::TxComplete);
+        self.prof.stage(0, ProfStage::TxComplete);
         let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
         self.collect_tx_completions();
         bursts
@@ -1544,21 +1204,6 @@ impl KstackServer {
         }
     }
 
-    fn sync_timer(&mut self, slot_idx: usize) {
-        let new = self.slots[slot_idx].conn.tcb.poll_at();
-        let old = self.timer_of[slot_idx];
-        if old == new {
-            return;
-        }
-        if let Some(d) = old {
-            self.timers.remove(&(d, slot_idx));
-        }
-        if let Some(d) = new {
-            self.timers.insert((d, slot_idx));
-        }
-        self.timer_of[slot_idx] = new;
-    }
-
     /// Buffer-cache hit ratio observed (checks the BC workload knobs).
     #[must_use]
     pub fn cache_hit_ratio(&self) -> f64 {
@@ -1567,43 +1212,5 @@ impl KstackServer {
 
     pub fn phys_mut(&mut self) -> &mut PhysAlloc {
         &mut self.phys
-    }
-}
-
-/// The shared per-core control-loop skeleton (admission, shedding,
-/// connection accounting, I/O tuner) — same trait Atlas implements,
-/// so the two stacks cannot drift on policy.
-impl ControlPlane for KstackServer {
-    fn admission_cfg(&self) -> AdmissionConfig {
-        self.cfg.admission
-    }
-    fn n_cores(&self) -> usize {
-        self.cfg.cores
-    }
-    fn resource_snapshot(&self, core: usize) -> ResourceSnapshot {
-        KstackServer::resource_snapshot(self, core)
-    }
-    fn core_control(&mut self, core: usize) -> &mut CoreControl {
-        &mut self.ctl[core]
-    }
-    fn core_control_ref(&self, core: usize) -> &CoreControl {
-        &self.ctl[core]
-    }
-}
-
-/// Tiny helper: `VecDeque::front().copied()` for non-Copy elements we
-/// only need a cheap projection of.
-trait FrontCopiedLite {
-    fn copied_lite(&self) -> Option<StagedResponse>;
-}
-
-impl FrontCopiedLite for Option<&StagedResponse> {
-    fn copied_lite(&self) -> Option<StagedResponse> {
-        self.map(|s| StagedResponse {
-            file: s.file,
-            body_len: s.body_len,
-            next_fill: s.next_fill,
-            body_stream_off: s.body_stream_off,
-        })
     }
 }

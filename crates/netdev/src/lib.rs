@@ -25,7 +25,7 @@ pub mod rings;
 pub mod sg;
 pub mod wire;
 
-pub use nic::{tcp_frame_info, Nic, NicConfig, SentBurst, TcpFrameInfo};
+pub use nic::{parse_frame, tcp_frame_info, FramePayload, Nic, NicConfig, SentBurst, TcpFrameInfo};
 pub use pcap::PcapWriter;
 pub use rings::{RxRing, TxDescriptor, TxRing};
 pub use sg::{PayloadBytes, SgChunk, SgList};

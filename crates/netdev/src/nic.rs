@@ -13,7 +13,7 @@ use crate::rings::{RxFrame, RxRing, TxRing};
 use crate::sg::{PayloadBytes, SgList};
 use crate::wire::WireFrame;
 use dcn_mem::{Agent, Fidelity, HostMem, MemSystem};
-use dcn_packet::{Ipv4Repr, TcpRepr, ETH_HEADER_LEN};
+use dcn_packet::{FlowId, Ipv4Repr, TcpRepr, ETH_HEADER_LEN};
 use dcn_simcore::{Bandwidth, Nanos};
 
 /// The L3/L4 identity of one wire frame, as the switch/fault layer
@@ -29,11 +29,59 @@ pub struct TcpFrameInfo {
     pub payload_len: u32,
 }
 
-/// Peek at a frame's TCP header (no checksum verification, no payload
-/// copy). Returns `None` for anything that doesn't parse as
-/// Ethernet + IPv4 + TCP.
+/// A parsed frame's TCP payload, borrowed from the frame. Parsing
+/// allocates nothing: a virtual (length-only) payload is never
+/// materialized as a `Vec` of zeros unless a caller asks for one.
+/// Servers copy into a reusable scratch via [`FramePayload::copy_into`];
+/// flow-routing callers that only look at headers never touch it.
+#[derive(Debug)]
+pub enum FramePayload<'a> {
+    /// Payload bytes present in the frame.
+    Slice(&'a [u8]),
+    /// Virtual payload: `n` bytes of zeros, by convention.
+    Virtual(u64),
+}
+
+impl FramePayload<'_> {
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            FramePayload::Slice(b) => b.len(),
+            FramePayload::Virtual(n) => *n as usize,
+        }
+    }
+
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Copy the payload into a reusable scratch buffer (cleared
+    /// first; the buffer's capacity persists across calls).
+    pub fn copy_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        match self {
+            FramePayload::Slice(b) => out.extend_from_slice(b),
+            FramePayload::Virtual(n) => out.resize(*n as usize, 0),
+        }
+    }
+
+    /// Materialize an owned copy (client-side convenience; the server
+    /// hot path uses [`FramePayload::copy_into`] instead).
+    #[must_use]
+    #[allow(clippy::wrong_self_convention)]
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut v = Vec::with_capacity(self.len());
+        self.copy_into(&mut v);
+        v
+    }
+}
+
+/// Parse the flow/TCP header out of a wire frame (what RSS and a
+/// stack's demux do). No checksum verification, no payload copy;
+/// `None` for anything that doesn't parse as Ethernet + IPv4 + TCP.
 #[must_use]
-pub fn tcp_frame_info(frame: &WireFrame) -> Option<TcpFrameInfo> {
+pub fn parse_frame(frame: &WireFrame) -> Option<(FlowId, TcpRepr, FramePayload<'_>)> {
     let h = &frame.headers;
     if h.len() < ETH_HEADER_LEN {
         return None;
@@ -41,15 +89,39 @@ pub fn tcp_frame_info(frame: &WireFrame) -> Option<TcpFrameInfo> {
     let extra = frame.payload.len() as usize;
     let (ip, ip_off) = Ipv4Repr::parse_with_extra(&h[ETH_HEADER_LEN..], extra).ok()?;
     let (tcp, tcp_off) = TcpRepr::parse(&h[ETH_HEADER_LEN + ip_off..], None).ok()?;
-    let inline = h.len() - (ETH_HEADER_LEN + ip_off + tcp_off);
-    let flow_key = (u64::from(ip.src.0) << 32)
-        ^ u64::from(ip.dst.0)
-        ^ (u64::from(tcp.src_port) << 48)
-        ^ (u64::from(tcp.dst_port) << 16);
+    let flow = FlowId {
+        src_ip: ip.src,
+        dst_ip: ip.dst,
+        src_port: tcp.src_port,
+        dst_port: tcp.dst_port,
+    };
+    // Payload may live in headers (inline frames) or in the payload
+    // field (data frames).
+    let inline = &h[ETH_HEADER_LEN + ip_off + tcp_off..];
+    let payload = if !inline.is_empty() {
+        FramePayload::Slice(inline)
+    } else {
+        match &frame.payload {
+            PayloadBytes::Real(b) => FramePayload::Slice(b),
+            PayloadBytes::Virtual(n) => FramePayload::Virtual(*n),
+        }
+    };
+    Some((flow, tcp, payload))
+}
+
+/// Peek at a frame's TCP header: [`parse_frame`] reduced to the
+/// switch/fault layer's view.
+#[must_use]
+pub fn tcp_frame_info(frame: &WireFrame) -> Option<TcpFrameInfo> {
+    let (flow, tcp, payload) = parse_frame(frame)?;
+    let flow_key = (u64::from(flow.src_ip.0) << 32)
+        ^ u64::from(flow.dst_ip.0)
+        ^ (u64::from(flow.src_port) << 48)
+        ^ (u64::from(flow.dst_port) << 16);
     Some(TcpFrameInfo {
         flow_key,
         seq: tcp.seq.0,
-        payload_len: (inline as u64 + frame.payload.len()) as u32,
+        payload_len: payload.len() as u32,
     })
 }
 

@@ -40,7 +40,8 @@ pub mod steady;
 pub mod trace;
 
 pub use profile::{
-    ProfHandle, ProfReport, ProfStage, StageProfiler, StallKind, PROF_STAGE_COUNT, STALL_KIND_COUNT,
+    Prof, ProfHandle, ProfReport, ProfStage, StageProfiler, StallKind, PROF_STAGE_COUNT,
+    STALL_KIND_COUNT,
 };
 pub use qoe::{PlayoutSim, QoeStats, QoeSummary};
 pub use registry::{CounterId, GaugeId, HistId, Registry};

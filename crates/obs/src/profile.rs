@@ -32,6 +32,79 @@ use std::rc::Rc;
 /// `Rc<RefCell>` is the whole story.
 pub type ProfHandle = Rc<RefCell<StageProfiler>>;
 
+/// The profiler handle a server holds: `None` unless profiling is on,
+/// so every hook below costs one `None` check when it is off.
+#[derive(Clone, Debug, Default)]
+pub struct Prof(Option<ProfHandle>);
+
+impl Prof {
+    /// An enabled profiler over `n_cores` cores, or the no-op handle.
+    #[must_use]
+    pub fn new(enabled: bool, n_cores: usize) -> Self {
+        Prof(enabled.then(|| Rc::new(RefCell::new(StageProfiler::enabled(n_cores)))))
+    }
+
+    /// The shared handle, for installing into the `CoreSet` and
+    /// `MemSystem` hooks.
+    #[must_use]
+    pub fn handle(&self) -> Option<&ProfHandle> {
+        self.0.as_ref()
+    }
+
+    /// [`StageProfiler::set_context`].
+    #[inline]
+    pub fn stage(&self, core: usize, stage: ProfStage) {
+        if let Some(p) = &self.0 {
+            p.borrow_mut().set_context(core, stage);
+        }
+    }
+
+    /// [`StageProfiler::chunk_sample`].
+    #[inline]
+    pub fn chunk(&self, stage: ProfStage, cycles: u64) {
+        if let Some(p) = &self.0 {
+            p.borrow_mut().chunk_sample(stage, cycles);
+        }
+    }
+
+    /// [`StageProfiler::stall`].
+    #[inline]
+    pub fn stall(&self, kind: StallKind) {
+        if let Some(p) = &self.0 {
+            p.borrow_mut().stall(kind);
+        }
+    }
+
+    /// [`StageProfiler::add_encrypt_bytes`].
+    #[inline]
+    pub fn encrypt_bytes(&self, bytes: u64) {
+        if let Some(p) = &self.0 {
+            p.borrow_mut().add_encrypt_bytes(bytes);
+        }
+    }
+
+    /// [`StageProfiler::chunk_done`].
+    #[inline]
+    pub fn chunk_done(&self, core: usize) {
+        if let Some(p) = &self.0 {
+            p.borrow_mut().chunk_done(core);
+        }
+    }
+
+    /// Snapshot of the profile (`None` when profiling is off).
+    #[must_use]
+    pub fn report(&self) -> Option<ProfReport> {
+        self.0.as_ref().map(|p| p.borrow().report())
+    }
+
+    /// Publish the `prof.*` metrics (no-op when profiling is off).
+    pub fn publish(&self, reg: &mut Registry) {
+        if let Some(p) = &self.0 {
+            p.borrow().publish(reg);
+        }
+    }
+}
+
 /// Pipeline stages cycles and DRAM traffic are attributed to. Coarser
 /// than the tracer's nine stamps: these are the five cost centres the
 /// paper budgets (plus a catch-all for sweep bookkeeping).

@@ -75,6 +75,11 @@ impl Registry {
         self.counter(&labeled(name, &[("core", core as u64)]))
     }
 
+    /// One `name{core=N}` counter per core, indexed by core.
+    pub fn counters_per_core(&mut self, name: &str, cores: usize) -> Vec<CounterId> {
+        (0..cores).map(|c| self.counter_core(name, c)).collect()
+    }
+
     pub fn gauge(&mut self, name: &str) -> GaugeId {
         if let Some(i) = self.gauge_names.iter().position(|n| n == name) {
             return GaugeId(i as u32);
@@ -86,6 +91,11 @@ impl Registry {
 
     pub fn gauge_core(&mut self, name: &str, core: usize) -> GaugeId {
         self.gauge(&labeled(name, &[("core", core as u64)]))
+    }
+
+    /// One `name{core=N}` gauge per core, indexed by core.
+    pub fn gauges_per_core(&mut self, name: &str, cores: usize) -> Vec<GaugeId> {
+        (0..cores).map(|c| self.gauge_core(name, c)).collect()
     }
 
     pub fn histogram(&mut self, name: &str, lo: f64, hi: f64, buckets: usize) -> HistId {

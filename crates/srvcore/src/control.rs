@@ -1,16 +1,13 @@
-//! The per-core control-loop skeleton shared by both stacks.
-//!
-//! Atlas and the kstack model grew the same scaffolding
-//! independently: a per-core overload state fed by resource
-//! snapshots, an admit-or-RST decision at SYN, a 503-while-shedding
-//! gate at request start, live-connection accounting, and (new in
-//! this revision) a per-core I/O tuner. This trait expresses that
-//! skeleton once; a server implements the four storage/snapshot
-//! accessors and inherits the policy methods, so the two stacks can
-//! no longer drift apart on admission semantics.
+//! The per-server control plane both stacks own: admission at SYN,
+//! 503-while-shedding, live-connection accounting and the per-core
+//! I/O tuner. The policy lives here once; each server computes the
+//! [`ResourceSnapshot`] of its own scarce resources (DMA pool or
+//! buffer cache, NVMe queues) and hands it in.
 
-use crate::autotune::IoTuner;
+use crate::autotune::{AutotuneConfig, IoTuner};
 use crate::overload::{AdmissionConfig, OverloadState, ResourceSnapshot};
+use dcn_packet::FlowId;
+use std::ops::{Index, IndexMut};
 
 /// Everything the control loop keeps per core.
 #[derive(Debug)]
@@ -31,143 +28,148 @@ impl CoreControl {
     }
 }
 
-/// The shared control-plane skeleton. Implementors provide storage
-/// and a resource snapshot; the provided methods are the policy.
-pub trait ControlPlane {
-    /// The admission knobs (copied out so provided methods can hold
-    /// `&mut self`).
-    fn admission_cfg(&self) -> AdmissionConfig;
-    fn n_cores(&self) -> usize;
-    /// One fresh observation of the core's resources.
-    fn resource_snapshot(&self, core: usize) -> ResourceSnapshot;
-    fn core_control(&mut self, core: usize) -> &mut CoreControl;
-    fn core_control_ref(&self, core: usize) -> &CoreControl;
+/// One server's control plane: the admission knobs plus one
+/// [`CoreControl`] per core (indexable by core).
+#[derive(Debug)]
+pub struct ServerControl {
+    pub admission: AdmissionConfig,
+    cores: Vec<CoreControl>,
+}
+
+impl ServerControl {
+    /// `n_cores` cores, each with an I/O tuner that starts at `window`
+    /// and is seeded from `seed` and its core index.
+    #[must_use]
+    pub fn new(
+        admission: AdmissionConfig,
+        autotune: AutotuneConfig,
+        window: u64,
+        seed: u64,
+        n_cores: usize,
+    ) -> Self {
+        ServerControl {
+            admission,
+            cores: (0..n_cores)
+                .map(|c| {
+                    CoreControl::new(IoTuner::new(autotune, window, seed ^ ((c as u64) << 20)))
+                })
+                .collect(),
+        }
+    }
+
+    /// The core RSS steers `flow` to.
+    #[must_use]
+    pub fn core_of_flow(&self, flow: FlowId) -> usize {
+        (flow.rss_hash() as usize) % self.cores.len()
+    }
 
     /// Admission decision for one SYN on `core`; refreshes the
-    /// watermark latch from a fresh snapshot as a side effect.
-    fn admit_syn(&mut self, core: usize) -> bool {
-        let cfg = self.admission_cfg();
-        let snap = self.resource_snapshot(core);
-        self.core_control(core).overload.admit(&cfg, snap)
+    /// watermark latch from `snap` as a side effect.
+    pub fn admit_syn(&mut self, core: usize, snap: ResourceSnapshot) -> bool {
+        self.cores[core].overload.admit(&self.admission, snap)
     }
 
-    /// Should a request arriving now on `core` be deferred with a
-    /// 503? Refreshes the latch first so the decision reflects the
-    /// present, not the last sweep.
-    fn defer_request(&mut self, core: usize) -> bool {
-        let cfg = self.admission_cfg();
-        let snap = self.resource_snapshot(core);
-        let ctl = self.core_control(core);
-        ctl.overload.observe(&cfg, snap);
-        ctl.overload.is_shedding()
+    /// Should a request arriving now on `core` be deferred with a 503?
+    /// Refreshes the latch from `snap` first, so the decision reflects
+    /// the present, not the last sweep.
+    pub fn defer_request(&mut self, core: usize, snap: ResourceSnapshot) -> bool {
+        let overload = &mut self.cores[core].overload;
+        overload.observe(&self.admission, snap);
+        overload.is_shedding()
     }
 
-    /// Is any core shedding? (Cluster dispatchers treat the server as
-    /// draining while true.)
-    fn any_shedding(&self) -> bool {
-        (0..self.n_cores()).any(|c| self.core_control_ref(c).overload.is_shedding())
+    /// Is any core shedding (resource latch held or walking the
+    /// degradation ladder) or at its connection cap? The cluster
+    /// dispatcher treats a shedding server like `Draining`.
+    #[must_use]
+    pub fn is_shedding(&self) -> bool {
+        self.cores
+            .iter()
+            .any(|c| c.overload.is_shedding() || c.live_conns >= self.admission.max_conns_per_core)
     }
 
-    fn note_conn_opened(&mut self, core: usize) {
-        self.core_control(core).live_conns += 1;
+    /// Live connections across all cores.
+    #[must_use]
+    pub fn live_conns(&self) -> usize {
+        self.cores.iter().map(|c| c.live_conns).sum()
     }
 
-    fn note_conn_closed(&mut self, core: usize) {
-        let ctl = self.core_control(core);
-        ctl.live_conns = ctl.live_conns.saturating_sub(1);
+    pub fn note_conn_opened(&mut self, core: usize) {
+        self.cores[core].live_conns += 1;
     }
 
-    /// Feed one NVMe completion to the core's I/O tuner.
-    fn observe_io_completion(
-        &mut self,
-        core: usize,
-        latency_ns: u64,
-        inflight: usize,
-        queue_depth: usize,
-    ) {
-        self.core_control(core)
-            .tuner
-            .observe_completion(latency_ns, inflight, queue_depth);
+    pub fn note_conn_closed(&mut self, core: usize) {
+        let c = &mut self.cores[core];
+        c.live_conns = c.live_conns.saturating_sub(1);
     }
+}
 
-    /// The core's current fetch watermark (tuned or fixed).
-    fn io_watermark(&self, core: usize) -> u64 {
-        self.core_control_ref(core).tuner.watermark()
+impl Index<usize> for ServerControl {
+    type Output = CoreControl;
+    fn index(&self, core: usize) -> &CoreControl {
+        &self.cores[core]
     }
+}
 
-    /// The core's current in-flight read cap (`u32::MAX` = untuned).
-    fn io_inflight_cap(&self, core: usize) -> u32 {
-        self.core_control_ref(core).tuner.inflight_cap()
+impl IndexMut<usize> for ServerControl {
+    fn index_mut(&mut self, core: usize) -> &mut CoreControl {
+        &mut self.cores[core]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autotune::AutotuneConfig;
 
-    struct Toy {
-        cfg: AdmissionConfig,
-        ctl: Vec<CoreControl>,
-        pool_free: f64,
+    fn ctl(cores: usize) -> ServerControl {
+        ServerControl::new(
+            AdmissionConfig::default(),
+            AutotuneConfig::default(),
+            14_480,
+            0,
+            cores,
+        )
     }
 
-    impl ControlPlane for Toy {
-        fn admission_cfg(&self) -> AdmissionConfig {
-            self.cfg
-        }
-        fn n_cores(&self) -> usize {
-            self.ctl.len()
-        }
-        fn resource_snapshot(&self, core: usize) -> ResourceSnapshot {
-            ResourceSnapshot {
-                conns: self.ctl[core].live_conns,
-                pool_free_frac: self.pool_free,
-                sq_occupancy: 0.0,
-            }
-        }
-        fn core_control(&mut self, core: usize) -> &mut CoreControl {
-            &mut self.ctl[core]
-        }
-        fn core_control_ref(&self, core: usize) -> &CoreControl {
-            &self.ctl[core]
-        }
-    }
-
-    fn toy(cores: usize) -> Toy {
-        Toy {
-            cfg: AdmissionConfig::default(),
-            ctl: (0..cores)
-                .map(|c| {
-                    CoreControl::new(IoTuner::new(AutotuneConfig::default(), 14_480, c as u64))
-                })
-                .collect(),
-            pool_free: 0.9,
+    fn snap(conns: usize, pool_free_frac: f64) -> ResourceSnapshot {
+        ResourceSnapshot {
+            conns,
+            pool_free_frac,
+            sq_occupancy: 0.0,
         }
     }
 
     #[test]
-    fn skeleton_admits_then_sheds_under_pool_pressure() {
-        let mut t = toy(2);
-        assert!(t.admit_syn(0));
-        t.note_conn_opened(0);
-        assert!(!t.defer_request(0));
-        assert!(!t.any_shedding());
-        t.pool_free = 0.0;
-        assert!(!t.admit_syn(0), "pool exhausted: refuse");
-        assert!(t.defer_request(0));
-        assert!(t.any_shedding());
+    fn admits_then_sheds_under_pool_pressure() {
+        let mut c = ctl(2);
+        assert!(c.admit_syn(0, snap(0, 0.9)));
+        c.note_conn_opened(0);
+        assert!(!c.defer_request(0, snap(1, 0.9)));
+        assert!(!c.is_shedding());
+        assert!(!c.admit_syn(0, snap(1, 0.0)), "pool exhausted: refuse");
+        assert!(c.defer_request(0, snap(1, 0.0)));
+        assert!(c.is_shedding());
         // The other core is independent.
-        assert_eq!(t.core_control_ref(1).live_conns, 0);
+        assert_eq!(c[1].live_conns, 0);
+    }
+
+    #[test]
+    fn connection_cap_counts_as_shedding() {
+        let mut c = ctl(1);
+        c.admission.max_conns_per_core = 1;
+        c.note_conn_opened(0);
+        assert!(c.is_shedding());
+        c.note_conn_closed(0);
+        assert!(!c.is_shedding());
     }
 
     #[test]
     fn conn_accounting_saturates_at_zero() {
-        let mut t = toy(1);
-        t.note_conn_closed(0);
-        assert_eq!(t.core_control_ref(0).live_conns, 0);
-        t.note_conn_opened(0);
-        t.note_conn_closed(0);
-        assert_eq!(t.core_control_ref(0).live_conns, 0);
+        let mut c = ctl(1);
+        c.note_conn_closed(0);
+        assert_eq!(c.live_conns(), 0);
+        c.note_conn_opened(0);
+        c.note_conn_closed(0);
+        assert_eq!(c.live_conns(), 0);
     }
 }

@@ -1,25 +1,32 @@
-//! # dcn-srvcore — shared server control core
+//! # dcn-srvcore — the server core both stacks share
 //!
-//! Policy and control-loop machinery common to both stacks (the Atlas
-//! stack in `dcn-atlas` and the FreeBSD/nginx model in `dcn-kstack`):
+//! Atlas (`dcn-atlas`) and the FreeBSD/nginx model (`dcn-kstack`)
+//! differ only in where TX bytes come from. Everything in front of
+//! that lives here once:
 //!
+//! * [`front`] — the connection front end: flow→slot table, TCB
+//!   timers, SYN admission and accept, the per-segment RX path, and
+//!   the request classifier (200/206/404/503/431).
+//! * [`control`] — the per-server control plane: admission at SYN,
+//!   503-while-shedding, live-connection accounting, one I/O tuner
+//!   per core. Servers pass in the resource snapshot they compute.
 //! * [`overload`] — hysteretic admission control and the degradation
-//!   ladder (moved here from `dcn-atlas` so both stacks share one
-//!   implementation instead of kstack importing Atlas policy).
+//!   ladder.
 //! * [`autotune`] — the online I/O-window autotuner: a deterministic,
 //!   seeded per-core controller that drives the fetch watermark and
 //!   the in-flight read cap from EWMAs of NVMe completion latency and
 //!   submission-queue occupancy, replacing the paper's hand-tuned
 //!   fixed 10×MSS constant.
-//! * [`control`] — the per-core control-loop skeleton (admission at
-//!   SYN, 503-while-shedding, conn open/close accounting, sweep
-//!   cadence) expressed once as a trait with provided methods; each
-//!   server supplies only its resource snapshot and storage.
+//! * [`tier`] — the `tier.*` metric handles both stacks publish.
 
 pub mod autotune;
 pub mod control;
+pub mod front;
 pub mod overload;
+pub mod tier;
 
 pub use autotune::{AutotuneConfig, IoTuner};
-pub use control::{ControlPlane, CoreControl};
+pub use control::{CoreControl, ServerControl};
+pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
+pub use tier::TierIds;

@@ -91,116 +91,130 @@ fn tcb_invariants_under_arbitrary_peer() {
         let steps: Vec<Step> = (0..rng.gen_range(1, 80))
             .map(|_| random_step(&mut rng))
             .collect();
-        let mut tcb = established();
-        let mut now = Nanos::from_millis(2);
-        let mut highest_sent: u64 = 0; // stream offset of snd_max
-        let mut acked: u64 = 0;
-        let mut pending_retx: Vec<(u64, u64)> = Vec::new();
+        check_invariants(case, steps);
+    }
+}
 
-        for step in steps {
-            match step {
-                Step::Send(n) => {
-                    let usable = tcb.usable_window();
-                    if usable == 0 {
-                        continue;
-                    }
-                    let n = u64::from(n).min(usable);
-                    if n == 0 {
-                        continue;
-                    }
-                    let before = tcb.stream_offset_of_snd_nxt();
-                    let _out = tcb.send_data(now, SgList::from_bytes(vec![7; n as usize]), false);
-                    let after = tcb.stream_offset_of_snd_nxt();
-                    assert_eq!(
-                        after,
-                        before + n,
-                        "case {case}: snd_nxt advances by exactly n"
-                    );
-                    highest_sent = highest_sent.max(after);
+/// A case an earlier property-test run shrank to and recorded: five
+/// 1-byte sends, three duplicate ACKs (fast retransmit asks for the
+/// head), a cumulative ACK of one byte (0% rounds up to 1), then the
+/// retransmit request is served.
+#[test]
+fn fast_retransmit_after_tiny_sends_keeps_invariants() {
+    let mut steps = vec![Step::Send(1); 5];
+    steps.extend([Step::DupAck, Step::DupAck, Step::DupAck]);
+    steps.extend([Step::AckFraction(0), Step::ServeRetransmit]);
+    check_invariants(0, steps);
+}
+
+/// Drive one TCB through `steps`, checking its events and its global
+/// invariants after every step.
+fn check_invariants(case: usize, steps: Vec<Step>) {
+    let mut tcb = established();
+    let mut now = Nanos::from_millis(2);
+    let mut highest_sent: u64 = 0; // stream offset of snd_max
+    let mut acked: u64 = 0;
+    let mut pending_retx: Vec<(u64, u64)> = Vec::new();
+
+    for step in steps {
+        match step {
+            Step::Send(n) => {
+                let usable = tcb.usable_window();
+                if usable == 0 {
+                    continue;
                 }
-                Step::AckFraction(frac) => {
-                    let outstanding = highest_sent.saturating_sub(acked);
-                    if outstanding == 0 {
-                        continue;
-                    }
-                    let newly = (outstanding * u64::from(frac) / 100).max(1);
-                    acked += newly;
-                    let ack = TcpRepr {
-                        src_port: 5555,
-                        dst_port: 80,
-                        seq: SeqNumber(1001),
-                        ack: tcb.seq_at(acked),
-                        flags: TcpFlags::ACK,
-                        window: 4096,
-                        mss: None,
-                        wscale: None,
-                    };
-                    now += Nanos::from_millis(1);
-                    tcb.on_segment(now, &ack, &[]);
+                let n = u64::from(n).min(usable);
+                if n == 0 {
+                    continue;
                 }
-                Step::DupAck => {
-                    let ack = TcpRepr {
-                        src_port: 5555,
-                        dst_port: 80,
-                        seq: SeqNumber(1001),
-                        ack: tcb.seq_at(acked),
-                        flags: TcpFlags::ACK,
-                        window: 4096,
-                        mss: None,
-                        wscale: None,
-                    };
-                    now += Nanos::from_micros(100);
-                    tcb.on_segment(now, &ack, &[]);
+                let before = tcb.stream_offset_of_snd_nxt();
+                let _out = tcb.send_data(now, SgList::from_bytes(vec![7; n as usize]), false);
+                let after = tcb.stream_offset_of_snd_nxt();
+                assert_eq!(
+                    after,
+                    before + n,
+                    "case {case}: snd_nxt advances by exactly n"
+                );
+                highest_sent = highest_sent.max(after);
+            }
+            Step::AckFraction(frac) => {
+                let outstanding = highest_sent.saturating_sub(acked);
+                if outstanding == 0 {
+                    continue;
                 }
-                Step::Tick(ms) => {
-                    now += Nanos::from_millis(u64::from(ms) * 10);
-                    tcb.on_timer(now);
-                }
-                Step::ServeRetransmit => {
-                    if let Some((off, len)) = pending_retx.pop() {
-                        let len = len.min(highest_sent - off);
-                        if len > 0 {
-                            tcb.send_retransmit(
-                                now,
-                                off,
-                                SgList::from_bytes(vec![7; len as usize]),
-                            );
-                        } else {
-                            tcb.retransmit_abandoned();
-                        }
+                let newly = (outstanding * u64::from(frac) / 100).max(1);
+                acked += newly;
+                let ack = TcpRepr {
+                    src_port: 5555,
+                    dst_port: 80,
+                    seq: SeqNumber(1001),
+                    ack: tcb.seq_at(acked),
+                    flags: TcpFlags::ACK,
+                    window: 4096,
+                    mss: None,
+                    wscale: None,
+                };
+                now += Nanos::from_millis(1);
+                tcb.on_segment(now, &ack, &[]);
+            }
+            Step::DupAck => {
+                let ack = TcpRepr {
+                    src_port: 5555,
+                    dst_port: 80,
+                    seq: SeqNumber(1001),
+                    ack: tcb.seq_at(acked),
+                    flags: TcpFlags::ACK,
+                    window: 4096,
+                    mss: None,
+                    wscale: None,
+                };
+                now += Nanos::from_micros(100);
+                tcb.on_segment(now, &ack, &[]);
+            }
+            Step::Tick(ms) => {
+                now += Nanos::from_millis(u64::from(ms) * 10);
+                tcb.on_timer(now);
+            }
+            Step::ServeRetransmit => {
+                if let Some((off, len)) = pending_retx.pop() {
+                    let len = len.min(highest_sent - off);
+                    if len > 0 {
+                        tcb.send_retransmit(now, off, SgList::from_bytes(vec![7; len as usize]));
+                    } else {
+                        tcb.retransmit_abandoned();
                     }
                 }
             }
-            // Collect events and check their invariants.
-            for ev in tcb.take_events() {
-                match ev {
-                    TcbEvent::AckedTo(off) => {
-                        assert!(off <= highest_sent, "case {case}: cannot ack unsent data");
-                        assert_eq!(off, acked, "case {case}: cumulative ack tracks peer");
-                    }
-                    TcbEvent::NeedRetransmit { offset, len } => {
-                        assert!(offset >= acked, "case {case}: never retransmit acked data");
-                        assert!(
-                            offset < highest_sent,
-                            "case {case}: retransmit within sent data"
-                        );
-                        assert!(len > 0, "case {case}");
-                        pending_retx.push((offset, len));
-                    }
-                    TcbEvent::WindowOpen(n) => assert!(n > 0, "case {case}"),
-                    _ => {}
-                }
-            }
-            // Global invariants after every step.
-            assert!(
-                tcb.inflight() <= highest_sent - acked + 1_000_000,
-                "case {case}"
-            );
-            assert_eq!(tcb.state, TcbState::Established, "case {case}");
-            assert!(tcb.cc.cwnd() >= 1448, "case {case}: cwnd never below 1 MSS");
-            let off = tcb.stream_offset_of_snd_nxt();
-            assert!(off >= acked, "case {case}: snd_nxt never behind snd_una");
         }
+        // Collect events and check their invariants.
+        for ev in tcb.take_events() {
+            match ev {
+                TcbEvent::AckedTo(off) => {
+                    assert!(off <= highest_sent, "case {case}: cannot ack unsent data");
+                    assert_eq!(off, acked, "case {case}: cumulative ack tracks peer");
+                }
+                TcbEvent::NeedRetransmit { offset, len } => {
+                    assert!(offset >= acked, "case {case}: never retransmit acked data");
+                    assert!(
+                        offset < highest_sent,
+                        "case {case}: retransmit within sent data"
+                    );
+                    assert!(len > 0, "case {case}");
+                    pending_retx.push((offset, len));
+                }
+                TcbEvent::WindowOpen(n) => assert!(n > 0, "case {case}"),
+                _ => {}
+            }
+        }
+        // Global invariants after every step.
+        assert!(
+            tcb.inflight() <= highest_sent - acked + 1_000_000,
+            "case {case}"
+        );
+        assert_eq!(tcb.state, TcbState::Established, "case {case}");
+        assert!(tcb.cc.cwnd() >= 1448, "case {case}: cwnd never below 1 MSS");
+        let off = tcb.stream_offset_of_snd_nxt();
+        assert!(off >= acked, "case {case}: snd_nxt never behind snd_una");
     }
 }
 

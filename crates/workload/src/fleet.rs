@@ -2,9 +2,9 @@
 
 use crate::abr::{AbrConfig, AbrSession, FetchStep};
 use crate::verify::{Expected, RungClaim, StreamVerifier, VerifyStats};
-use dcn_atlas::server::parse_frame;
 use dcn_crypto::RecordCipher;
 use dcn_httpd::{chunk_path, parser::build_get, RequestDriver};
+use dcn_netdev::parse_frame;
 use dcn_netdev::WireFrame;
 use dcn_obs::qoe::{QoeStats, QoeSummary};
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr, SeqNumber};

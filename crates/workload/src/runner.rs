@@ -8,11 +8,11 @@
 //! the high-rate direction).
 
 use crate::fleet::{ClientFleet, ClientTx, FleetConfig};
-use dcn_atlas::server::parse_frame;
 use dcn_atlas::{AtlasConfig, AtlasServer};
 use dcn_faults::{salt, FaultConfig, FrameFate, FrameInfo, LinkFaults, LossModel};
 use dcn_kstack::{KstackConfig, KstackServer};
 use dcn_mem::{Fidelity, MemSnapshot};
+use dcn_netdev::parse_frame;
 use dcn_netdev::{tcp_frame_info, DelayMiddlebox, SentBurst, WireFrame};
 use dcn_obs::export::{stage_summary, write_trace_jsonl, TimeSeries};
 use dcn_packet::FlowId;

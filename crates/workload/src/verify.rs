@@ -157,8 +157,7 @@ impl StreamVerifier {
                         continue;
                     }
                     if encrypted {
-                        let rec_plain =
-                            (file_size - abs_off).min(RECORD_PAYLOAD_MAX as u64) as usize;
+                        let rec_plain = (file_size - abs_off).min(RECORD_PAYLOAD_MAX) as usize;
                         let rec_wire = RECORD_HEADER_LEN + rec_plain + GCM_TAG_LEN;
                         if self.buf.len() < rec_wire {
                             return;
@@ -216,7 +215,7 @@ mod tests {
     #[test]
     fn resumed_response_verifies_against_absolute_offsets() {
         let cat = catalog();
-        let base = 4 * RECORD_PAYLOAD_MAX as u64;
+        let base = 4 * RECORD_PAYLOAD_MAX;
         let file_size = cat.file_size();
         let mut outstanding: VecDeque<Expected> = VecDeque::new();
         outstanding.push_back(Expected::plain(FileId(11), base));
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn resumed_response_with_wrong_content_fails() {
         let cat = catalog();
-        let base = 2 * RECORD_PAYLOAD_MAX as u64;
+        let base = 2 * RECORD_PAYLOAD_MAX;
         let file_size = cat.file_size();
         let mut outstanding: VecDeque<Expected> = VecDeque::new();
         outstanding.push_back(Expected::plain(FileId(5), base));

@@ -176,7 +176,7 @@ fn record_reencryption_deterministic() {
         let record_idx = rng.gen_range(0, 1_000_000);
         let data = rand_bytes(&mut rng, 1, 256);
         let rc = RecordCipher::new(&key, salt);
-        let off = record_idx * RECORD_PAYLOAD_MAX as u64;
+        let off = record_idx * RECORD_PAYLOAD_MAX;
         let mut a = data.clone();
         let mut b = data;
         let ta = rc.seal_record(off, &mut a);
@@ -201,14 +201,14 @@ fn gcm_nonces_unique_across_records_identical_on_refetch() {
         let n_records = rng.gen_range(2, 400);
         let mut seen = std::collections::HashSet::new();
         for i in 0..n_records {
-            let off = i * RECORD_PAYLOAD_MAX as u64;
+            let off = i * RECORD_PAYLOAD_MAX;
             let nonce = derive_nonce(salt, off);
             assert!(
                 seen.insert(nonce),
                 "case {case}: record {i} repeats an earlier nonce"
             );
             // Any offset inside the record derives the same nonce.
-            let within = off + rng.gen_range(0, RECORD_PAYLOAD_MAX as u64);
+            let within = off + rng.gen_range(0, RECORD_PAYLOAD_MAX);
             assert_eq!(derive_nonce(salt, within), nonce, "case {case}");
         }
         // Original transmission vs re-fetch retransmission: same
@@ -217,7 +217,7 @@ fn gcm_nonces_unique_across_records_identical_on_refetch() {
         prf_bytes(rng.next_u64(), 0, &mut key);
         let rc = RecordCipher::new(&key, salt);
         let record = rng.gen_range(0, n_records);
-        let off = record * RECORD_PAYLOAD_MAX as u64;
+        let off = record * RECORD_PAYLOAD_MAX;
         let plain = rand_bytes(&mut rng, 1, 512);
         let mut original = plain.clone();
         let mut refetch = plain;
