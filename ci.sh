@@ -16,7 +16,7 @@ echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
-cargo build --release
+cargo build --release --workspace
 
 echo "==> fault-injection matrix (seeded loss / device-error / replay tests)"
 cargo test -q --release --test faults --test retransmission --test observability
@@ -26,6 +26,9 @@ cargo test -q --release --test cluster
 
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
 cargo test -q --release --test overload two_x_overload_smoke
+
+echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC"
+cargo test -q --release --test paper_shapes headline_atlas_tls_2k_steady_state_beats_netflix
 
 echo "==> perf gate (perf_baseline vs committed BENCH_perf_baseline.json, plus determinism)"
 perf_tmp="$(mktemp -d)"

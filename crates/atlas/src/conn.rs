@@ -204,6 +204,14 @@ impl AtlasConn {
             || self.ready_tx.values().any(|r| r.token != 0)
     }
 
+    /// DMA buffers pinned by fresh read-ahead: fetches in flight plus
+    /// fetched records parked for their stream turn. Retransmit
+    /// fetches are not counted.
+    #[must_use]
+    pub fn read_ahead(&self) -> usize {
+        self.fetches_inflight as usize + self.ready_tx.values().filter(|r| r.token != 0).count()
+    }
+
     /// No response in flight in any form — the keepalive-idle state.
     #[must_use]
     pub fn is_idle(&self) -> bool {

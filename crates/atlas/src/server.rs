@@ -169,6 +169,9 @@ struct AtlasIds {
     /// Connections parked on the buffer-pool waiter list because an
     /// alloc came up empty.
     empty_waits: Vec<CounterId>,
+    /// Pumps stopped by the fair-share read-ahead bound (see
+    /// [`AtlasServer::pump`]).
+    share_limited: Vec<CounterId>,
     /// Gauges refreshed by [`AtlasServer::publish_obs`] at every
     /// metric sample point — pre-registered so sampled runs do no
     /// per-sample name scans (`find_*`/`sum_prefixed` stay reserved
@@ -194,6 +197,7 @@ impl AtlasIds {
             reaped_idle: reg.counters_per_core("atlas.overload.reaped_idle", cores),
             aborted_slow: reg.counters_per_core("atlas.overload.aborted_slow", cores),
             empty_waits: reg.counters_per_core("atlas.bufpool.empty_waits", cores),
+            share_limited: reg.counters_per_core("atlas.bufpool.share_limited", cores),
             pool_free_bufs: reg.gauges_per_core("atlas.pool_free_bufs", cores),
             overload_level: reg.gauges_per_core("atlas.overload.level", cores),
             live_conns: reg.gauges_per_core("atlas.live_conns", cores),
@@ -801,6 +805,24 @@ impl AtlasServer {
             let plain = layout.record_plain_len(record);
             let file_off = layout.record_file_off(record);
             let layout_id = layout.id;
+            // Fair-share read-ahead: once the target (core, disk) pool
+            // is down to half free, a connection already holding its
+            // share of the core's buffers waits for its own next
+            // completion or ACK instead of reserving the whole usable
+            // window — a keep-alive cwnd of ~14 records per response
+            // would otherwise drain the pool into the overload latch.
+            // Uncontended pools keep deep read-ahead (cold-tier
+            // fetches need it).
+            let pool =
+                self.core_disks[core].queues[self.catalog.locate(file, file_off).disk].pool_ref();
+            if pool.available() * 2 <= pool.capacity() {
+                let pool_bufs = self.cfg.bufs_per_queue as usize * self.catalog.n_disks();
+                let share = (pool_bufs / self.ctl[core].live_conns.max(1)).max(1);
+                if slot.conn.read_ahead() >= share {
+                    self.reg.inc(self.ids.share_limited[core]);
+                    break;
+                }
+            }
             slot.conn.next_record += 1;
             slot.conn.reserved += wire;
             slot.conn.fetches_inflight += 1;

@@ -25,6 +25,7 @@
 
 use crate::registry::Registry;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Shared handle: the server, its `CoreSet`, and its `MemSystem` all
@@ -198,9 +199,11 @@ pub struct StageProfiler {
     dram_rd: [u64; PROF_STAGE_COUNT],
     dram_wr: [u64; PROF_STAGE_COUNT],
     /// Per-chunk cycle samples per stage, recorded at the per-chunk
-    /// charge points (exact, sorted lazily at report time — the
-    /// deterministic sim makes the full sample set reproducible).
-    chunk_cycles: Vec<Vec<u64>>,
+    /// charge points as an exact value → count histogram. The cost
+    /// model yields few distinct values, so memory stays bounded by
+    /// them rather than by the chunks served, and quantiles read off
+    /// cumulative counts equal those of the full sorted sample set.
+    chunk_cycles: Vec<BTreeMap<u64, u64>>,
     /// Completed chunks per core.
     chunks: Vec<u64>,
     /// Stall events by kind.
@@ -224,7 +227,7 @@ impl StageProfiler {
             enabled: true,
             cur_stage: vec![ProfStage::Other; n_cores],
             cycles: vec![[0; PROF_STAGE_COUNT]; n_cores],
-            chunk_cycles: vec![Vec::new(); PROF_STAGE_COUNT],
+            chunk_cycles: vec![BTreeMap::new(); PROF_STAGE_COUNT],
             chunks: vec![0; n_cores],
             ..Self::default()
         }
@@ -294,7 +297,7 @@ impl StageProfiler {
         if !self.enabled {
             return;
         }
-        self.chunk_cycles[stage as usize].push(cycles);
+        *self.chunk_cycles[stage as usize].entry(cycles).or_insert(0) += 1;
     }
 
     /// Count plaintext bytes entering the encrypt stage (denominator
@@ -327,7 +330,7 @@ impl StageProfiler {
         self.stalls[kind as usize] += 1;
     }
 
-    /// Snapshot the profile (sorts the per-chunk samples).
+    /// Snapshot the profile.
     pub fn report(&self) -> ProfReport {
         let mut stage_cycles = [0u64; PROF_STAGE_COUNT];
         for per_core in &self.cycles {
@@ -338,12 +341,10 @@ impl StageProfiler {
         let mut p50 = [0u64; PROF_STAGE_COUNT];
         let mut p99 = [0u64; PROF_STAGE_COUNT];
         let mut samples = [0u64; PROF_STAGE_COUNT];
-        for (i, raw) in self.chunk_cycles.iter().enumerate() {
-            let mut v = raw.clone();
-            v.sort_unstable();
-            samples[i] = v.len() as u64;
-            p50[i] = exact_quantile(&v, 0.50);
-            p99[i] = exact_quantile(&v, 0.99);
+        for (i, hist) in self.chunk_cycles.iter().enumerate() {
+            samples[i] = hist.values().sum();
+            p50[i] = exact_quantile(hist, samples[i], 0.50);
+            p99[i] = exact_quantile(hist, samples[i], 0.99);
         }
         ProfReport {
             enabled: self.enabled,
@@ -372,14 +373,22 @@ impl StageProfiler {
     }
 }
 
-/// Exact quantile over a *sorted* sample vector: the nearest-rank
-/// element, 0 when empty. Deterministic — no interpolation.
-fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
+/// Exact quantile over a value → count histogram holding `n`
+/// samples: the nearest-rank value, 0 when empty. Deterministic — no
+/// interpolation.
+fn exact_quantile(hist: &BTreeMap<u64, u64>, n: u64, q: f64) -> u64 {
+    if n == 0 {
         return 0;
     }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let rank = (((n as f64) * q).ceil() as u64).clamp(1, n);
+    let mut seen = 0;
+    for (&value, &count) in hist {
+        seen += count;
+        if seen >= rank {
+            return value;
+        }
+    }
+    unreachable!("rank {rank} within {n} samples")
 }
 
 /// Snapshot of a [`StageProfiler`], with the derived headline numbers
@@ -517,6 +526,47 @@ mod tests {
         assert_eq!(r.chunk_cycles_p99[i], 500);
         // Stages with no samples report zero, not garbage.
         assert_eq!(r.chunk_cycles_p50[ProfStage::Parse as usize], 0);
+    }
+
+    /// Nearest-rank over a sorted vector: the reference the histogram
+    /// must reproduce.
+    fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((sorted.len() as f64) * q).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    #[test]
+    fn histogram_quantiles_match_the_sorted_sample_vector() {
+        let mut p = StageProfiler::enabled(1);
+        let mut raw: Vec<Vec<u64>> = vec![Vec::new(); PROF_STAGE_COUNT];
+        // Seeded xorshift; few distinct values per stage so most
+        // samples are duplicates. `Other` stays empty.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let stage = ProfStage::ALL[(n % 5) as usize];
+            let cycles = 100 + (x % 37) * (x % 3 + 1) * 50;
+            p.chunk_sample(stage, cycles);
+            raw[stage as usize].push(cycles);
+        }
+        let r = p.report();
+        for st in ProfStage::ALL {
+            let i = st as usize;
+            let mut v = raw[i].clone();
+            v.sort_unstable();
+            assert_eq!(r.chunk_samples[i], v.len() as u64, "{st:?}");
+            assert_eq!(r.chunk_cycles_p50[i], sorted_quantile(&v, 0.50), "{st:?}");
+            assert_eq!(r.chunk_cycles_p99[i], sorted_quantile(&v, 0.99), "{st:?}");
+        }
+        let other = ProfStage::Other as usize;
+        assert_eq!(r.chunk_samples[other], 0);
+        assert_eq!(r.chunk_cycles_p50[other], 0);
+        assert_eq!(r.chunk_cycles_p99[other], 0);
     }
 
     #[test]

@@ -8,7 +8,10 @@ use disk_crypt_net::kstack::KstackConfig;
 use disk_crypt_net::mem::Fidelity;
 use disk_crypt_net::simcore::Nanos;
 use disk_crypt_net::store::Catalog;
-use disk_crypt_net::workload::{run_scenario, FleetConfig, RunMetrics, Scenario, ServerKind};
+use disk_crypt_net::workload::{
+    run_scenario, run_scenario_observed, FleetConfig, ObsOptions, RunMetrics, Scenario, ServerKind,
+};
+use std::collections::BTreeMap;
 
 fn run(server: ServerKind, n: usize, cacheable: bool, seed: u64) -> RunMetrics {
     let sc = Scenario {
@@ -127,6 +130,99 @@ fn fig9_shape_diskmap_latency_left_of_aio() {
         );
     }
     assert!(d.mean_latency_us < a.mean_latency_us + 3.0);
+}
+
+// ------------------------------------------------ Figs 11/13 headline
+
+/// The saturated headline point: 2,000 uncachable clients over
+/// `Catalog::paper`, 0.4 s warm-up, measured to 1.6 s.
+fn headline(server: ServerKind, seed: u64) -> Scenario {
+    Scenario {
+        server,
+        fleet: FleetConfig {
+            n_clients: 2000,
+            cacheable: false,
+            verify: false,
+            ..FleetConfig::default()
+        },
+        catalog: Catalog::paper(seed),
+        warmup: Nanos::from_millis(400),
+        duration: Nanos::from_millis(1600),
+        seed,
+        data_loss: 0.0,
+        faults: Default::default(),
+    }
+}
+
+/// Sum over cores of a per-core counter in a `t_ms,metric,value`
+/// metrics CSV, keyed by sample time (the last row wins when a time
+/// is sampled twice).
+fn csv_series(csv: &str, name: &str) -> BTreeMap<u64, f64> {
+    let prefix = format!("{name}{{");
+    let mut rows: BTreeMap<(u64, String), f64> = BTreeMap::new();
+    for line in csv.lines().skip(1) {
+        let mut f = line.splitn(3, ',');
+        let (t, metric, v) = (f.next().unwrap(), f.next().unwrap(), f.next().unwrap());
+        if metric.starts_with(&prefix) {
+            let t_ms = t.parse::<f64>().unwrap().round() as u64;
+            rows.insert((t_ms, metric.to_string()), v.parse().unwrap());
+        }
+    }
+    let mut series = BTreeMap::new();
+    for ((t, _), v) in rows {
+        *series.entry(t).or_insert(0.0) += v;
+    }
+    series
+}
+
+#[test]
+fn headline_atlas_tls_2k_steady_state_beats_netflix() {
+    // Figs 11/13: Atlas on 4 cores matches or beats Netflix-0%BC on 8
+    // at 2,000 TLS connections — in steady state, without shedding.
+    let seed = 1;
+    let csv_path = std::env::temp_dir().join(format!(
+        "dcn_paper_shapes_headline_{}.csv",
+        std::process::id()
+    ));
+    let obs = ObsOptions {
+        metrics_out: Some(csv_path.clone()),
+        sample_interval: Some(Nanos::from_millis(200)),
+        ..ObsOptions::disabled()
+    };
+    let (a, _) = run_scenario_observed(&headline(atlas(true), seed), &obs);
+    let csv = std::fs::read_to_string(&csv_path).expect("metrics CSV written");
+    let _ = std::fs::remove_file(&csv_path);
+    let n = run_scenario(&headline(netflix(true), seed));
+    assert!(
+        a.net_gbps >= n.net_gbps,
+        "atlas {:.1} vs netflix-0%BC {:.1} Gb/s",
+        a.net_gbps,
+        n.net_gbps
+    );
+    assert_eq!(a.overload.retry_503, 0, "atlas answered 503s");
+    assert_eq!(a.overload.shed_new, 0, "atlas refused SYNs");
+    assert_eq!(a.leaked_buffers, 0);
+    // The fair-share read-ahead bound is what keeps the pools off the
+    // overload latch here; it must actually engage.
+    let limited = csv_series(&csv, "atlas.bufpool.share_limited");
+    assert!(
+        limited.values().last().copied().unwrap_or(0.0) > 0.0,
+        "share rule never engaged"
+    );
+    // Steady-state detector: the two equal halves of the measurement
+    // window (0.4–1.0 s and 1.0–1.6 s) deliver within ±5% of each other.
+    let sent = csv_series(&csv, "atlas.http_payload_bytes");
+    let at = |t: u64| {
+        sent.get(&t)
+            .copied()
+            .unwrap_or_else(|| panic!("no sample at {t} ms"))
+    };
+    let first = at(1000) - at(400);
+    let second = at(1600) - at(1000);
+    assert!(
+        (second / first - 1.0).abs() <= 0.05,
+        "not steady: {first:.3e} then {second:.3e} payload bytes"
+    );
 }
 
 // --------------------------------------------------- macro behaviour
