@@ -210,7 +210,11 @@ impl TimeBuckets {
         }
         let slice_end = (last as usize).min(self.buckets.len());
         let slice_start = (first as usize).min(slice_end);
-        let total: f64 = self.buckets[slice_start..slice_end].iter().sum();
+        // Fold from +0.0: `sum` of an empty f64 slice is -0.0, which
+        // reads out as a negative rate.
+        let total = self.buckets[slice_start..slice_end]
+            .iter()
+            .fold(0.0, |acc, b| acc + b);
         let span_secs = (last - first) as f64 * self.width.as_secs_f64();
         total / span_secs
     }
@@ -248,6 +252,18 @@ impl TimeBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn empty_window_rate_is_positive_zero() {
+        let mut tb = TimeBuckets::new(Nanos::from_millis(10));
+        let rate = tb.rate_per_sec(Nanos::ZERO, Nanos::from_millis(100));
+        assert_eq!(rate, 0.0);
+        assert!(!rate.is_sign_negative());
+        // Buckets recorded only before the window: still an empty slice.
+        tb.add(Nanos::from_millis(5), 3.0);
+        let rate = tb.rate_per_sec(Nanos::from_millis(50), Nanos::from_millis(100));
+        assert!(!rate.is_sign_negative());
+    }
 
     #[test]
     fn mean_ci_basics() {
