@@ -27,7 +27,7 @@ cargo test -q --release --test cluster
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
 cargo test -q --release --test overload two_x_overload_smoke
 
-echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC"
+echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC in goodput and read:net < 0.5×"
 cargo test -q --release --test paper_shapes headline_atlas_tls_2k_steady_state_beats_netflix
 
 echo "==> perf gate (perf_baseline vs committed BENCH_perf_baseline.json, plus determinism)"
@@ -37,6 +37,11 @@ trap 'rm -rf "$perf_tmp"' EXIT
 ./target/release/perf_baseline --out "$perf_tmp/run2.json" >/dev/null
 cmp "$perf_tmp/run1.json" "$perf_tmp/run2.json" \
     || { echo "error: perf_baseline is nondeterministic (back-to-back runs differ)" >&2; exit 1; }
+
+echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json)"
+./target/release/ablation_tiers --out "$perf_tmp/tiers_full.json" >/dev/null
+cmp "$perf_tmp/tiers_full.json" BENCH_tiers.json \
+    || { echo "error: ablation_tiers differs from committed BENCH_tiers.json" >&2; exit 1; }
 
 echo "==> I/O-window gate (zero-alloc steady state + autotune determinism/pass-through)"
 cargo test -q --release --test iowindow

@@ -199,6 +199,14 @@ fn headline_atlas_tls_2k_steady_state_beats_netflix() {
         a.net_gbps,
         n.net_gbps
     );
+    // The memory half (Fig 13): Atlas serves from the LLC, the kernel
+    // stack streams every byte through DRAM.
+    assert!(
+        a.read_net_ratio < 0.5 * n.read_net_ratio,
+        "read:net atlas {:.2} vs netflix-0%BC {:.2}",
+        a.read_net_ratio,
+        n.read_net_ratio
+    );
     assert_eq!(a.overload.retry_503, 0, "atlas answered 503s");
     assert_eq!(a.overload.shed_new, 0, "atlas refused SYNs");
     assert_eq!(a.leaked_buffers, 0);
