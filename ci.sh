@@ -24,6 +24,10 @@ cargo test -q --release --test faults --test retransmission --test observability
 echo "==> cluster smoke (multi-server scale-out / failover)"
 cargo test -q --release --test cluster
 
+echo "==> client oracle gate (streaming verifier; verified content on both stacks, plain and TLS)"
+cargo test -q --release -p dcn-workload verify
+cargo test -q --release --test end_to_end_atlas --test end_to_end_kstack
+
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
 cargo test -q --release --test overload two_x_overload_smoke
 

@@ -32,8 +32,10 @@ pub struct TcpFrameInfo {
 /// A parsed frame's TCP payload, borrowed from the frame. Parsing
 /// allocates nothing: a virtual (length-only) payload is never
 /// materialized as a `Vec` of zeros unless a caller asks for one.
-/// Servers copy into a reusable scratch via [`FramePayload::copy_into`];
-/// flow-routing callers that only look at headers never touch it.
+/// Servers copy into a reusable scratch via [`FramePayload::copy_into`],
+/// clients append in-order bytes to one delivery buffer via
+/// [`FramePayload::append_to`]; flow-routing callers that only look
+/// at headers never touch it.
 #[derive(Debug)]
 pub enum FramePayload<'a> {
     /// Payload bytes present in the frame.
@@ -60,20 +62,15 @@ impl FramePayload<'_> {
     /// first; the buffer's capacity persists across calls).
     pub fn copy_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        match self {
-            FramePayload::Slice(b) => out.extend_from_slice(b),
-            FramePayload::Virtual(n) => out.resize(*n as usize, 0),
-        }
+        self.append_to(out);
     }
 
-    /// Materialize an owned copy (client-side convenience; the server
-    /// hot path uses [`FramePayload::copy_into`] instead).
-    #[must_use]
-    #[allow(clippy::wrong_self_convention)]
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.len());
-        self.copy_into(&mut v);
-        v
+    /// Append the payload to `out` (a virtual payload appends zeros).
+    pub fn append_to(&self, out: &mut Vec<u8>) {
+        match self {
+            FramePayload::Slice(b) => out.extend_from_slice(b),
+            FramePayload::Virtual(n) => out.resize(out.len() + *n as usize, 0),
+        }
     }
 }
 

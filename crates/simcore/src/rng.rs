@@ -13,22 +13,40 @@
 /// multi-terabyte video catalog without storing it: the byte at
 /// (file, offset) is `prf_bytes(file_seed, offset, ..)`.
 pub fn prf_bytes(seed: u64, offset: u64, out: &mut [u8]) {
-    let mut pos = offset;
-    let mut written = 0usize;
-    while written < out.len() {
-        let block = pos / 8;
-        let in_block = (pos % 8) as usize;
-        // SplitMix64 of (seed, block) — cheap and high quality.
-        let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let bytes = z.to_le_bytes();
-        let n = (8 - in_block).min(out.len() - written);
-        out[written..written + n].copy_from_slice(&bytes[in_block..in_block + n]);
-        written += n;
-        pos += n as u64;
+    // An unaligned head takes the tail of its block; then whole
+    // 8-byte blocks; then the head of one more block.
+    let in_block = (offset % 8) as usize;
+    let head = if in_block == 0 {
+        0
+    } else {
+        (8 - in_block).min(out.len())
+    };
+    let (head_out, body) = out.split_at_mut(head);
+    let mut block = offset / 8;
+    if head > 0 {
+        head_out.copy_from_slice(&prf_block(seed, block)[in_block..in_block + head]);
+        block += 1;
     }
+    let mut blocks = body.chunks_exact_mut(8);
+    for chunk in &mut blocks {
+        chunk.copy_from_slice(&prf_block(seed, block));
+        block += 1;
+    }
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&prf_block(seed, block)[..tail.len()]);
+    }
+}
+
+/// Block `block` of the stream `PRF(seed)`: SplitMix64 of
+/// (seed, block) — cheap and high quality.
+#[inline]
+fn prf_block(seed: u64, block: u64) -> [u8; 8] {
+    let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    z.to_le_bytes()
 }
 
 /// Deterministic PRNG (xoshiro256** core).
@@ -377,6 +395,48 @@ mod prf_tests {
             prf_bytes(99, start, &mut part);
             assert_eq!(&whole[start as usize..], &part[..], "offset {start}");
         }
+    }
+
+    /// The original byte-wise generator: one SplitMix block per
+    /// step, copied through a slice of the block.
+    fn prf_bytes_reference(seed: u64, offset: u64, out: &mut [u8]) {
+        let mut pos = offset;
+        let mut written = 0usize;
+        while written < out.len() {
+            let block = pos / 8;
+            let in_block = (pos % 8) as usize;
+            let mut z = seed ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let bytes = z.to_le_bytes();
+            let n = (8 - in_block).min(out.len() - written);
+            out[written..written + n].copy_from_slice(&bytes[in_block..in_block + n]);
+            written += n;
+            pos += n as u64;
+        }
+    }
+
+    #[test]
+    fn prf_matches_bytewise_reference() {
+        let seed = 0xDEAD_BEEF_1234_5678;
+        for base in [0u64, 8 * 1_000_003] {
+            for misalign in 0..8 {
+                let offset = base + misalign;
+                for len in 0..=64 {
+                    let mut got = vec![0xAAu8; len];
+                    let mut want = vec![0x55u8; len];
+                    prf_bytes(seed, offset, &mut got);
+                    prf_bytes_reference(seed, offset, &mut want);
+                    assert_eq!(got, want, "offset {offset} len {len}");
+                }
+            }
+        }
+        let mut got = vec![0u8; 16 * 1024];
+        let mut want = vec![0u8; 16 * 1024];
+        prf_bytes(seed, 3, &mut got);
+        prf_bytes_reference(seed, 3, &mut want);
+        assert_eq!(got, want, "16 KiB buffer");
     }
 
     #[test]

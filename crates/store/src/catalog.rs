@@ -118,6 +118,24 @@ impl Catalog {
         prf_bytes(self.file_seed(file), offset, out);
     }
 
+    /// Whether `got` is the content of `file` at `offset`: the
+    /// oracle of [`Catalog::expected`], generated block by block into
+    /// a fixed stack buffer, so checking delivered bytes where they
+    /// sit allocates nothing.
+    #[must_use]
+    pub fn matches(&self, file: FileId, offset: u64, got: &[u8]) -> bool {
+        assert!(file.0 < self.n_files, "no such file {file:?}");
+        let seed = self.file_seed(file);
+        let mut want = [0u8; 4096];
+        let mut off = offset;
+        got.chunks(want.len()).all(|g| {
+            let want = &mut want[..g.len()];
+            prf_bytes(seed, off, want);
+            off += g.len() as u64;
+            g == want
+        })
+    }
+
     /// Per-file content seed: the PRF stream key for `file`'s bytes.
     /// Every storage backend (NVMe flat namespace, cold object store,
     /// hot-chunk cache) serves bytes from this same function, so
@@ -270,6 +288,24 @@ mod tests {
         c.expected(FileId(999_999), 12_345, &mut b);
         assert_eq!(a, b);
         assert!(a.iter().any(|&x| x != 0));
+    }
+
+    #[test]
+    fn matches_agrees_with_expected() {
+        let c = Catalog::new(100, 300 * 1024, 4, 7);
+        for (off, len) in [(0u64, 0usize), (3, 1), (1000, 4096), (17, 10_000)] {
+            let mut want = vec![0u8; len];
+            c.expected(FileId(9), off, &mut want);
+            assert!(c.matches(FileId(9), off, &want), "@{off}+{len}");
+            if len > 0 {
+                // A flip in the last block is still seen.
+                want[len - 1] ^= 1;
+                assert!(!c.matches(FileId(9), off, &want), "flip @{off}+{len}");
+            }
+        }
+        let mut other = vec![0u8; 64];
+        c.expected(FileId(10), 0, &mut other);
+        assert!(!c.matches(FileId(9), 0, &other), "wrong file");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! are never the bottleneck); only protocol behaviour matters here.
 
 use crate::tcb::Endpoint;
+use dcn_netdev::FramePayload;
 use dcn_packet::{
     EtherType, EthernetRepr, FlowId, IpProtocol, Ipv4Repr, SeqNumber, TcpFlags, TcpRepr,
     ETH_HEADER_LEN, IPV4_HEADER_LEN,
@@ -43,12 +44,12 @@ pub struct ClientConn {
     rcv_nxt: SeqNumber,
     /// Advertised receive window (bytes) with scale 8.
     rcv_wnd: u32,
-    /// Out-of-order segments waiting for the gap to fill.
+    /// Out-of-order segments waiting for the gap to fill — the only
+    /// payload bytes the receiver copies, because they must outlive
+    /// the frame that carried them.
     ooo: BTreeMap<u32, Vec<u8>>,
     /// Total in-order stream bytes delivered to the application.
     pub delivered: u64,
-    /// In-order payload not yet consumed by the app layer.
-    inbox: Vec<u8>,
     /// Duplicate ACKs generated (diagnostics).
     pub dupacks_sent: u64,
     /// The server reset this connection (admission shed or slow-client
@@ -76,7 +77,6 @@ impl ClientConn {
             rcv_wnd,
             ooo: BTreeMap::new(),
             delivered: 0,
-            inbox: Vec::new(),
             dupacks_sent: 0,
             reset_received: false,
         };
@@ -157,11 +157,18 @@ impl ClientConn {
     /// and return the ACKs to send — one cumulative ACK per burst in
     /// the common case, plus one duplicate ACK per out-of-order
     /// frame.
-    pub fn on_burst(
+    ///
+    /// Payloads are borrowed from their frames. `inbox` is cleared,
+    /// then receives the stream bytes the burst delivered in order
+    /// (healed out-of-order segments included), so one caller-owned
+    /// buffer can serve every burst of every connection.
+    pub fn on_burst<'a>(
         &mut self,
         _now: Nanos,
-        frames: impl IntoIterator<Item = (TcpRepr, Vec<u8>)>,
+        frames: impl IntoIterator<Item = (TcpRepr, FramePayload<'a>)>,
+        inbox: &mut Vec<u8>,
     ) -> Vec<ClientFrame> {
+        inbox.clear();
         let mut acks = Vec::new();
         let mut progress = false;
         for (tcp, payload) in frames {
@@ -191,15 +198,17 @@ impl ClientConn {
                         continue; // pure ACK from server
                     }
                     if tcp.seq == self.rcv_nxt {
-                        self.accept_in_order(payload);
+                        self.accept_in_order(&payload, inbox);
                         if tcp.flags.contains(TcpFlags::FIN) {
                             self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                         }
-                        self.drain_ooo();
+                        self.drain_ooo(inbox);
                         progress = true;
                     } else if tcp.seq.gt(self.rcv_nxt) {
-                        // Out of order: buffer + immediate dup ACK.
-                        self.ooo.insert(tcp.seq.0, payload);
+                        // Out of order: keep a copy + immediate dup ACK.
+                        let mut seg = Vec::with_capacity(payload.len());
+                        payload.append_to(&mut seg);
+                        self.ooo.insert(tcp.seq.0, seg);
                         self.dupacks_sent += 1;
                         acks.push(self.frame(self.snd_nxt, TcpFlags::ACK, Vec::new(), None));
                     } else {
@@ -216,13 +225,13 @@ impl ClientConn {
         acks
     }
 
-    fn accept_in_order(&mut self, payload: Vec<u8>) {
+    fn accept_in_order(&mut self, payload: &FramePayload<'_>, inbox: &mut Vec<u8>) {
         self.rcv_nxt = self.rcv_nxt.wrapping_add(payload.len() as u32);
         self.delivered += payload.len() as u64;
-        self.inbox.extend_from_slice(&payload);
+        payload.append_to(inbox);
     }
 
-    fn drain_ooo(&mut self) {
+    fn drain_ooo(&mut self, inbox: &mut Vec<u8>) {
         while let Some((&seq, _)) = self.ooo.iter().next() {
             let s = SeqNumber(seq);
             if s.gt(self.rcv_nxt) {
@@ -230,15 +239,10 @@ impl ClientConn {
             }
             let payload = self.ooo.remove(&seq).expect("just seen");
             if s == self.rcv_nxt {
-                self.accept_in_order(payload);
+                self.accept_in_order(&FramePayload::Slice(&payload), inbox);
             }
             // s < rcv_nxt: stale duplicate, drop.
         }
-    }
-
-    /// Take delivered in-order payload (the HTTP layer consumes it).
-    pub fn take_inbox(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.inbox)
     }
 
     #[must_use]
@@ -267,7 +271,7 @@ mod tests {
         )
     }
 
-    fn server_seg(seq: u32, flags: TcpFlags, payload: &[u8]) -> (TcpRepr, Vec<u8>) {
+    fn server_seg(seq: u32, flags: TcpFlags, payload: &[u8]) -> (TcpRepr, FramePayload<'_>) {
         (
             TcpRepr {
                 src_port: 80,
@@ -279,7 +283,7 @@ mod tests {
                 mss: None,
                 wscale: None,
             },
-            payload.to_vec(),
+            FramePayload::Slice(payload),
         )
     }
 
@@ -297,9 +301,9 @@ mod tests {
                 mss: Some(1448),
                 wscale: Some(8),
             },
-            Vec::new(),
+            FramePayload::Slice(&[]),
         );
-        let acks = c.on_burst(Nanos::ZERO, [synack]);
+        let acks = c.on_burst(Nanos::ZERO, [synack], &mut Vec::new());
         assert_eq!(acks.len(), 1);
         assert_eq!(c.state, ClientState::Established);
         c
@@ -319,21 +323,24 @@ mod tests {
             server_seg(1100, TcpFlags::ACK, &[2; 100]),
             server_seg(1200, TcpFlags::ACK, &[3; 100]),
         ];
-        let acks = c.on_burst(Nanos::ZERO, burst);
+        let mut inbox = Vec::new();
+        let acks = c.on_burst(Nanos::ZERO, burst, &mut inbox);
         assert_eq!(acks.len(), 1, "GRO-style: one ACK per burst");
         let (t, _) = TcpRepr::parse(&acks[0].headers[34..], None).unwrap();
         assert_eq!(t.ack, SeqNumber(1300));
         assert_eq!(c.delivered, 300);
-        assert_eq!(c.take_inbox().len(), 300);
+        assert_eq!(inbox.len(), 300);
     }
 
     #[test]
     fn gap_generates_dupack_then_heals() {
         let mut c = established();
+        let mut inbox = Vec::new();
         // Segment 2 arrives without segment 1.
         let acks = c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1100, TcpFlags::ACK, &[2; 100])],
+            &mut inbox,
         );
         assert_eq!(acks.len(), 1);
         let (t, _) = TcpRepr::parse(&acks[0].headers[34..], None).unwrap();
@@ -344,13 +351,14 @@ mod tests {
         let acks = c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1000, TcpFlags::ACK, &[1; 100])],
+            &mut inbox,
         );
         let (t, _) = TcpRepr::parse(&acks.last().unwrap().headers[34..], None).unwrap();
         assert_eq!(t.ack, SeqNumber(1200));
         assert_eq!(c.delivered, 200);
         assert_eq!(c.ooo_segments(), 0);
         // Stream order preserved.
-        let inbox = c.take_inbox();
+        assert_eq!(inbox.len(), 200);
         assert!(inbox[..100].iter().all(|&b| b == 1));
         assert!(inbox[100..].iter().all(|&b| b == 2));
     }
@@ -358,16 +366,20 @@ mod tests {
     #[test]
     fn stale_duplicate_reacked_not_delivered_twice() {
         let mut c = established();
+        let mut inbox = Vec::new();
         c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1000, TcpFlags::ACK, &[1; 100])],
+            &mut inbox,
         );
         let acks = c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1000, TcpFlags::ACK, &[1; 100])],
+            &mut inbox,
         );
         assert_eq!(acks.len(), 1, "re-ACK the duplicate");
         assert_eq!(c.delivered, 100, "not delivered twice");
+        assert!(inbox.is_empty(), "the duplicate delivers nothing");
     }
 
     #[test]
@@ -389,7 +401,11 @@ mod tests {
         let rst = crate::tcb::rst_for_syn(remote, local, &syn_tcp);
         let (rst_tcp, _) = TcpRepr::parse(&rst.headers[34..], None).unwrap();
         assert!(rst_tcp.flags.contains(TcpFlags::RST));
-        let acks = c.on_burst(Nanos::ZERO, [(rst_tcp, Vec::new())]);
+        let acks = c.on_burst(
+            Nanos::ZERO,
+            [(rst_tcp, FramePayload::Slice(&[]))],
+            &mut Vec::new(),
+        );
         assert!(acks.is_empty(), "no reply to an RST");
         assert_eq!(c.state, ClientState::Closed);
         assert!(c.reset_received);
@@ -401,7 +417,7 @@ mod tests {
         let (mut c, _syn) = ClientConn::connect(local, remote, SeqNumber(500), 4 << 20);
         let mut seg = server_seg(0, TcpFlags::RST | TcpFlags::ACK, &[]);
         seg.0.ack = SeqNumber(999); // not iss+1: stale/spoofed
-        c.on_burst(Nanos::ZERO, [seg]);
+        c.on_burst(Nanos::ZERO, [seg], &mut Vec::new());
         assert_eq!(c.state, ClientState::SynSent);
         assert!(!c.reset_received);
     }
@@ -412,6 +428,7 @@ mod tests {
         let acks = c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1000, TcpFlags::RST | TcpFlags::ACK, &[])],
+            &mut Vec::new(),
         );
         assert!(acks.is_empty());
         assert_eq!(c.state, ClientState::Closed);
@@ -424,8 +441,60 @@ mod tests {
         let acks = c.on_burst(
             Nanos::ZERO,
             vec![server_seg(1000, TcpFlags::ACK | TcpFlags::FIN, &[9; 10])],
+            &mut Vec::new(),
         );
         let (t, _) = TcpRepr::parse(&acks[0].headers[34..], None).unwrap();
         assert_eq!(t.ack, SeqNumber(1011), "payload + FIN");
+    }
+
+    #[test]
+    fn out_of_order_segment_outlives_its_frame_and_inbox_is_per_burst() {
+        let mut c = established();
+        let mut inbox = Vec::new();
+        // Burst 1: bytes 0..100 in order, 200..300 ahead of a gap. The
+        // frame buffer is dropped once the burst has been processed.
+        let frame: Vec<u8> = (0..=255u8).cycle().take(300).collect();
+        c.on_burst(
+            Nanos::ZERO,
+            vec![
+                server_seg(1000, TcpFlags::ACK, &frame[..100]),
+                server_seg(1200, TcpFlags::ACK, &frame[200..]),
+            ],
+            &mut inbox,
+        );
+        assert_eq!(inbox, frame[..100]);
+        let expected_tail = frame[100..].to_vec();
+        drop(frame);
+        // Burst 2 fills the gap from a different buffer; the parked
+        // segment must come back intact, and the reused inbox must
+        // hold only this burst's bytes.
+        let refill = expected_tail[..100].to_vec();
+        c.on_burst(
+            Nanos::ZERO,
+            vec![server_seg(1100, TcpFlags::ACK, &refill)],
+            &mut inbox,
+        );
+        assert_eq!(
+            inbox, expected_tail,
+            "gap fill + healed segment, no stale bytes"
+        );
+        assert_eq!(c.delivered, 300);
+        // Burst 3: a pure ACK delivers nothing and leaves nothing behind.
+        c.on_burst(
+            Nanos::ZERO,
+            vec![server_seg(1300, TcpFlags::ACK, &[])],
+            &mut inbox,
+        );
+        assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn virtual_payload_delivers_zeros() {
+        let mut c = established();
+        let mut inbox = vec![7u8; 5];
+        let (tcp, _) = server_seg(1000, TcpFlags::ACK, &[]);
+        c.on_burst(Nanos::ZERO, [(tcp, FramePayload::Virtual(64))], &mut inbox);
+        assert_eq!(inbox, vec![0u8; 64]);
+        assert_eq!(c.delivered, 64);
     }
 }

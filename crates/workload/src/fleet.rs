@@ -1,17 +1,16 @@
 //! The client fleet: protocol + application + verification.
 
 use crate::abr::{AbrConfig, AbrSession, FetchStep};
-use crate::verify::{Expected, RungClaim, StreamVerifier, VerifyStats};
-use dcn_crypto::RecordCipher;
+use crate::receive::{frame_of, ClientStream, Receiver};
+use crate::verify::{Expected, RungClaim, VerifyStats};
 use dcn_httpd::{chunk_path, parser::build_get, RequestDriver};
-use dcn_netdev::parse_frame;
 use dcn_netdev::WireFrame;
 use dcn_obs::qoe::{QoeStats, QoeSummary};
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr, SeqNumber};
 use dcn_simcore::{Nanos, SimRng, TimeBuckets};
 use dcn_store::{AbrManifest, Catalog};
 use dcn_tcpstack::{ClientConn, Endpoint};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Workload shape.
 #[derive(Clone, Copy, Debug)]
@@ -73,12 +72,8 @@ enum ClientMode {
 }
 
 struct Client {
-    conn: ClientConn,
+    stream: ClientStream,
     driver: RequestDriver,
-    cipher: RecordCipher,
-    verifier: StreamVerifier,
-    /// Requested files, front = response currently arriving.
-    outstanding: VecDeque<Expected>,
     done_at_least_one: bool,
     first_request_sent: bool,
     mode: ClientMode,
@@ -95,6 +90,8 @@ pub struct ClientFleet {
     catalog: Catalog,
     clients: Vec<Client>,
     by_flow: HashMap<FlowId, usize>,
+    /// The one delivery buffer every client's bursts pass through.
+    rx: Receiver,
     /// Response-body bytes received per time bucket — the network
     /// goodput the paper's throughput panels plot.
     pub goodput: TimeBuckets,
@@ -151,6 +148,7 @@ impl ClientFleet {
             catalog,
             clients: Vec::new(),
             by_flow: HashMap::new(),
+            rx: Receiver::default(),
             goodput: TimeBuckets::new(Nanos::from_millis(1)),
             total_body_bytes: 0,
             responses_completed: 0,
@@ -205,11 +203,6 @@ impl ClientFleet {
         } else {
             RequestDriver::uncachable(self.catalog.n_files(), rng.fork(1))
         };
-        // Same per-session dummy-key derivation as the server (§4.2's
-        // TLS emulation: handshake out of scope, keys pre-shared).
-        let mut key = [0u8; 16];
-        dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-        let cipher = RecordCipher::new(&key, flow.rss_hash());
         // ABR clients each stream one seeded-random title; the
         // verifier carries the manifest so every response is checked
         // against the claimed rung's chunk range.
@@ -217,16 +210,9 @@ impl ClientFleet {
             let m = self.manifest.as_ref().expect("manifest built with abr");
             AbrSession::new(m.clone(), acfg, rng.gen_range(0, m.n_titles()))
         });
-        let verifier = match (&self.manifest, self.cfg.verify) {
-            (Some(m), true) => StreamVerifier::with_manifest(m.clone()),
-            _ => StreamVerifier::new(),
-        };
         self.clients.push(Client {
-            conn,
+            stream: ClientStream::new(conn, self.manifest.as_ref(), self.cfg.verify),
             driver,
-            cipher,
-            verifier,
-            outstanding: VecDeque::new(),
             done_at_least_one: false,
             first_request_sent: false,
             mode: if idx < self.cfg.slowloris {
@@ -240,7 +226,7 @@ impl ClientFleet {
         self.by_flow.insert(flow, idx);
         ClientTx {
             flow,
-            frames: vec![frame_of(syn.headers, syn.payload)],
+            frames: vec![frame_of(syn)],
         }
     }
 
@@ -255,29 +241,21 @@ impl ClientFleet {
     ) -> Option<ClientTx> {
         let &idx = self.by_flow.get(&flow.reversed())?;
         let client = &mut self.clients[idx];
-        let parsed: Vec<_> = frames
-            .iter()
-            .filter_map(|f| {
-                let (_, tcp, payload) = parse_frame(f)?;
-                // Clients materialize the payload: they verify every
-                // delivered byte, so an owned copy is the product
-                // here, not hot-path waste.
-                Some((tcp, payload.to_vec()))
-            })
-            .collect();
-        let acks = client.conn.on_burst(now, parsed);
-        let mut out: Vec<WireFrame> = acks
-            .into_iter()
-            .map(|f| frame_of(f.headers, f.payload))
-            .collect();
+        let (mut out, delivered) = self.rx.on_burst(
+            now,
+            &frames,
+            &mut client.stream,
+            &mut client.driver,
+            self.cfg
+                .verify
+                .then_some((&self.catalog, &mut self.verify_stats)),
+        );
 
-        // Application layer: consume delivered stream bytes.
-        let delivered = client.conn.take_inbox();
+        // Application layer: account the delivered stream bytes.
         let mut completed = 0;
-        if !delivered.is_empty() {
-            let body_before = client.driver.body_bytes;
-            completed = client.driver.on_bytes(&delivered);
-            let body_new = client.driver.body_bytes - body_before;
+        if let Some(d) = delivered {
+            completed = d.completed;
+            let body_new = d.body_bytes;
             self.goodput.add(now, body_new as f64);
             self.total_body_bytes += body_new;
             self.responses_completed += completed;
@@ -291,15 +269,6 @@ impl ClientFleet {
                 // until the harness fires it.
                 self.pending_retries
                     .insert((now + Nanos::from_millis(backoff_ms), idx));
-            }
-            if self.cfg.verify {
-                client.verifier.push(
-                    &delivered,
-                    &mut client.outstanding,
-                    &self.catalog,
-                    &client.cipher,
-                    &mut self.verify_stats,
-                );
             }
             if completed > 0 {
                 client.done_at_least_one = true;
@@ -317,7 +286,7 @@ impl ClientFleet {
         // the very first request when the handshake completes.
         let client = &mut self.clients[idx];
         let established = matches!(
-            client.conn.state,
+            client.stream.conn.state,
             dcn_tcpstack::client::ClientState::Established
         );
         if client.mode == ClientMode::Slowloris {
@@ -326,8 +295,8 @@ impl ClientFleet {
             // but never completes a request.
             if !client.first_request_sent && established {
                 client.first_request_sent = true;
-                let f = client.conn.send(b"GET /chunk/00000000 HT".to_vec());
-                out.push(frame_of(f.headers, f.payload));
+                let f = client.stream.conn.send(b"GET /chunk/00000000 HT".to_vec());
+                out.push(frame_of(f));
             }
             return Some(ClientTx {
                 flow: flow.reversed(),
@@ -377,7 +346,7 @@ impl ClientFleet {
             (client.driver.next_file(), None)
         };
         if verify {
-            client.outstanding.push_back(Expected {
+            client.stream.outstanding.push_back(Expected {
                 file,
                 base: 0,
                 claim,
@@ -387,8 +356,8 @@ impl ClientFleet {
             client.ttfb_pending = Some(now);
         }
         let req = build_get(&chunk_path(file), "cdn.test");
-        let f = client.conn.send(req);
-        Some(frame_of(f.headers, f.payload))
+        let f = client.stream.conn.send(req);
+        Some(frame_of(f))
     }
 
     /// Earliest pending Retry-After deadline (for harness scheduling).
@@ -408,7 +377,7 @@ impl ClientFleet {
             self.pending_retries.remove(&(at, idx));
             let client = &mut self.clients[idx];
             if !matches!(
-                client.conn.state,
+                client.stream.conn.state,
                 dcn_tcpstack::client::ClientState::Established
             ) {
                 continue; // reset meanwhile; nothing to retry on
@@ -419,12 +388,12 @@ impl ClientFleet {
                 continue;
             };
             let req = build_get(&chunk_path(file), "cdn.test");
-            let f = client.conn.send(req);
-            let flow = client.conn.flow();
+            let f = client.stream.conn.send(req);
+            let flow = client.stream.conn.flow();
             self.retries_fired += 1;
             txs.push(ClientTx {
                 flow,
-                frames: vec![frame_of(f.headers, f.payload)],
+                frames: vec![frame_of(f)],
             });
         }
         txs
@@ -447,14 +416,14 @@ impl ClientFleet {
             }
             self.pending_paced.remove(&(at, idx));
             if !matches!(
-                self.clients[idx].conn.state,
+                self.clients[idx].stream.conn.state,
                 dcn_tcpstack::client::ClientState::Established
             ) {
                 continue; // reset meanwhile; the session is dead
             }
             if let Some(frame) = self.next_request(now, idx) {
                 self.paced_fired += 1;
-                let flow = self.clients[idx].conn.flow();
+                let flow = self.clients[idx].stream.conn.flow();
                 txs.push(ClientTx {
                     flow,
                     frames: vec![frame],
@@ -490,7 +459,7 @@ impl ClientFleet {
     pub fn resets_received(&self) -> u64 {
         self.clients
             .iter()
-            .filter(|c| c.conn.reset_received)
+            .filter(|c| c.stream.conn.reset_received)
             .count() as u64
     }
 
@@ -531,19 +500,21 @@ impl ClientFleet {
     /// Total dup-ACKs the fleet generated (loss diagnostics).
     #[must_use]
     pub fn dupacks(&self) -> u64 {
-        self.clients.iter().map(|c| c.conn.dupacks_sent).sum()
+        self.clients
+            .iter()
+            .map(|c| c.stream.conn.dupacks_sent)
+            .sum()
     }
-}
-
-fn frame_of(headers: Vec<u8>, payload: Vec<u8>) -> WireFrame {
-    WireFrame::single(headers, dcn_netdev::PayloadBytes::Real(payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_netdev::PayloadBytes;
+    use crate::verify::StreamVerifier;
+    use dcn_crypto::RecordCipher;
+    use dcn_netdev::{parse_frame, PayloadBytes};
     use dcn_store::FileId;
+    use std::collections::VecDeque;
 
     fn catalog() -> Catalog {
         Catalog::new(1000, 300 * 1024, 4, 7)

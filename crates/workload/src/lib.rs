@@ -16,6 +16,7 @@
 pub mod abr;
 pub mod fleet;
 pub mod multi;
+mod receive;
 pub mod runner;
 pub mod verify;
 

@@ -16,21 +16,20 @@
 //! file offsets.
 
 use crate::abr::{AbrSession, FetchStep};
-use crate::verify::{Expected, RungClaim, StreamVerifier, VerifyStats};
-use dcn_crypto::RecordCipher;
+use crate::receive::{frame_of, ClientStream, Receiver};
+use crate::verify::{Expected, RungClaim, VerifyStats};
 use dcn_httpd::{
     chunk_path,
     parser::{build_get, build_get_range},
     RequestDriver,
 };
-use dcn_netdev::parse_frame;
 use dcn_netdev::WireFrame;
 use dcn_obs::qoe::{QoeStats, QoeSummary};
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr, SeqNumber};
 use dcn_simcore::{Nanos, SimRng, TimeBuckets};
 use dcn_store::{AbrManifest, Catalog, FileId};
 use dcn_tcpstack::{client::ClientState, ClientConn, Endpoint};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use crate::fleet::{AbrReadout, ClientTx, FleetConfig};
 
@@ -59,10 +58,7 @@ pub enum NeedStep {
 
 /// One connection to one server.
 struct ConnState {
-    conn: ClientConn,
-    cipher: RecordCipher,
-    verifier: StreamVerifier,
-    outstanding: VecDeque<Expected>,
+    stream: ClientStream,
     /// Request waiting for the handshake to complete.
     pending: Option<Expected>,
 }
@@ -99,6 +95,8 @@ pub struct MultiFleet {
     clients: Vec<MClient>,
     /// Keyed by the client→server flow.
     by_flow: HashMap<FlowId, (usize, usize)>,
+    /// The one delivery buffer every connection's bursts pass through.
+    rx: Receiver,
     pub goodput: TimeBuckets,
     pub total_body_bytes: u64,
     pub responses_completed: u64,
@@ -129,6 +127,7 @@ impl MultiFleet {
             manifest,
             clients: Vec::new(),
             by_flow: HashMap::new(),
+            rx: Receiver::default(),
             goodput: TimeBuckets::new(Nanos::from_millis(1)),
             total_body_bytes: 0,
             responses_completed: 0,
@@ -246,19 +245,19 @@ impl MultiFleet {
             claim,
         };
         if let Some(cs) = client.conns[server].as_mut() {
-            if matches!(cs.conn.state, ClientState::Established) {
+            if matches!(cs.stream.conn.state, ClientState::Established) {
                 if verify {
-                    cs.outstanding.push_back(expected);
+                    cs.stream.outstanding.push_back(expected);
                 }
-                let f = cs.conn.send(get_bytes(need));
+                let f = cs.stream.conn.send(get_bytes(need));
                 return ClientTx {
-                    flow: cs.conn.flow(),
-                    frames: vec![frame_of(f.headers, f.payload)],
+                    flow: cs.stream.conn.flow(),
+                    frames: vec![frame_of(f)],
                 };
             }
             cs.pending = Some(expected);
             return ClientTx {
-                flow: cs.conn.flow(),
+                flow: cs.stream.conn.flow(),
                 frames: Vec::new(),
             };
         }
@@ -268,26 +267,14 @@ impl MultiFleet {
         let iss = SeqNumber(client.rng.next_u64() as u32);
         let (conn, syn) = ClientConn::connect(local, self.endpoints[server], iss, 4 << 20);
         let flow = conn.flow();
-        // Per-session key derived from the flow, same as the server's
-        // §4.2 TLS emulation (handshake out of scope).
-        let mut key = [0u8; 16];
-        dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-        let cipher = RecordCipher::new(&key, flow.rss_hash());
-        let verifier = match (&self.manifest, verify) {
-            (Some(m), true) => StreamVerifier::with_manifest(m.clone()),
-            _ => StreamVerifier::new(),
-        };
         client.conns[server] = Some(ConnState {
-            conn,
-            cipher,
-            verifier,
-            outstanding: VecDeque::new(),
+            stream: ClientStream::new(conn, self.manifest.as_ref(), verify),
             pending: Some(expected),
         });
         self.by_flow.insert(flow, (idx, server));
         ClientTx {
             flow,
-            frames: vec![frame_of(syn.headers, syn.payload)],
+            frames: vec![frame_of(syn)],
         }
     }
 
@@ -302,37 +289,22 @@ impl MultiFleet {
         let &(idx, server) = self.by_flow.get(&flow.reversed())?;
         let client = &mut self.clients[idx];
         let cs = client.conns[server].as_mut()?;
-        let parsed: Vec<_> = frames
-            .iter()
-            .filter_map(|f| {
-                let (_, tcp, payload) = parse_frame(f)?;
-                Some((tcp, payload.to_vec()))
-            })
-            .collect();
-        let acks = cs.conn.on_burst(now, parsed);
-        let mut out: Vec<WireFrame> = acks
-            .into_iter()
-            .map(|f| frame_of(f.headers, f.payload))
-            .collect();
+        let (mut out, delivered) = self.rx.on_burst(
+            now,
+            &frames,
+            &mut cs.stream,
+            &mut client.driver,
+            self.cfg
+                .verify
+                .then_some((&self.catalog, &mut self.verify_stats)),
+        );
 
-        let delivered = cs.conn.take_inbox();
         let mut completed = 0;
-        if !delivered.is_empty() {
-            let body_before = client.driver.body_bytes;
-            completed = client.driver.on_bytes(&delivered);
-            let body_new = client.driver.body_bytes - body_before;
-            self.goodput.add(now, body_new as f64);
-            self.total_body_bytes += body_new;
+        if let Some(d) = delivered {
+            completed = d.completed;
+            self.goodput.add(now, d.body_bytes as f64);
+            self.total_body_bytes += d.body_bytes;
             self.responses_completed += completed;
-            if self.cfg.verify {
-                cs.verifier.push(
-                    &delivered,
-                    &mut cs.outstanding,
-                    &self.catalog,
-                    &cs.cipher,
-                    &mut self.verify_stats,
-                );
-            }
             if completed > 0 {
                 client.done_at_least_one = true;
                 client.current = None;
@@ -345,18 +317,18 @@ impl MultiFleet {
             }
         }
         // Handshake completed → release the parked request.
-        if matches!(cs.conn.state, ClientState::Established) {
+        if matches!(cs.stream.conn.state, ClientState::Established) {
             if let Some(exp) = cs.pending.take() {
                 if self.cfg.verify {
-                    cs.outstanding.push_back(exp);
+                    cs.stream.outstanding.push_back(exp);
                 }
                 let need = RequestNeed {
                     client: idx,
                     file: exp.file,
                     base: exp.base,
                 };
-                let f = cs.conn.send(get_bytes(need));
-                out.push(frame_of(f.headers, f.payload));
+                let f = cs.stream.conn.send(get_bytes(need));
+                out.push(frame_of(f));
             }
         }
         Some(BurstOut {
@@ -378,7 +350,7 @@ impl MultiFleet {
             let Some(cs) = client.conns[server].take() else {
                 continue;
             };
-            self.by_flow.remove(&cs.conn.flow());
+            self.by_flow.remove(&cs.stream.conn.flow());
             let Some((cur_server, cur_file, cur_base)) = client.current else {
                 continue; // idle connection, nothing in flight
             };
@@ -440,7 +412,7 @@ impl MultiFleet {
         self.clients
             .iter()
             .flat_map(|c| c.conns.iter().flatten())
-            .map(|cs| cs.conn.dupacks_sent)
+            .map(|cs| cs.stream.conn.dupacks_sent)
             .sum()
     }
 }
@@ -452,10 +424,6 @@ fn get_bytes(need: RequestNeed) -> Vec<u8> {
     } else {
         build_get(&path, "cdn.test")
     }
-}
-
-fn frame_of(headers: Vec<u8>, payload: Vec<u8>) -> WireFrame {
-    WireFrame::single(headers, dcn_netdev::PayloadBytes::Real(payload))
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use dcn_store::{AbrManifest, Catalog, FileId};
 use std::collections::VecDeque;
 
 /// Outcome counters of stream verification.
-#[derive(Clone, Copy, Default, Debug)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct VerifyStats {
     pub verified_bytes: u64,
     pub failures: u64,
@@ -73,12 +73,42 @@ impl Expected {
     }
 }
 
+/// Most bytes a verifier carries from one push to the next: one whole
+/// TLS record as it sits on the wire. An incomplete response head is
+/// far smaller.
+const CARRY_MAX: usize = RECORD_HEADER_LEN + RECORD_PAYLOAD_MAX as usize + GCM_TAG_LEN;
+
+/// Where the verifier is in the response stream.
+#[derive(Clone, Copy, Debug)]
+enum Position {
+    /// Between responses: the next bytes are a response head.
+    Head,
+    /// Inside a response body: the file, the base file offset, the
+    /// response-relative plaintext offset, and whether the body is
+    /// record-framed ciphertext.
+    Body {
+        file: FileId,
+        base: u64,
+        resp_off: u64,
+        encrypted: bool,
+    },
+    /// A response head that does not parse: the stream cannot be
+    /// framed any further, so nothing after it is verified.
+    Lost,
+}
+
 /// Incremental per-connection verifier.
+///
+/// Delivered bytes are checked where they sit: plaintext body slices
+/// straight against the catalog oracle, TLS records after opening
+/// them in the carry buffer. The only bytes kept between pushes are
+/// an incomplete response head or an incomplete TLS record, so a
+/// verifier never holds more than one wire record (16 KiB + 21 B).
 pub struct StreamVerifier {
+    /// Bytes carried between pushes (see above); also where a TLS
+    /// record is assembled and opened.
     buf: Vec<u8>,
-    /// Current response state: (file, base file offset,
-    /// response-relative plaintext offset, encrypted?).
-    body: Option<(FileId, u64, u64, bool)>,
+    pos: Position,
     /// ABR manifest for rung-claim checks (None for fixed workloads).
     manifest: Option<AbrManifest>,
 }
@@ -94,7 +124,7 @@ impl StreamVerifier {
     pub fn new() -> Self {
         StreamVerifier {
             buf: Vec::new(),
-            body: None,
+            pos: Position::Head,
             manifest: None,
         }
     }
@@ -109,22 +139,43 @@ impl StreamVerifier {
         }
     }
 
+    /// Verify the next delivered stream bytes. A plaintext body is
+    /// checked slice by slice — one failure per mismatching slice of
+    /// one push — and a TLS body record by record.
     pub fn push(
         &mut self,
-        data: &[u8],
+        mut data: &[u8],
         outstanding: &mut VecDeque<Expected>,
         catalog: &Catalog,
         cipher: &RecordCipher,
         stats: &mut VerifyStats,
     ) {
-        self.buf.extend_from_slice(data);
         loop {
-            match self.body {
-                None => {
-                    let Some(head) = scan_response_head(&self.buf) else {
+            match self.pos {
+                Position::Lost => return,
+                Position::Head => {
+                    let Some(end) = head_end(&self.buf, data) else {
+                        if self.buf.len() + data.len() > CARRY_MAX {
+                            // No response head is this long.
+                            self.pos = Position::Lost;
+                            self.buf = Vec::new();
+                        } else {
+                            self.buf.extend_from_slice(data);
+                        }
                         return;
                     };
-                    self.buf.drain(..head.header_len);
+                    let head = if self.buf.is_empty() {
+                        scan_response_head(&data[..end])
+                    } else {
+                        self.buf.extend_from_slice(&data[..end]);
+                        scan_response_head(&self.buf)
+                    };
+                    self.buf.clear();
+                    data = &data[end..];
+                    let Some(head) = head else {
+                        self.pos = Position::Lost;
+                        return;
+                    };
                     if head.status == 503 {
                         // Load shed: zero-length body and the request
                         // stays outstanding — the client retries it
@@ -146,61 +197,93 @@ impl StreamVerifier {
                             stats.rung_mismatches += 1;
                         }
                     }
-                    self.body = Some((exp.file, exp.base, 0, head.encrypted));
+                    self.pos = Position::Body {
+                        file: exp.file,
+                        base: exp.base,
+                        resp_off: 0,
+                        encrypted: head.encrypted,
+                    };
                 }
-                Some((file, base, resp_off, encrypted)) => {
-                    let file_size = catalog.file_size();
+                Position::Body {
+                    file,
+                    base,
+                    resp_off,
+                    encrypted,
+                } => {
                     let abs_off = base + resp_off;
-                    if abs_off >= file_size {
-                        self.body = None;
+                    let left = catalog.file_size().saturating_sub(abs_off);
+                    if left == 0 {
+                        self.pos = Position::Head;
                         outstanding.pop_front();
                         continue;
                     }
-                    if encrypted {
-                        let rec_plain = (file_size - abs_off).min(RECORD_PAYLOAD_MAX) as usize;
+                    if data.is_empty() {
+                        return;
+                    }
+                    let n = if encrypted {
+                        let rec_plain = left.min(RECORD_PAYLOAD_MAX) as usize;
                         let rec_wire = RECORD_HEADER_LEN + rec_plain + GCM_TAG_LEN;
+                        let take = (rec_wire - self.buf.len()).min(data.len());
+                        self.buf.reserve_exact(rec_wire - self.buf.len());
+                        self.buf.extend_from_slice(&data[..take]);
+                        data = &data[take..];
                         if self.buf.len() < rec_wire {
                             return;
                         }
-                        let record: Vec<u8> = self.buf.drain(..rec_wire).collect();
-                        let mut ct =
-                            record[RECORD_HEADER_LEN..RECORD_HEADER_LEN + rec_plain].to_vec();
-                        let tag: [u8; GCM_TAG_LEN] =
-                            record[rec_wire - GCM_TAG_LEN..].try_into().expect("tag");
+                        let (record, tag) = self.buf.split_at_mut(rec_wire - GCM_TAG_LEN);
+                        let ct = &mut record[RECORD_HEADER_LEN..];
+                        let tag: &[u8; GCM_TAG_LEN] = (&*tag).try_into().expect("tag");
                         // GCM nonces are response-relative (the
                         // serving replica framed from scratch); the
                         // oracle offset is file-absolute.
-                        if cipher.open_record(resp_off, &mut ct, &tag) {
-                            let mut want = vec![0u8; ct.len()];
-                            catalog.expected(file, abs_off, &mut want);
-                            if ct == want {
-                                stats.verified_bytes += ct.len() as u64;
-                            } else {
-                                stats.failures += 1;
-                            }
+                        if cipher.open_record(resp_off, ct, tag)
+                            && catalog.matches(file, abs_off, ct)
+                        {
+                            stats.verified_bytes += rec_plain as u64;
                         } else {
                             stats.failures += 1;
                         }
-                        self.body = Some((file, base, resp_off + rec_plain as u64, encrypted));
+                        self.buf.clear();
+                        rec_plain
                     } else {
-                        if self.buf.is_empty() {
-                            return;
-                        }
-                        let n = (file_size - abs_off).min(self.buf.len() as u64) as usize;
-                        let got: Vec<u8> = self.buf.drain(..n).collect();
-                        let mut want = vec![0u8; n];
-                        catalog.expected(file, abs_off, &mut want);
-                        if got == want {
+                        let n = left.min(data.len() as u64) as usize;
+                        let (got, rest) = data.split_at(n);
+                        if catalog.matches(file, abs_off, got) {
                             stats.verified_bytes += n as u64;
                         } else {
                             stats.failures += 1;
                         }
-                        self.body = Some((file, base, resp_off + n as u64, encrypted));
-                    }
+                        data = rest;
+                        n
+                    };
+                    self.pos = Position::Body {
+                        file,
+                        base,
+                        resp_off: resp_off + n as u64,
+                        encrypted,
+                    };
                 }
             }
         }
     }
+}
+
+/// How many bytes of `data` complete the response head begun in
+/// `carried` (which holds no terminator yet): the end of the first
+/// `\r\n\r\n` in `carried ++ data`, which may straddle the two.
+fn head_end(carried: &[u8], data: &[u8]) -> Option<usize> {
+    const END: &[u8] = b"\r\n\r\n";
+    let keep = carried.len().min(END.len() - 1);
+    let take = data.len().min(END.len() - 1);
+    let mut seam = [0u8; 6];
+    seam[..keep].copy_from_slice(&carried[carried.len() - keep..]);
+    seam[keep..keep + take].copy_from_slice(&data[..take]);
+    if let Some(i) = seam[..keep + take].windows(4).position(|w| w == END) {
+        return Some(i + END.len() - keep);
+    }
+    data.windows(4)
+        .position(|w| w == END)
+        .map(|i| i + END.len())
 }
 
 #[cfg(test)]
@@ -375,5 +458,199 @@ mod tests {
         );
         assert_eq!(stats.failures, 0);
         assert_eq!(stats.rung_mismatches, 0);
+    }
+
+    /// `file` from plaintext offset `base` to its end, as a server puts
+    /// it on the wire: raw, or as sealed records whose nonces restart
+    /// at the response.
+    fn wire_body(
+        cat: &Catalog,
+        cipher: &RecordCipher,
+        file: FileId,
+        base: u64,
+        encrypted: bool,
+    ) -> Vec<u8> {
+        let mut plain = vec![0u8; (cat.file_size() - base) as usize];
+        cat.expected(file, base, &mut plain);
+        if !encrypted {
+            return plain;
+        }
+        let mut wire = Vec::new();
+        for (i, rec) in plain.chunks_mut(RECORD_PAYLOAD_MAX as usize).enumerate() {
+            let tag = cipher.seal_record(i as u64 * RECORD_PAYLOAD_MAX, rec);
+            let len = (rec.len() + GCM_TAG_LEN) as u16;
+            wire.extend_from_slice(&[0x17, 0x03, 0x03]);
+            wire.extend_from_slice(&len.to_be_bytes());
+            wire.extend_from_slice(rec);
+            wire.extend_from_slice(&tag);
+        }
+        wire
+    }
+
+    /// One connection's traffic: a 200, a ranged 206 resume, a 503
+    /// followed by the retried 200, a 404, and two back-to-back 200s.
+    /// Returns the stream, the requests it answers, the plaintext body
+    /// bytes it carries, and the stream index of one body byte.
+    fn mixed_stream(
+        cat: &Catalog,
+        cipher: &RecordCipher,
+        encrypted: bool,
+    ) -> (Vec<u8>, VecDeque<Expected>, u64, usize) {
+        let size = cat.file_size();
+        let resume = RECORD_PAYLOAD_MAX;
+        let mut stream = Vec::new();
+        let mut outstanding = VecDeque::new();
+        let mut plain = 0;
+        let mut body_byte = 0;
+        let mut respond = |stream: &mut Vec<u8>, file: FileId, base: u64| {
+            let info = if base == 0 {
+                ResponseInfo::Ok { body_len: size }
+            } else {
+                ResponseInfo::Partial {
+                    body_len: size - base,
+                    offset: base,
+                }
+            };
+            stream.extend(response_header(info, encrypted));
+            stream.extend(wire_body(cat, cipher, file, base, encrypted));
+            plain += size - base;
+        };
+        let shed = response_header(
+            ResponseInfo::ServiceUnavailable {
+                retry_after_ms: 1500,
+            },
+            encrypted,
+        );
+        for (file, base) in [(1, 0), (2, resume)] {
+            outstanding.push_back(Expected::plain(FileId(file), base));
+            if base > 0 {
+                body_byte = stream.len() + 400;
+            }
+            respond(&mut stream, FileId(file), base);
+        }
+        outstanding.push_back(Expected::plain(FileId(3), 0));
+        stream.extend(&shed);
+        respond(&mut stream, FileId(3), 0);
+        outstanding.push_back(Expected::plain(FileId(4), 0));
+        stream.extend(response_header(ResponseInfo::NotFound, encrypted));
+        for file in [5, 6] {
+            outstanding.push_back(Expected::plain(FileId(file), 0));
+            respond(&mut stream, FileId(file), 0);
+        }
+        (stream, outstanding, plain, body_byte)
+    }
+
+    /// Push `stream` in pieces ending at `cuts` (ascending; the end of
+    /// the stream is implied) and return the stats and what is still
+    /// outstanding.
+    fn verify_split(
+        cat: &Catalog,
+        cipher: &RecordCipher,
+        stream: &[u8],
+        mut outstanding: VecDeque<Expected>,
+        cuts: &[usize],
+    ) -> (VerifyStats, VecDeque<Expected>) {
+        let mut v = StreamVerifier::new();
+        let mut stats = VerifyStats::default();
+        let mut from = 0;
+        for &to in cuts.iter().chain([stream.len()].iter()) {
+            v.push(&stream[from..to], &mut outstanding, cat, cipher, &mut stats);
+            from = to;
+        }
+        assert!(v.buf.is_empty(), "stream ends on a response boundary");
+        (stats, outstanding)
+    }
+
+    /// The three ways a stream is cut: not at all, after every byte,
+    /// and at seeded random points.
+    fn splits(len: usize) -> [Vec<usize>; 3] {
+        let mut rng = dcn_simcore::SimRng::new(16);
+        let mut random = Vec::new();
+        let mut at = 0;
+        loop {
+            at += rng.gen_range(1, 3000) as usize;
+            if at >= len {
+                break;
+            }
+            random.push(at);
+        }
+        [Vec::new(), (1..len).collect(), random]
+    }
+
+    fn small_catalog() -> Catalog {
+        // Two full records and a short last one.
+        Catalog::new(16, 2 * RECORD_PAYLOAD_MAX + 1000, 4, 7)
+    }
+
+    #[test]
+    fn verdict_is_independent_of_how_the_stream_is_cut() {
+        let cat = small_catalog();
+        let cipher = RecordCipher::new(b"0123456789abcdef", 1);
+        for encrypted in [false, true] {
+            let (stream, outstanding, plain, _) = mixed_stream(&cat, &cipher, encrypted);
+            for cuts in splits(stream.len()) {
+                let (stats, left) =
+                    verify_split(&cat, &cipher, &stream, outstanding.clone(), &cuts);
+                assert_eq!(
+                    stats,
+                    VerifyStats {
+                        verified_bytes: plain,
+                        failures: 0,
+                        rung_mismatches: 0,
+                    },
+                    "encrypted={encrypted}, {} pieces",
+                    cuts.len() + 1
+                );
+                assert!(left.is_empty(), "every response consumed");
+            }
+        }
+    }
+
+    #[test]
+    fn one_flipped_body_byte_is_one_failure_however_cut() {
+        let cat = small_catalog();
+        let cipher = RecordCipher::new(b"0123456789abcdef", 1);
+        for encrypted in [false, true] {
+            let (mut stream, outstanding, _, body_byte) = mixed_stream(&cat, &cipher, encrypted);
+            stream[body_byte] ^= 0x20;
+            for cuts in splits(stream.len()) {
+                let (stats, left) =
+                    verify_split(&cat, &cipher, &stream, outstanding.clone(), &cuts);
+                assert_eq!(
+                    stats.failures,
+                    1,
+                    "encrypted={encrypted}, {} pieces",
+                    cuts.len() + 1
+                );
+                assert!(left.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn carry_over_is_at_most_one_wire_record() {
+        let cat = catalog();
+        let cipher = RecordCipher::new(b"0123456789abcdef", 1);
+        let bound = RECORD_HEADER_LEN + RECORD_PAYLOAD_MAX as usize + GCM_TAG_LEN;
+        for encrypted in [false, true] {
+            let info = ResponseInfo::Ok {
+                body_len: cat.file_size(),
+            };
+            let mut push = response_header(info, encrypted);
+            push.extend(wire_body(&cat, &cipher, FileId(8), 0, encrypted));
+            let next_head = response_header(info, encrypted);
+            push.extend_from_slice(&next_head[..next_head.len() / 2]);
+            let mut outstanding: VecDeque<Expected> =
+                [FileId(8), FileId(9)].map(|f| Expected::plain(f, 0)).into();
+            let mut v = StreamVerifier::new();
+            let mut stats = VerifyStats::default();
+            v.push(&push, &mut outstanding, &cat, &cipher, &mut stats);
+            assert_eq!(stats.verified_bytes, cat.file_size());
+            assert!(
+                v.buf.capacity() <= bound,
+                "encrypted={encrypted}: {} bytes of capacity kept",
+                v.buf.capacity()
+            );
+        }
     }
 }

@@ -105,9 +105,10 @@ impl Rig {
                     let segs = frames
                         .iter()
                         .filter_map(parse_frame)
-                        .map(|(_, tcp, payload)| (tcp, payload.to_vec()));
-                    let acks = self.client.on_burst(self.now, segs.collect::<Vec<_>>());
-                    self.stream.extend(self.client.take_inbox());
+                        .map(|(_, tcp, payload)| (tcp, payload));
+                    let mut inbox = Vec::new();
+                    let acks = self.client.on_burst(self.now, segs, &mut inbox);
+                    self.stream.extend(inbox);
                     self.send_frames(acks);
                     continue;
                 }
