@@ -24,8 +24,9 @@ cargo test -q --release --test faults --test retransmission --test observability
 echo "==> cluster smoke (multi-server scale-out / failover)"
 cargo test -q --release --test cluster
 
-echo "==> client oracle gate (streaming verifier; verified content on both stacks, plain and TLS)"
+echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS)"
 cargo test -q --release -p dcn-workload verify
+cargo test -q --release -p dcn-httpd
 cargo test -q --release --test end_to_end_atlas --test end_to_end_kstack
 
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
@@ -41,6 +42,9 @@ trap 'rm -rf "$perf_tmp"' EXIT
 ./target/release/perf_baseline --out "$perf_tmp/run2.json" >/dev/null
 cmp "$perf_tmp/run1.json" "$perf_tmp/run2.json" \
     || { echo "error: perf_baseline is nondeterministic (back-to-back runs differ)" >&2; exit 1; }
+
+echo "==> buffer-cache gate (arena vs reference model, page index vs HashMap)"
+cargo test -q --release -p dcn-store bufcache
 
 echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json)"
 ./target/release/ablation_tiers --out "$perf_tmp/tiers_full.json" >/dev/null

@@ -197,7 +197,9 @@ impl RequestDriver {
 
     /// Consume received stream bytes. Returns the number of
     /// *responses completed* by this data (each completion means the
-    /// driver should send the next request).
+    /// driver should send the next request). Body bytes are counted
+    /// where they arrive; only a head split across calls is carried
+    /// over, and only its own bytes.
     pub fn on_bytes(&mut self, mut data: &[u8]) -> u64 {
         let mut completed = 0;
         while !data.is_empty() {
@@ -218,38 +220,62 @@ impl RequestDriver {
                     }
                 }
                 None => {
-                    self.header_buf.extend_from_slice(data);
-                    data = &[];
-                    if let Some(head) = scan_response_head(&self.header_buf) {
-                        self.current_encrypted = head.encrypted;
-                        // Any bytes past the header are body bytes:
-                        // recurse over the tail.
-                        let tail = self.header_buf.split_off(head.header_len);
-                        self.header_buf.clear();
-                        let cl = head.content_length;
-                        if head.status == 503 {
-                            // Load shed: the request stays outstanding
-                            // (`current_file` keeps the file to retry)
-                            // and we honour the server's backoff.
-                            self.rejections_503 += 1;
-                            self.retry_after_pending = Some(head.retry_after_ms.unwrap_or(1000));
-                        } else if cl == 0 {
-                            self.current_file = None;
-                            self.responses_done += 1;
-                            completed += 1;
-                        } else {
-                            self.body_remaining = Some(cl);
-                            self.body_total = Some(cl);
-                        }
-                        if !tail.is_empty() {
-                            completed += self.on_bytes(&tail);
-                        }
+                    if self.header_buf.ends_with(HEAD_END) {
+                        // A complete head that did not parse: the
+                        // stream is unreadable until the connection
+                        // is dropped.
+                        break;
+                    }
+                    let Some(end) = head_end(&self.header_buf, data) else {
+                        self.header_buf.extend_from_slice(data);
+                        break;
+                    };
+                    self.header_buf.extend_from_slice(&data[..end]);
+                    data = &data[end..];
+                    let Some(head) = scan_response_head(&self.header_buf) else {
+                        break;
+                    };
+                    self.header_buf.clear();
+                    self.current_encrypted = head.encrypted;
+                    let cl = head.content_length;
+                    if head.status == 503 {
+                        // Load shed: the request stays outstanding
+                        // (`current_file` keeps the file to retry)
+                        // and we honour the server's backoff.
+                        self.rejections_503 += 1;
+                        self.retry_after_pending = Some(head.retry_after_ms.unwrap_or(1000));
+                    } else if cl == 0 {
+                        self.current_file = None;
+                        self.responses_done += 1;
+                        completed += 1;
+                    } else {
+                        self.body_remaining = Some(cl);
+                        self.body_total = Some(cl);
                     }
                 }
             }
         }
         completed
     }
+}
+
+/// The blank line that ends a response head.
+const HEAD_END: &[u8] = b"\r\n\r\n";
+
+/// How many bytes of `data` complete the head whose first bytes are
+/// `carry`, or None when `data` does not reach its end.
+fn head_end(carry: &[u8], data: &[u8]) -> Option<usize> {
+    // The blank line may straddle the two: `k` of its bytes in `data`.
+    let straddle = (1..HEAD_END.len()).find(|&k| {
+        k <= data.len()
+            && carry.ends_with(&HEAD_END[..HEAD_END.len() - k])
+            && data.starts_with(&HEAD_END[HEAD_END.len() - k..])
+    });
+    straddle.or_else(|| {
+        data.windows(HEAD_END.len())
+            .position(|w| w == HEAD_END)
+            .map(|i| i + HEAD_END.len())
+    })
 }
 
 #[cfg(test)]
@@ -390,6 +416,155 @@ mod tests {
         ok.extend_from_slice(&[0u8; 10]);
         assert_eq!(d.on_bytes(&ok), 1);
         assert!(!d.awaiting_response());
+    }
+
+    /// One response of a scripted stream and what it should do to the
+    /// driver once its last byte arrives.
+    struct Scripted {
+        bytes: Vec<u8>,
+        completes: bool,
+        body: u64,
+    }
+
+    fn scripted(info: ResponseInfo, encrypted: bool) -> Scripted {
+        let mut bytes = response_header(info, encrypted);
+        let body = match info.body() {
+            Some((_, len)) if encrypted => crate::response::encrypted_body_len(len),
+            Some((_, len)) => len,
+            None => 0,
+        };
+        bytes.extend((0..body).map(|i| (i % 251) as u8));
+        Scripted {
+            bytes,
+            completes: !matches!(info, ResponseInfo::ServiceUnavailable { .. }),
+            body,
+        }
+    }
+
+    /// 200, a shed 503 with Retry-After, an encrypted 206, a zero-length
+    /// body, two small back-to-back responses and a 64 KiB body.
+    fn script() -> Vec<Scripted> {
+        vec![
+            scripted(ResponseInfo::Ok { body_len: 1000 }, false),
+            scripted(
+                ResponseInfo::ServiceUnavailable {
+                    retry_after_ms: 250,
+                },
+                false,
+            ),
+            scripted(
+                ResponseInfo::Partial {
+                    body_len: 300 * 1024,
+                    offset: 16 * 1024,
+                },
+                true,
+            ),
+            scripted(ResponseInfo::Ok { body_len: 0 }, false),
+            scripted(ResponseInfo::Ok { body_len: 10 }, false),
+            scripted(ResponseInfo::Ok { body_len: 10 }, false),
+            scripted(
+                ResponseInfo::Ok {
+                    body_len: 64 * 1024,
+                },
+                false,
+            ),
+        ]
+    }
+
+    /// Feed the scripted stream cut at `cuts` and check each call's
+    /// completions and the driver's totals against the script.
+    fn feed(cuts: &[usize]) -> (u64, u64, u64, Option<u64>) {
+        let script = script();
+        let mut ends = Vec::new();
+        let mut stream = Vec::new();
+        for r in &script {
+            stream.extend_from_slice(&r.bytes);
+            ends.push((stream.len(), r.completes));
+        }
+        let mut d = RequestDriver::uncachable(100, SimRng::new(1));
+        let mut at = 0;
+        for &cut in cuts.iter().chain(std::iter::once(&stream.len())) {
+            let cut = cut.clamp(at, stream.len());
+            let got = d.on_bytes(&stream[at..cut]);
+            let want = ends
+                .iter()
+                .filter(|&&(e, done)| done && e > at && e <= cut)
+                .count() as u64;
+            assert_eq!(got, want, "completions of bytes {at}..{cut}");
+            at = cut;
+        }
+        assert!(!d.awaiting_response() || d.requests_issued > d.responses_done);
+        assert_eq!(d.body_bytes, script.iter().map(|r| r.body).sum::<u64>());
+        (
+            d.responses_done,
+            d.body_bytes,
+            d.rejections_503,
+            d.take_retry_after(),
+        )
+    }
+
+    #[test]
+    fn head_parsing_is_invariant_to_how_the_stream_is_cut() {
+        let len: usize = script().iter().map(|r| r.bytes.len()).sum();
+        let whole = feed(&[]);
+        let body = 1000 + crate::response::encrypted_body_len(300 * 1024) + 20 + 64 * 1024;
+        assert_eq!(whole, (6, body, 1, Some(250)));
+        assert_eq!(feed(&(1..len).collect::<Vec<_>>()), whole, "byte by byte");
+        for seed in 0..20 {
+            let mut rng = SimRng::new(seed);
+            let mut cuts = Vec::new();
+            let mut at = 0;
+            while at < len {
+                // Mostly short cuts, so heads and blank lines straddle
+                // calls, plus some that span whole responses.
+                at += if rng.next_f64() < 0.8 {
+                    rng.gen_range(1, 40)
+                } else {
+                    rng.gen_range(1, 100_000)
+                } as usize;
+                cuts.push(at);
+            }
+            assert_eq!(feed(&cuts), whole, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn head_carry_stays_within_the_head() {
+        let head = response_header(ResponseInfo::Ok { body_len: 1 << 20 }, false);
+        let body = vec![0u8; 64 * 1024];
+        // Whole, then split across two bursts: either way the carry
+        // holds the head's own bytes only.
+        let (first, second) = head.split_at(head.len() / 2);
+        for bursts in [vec![&head[..0], &head[..]], vec![first, second]] {
+            let mut d = RequestDriver::uncachable(100, SimRng::new(1));
+            d.on_bytes(bursts[0]);
+            let mut burst = bursts[1].to_vec();
+            burst.extend_from_slice(&body);
+            assert_eq!(d.on_bytes(&burst), 0);
+            assert!(d.header_buf.is_empty());
+            assert!(
+                d.header_buf.capacity() <= 2 * head.len(),
+                "carry kept {} bytes for a {}-byte head",
+                d.header_buf.capacity(),
+                head.len()
+            );
+            assert_eq!(d.body_bytes, body.len() as u64);
+        }
+    }
+
+    #[test]
+    fn unparsable_head_stalls_the_stream() {
+        let mut d = RequestDriver::uncachable(100, SimRng::new(1));
+        let _f = d.next_file();
+        assert_eq!(d.on_bytes(b"HTTP/1.1 200 OK\r\n\r\nbody"), 0);
+        assert_eq!(
+            d.on_bytes(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"),
+            0
+        );
+        assert_eq!(d.body_bytes, 0);
+        assert!(d.awaiting_response());
+        assert!(d.disconnect().is_some());
+        assert_eq!(d.responses_abandoned, 1);
     }
 
     #[test]

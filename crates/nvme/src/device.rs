@@ -14,6 +14,7 @@ use crate::LBA_SIZE;
 use dcn_faults::NvmeFaultInjector;
 use dcn_mem::{Agent, HostMem, MemSystem};
 use dcn_simcore::Nanos;
+use std::collections::HashMap;
 
 pub use dcn_mem::Fidelity;
 
@@ -62,7 +63,9 @@ pub struct NvmeDevice {
     /// fault layer doomed this command to a media error (decided at
     /// doorbell time so firmware reordering can't change the
     /// schedule).
-    pending: Vec<(u16, NvmeCommand, bool)>,
+    pending: HashMap<(u16, u16), (NvmeCommand, bool)>,
+    /// Latest doorbell time seen on any queue.
+    latest_doorbell: Nanos,
     /// Seeded fault decisions (media errors, latency spikes). `None`
     /// in every scenario that doesn't inject faults.
     faults: Option<NvmeFaultInjector>,
@@ -73,6 +76,13 @@ pub struct NvmeDevice {
     pub completed_writes: u64,
     pub read_bytes: u64,
     pub write_bytes: u64,
+    /// Submissions rung at a time earlier than a doorbell the device
+    /// had already seen, with their summed and largest lag behind it.
+    /// Each core rings its own queue on its own clock, so these count
+    /// how far out of time order the firmware receives its work.
+    pub late_submissions: u64,
+    pub late_lag_sum: Nanos,
+    pub late_lag_max: Nanos,
 }
 
 impl NvmeDevice {
@@ -83,7 +93,8 @@ impl NvmeDevice {
                 .collect(),
             firmware: Firmware::new(cfg.firmware, seed),
             backing,
-            pending: Vec::new(),
+            pending: HashMap::new(),
+            latest_doorbell: Nanos::ZERO,
             faults: None,
             cfg,
             last_irq: Nanos::ZERO,
@@ -92,6 +103,9 @@ impl NvmeDevice {
             completed_writes: 0,
             read_bytes: 0,
             write_bytes: 0,
+            late_submissions: 0,
+            late_lag_sum: Nanos::ZERO,
+            late_lag_max: Nanos::ZERO,
         }
     }
 
@@ -145,8 +159,17 @@ impl NvmeDevice {
                 }
                 None => (false, 1.0),
             };
+            if now < self.latest_doorbell {
+                let lag = self.latest_doorbell - now;
+                self.late_submissions += 1;
+                self.late_lag_sum += lag;
+                self.late_lag_max = self.late_lag_max.max(lag);
+            }
+            self.latest_doorbell = self.latest_doorbell.max(now);
             self.firmware.submit_scaled(now, qid, sq_head, &cmd, mult);
-            self.pending.push((qid, cmd, fail));
+            let cid = cmd.cid;
+            let dup = self.pending.insert((qid, cid), (cmd, fail));
+            assert!(dup.is_none(), "cid {cid} already in flight on queue {qid}");
         }
     }
 
@@ -185,12 +208,10 @@ impl NvmeDevice {
         let finished = self.firmware.drain_finished(now);
         let n = finished.len();
         for (qid, cid, sq_head) in finished {
-            let idx = self
+            let (cmd, failed) = self
                 .pending
-                .iter()
-                .position(|(q, c, _)| *q == qid && c.cid == cid)
+                .remove(&(qid, cid))
                 .expect("completion for unknown command");
-            let (_, cmd, failed) = self.pending.swap_remove(idx);
             if failed {
                 // Media error: no data transfer happened; the host
                 // buffer is untouched and must be treated as garbage.
@@ -548,6 +569,28 @@ mod tests {
         );
         run_to_completion(&mut d1, &mut m, &mut h);
         assert_eq!(d1.fault_injector().unwrap().latency_spikes, 1);
+    }
+
+    #[test]
+    fn doorbells_behind_the_latest_are_counted_with_their_lag() {
+        let (mut m, mut h, mut pa) = mem();
+        let mut d = dev();
+        let mut ring = |d: &mut NvmeDevice, qid: u16, cid: u16, at_us: u64, cmds: u16| {
+            for i in 0..cmds {
+                let buf = pa.alloc(4096);
+                assert!(d.qpair(qid).sq_push(read_cmd(cid + i, 0, 4096, buf)));
+            }
+            d.ring_sq_doorbell(Nanos::from_micros(at_us), qid);
+        };
+        ring(&mut d, 0, 0, 100, 1);
+        ring(&mut d, 1, 10, 100, 1); // same time: not late
+        ring(&mut d, 1, 20, 70, 2); // two commands 30 µs behind
+        ring(&mut d, 0, 30, 300, 1);
+        ring(&mut d, 0, 40, 200, 1); // 100 µs behind
+        assert_eq!(d.late_submissions, 3);
+        assert_eq!(d.late_lag_sum, Nanos::from_micros(160));
+        assert_eq!(d.late_lag_max, Nanos::from_micros(100));
+        assert_eq!(run_to_completion(&mut d, &mut m, &mut h), 6);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! A multi-GiB cache has over a million frames, so the bookkeeping is
 //! kept flat: frames live in one index-addressed arena that fills
 //! lazily, a frame's physical region is derived from its index, the
-//! page map stores a packed `u64` key → frame index, and the LRU
-//! order of the unpinned frames is a doubly linked list threaded
-//! through the arena.
+//! page map is an open-addressed table of frame indices that reads
+//! each key from the arena, and the LRU order of the unpinned frames
+//! is a doubly linked list threaded through the arena. A frame costs
+//! 16 bytes plus its share of the table, 5.3 bytes at the kstack's
+//! 6 GiB cap.
 
 use crate::catalog::FileId;
 use dcn_mem::{CostParams, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
-use std::collections::HashMap;
 
 /// Low bits of a packed page key that hold the page index; the file
 /// id takes the other 44.
@@ -28,6 +29,9 @@ const PAGE_BITS: u32 = 20;
 
 /// Null link in the LRU list.
 const NIL: u32 = u32::MAX;
+
+/// `Frame::next` of a pinned frame, whose `prev` holds the pin count.
+const PINNED: u32 = u32::MAX - 1;
 
 /// Pack `(file, page index)` into one map key. Panics on a key that
 /// does not fit, so two pages can never alias.
@@ -52,16 +56,109 @@ pub struct CachePageRef {
     pub pinned: bool,
 }
 
-/// One page frame of the arena.
+/// One page frame of the arena. Pinned pages are not eligible for
+/// reclaim, so they stay off the LRU list and reclaim never walks
+/// past them; a pinned frame needs no links, and its two link words
+/// hold the pin count instead.
 struct Frame {
     /// Packed key of the page this frame holds (while it is mapped).
     key: u64,
-    /// LRU links, valid only while `pins == 0`: pinned pages are not
-    /// eligible for reclaim, so they stay off the list and reclaim
-    /// never walks past them.
+    /// Unpinned: the LRU predecessor (`NIL` at the head).
+    /// Pinned: the pin count, at least 1.
     prev: u32,
+    /// Unpinned: the LRU successor (`NIL` at the tail).
+    /// Pinned: `PINNED`.
     next: u32,
-    pins: u32,
+}
+
+impl Frame {
+    fn pinned(&self) -> bool {
+        self.next == PINNED
+    }
+}
+
+/// Resident pages: an open-addressed table of frame indices, keyed by
+/// the packed key the frame itself holds. Linear probing; deletion
+/// shifts the rest of the probe run back, so there are no tombstones.
+/// A slot holds `index + 1`, so the table starts as zeroed memory and
+/// building it touches no page.
+struct PageIndex {
+    slots: Vec<u32>,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+    len: usize,
+}
+
+impl PageIndex {
+    /// A table for up to `capacity` entries, at most 7/8 full.
+    fn new(capacity: usize) -> Self {
+        let n = (capacity * 8).div_ceil(7).next_power_of_two().max(2);
+        PageIndex {
+            slots: vec![0; n],
+            shift: 64 - n.trailing_zeros(),
+            len: 0,
+        }
+    }
+
+    /// Home slot of `key` (Fibonacci hashing).
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The slot holding `key`, or the empty slot that ends its probe
+    /// run.
+    fn probe(&self, key: u64, frames: &[Frame]) -> (usize, Option<u32>) {
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                0 => return (i, None),
+                s if frames[s as usize - 1].key == key => return (i, Some(s - 1)),
+                _ => i = (i + 1) & self.mask(),
+            }
+        }
+    }
+
+    fn get(&self, key: u64, frames: &[Frame]) -> Option<u32> {
+        self.probe(key, frames).1
+    }
+
+    /// Map `frames[idx].key` to `idx`; returns the frame it replaces.
+    fn insert(&mut self, idx: u32, frames: &[Frame]) -> Option<u32> {
+        let (i, old) = self.probe(frames[idx as usize].key, frames);
+        if old.is_none() {
+            self.len += 1;
+        }
+        self.slots[i] = idx + 1;
+        old
+    }
+
+    fn remove(&mut self, key: u64, frames: &[Frame]) -> Option<u32> {
+        let (mut hole, found) = self.probe(key, frames);
+        found?;
+        self.len -= 1;
+        // Backward-shift: pull each later entry of the run into the
+        // hole unless that would move it before its home slot.
+        let mask = self.mask();
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s == 0 {
+                break;
+            }
+            let home = self.home(frames[s as usize - 1].key);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole] = 0;
+        found
+    }
 }
 
 /// VM pressure statistics for one measurement window.
@@ -90,7 +187,7 @@ pub struct BufferCache {
     /// out) before never-used frames.
     free: Vec<u32>,
     /// Resident pages: packed key → frame index.
-    pages: HashMap<u64, u32>,
+    pages: PageIndex,
     /// Unpinned (reclaimable) frames, least recently unpinned first.
     lru_head: u32,
     lru_tail: u32,
@@ -106,7 +203,7 @@ impl BufferCache {
         let capacity_pages = (capacity_bytes / CHUNK_SIZE) as usize;
         assert!(capacity_pages > 0);
         assert!(
-            capacity_pages < NIL as usize,
+            capacity_pages < PINNED as usize,
             "too many buffer-cache frames"
         );
         let base = phys.alloc(capacity_pages as u64 * CHUNK_SIZE).addr.0;
@@ -115,7 +212,7 @@ impl BufferCache {
             base,
             frames: Vec::with_capacity(capacity_pages),
             free: Vec::new(),
-            pages: HashMap::with_capacity(capacity_pages),
+            pages: PageIndex::new(capacity_pages),
             lru_head: NIL,
             lru_tail: NIL,
             lru_len: 0,
@@ -125,7 +222,7 @@ impl BufferCache {
 
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.pages.len
     }
 
     #[must_use]
@@ -164,21 +261,24 @@ impl BufferCache {
     ) -> (Option<CachePageRef>, u64) {
         let key = page_key(file, page);
         self.stats.lookups += 1;
-        let Some(&idx) = self.pages.get(&key) else {
+        let Some(idx) = self.pages.get(key, &self.frames) else {
             return (None, costs.bufcache_page_cycles);
         };
         self.stats.hits += 1;
-        if self.frames[idx as usize].pins == 0 {
+        if self.frames[idx as usize].pinned() {
+            self.frames[idx as usize].prev += 1;
+        } else {
             self.unlink(idx);
+            let f = &mut self.frames[idx as usize];
+            f.prev = 1;
+            f.next = PINNED;
         }
-        self.frames[idx as usize].pins += 1;
         let r = CachePageRef {
             region: self.region(idx),
             pinned: true,
         };
         (Some(r), costs.bufcache_page_cycles)
     }
-
     /// Allocate (insert) a page for `(file, page_index)` about to be
     /// filled by disk I/O; the page comes back pinned. Returns the
     /// page and the cycles charged (lookup + any reclaim work,
@@ -211,9 +311,8 @@ impl BufferCache {
         let mut cycles = costs.bufcache_page_cycles;
         let frame = Frame {
             key,
-            prev: NIL,
-            next: NIL,
-            pins: 1,
+            prev: 1,
+            next: PINNED,
         };
         let idx = if let Some(idx) = self.free.pop() {
             self.frames[idx as usize] = frame;
@@ -233,9 +332,9 @@ impl BufferCache {
             self.frames[idx as usize] = frame;
             idx
         };
-        if let Some(old) = self.pages.insert(key, idx) {
+        if let Some(old) = self.pages.insert(idx, &self.frames) {
             // Racing insert of the same page: return the old frame.
-            if self.frames[old as usize].pins == 0 {
+            if !self.frames[old as usize].pinned() {
                 self.unlink(old);
             }
             self.free.push(old);
@@ -256,7 +355,9 @@ impl BufferCache {
         let contention = 1.0 + costs.vm_contention_per_core * cores.saturating_sub(1) as f64;
         let idx = self.lru_head;
         self.unlink(idx);
-        let victim = self.pages.remove(&self.frames[idx as usize].key);
+        let victim = self
+            .pages
+            .remove(self.frames[idx as usize].key, &self.frames);
         debug_assert_eq!(victim, Some(idx), "victim resident");
         self.stats.reclaims += 1;
         (
@@ -268,11 +369,11 @@ impl BufferCache {
     /// Unpin a page (socket buffer released it after the NIC consumed
     /// the data); it becomes reclaimable at MRU position.
     pub fn unpin(&mut self, file: FileId, page: u64) {
-        if let Some(&idx) = self.pages.get(&page_key(file, page)) {
+        if let Some(idx) = self.pages.get(page_key(file, page), &self.frames) {
             let f = &mut self.frames[idx as usize];
-            assert!(f.pins > 0, "unpin of unpinned page");
-            f.pins -= 1;
-            if f.pins == 0 {
+            assert!(f.pinned(), "unpin of unpinned page");
+            f.prev -= 1;
+            if f.prev == 0 {
                 self.push_tail(idx);
             }
         }
@@ -317,7 +418,7 @@ impl BufferCache {
 mod tests {
     use super::*;
     use dcn_simcore::SimRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn cache(pages: u64) -> (BufferCache, CostParams) {
         let mut phys = PhysAlloc::new();
@@ -438,6 +539,97 @@ mod tests {
         assert!(c.lookup(FileId(0), 0, &costs).0.is_none());
         assert!(c.lookup(FileId(0), (1 << 20) - 1, &costs).0.is_some());
         assert!(c.lookup(FileId((1 << 44) - 1), 0, &costs).0.is_some());
+    }
+
+    #[test]
+    fn frame_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 16);
+    }
+
+    #[test]
+    fn page_index_is_at_most_eight_mib_at_the_frame_cap() {
+        let frames = (6u64 << 30) / CHUNK_SIZE;
+        let index = PageIndex::new(frames as usize);
+        assert_eq!(index.slots.len() * 4, 8 << 20);
+        assert_eq!(PageIndex::new(1).slots.len(), 2);
+        assert_eq!(PageIndex::new(7).slots.len(), 8);
+        assert_eq!(PageIndex::new(8).slots.len(), 16);
+    }
+
+    /// Every entry is reachable from its home slot without crossing an
+    /// empty slot, which is what backward-shift deletion must keep.
+    fn assert_probe_runs_intact(index: &PageIndex, frames: &[Frame]) {
+        let mask = index.mask();
+        for (i, &s) in index.slots.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
+            let mut j = index.home(frames[s as usize - 1].key);
+            while j != i {
+                assert_ne!(index.slots[j], 0, "slot {i} cut off from its home");
+                j = (j + 1) & mask;
+            }
+        }
+    }
+
+    #[test]
+    fn page_index_matches_hashmap_under_collisions_and_wrap() {
+        // A 16-slot table holding up to 14 keys drawn from a pool in
+        // which every key shares one of two home slots: the last slot
+        // (so runs wrap around to slot 0) and slot 7.
+        const CAP: usize = 14;
+        let mut index = PageIndex::new(CAP);
+        assert_eq!(index.slots.len(), 16);
+        let last = index.mask();
+        let pool: Vec<u64> = (0u64..)
+            .filter(|&k| index.home(k) == 7 || index.home(k) == last)
+            .take(40)
+            .collect();
+        assert!(pool.iter().filter(|&&k| index.home(k) == last).count() > 10);
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut free: Vec<u32> = Vec::new();
+        let mut reference: HashMap<u64, u32> = HashMap::new();
+        let mut rng = SimRng::new(0x1de8);
+        let (mut wrapped, mut shifted) = (0u64, 0u64);
+        for _ in 0..50_000 {
+            let key = pool[rng.gen_range(0, pool.len() as u64) as usize];
+            let insert = rng.next_f64() < 0.55;
+            if insert && (reference.len() < CAP || reference.contains_key(&key)) {
+                let frame = Frame {
+                    key,
+                    prev: 1,
+                    next: PINNED,
+                };
+                let idx = if let Some(i) = free.pop() {
+                    frames[i as usize] = frame;
+                    i
+                } else {
+                    frames.push(frame);
+                    frames.len() as u32 - 1
+                };
+                let old = index.insert(idx, &frames);
+                assert_eq!(old, reference.insert(key, idx));
+                free.extend(old);
+            } else {
+                let before = index.slots.clone();
+                let got = index.remove(key, &frames);
+                assert_eq!(got, reference.remove(&key));
+                free.extend(got);
+                let moved = before
+                    .iter()
+                    .zip(&index.slots)
+                    .filter(|(a, b)| a != b)
+                    .count();
+                shifted += u64::from(moved > 1);
+            }
+            wrapped += u64::from(index.slots[0] != 0 && index.slots[last] != 0);
+            assert_eq!(index.len, reference.len());
+            for &k in &pool {
+                assert_eq!(index.get(k, &frames), reference.get(&k).copied(), "{k}");
+            }
+            assert_probe_runs_intact(&index, &frames);
+        }
+        assert!(wrapped > 1_000 && shifted > 1_000, "{wrapped} {shifted}");
     }
 
     /// The straightforward cache the arena replaces: a map of owned
