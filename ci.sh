@@ -46,6 +46,9 @@ cmp "$perf_tmp/run1.json" "$perf_tmp/run2.json" \
 echo "==> buffer-cache gate (arena vs reference model, page index vs HashMap)"
 cargo test -q --release -p dcn-store bufcache
 
+echo "==> diskmap gate (IOMMU page runs vs page-set reference, syscall-level faults, SQ admission)"
+cargo test -q --release -p dcn-diskmap
+
 echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json)"
 ./target/release/ablation_tiers --out "$perf_tmp/tiers_full.json" >/dev/null
 cmp "$perf_tmp/tiers_full.json" BENCH_tiers.json \

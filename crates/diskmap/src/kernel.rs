@@ -185,22 +185,19 @@ impl DiskmapKernel {
         }
         let dev = &mut self.disks[att.disk.0];
         let qp = dev.qpair(att.qid);
-        let mut admitted = 0;
-        for cmd in cmds.iter() {
-            if !qp.sq_push(cmd.clone()) {
-                break;
-            }
-            admitted += 1;
+        // Move the admitted prefix into the SQ; on a full SQ the
+        // unadmitted tail stays staged in `cmds`, in order.
+        let admitted = cmds.len().min(usize::from(qp.sq_space()));
+        for cmd in cmds.drain(..admitted) {
+            let pushed = qp.sq_push(cmd);
+            debug_assert!(pushed, "SQ had room for the admitted prefix");
         }
         if admitted > 0 {
             dev.ring_sq_doorbell(now, att.qid);
         }
-        if admitted < cmds.len() {
-            // SQ full mid-batch: keep the unadmitted tail staged.
-            cmds.drain(..admitted);
+        if !cmds.is_empty() {
             return Err(DiskmapError::QueueFull);
         }
-        cmds.clear();
         Ok(admitted)
     }
 
@@ -237,8 +234,10 @@ impl DiskmapKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_mem::{CostParams, LlcConfig, PhysRegion};
+    use crate::bufpool::BufId;
+    use dcn_mem::{CostParams, LlcConfig, PhysAddr, PhysRegion, CHUNK_SIZE};
     use dcn_nvme::{NvmeConfig, Opcode, SyntheticBacking};
+    use std::ops::Range;
 
     fn kernel(n_disks: usize) -> DiskmapKernel {
         let disks = (0..n_disks)
@@ -453,5 +452,104 @@ mod tests {
         for tok in toks {
             assert_eq!(k.consume(tok, 8).unwrap().len(), 1);
         }
+    }
+
+    /// Atlas's shape on one disk: queue pairs 0–3 each attached with a
+    /// pool of 320 × 16 KiB buffers. Returns each attachment's token
+    /// and the page span its pool occupies.
+    fn atlas_shaped(pa: &mut PhysAlloc) -> (DiskmapKernel, Vec<(usize, Range<u64>)>) {
+        let mut k = kernel(1);
+        let atts = (0..4)
+            .map(|qid| {
+                let (pool, tok) = k.attach(DiskId(0), qid, 320, 16384, pa, true).unwrap();
+                let pages =
+                    pool.region(BufId(0)).chunks().start..pool.region(BufId(319)).chunks().end;
+                assert_eq!(pages.end - pages.start, 320 * 4, "a pool is contiguous");
+                (tok, pages)
+            })
+            .collect();
+        (k, atts)
+    }
+
+    /// A 4 KiB read into physical page `page`.
+    fn page_read(page: u64, cid: u16) -> NvmeCommand {
+        let buf = PhysRegion::new(PhysAddr(page * CHUNK_SIZE), CHUNK_SIZE);
+        read_into(buf, cid, u64::from(cid) * 8, CHUNK_SIZE)
+    }
+
+    fn staged(cmds: &[NvmeCommand]) -> Vec<(u16, Vec<PhysRegion>)> {
+        cmds.iter().map(|c| (c.cid, c.prp.clone())).collect()
+    }
+
+    #[test]
+    fn iommu_is_page_exact_at_atlas_pool_edges() {
+        let mut pa = PhysAlloc::new();
+        let (mut k, atts) = atlas_shaped(&mut pa);
+        for (i, (tok, pages)) in atts.iter().enumerate() {
+            let neighbour = &atts[(i + 1) % atts.len()].1;
+            let strays = [
+                pages.start - 1,
+                pages.end,
+                (neighbour.start + neighbour.end) / 2,
+            ];
+            for stray in strays {
+                // A valid command ahead of the stray one is not admitted
+                // either: the whole batch faults and stays as it was.
+                let mut cmds = vec![page_read(pages.start, 1), page_read(stray, 2)];
+                let before = staged(&cmds);
+                assert_eq!(
+                    k.sqsync(*tok, Nanos::ZERO, &mut cmds),
+                    Err(DiskmapError::IommuFault),
+                    "queue {i}: page {stray} is outside pages {pages:?}"
+                );
+                assert_eq!(staged(&cmds), before);
+            }
+            let mut cmds = vec![page_read(pages.end - 1, 3)];
+            assert_eq!(k.sqsync(*tok, Nanos::ZERO, &mut cmds), Ok(1));
+            assert!(cmds.is_empty());
+        }
+    }
+
+    #[test]
+    fn sqsync_moves_admitted_prefix_and_resubmits_tail_in_order() {
+        let (mut m, mut h, mut pa) = mem();
+        let (mut k, atts) = atlas_shaped(&mut pa);
+        let (tok, pages) = &atts[0];
+        // One read per page of the pool: 1,280 commands against an SQ
+        // with 1,023 free slots.
+        let mut cmds: Vec<NvmeCommand> = pages
+            .clone()
+            .zip(0u16..)
+            .map(|(page, cid)| page_read(page, cid))
+            .collect();
+        let space = usize::from(k.disk(DiskId(0)).qpair(0).sq_space());
+        assert!(cmds.len() > space);
+        let tail = staged(&cmds[space..]);
+        assert_eq!(
+            k.sqsync(*tok, Nanos::ZERO, &mut cmds),
+            Err(DiskmapError::QueueFull)
+        );
+        assert_eq!(
+            staged(&cmds),
+            tail,
+            "the unadmitted tail stays staged in order"
+        );
+        let mut completed = Vec::new();
+        let mut drain = |k: &mut DiskmapKernel| {
+            while let Some(t) = k.poll_at() {
+                k.advance(t, &mut m, &mut h);
+                completed.extend(k.consume(*tok, 1024).unwrap().iter().map(|e| e.cid));
+            }
+        };
+        drain(&mut k);
+        assert_eq!(
+            k.sqsync(*tok, Nanos::from_millis(10), &mut cmds),
+            Ok(tail.len())
+        );
+        assert!(cmds.is_empty());
+        drain(&mut k);
+        completed.sort_unstable();
+        let all: Vec<u16> = (0..pages.end - pages.start).map(|c| c as u16).collect();
+        assert_eq!(completed, all, "every command completes exactly once");
     }
 }

@@ -49,8 +49,10 @@ impl PhysRegion {
         }
     }
 
-    /// Chunk ids (page numbers) this region overlaps.
-    pub fn chunks(&self) -> impl Iterator<Item = u64> {
+    /// Chunk ids (page numbers) this region overlaps, as the half-open
+    /// range `first..end` (empty for a zero-length region).
+    #[must_use]
+    pub fn chunks(&self) -> std::ops::Range<u64> {
         let first = self.addr.0 / CHUNK_SIZE;
         let last = if self.len == 0 {
             first
