@@ -22,6 +22,12 @@ pub enum ResponseInfo {
         offset: u64,
     },
     NotFound,
+    /// 416: the `Range` starts at or past the end of a file of `size`
+    /// bytes (RFC 9110 §15.5.17). No body; `Content-Range: bytes
+    /// */size` tells the client the current length.
+    RangeNotSatisfiable {
+        size: u64,
+    },
     /// Load shed: the server is over its admission watermarks and
     /// refuses the request. `Retry-After` tells a well-behaved client
     /// when to knock again (milliseconds surfaced via
@@ -88,6 +94,11 @@ pub fn response_header(info: ResponseInfo, encrypted: bool) -> Vec<u8> {
             .into_bytes()
         }
         ResponseInfo::NotFound => b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n".to_vec(),
+        ResponseInfo::RangeNotSatisfiable { size } => format!(
+            "HTTP/1.1 416 Range Not Satisfiable\r\nServer: atlas/0.1\r\n\
+             Content-Range: bytes */{size}\r\nContent-Length: 0\r\n\r\n"
+        )
+        .into_bytes(),
         ResponseInfo::ServiceUnavailable { retry_after_ms } => format!(
             "HTTP/1.1 503 Service Unavailable\r\nServer: atlas/0.1\r\n\
              Retry-After: {}\r\nX-Retry-After-Ms: {retry_after_ms}\r\n\
@@ -226,6 +237,17 @@ mod tests {
         let h = response_header(ResponseInfo::NotFound, false);
         let (_, cl, _) = scan_response_header(&h).unwrap();
         assert_eq!(cl, 0);
+    }
+
+    #[test]
+    fn range_not_satisfiable_is_zero_length_416_with_size() {
+        let h = response_header(ResponseInfo::RangeNotSatisfiable { size: 307_200 }, true);
+        let head = scan_response_head(&h).unwrap();
+        assert_eq!(head.status, 416);
+        assert_eq!(head.content_length, 0);
+        assert!(std::str::from_utf8(&h)
+            .unwrap()
+            .contains("Content-Range: bytes */307200\r\n"));
     }
 
     #[test]

@@ -154,16 +154,15 @@ impl Zipf {
     #[must_use]
     pub fn new(n: u64, alpha: f64) -> Self {
         assert!(n >= 1 && alpha > 0.0 && (alpha - 1.0).abs() > 1e-9);
-        let h = |x: f64| ((1.0 - alpha) * x.ln()).exp() / (1.0 - alpha) * x;
-        // H(x) = x^(1-alpha)/(1-alpha); written via exp/ln for clarity.
+        // H(x) = x^(1-alpha)/(1-alpha).
         let hf = |x: f64| x.powf(1.0 - alpha) / (1.0 - alpha);
-        let _ = h;
+        let h_x1 = hf(1.5) - 1.0f64.powf(-alpha);
         Zipf {
             n,
             alpha,
-            h_x1: hf(1.5) - 1.0f64.powf(-alpha),
+            h_x1,
             h_n: hf(n as f64 + 0.5),
-            s: 2.0 - Self::h_inv_inner(hf(1.5) - 1.0f64.powf(-alpha), alpha),
+            s: 2.0 - Self::h_inv_inner(h_x1, alpha),
         }
     }
 
@@ -197,7 +196,10 @@ impl Zipf {
 /// `n`, with cycle-walking to stay inside the range. O(1) per lookup
 /// and O(1) state, so a million-object catalog can map popularity
 /// *rank* to object *id* (and scatter the hot set across the id
-/// space) without materializing a shuffle table.
+/// space) without materializing a shuffle table. [`RankPerm::head`]
+/// walks the first `k` ranks in order for bulk seeding: it tabulates
+/// the round functions once (a few KB) instead of recomputing them on
+/// every lookup, and yields exactly what [`RankPerm::apply`] would.
 #[derive(Clone, Copy, Debug)]
 pub struct RankPerm {
     n: u64,
@@ -231,23 +233,35 @@ impl RankPerm {
         false
     }
 
-    fn round(&self, right: u64, key: u64) -> u64 {
+    /// Round function `i` of the network on the right half `right`.
+    fn round(&self, i: usize, right: u64) -> u64 {
         let mask = (1u64 << self.half_bits) - 1;
-        let mut z = right ^ key;
+        let mut z = right ^ self.keys[i];
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         (z ^ (z >> 31)) & mask
     }
 
-    fn encrypt_once(&self, x: u64) -> u64 {
+    /// The network and its cycle walk, once, over any evaluation of the
+    /// round functions: `round(i, right)` must equal
+    /// [`Self::round`]`(i, right)`.
+    #[inline]
+    fn permute(&self, x: u64, round: impl Fn(usize, u64) -> u64) -> u64 {
         let mask = (1u64 << self.half_bits) - 1;
-        let (mut l, mut r) = (x >> self.half_bits, x & mask);
-        for key in self.keys {
-            let (nl, nr) = (r, l ^ self.round(r, key));
-            l = nl;
-            r = nr;
+        let encrypt_once = |x: u64| {
+            let (mut l, mut r) = (x >> self.half_bits, x & mask);
+            for i in 0..self.keys.len() {
+                (l, r) = (r, l ^ round(i, r));
+            }
+            (l << self.half_bits) | r
+        };
+        // Cycle-walk: re-encrypt until the value lands in range. The
+        // domain is < 4n so this terminates quickly in expectation.
+        let mut y = encrypt_once(x);
+        while y >= self.n {
+            y = encrypt_once(y);
         }
-        (l << self.half_bits) | r
+        y
     }
 
     /// Map rank `x` (0 = most popular) to its permuted object id in
@@ -255,13 +269,22 @@ impl RankPerm {
     #[must_use]
     pub fn apply(&self, x: u64) -> u64 {
         assert!(x < self.n);
-        // Cycle-walk: re-encrypt until the value lands in range. The
-        // domain is < 4n so this terminates quickly in expectation.
-        let mut y = self.encrypt_once(x);
-        while y >= self.n {
-            y = self.encrypt_once(y);
-        }
-        y
+        self.permute(x, |i, r| self.round(i, r))
+    }
+
+    /// `apply(0), apply(1), .., apply(k - 1)`: the ids of the `k` most
+    /// popular objects, in rank order. Each round function has only
+    /// `2^half_bits` inputs, so they are tabulated up front as `u16`s
+    /// (8 KB at a million objects) and every lookup reads the table.
+    /// Needs `k <= n <= 2^32`.
+    pub fn head(&self, k: u64) -> impl Iterator<Item = u64> {
+        assert!(k <= self.n);
+        assert!(self.half_bits <= 16, "round outputs must fit a u16");
+        let p = *self;
+        let table: Vec<u16> = (0..p.keys.len())
+            .flat_map(|i| (0..1u64 << p.half_bits).map(move |r| p.round(i, r) as u16))
+            .collect();
+        (0..k).map(move |x| p.permute(x, |i, r| u64::from(table[(i << p.half_bits) | r as usize])))
     }
 }
 
@@ -334,7 +357,7 @@ mod tests {
 
     #[test]
     fn rank_perm_is_bijective() {
-        for n in [1u64, 2, 7, 64, 1000, 4097] {
+        for n in [1u64, 2, 7, 64, 1000, 4097, 1_000_000] {
             let p = RankPerm::new(n, 99);
             let mut seen = vec![false; n as usize];
             for x in 0..n {
@@ -343,6 +366,39 @@ mod tests {
                 assert!(!seen[y as usize], "collision at {x} -> {y} (n={n})");
                 seen[y as usize] = true;
             }
+            assert!(p.head(n).eq((0..n).map(|x| p.apply(x))), "n={n}");
+        }
+    }
+
+    /// Pins the permutation itself: the tier's hot set and the Zipf
+    /// workload's popular objects both come from it, so a change to
+    /// the network would move them silently.
+    #[test]
+    fn rank_perm_known_answers() {
+        let cases = [
+            (
+                1_000_000,
+                0x007E_1A11,
+                [363_205, 181_599, 525_792, 796_878],
+                40_006_946_816_443_448,
+            ),
+            (
+                2_000_000,
+                1,
+                [1_083_203, 1_107_336, 184_739, 1_325_402],
+                79_957_196_129_009_663,
+            ),
+        ];
+        for (n, seed, ids, fingerprint) in cases {
+            let p = RankPerm::new(n, seed);
+            let got = [0, 1, 399_999, 999_999].map(|x| p.apply(x));
+            assert_eq!(got, ids, "n={n}");
+            // Σ (rank + 1) · id over the 400k-object head.
+            let sum = (1..)
+                .zip(p.head(400_000))
+                .map(|(w, id)| w * id)
+                .sum::<u64>();
+            assert_eq!(sum, fingerprint, "n={n}");
         }
     }
 

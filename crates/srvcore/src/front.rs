@@ -5,7 +5,7 @@
 //! §5.3). This module is that front end, once: the flow→slot table and
 //! the TCB timer set, SYN admission and accept, the per-segment RX path,
 //! and the request classifier that turns each parsed head into a
-//! 200/206/404/503/431. A server embeds one [`Front`] over its own
+//! 200/206/404/416/503/431. A server embeds one [`Front`] over its own
 //! per-connection state `C` and keeps only its body path and its costs,
 //! which it hands in as plain values.
 
@@ -319,21 +319,26 @@ impl<C> Front<C> {
     }
 }
 
-/// 200, 206 or 404 for one parsed GET. A `Range: bytes=N-` resume is
-/// floored to a record boundary: records are the unit of both disk
+/// 200, 206, 404 or 416 for one parsed GET. A `Range: bytes=N-` resume
+/// is floored to a record boundary: records are the unit of both disk
 /// fetches and GCM framing, and reconnecting clients only ever ask for
-/// record-aligned offsets anyway.
+/// record-aligned offsets anyway. A range starting at or past the end
+/// of the file cannot be satisfied (416).
 fn classify(req: &HttpRequest, catalog: &Catalog) -> Answer {
     let file_size = catalog.file_size();
     let start = req.range_start.unwrap_or(0) / RECORD_PAYLOAD_MAX * RECORD_PAYLOAD_MAX;
+    let past_end = req.range_start.is_some_and(|s| s >= file_size);
     match parse_chunk_path(&req.path) {
+        Some(f) if f.0 < catalog.n_files() && past_end => {
+            (ResponseInfo::RangeNotSatisfiable { size: file_size }, None)
+        }
         Some(f) if f.0 < catalog.n_files() && start == 0 => (
             ResponseInfo::Ok {
                 body_len: file_size,
             },
             Some(f),
         ),
-        Some(f) if f.0 < catalog.n_files() && start < file_size => (
+        Some(f) if f.0 < catalog.n_files() => (
             ResponseInfo::Partial {
                 body_len: file_size - start,
                 offset: start,

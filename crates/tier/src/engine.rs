@@ -117,8 +117,8 @@ impl TierEngine {
         // through the same rank→id permutation the Zipf workload uses,
         // so "popular" means the same thing on both sides.
         let capacity = Self::capacity_for(cfg.hot_frac, n);
-        for rank in 0..capacity {
-            map.set_hot(FileId(perm.apply(rank)));
+        for id in perm.head(capacity) {
+            map.set_hot(FileId(id));
         }
         TierEngine {
             cfg,
@@ -356,6 +356,14 @@ mod tests {
         }
         for rank in 3000..3100 {
             assert!(!e.is_hot(FileId(e.perm().apply(rank))));
+        }
+        // The benchmark's shape: the default 40% of a million objects.
+        let catalog = Catalog::new(1_000_000, 300 * 1024, 4, 7);
+        let e = TierEngine::new(TierConfig::default(), &catalog, 42);
+        assert_eq!(e.hot_count(), 400_000);
+        for rank in 399_990..400_010 {
+            let hot = e.is_hot(FileId(e.perm().apply(rank)));
+            assert_eq!(hot, rank < 400_000, "rank {rank}");
         }
     }
 

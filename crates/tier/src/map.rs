@@ -3,7 +3,7 @@
 //! A million-object catalog cannot afford a `HashMap<FileId, _>` per
 //! concern. [`TierMap`] keeps exactly three flat arrays — a hot-tier
 //! residency bitmap, a promotion-queued bitmap, and one saturating
-//! heat byte per object — ~1.13 MB per million objects, allocated
+//! heat byte per object — 1.25 MB per million objects, allocated
 //! once at construction and never resized.
 
 use dcn_store::FileId;

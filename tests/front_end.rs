@@ -1,7 +1,8 @@
 //! The connection front end both stacks share, driven by one
 //! hand-fed client over a short fixed-delay link: a `Range` resume is
 //! answered 206 from the record-aligned offset and verifies at absolute
-//! file offsets, and an oversized request head gets exactly one 431
+//! file offsets, a range past the end of the file gets a bodiless 416,
+//! and an oversized request head gets exactly one 431
 //! that ends parsing on that stream while the socket stays up.
 
 use disk_crypt_net::atlas::AtlasConfig;
@@ -211,6 +212,50 @@ fn atlas_plain_serves_range_as_206() {
 #[test]
 fn atlas_tls_serves_range_as_206() {
     ranged_get_is_a_verified_206(atlas(true));
+}
+
+/// Ranges starting at the end of the file, and inside the last record
+/// but past the end, are each answered 416 with the file's size in
+/// `Content-Range` and no body (RFC 9110); a plain GET pipelined after
+/// them is still served and verifies.
+fn range_past_the_end_gets_416(mut rig: Rig) {
+    let size = rig.catalog.file_size();
+    assert!(size % RECORD_PAYLOAD_MAX > 1000, "the file ends mid-record");
+    let mut data = build_get_range("/chunk/9", "h", size);
+    data.extend(build_get_range("/chunk/9", "h", size + 1000));
+    data.extend(build_get("/chunk/9", "h"));
+    rig.send(&data);
+    rig.run_for(Nanos::from_millis(200));
+    assert_eq!(rig.statuses(), vec![416, 416, 200]);
+    let head = String::from_utf8_lossy(&rig.stream[..200]);
+    assert!(
+        head.contains(&format!("Content-Range: bytes */{size}\r\n")),
+        "{head}"
+    );
+    let v = rig.verify(&[Expected::plain(FileId(9), 0); 3]);
+    assert_eq!(v.failures, 0, "{v:?}");
+    assert_eq!(v.verified_bytes, size, "{v:?}");
+    assert_eq!(rig.server.leaked_buffers(), 0);
+}
+
+#[test]
+fn kstack_plain_answers_range_past_end_with_416() {
+    range_past_the_end_gets_416(kstack(false));
+}
+
+#[test]
+fn kstack_tls_answers_range_past_end_with_416() {
+    range_past_the_end_gets_416(kstack(true));
+}
+
+#[test]
+fn atlas_plain_answers_range_past_end_with_416() {
+    range_past_the_end_gets_416(atlas(false));
+}
+
+#[test]
+fn atlas_tls_answers_range_past_end_with_416() {
+    range_past_the_end_gets_416(atlas(true));
 }
 
 /// A good request, then an oversized head, then another good request,
