@@ -49,7 +49,7 @@ cargo test -q --release -p dcn-store bufcache
 echo "==> diskmap gate (IOMMU page runs vs page-set reference, syscall-level faults, SQ admission)"
 cargo test -q --release -p dcn-diskmap
 
-echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json; rank permutation known answers and head vs apply)"
+echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json; rank permutation known answers and rank_of round trip)"
 cargo test -q --release -p dcn-simcore rank_perm
 ./target/release/ablation_tiers --out "$perf_tmp/tiers_full.json" >/dev/null
 cmp "$perf_tmp/tiers_full.json" BENCH_tiers.json \

@@ -293,7 +293,9 @@ pub struct AtlasServer {
     /// Tiering engine (`None` unless `cfg.tier`): residency map, cold
     /// object store, promotion policy.
     tier: Option<TierEngine>,
-    tier_ids: Option<TierIds>,
+    /// `tier.*` metric handles (`None` unless `cfg.tier` or
+    /// `cfg.tier_cache`).
+    pub tier_ids: Option<TierIds>,
     /// Hot-chunk DMA cache index (`None` unless `cfg.tier_cache`) and
     /// its slot memory, allocated once at construction.
     cache: Option<HotChunkCache>,

@@ -476,16 +476,19 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
     let per_server: Vec<ServerStats> = servers
         .iter()
         .enumerate()
-        .map(|(i, srv)| ServerStats {
-            server: i,
-            alive: alive[i],
-            responses: srv.reg.sum_prefixed("atlas.responses"),
-            http_payload_bytes: srv.reg.sum_prefixed("atlas.http_payload_bytes"),
-            disk_read_bytes: srv.reg.sum_prefixed("atlas.disk_read_bytes"),
-            cpu_pct: srv.cores.utilization_pct(sc.warmup, end),
-            leaked_buffers: srv.leaked_buffers(),
-            tier_hit_ratio: srv.reg.find_gauge("tier.hit_ratio").unwrap_or(1.0),
-            tier_cold_bytes: srv.reg.sum_prefixed("tier.cold_bytes"),
+        .map(|(i, srv)| {
+            let tier = srv.tier_ids.as_ref().map(|ids| ids.read(&srv.reg));
+            ServerStats {
+                server: i,
+                alive: alive[i],
+                responses: srv.reg.sum_prefixed("atlas.responses"),
+                http_payload_bytes: srv.reg.sum_prefixed("atlas.http_payload_bytes"),
+                disk_read_bytes: srv.reg.sum_prefixed("atlas.disk_read_bytes"),
+                cpu_pct: srv.cores.utilization_pct(sc.warmup, end),
+                leaked_buffers: srv.leaked_buffers(),
+                tier_hit_ratio: tier.map_or(1.0, |t| t.hit_ratio),
+                tier_cold_bytes: tier.map_or(0, |t| t.cold_bytes),
+            }
         })
         .collect();
 

@@ -190,7 +190,8 @@ pub struct KstackServer {
     /// Tiering engine (`cfg.tier`); owns the cold store and the
     /// promotion/demotion policy.
     tier: Option<TierEngine>,
-    tier_ids: Option<TierIds>,
+    /// `tier.*` metric handles (`None` unless `cfg.tier`).
+    pub tier_ids: Option<TierIds>,
     /// Cold-store fills in flight, keyed by cold-store token (its own
     /// counter — NVMe cids are u16 and must stay a disjoint space).
     cold_fills: HashMap<u64, Fill>,

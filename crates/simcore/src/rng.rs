@@ -196,10 +196,9 @@ impl Zipf {
 /// `n`, with cycle-walking to stay inside the range. O(1) per lookup
 /// and O(1) state, so a million-object catalog can map popularity
 /// *rank* to object *id* (and scatter the hot set across the id
-/// space) without materializing a shuffle table. [`RankPerm::head`]
-/// walks the first `k` ranks in order for bulk seeding: it tabulates
-/// the round functions once (a few KB) instead of recomputing them on
-/// every lookup, and yields exactly what [`RankPerm::apply`] would.
+/// space) without materializing a shuffle table. [`RankPerm::rank_of`]
+/// runs the network backwards, so "what rank is object `id`?" costs
+/// the same as the forward lookup.
 #[derive(Clone, Copy, Debug)]
 pub struct RankPerm {
     n: u64,
@@ -233,33 +232,42 @@ impl RankPerm {
         false
     }
 
+    fn mask(&self) -> u64 {
+        (1u64 << self.half_bits) - 1
+    }
+
     /// Round function `i` of the network on the right half `right`.
     fn round(&self, i: usize, right: u64) -> u64 {
-        let mask = (1u64 << self.half_bits) - 1;
         let mut z = right ^ self.keys[i];
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) & mask
+        (z ^ (z >> 31)) & self.mask()
     }
 
-    /// The network and its cycle walk, once, over any evaluation of the
-    /// round functions: `round(i, right)` must equal
-    /// [`Self::round`]`(i, right)`.
+    fn encrypt_once(&self, x: u64) -> u64 {
+        let (mut l, mut r) = (x >> self.half_bits, x & self.mask());
+        for i in 0..self.keys.len() {
+            (l, r) = (r, l ^ self.round(i, r));
+        }
+        (l << self.half_bits) | r
+    }
+
+    fn decrypt_once(&self, y: u64) -> u64 {
+        let (mut l, mut r) = (y >> self.half_bits, y & self.mask());
+        for i in (0..self.keys.len()).rev() {
+            (l, r) = (r ^ self.round(i, l), l);
+        }
+        (l << self.half_bits) | r
+    }
+
+    /// Cycle-walk: step until the value lands in range. The domain is
+    /// < 4n so this terminates quickly in expectation.
     #[inline]
-    fn permute(&self, x: u64, round: impl Fn(usize, u64) -> u64) -> u64 {
-        let mask = (1u64 << self.half_bits) - 1;
-        let encrypt_once = |x: u64| {
-            let (mut l, mut r) = (x >> self.half_bits, x & mask);
-            for i in 0..self.keys.len() {
-                (l, r) = (r, l ^ round(i, r));
-            }
-            (l << self.half_bits) | r
-        };
-        // Cycle-walk: re-encrypt until the value lands in range. The
-        // domain is < 4n so this terminates quickly in expectation.
-        let mut y = encrypt_once(x);
+    fn walk(&self, x: u64, step: impl Fn(u64) -> u64) -> u64 {
+        assert!(x < self.n);
+        let mut y = step(x);
         while y >= self.n {
-            y = encrypt_once(y);
+            y = step(y);
         }
         y
     }
@@ -268,23 +276,16 @@ impl RankPerm {
     /// `[0, n)`; bijective over the range.
     #[must_use]
     pub fn apply(&self, x: u64) -> u64 {
-        assert!(x < self.n);
-        self.permute(x, |i, r| self.round(i, r))
+        self.walk(x, |v| self.encrypt_once(v))
     }
 
-    /// `apply(0), apply(1), .., apply(k - 1)`: the ids of the `k` most
-    /// popular objects, in rank order. Each round function has only
-    /// `2^half_bits` inputs, so they are tabulated up front as `u16`s
-    /// (8 KB at a million objects) and every lookup reads the table.
-    /// Needs `k <= n <= 2^32`.
-    pub fn head(&self, k: u64) -> impl Iterator<Item = u64> {
-        assert!(k <= self.n);
-        assert!(self.half_bits <= 16, "round outputs must fit a u16");
-        let p = *self;
-        let table: Vec<u16> = (0..p.keys.len())
-            .flat_map(|i| (0..1u64 << p.half_bits).map(move |r| p.round(i, r) as u16))
-            .collect();
-        (0..k).map(move |x| p.permute(x, |i, r| u64::from(table[(i << p.half_bits) | r as usize])))
+    /// The exact inverse of [`Self::apply`]: the popularity rank of
+    /// object `id`. Decrypting retraces the forward cycle walk step by
+    /// step, and the first in-range value it meets is the rank the
+    /// walk started from.
+    #[must_use]
+    pub fn rank_of(&self, id: u64) -> u64 {
+        self.walk(id, |v| self.decrypt_once(v))
     }
 }
 
@@ -366,7 +367,16 @@ mod tests {
                 assert!(!seen[y as usize], "collision at {x} -> {y} (n={n})");
                 seen[y as usize] = true;
             }
-            assert!(p.head(n).eq((0..n).map(|x| p.apply(x))), "n={n}");
+        }
+    }
+
+    #[test]
+    fn rank_perm_rank_of_inverts_apply() {
+        for n in [1u64, 2, 3, 7, 64, 1000, 4097, 1_000_000] {
+            let p = RankPerm::new(n, 99);
+            for x in 0..n {
+                assert_eq!(p.rank_of(p.apply(x)), x, "n={n}");
+            }
         }
     }
 
@@ -391,13 +401,11 @@ mod tests {
         ];
         for (n, seed, ids, fingerprint) in cases {
             let p = RankPerm::new(n, seed);
-            let got = [0, 1, 399_999, 999_999].map(|x| p.apply(x));
-            assert_eq!(got, ids, "n={n}");
+            let ranks = [0, 1, 399_999, 999_999];
+            assert_eq!(ranks.map(|x| p.apply(x)), ids, "n={n}");
+            assert_eq!(ids.map(|id| p.rank_of(id)), ranks, "n={n}");
             // Σ (rank + 1) · id over the 400k-object head.
-            let sum = (1..)
-                .zip(p.head(400_000))
-                .map(|(w, id)| w * id)
-                .sum::<u64>();
+            let sum = (0..400_000).map(|x| (x + 1) * p.apply(x)).sum::<u64>();
             assert_eq!(sum, fingerprint, "n={n}");
         }
     }

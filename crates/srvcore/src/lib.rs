@@ -29,4 +29,4 @@ pub use autotune::{AutotuneConfig, IoTuner};
 pub use control::{CoreControl, ServerControl};
 pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
-pub use tier::TierIds;
+pub use tier::{TierIds, TierMetrics};

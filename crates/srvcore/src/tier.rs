@@ -6,6 +6,37 @@ use dcn_obs::{CounterId, GaugeId, HistId, Registry};
 use dcn_store::FileId;
 use dcn_tier::{GetTicket, HotChunkCache, Placement, TierEngine};
 
+/// Tiered-catalog activity over one run, assembled from the `tier.*`
+/// registry family (present when the server ran with a tier engine
+/// and/or the hot-chunk DMA cache).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TierMetrics {
+    /// Requests classified hot / cold (per request, not per fetch).
+    pub hot_hits: u64,
+    pub cold_misses: u64,
+    /// hot_hits / (hot_hits + cold_misses).
+    pub hit_ratio: f64,
+    /// Objects resident on the hot tier at run end.
+    pub hot_count: u64,
+    /// Bytes delivered from the cold object store (demand misses).
+    pub cold_bytes: u64,
+    /// Cold-store GETs (demand + promotion reads).
+    pub cold_requests: u64,
+    /// Simulated cold-store bill, micro-cents.
+    pub cold_cost_ucents: u64,
+    pub promotions: u64,
+    pub demotions: u64,
+    pub promote_deferred: u64,
+    pub promoted_bytes: u64,
+    pub epochs: u64,
+    /// Hot-chunk DMA cache (Atlas ablation; zero on kstack).
+    pub cache_hits: u64,
+    pub cache_misses: u64,
+    pub cache_hit_ratio: f64,
+    /// DRAM traffic the cache itself cost (fills + hit readbacks).
+    pub cache_dram_bytes: u64,
+}
+
 /// Pre-registered `tier.*` handles (per-core counters indexed by
 /// core). The kernel stack has no DMA cache, so its `tier.cache_*`
 /// series stay zero.
@@ -100,6 +131,32 @@ impl TierIds {
             reg.set(self.cache_evictions, cache.stats.evictions as f64);
             reg.set(self.cache_hit_ratio, cache.hit_ratio());
             reg.set(self.cache_dram_bytes, cache.approx_dram_bytes() as f64);
+        }
+    }
+
+    /// Read the family back through the handles, as of the last
+    /// [`Self::publish`].
+    #[must_use]
+    pub fn read(&self, reg: &Registry) -> TierMetrics {
+        let sum = |ids: &[CounterId]| ids.iter().map(|&id| reg.counter_value(id)).sum();
+        let count = |id: GaugeId| reg.gauge_value(id) as u64;
+        TierMetrics {
+            hot_hits: sum(&self.hot_hits),
+            cold_misses: sum(&self.cold_misses),
+            hit_ratio: reg.gauge_value(self.hit_ratio),
+            hot_count: count(self.hot_count),
+            cold_bytes: sum(&self.cold_bytes),
+            cold_requests: count(self.cold_requests),
+            cold_cost_ucents: count(self.cold_cost_ucents),
+            promotions: count(self.promotions),
+            demotions: count(self.demotions),
+            promote_deferred: count(self.promote_deferred),
+            promoted_bytes: count(self.promoted_bytes),
+            epochs: count(self.epochs),
+            cache_hits: sum(&self.cache_hits),
+            cache_misses: sum(&self.cache_misses),
+            cache_hit_ratio: reg.gauge_value(self.cache_hit_ratio),
+            cache_dram_bytes: count(self.cache_dram_bytes),
         }
     }
 }

@@ -98,7 +98,6 @@ pub struct TierEngine {
     pub cfg: TierConfig,
     map: TierMap,
     pub cold: ColdObjectStore,
-    perm: RankPerm,
     file_size: u64,
     promo_q: VecDeque<FileId>,
     next_epoch: Nanos,
@@ -111,20 +110,17 @@ impl TierEngine {
     #[must_use]
     pub fn new(cfg: TierConfig, catalog: &Catalog, seed: u64) -> Self {
         let n = catalog.n_files();
-        let mut map = TierMap::new(n);
-        let perm = RankPerm::new(n, cfg.perm_seed);
         // Seed the hot tier with the popular head: ranks 0..capacity
         // through the same rank→id permutation the Zipf workload uses,
-        // so "popular" means the same thing on both sides.
-        let capacity = Self::capacity_for(cfg.hot_frac, n);
-        for id in perm.head(capacity) {
-            map.set_hot(FileId(id));
-        }
+        // so "popular" means the same thing on both sides. The map
+        // answers residency from the permutation, so this writes
+        // nothing per object.
+        let perm = RankPerm::new(n, cfg.perm_seed);
+        let map = TierMap::new(perm, Self::capacity_for(cfg.hot_frac, n));
         TierEngine {
             cfg,
             map,
             cold: ColdObjectStore::new(cfg.cold, seed ^ 0x7E1A_C01D),
-            perm,
             file_size: catalog.file_size(),
             promo_q: VecDeque::with_capacity(1024),
             next_epoch: cfg.epoch,
@@ -162,7 +158,7 @@ impl TierEngine {
     /// The shared popularity permutation (rank → object id).
     #[must_use]
     pub fn perm(&self) -> &RankPerm {
-        &self.perm
+        self.map.perm()
     }
 
     #[must_use]

@@ -13,7 +13,7 @@
 //!   as the hot tier) and [`ColdObjectStore`] (configurable base
 //!   latency + seeded jitter, a shared bandwidth pipe, and
 //!   per-request/per-byte cost accounting).
-//! * [`map`] — [`TierMap`]: compact residency + heat metadata, ~1.1 MB
+//! * [`map`] — [`TierMap`]: compact residency + heat metadata, 1.25 MB
 //!   per million objects, no per-object allocation.
 //! * [`engine`] — [`TierEngine`]: hysteretic promotion/demotion driven
 //!   by access heat, with epoch decay and a bounded promotion

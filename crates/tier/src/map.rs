@@ -1,18 +1,28 @@
 //! Compact per-object tier metadata.
 //!
 //! A million-object catalog cannot afford a `HashMap<FileId, _>` per
-//! concern. [`TierMap`] keeps exactly three flat arrays — a hot-tier
-//! residency bitmap, a promotion-queued bitmap, and one saturating
-//! heat byte per object — 1.25 MB per million objects, allocated
+//! concern. [`TierMap`] keeps exactly three flat arrays — a residency
+//! flip bitmap, a promotion-queued bitmap, and one saturating heat
+//! byte per object — 1.25 MB per million objects, allocated zeroed
 //! once at construction and never resized.
+//!
+//! Residency is stored relative to the seeded hot set: the `seeded`
+//! most popular objects under the catalog's [`RankPerm`] start hot,
+//! and an object's flip bit is set only while its residency differs
+//! from that. So `is_hot(f) = (rank_of(f) < seeded) != flipped[f]`,
+//! and seeding a 400k-object hot set writes nothing.
 
+use dcn_simcore::RankPerm;
 use dcn_store::FileId;
 
 /// Residency + access-heat metadata for every catalog object.
 pub struct TierMap {
-    n: u64,
-    /// Bit set ⇒ object is resident on the hot tier.
-    hot: Vec<u64>,
+    /// Popularity rank ↔ object id over the whole catalog.
+    perm: RankPerm,
+    /// Objects of rank < `seeded` start resident on the hot tier.
+    seeded: u64,
+    /// Bit set ⇒ residency differs from the seeded head.
+    flipped: Vec<u64>,
     /// Bit set ⇒ object is already in the promotion queue (dedup).
     queued: Vec<u64>,
     /// Saturating access-heat counter, halved every epoch.
@@ -21,27 +31,38 @@ pub struct TierMap {
 }
 
 impl TierMap {
+    /// A map over `perm.len()` objects whose `seeded` most popular
+    /// ones start hot.
     #[must_use]
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0);
+    pub fn new(perm: RankPerm, seeded: u64) -> Self {
+        let n = perm.len();
+        assert!(seeded <= n);
         let words = n.div_ceil(64) as usize;
         TierMap {
-            n,
-            hot: vec![0; words],
+            perm,
+            seeded,
+            flipped: vec![0; words],
             queued: vec![0; words],
             heat: vec![0; n as usize],
-            hot_count: 0,
+            hot_count: seeded,
         }
     }
 
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.n
+        self.perm.len()
     }
 
     #[must_use]
     pub fn is_empty(&self) -> bool {
         false
+    }
+
+    /// The popularity permutation (rank → object id) the seeded head
+    /// is drawn from.
+    #[must_use]
+    pub fn perm(&self) -> &RankPerm {
+        &self.perm
     }
 
     #[must_use]
@@ -57,21 +78,21 @@ impl TierMap {
     #[must_use]
     pub fn is_hot(&self, f: FileId) -> bool {
         let (w, b) = Self::idx(f);
-        self.hot[w] & b != 0
+        (self.perm.rank_of(f.0) < self.seeded) != (self.flipped[w] & b != 0)
     }
 
     pub fn set_hot(&mut self, f: FileId) {
-        let (w, b) = Self::idx(f);
-        if self.hot[w] & b == 0 {
-            self.hot[w] |= b;
+        if !self.is_hot(f) {
+            let (w, b) = Self::idx(f);
+            self.flipped[w] ^= b;
             self.hot_count += 1;
         }
     }
 
     pub fn clear_hot(&mut self, f: FileId) {
-        let (w, b) = Self::idx(f);
-        if self.hot[w] & b != 0 {
-            self.hot[w] &= !b;
+        if self.is_hot(f) {
+            let (w, b) = Self::idx(f);
+            self.flipped[w] ^= b;
             self.hot_count -= 1;
         }
     }
@@ -114,12 +135,15 @@ impl TierMap {
 
     /// Scan up to `limit` objects starting at `*cursor` (wrapping) for
     /// a hot, unqueued object with heat ≤ `threshold` — a demotion
-    /// victim. Advances the cursor past the scanned range.
+    /// victim. Advances the cursor past the scanned range. Residency
+    /// is a permutation inverse, so it is tested after the byte and
+    /// bit reads.
     pub fn find_cold_victim(&self, cursor: &mut u64, limit: u64, threshold: u8) -> Option<FileId> {
-        for _ in 0..limit.min(self.n) {
+        let n = self.len();
+        for _ in 0..limit.min(n) {
             let f = FileId(*cursor);
-            *cursor = (*cursor + 1) % self.n;
-            if self.is_hot(f) && !self.is_queued(f) && self.heat(f) <= threshold {
+            *cursor = (*cursor + 1) % n;
+            if self.heat(f) <= threshold && !self.is_queued(f) && self.is_hot(f) {
                 return Some(f);
             }
         }
@@ -129,17 +153,23 @@ impl TierMap {
     /// Approximate resident-set bytes of the metadata itself.
     #[must_use]
     pub fn metadata_bytes(&self) -> u64 {
-        (self.hot.len() * 8 + self.queued.len() * 8 + self.heat.len()) as u64
+        (self.flipped.len() * 8 + self.queued.len() * 8 + self.heat.len()) as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_simcore::SimRng;
+
+    /// A map with nothing seeded hot.
+    fn unseeded(n: u64) -> TierMap {
+        TierMap::new(RankPerm::new(n, 1), 0)
+    }
 
     #[test]
     fn residency_bitmap_round_trips() {
-        let mut m = TierMap::new(1_000_000);
+        let mut m = unseeded(1_000_000);
         assert_eq!(m.hot_count(), 0);
         m.set_hot(FileId(0));
         m.set_hot(FileId(999_999));
@@ -154,7 +184,7 @@ mod tests {
 
     #[test]
     fn heat_saturates_and_decays() {
-        let mut m = TierMap::new(64);
+        let mut m = unseeded(64);
         for _ in 0..200 {
             m.touch(FileId(7), 3);
         }
@@ -166,7 +196,7 @@ mod tests {
 
     #[test]
     fn metadata_is_compact_at_a_million_objects() {
-        let m = TierMap::new(1_000_000);
+        let m = unseeded(1_000_000);
         // Hard bound from the issue: compact metadata, no per-object
         // allocation. 1 byte heat + 2 bits of bitmaps per object.
         assert!(m.metadata_bytes() < 2_000_000, "{}", m.metadata_bytes());
@@ -174,7 +204,7 @@ mod tests {
 
     #[test]
     fn victim_scan_skips_queued_and_hot_enough() {
-        let mut m = TierMap::new(128);
+        let mut m = unseeded(128);
         m.set_hot(FileId(5));
         m.set_hot(FileId(6));
         m.set_hot(FileId(7));
@@ -185,5 +215,140 @@ mod tests {
         let mut cur2 = 8;
         // Wraps around the end of the id space.
         assert_eq!(m.find_cold_victim(&mut cur2, 128, 10), Some(FileId(7)));
+    }
+
+    /// The map as it was stored before residency became a flip from
+    /// the seeded head: one hot bit per object, seeded by setting the
+    /// `k` most popular objects hot one at a time.
+    struct Reference {
+        hot: Vec<bool>,
+        queued: Vec<bool>,
+        heat: Vec<u8>,
+        hot_count: u64,
+    }
+
+    impl Reference {
+        fn new(perm: &RankPerm, k: u64) -> Self {
+            let n = perm.len() as usize;
+            let mut r = Reference {
+                hot: vec![false; n],
+                queued: vec![false; n],
+                heat: vec![0; n],
+                hot_count: 0,
+            };
+            for rank in 0..k {
+                r.set_hot(FileId(perm.apply(rank)));
+            }
+            r
+        }
+
+        fn set_hot(&mut self, f: FileId) {
+            let h = &mut self.hot[f.0 as usize];
+            self.hot_count += u64::from(!*h);
+            *h = true;
+        }
+
+        fn clear_hot(&mut self, f: FileId) {
+            let h = &mut self.hot[f.0 as usize];
+            self.hot_count -= u64::from(*h);
+            *h = false;
+        }
+
+        fn find_cold_victim(&self, cursor: &mut u64, limit: u64, threshold: u8) -> Option<FileId> {
+            let n = self.hot.len() as u64;
+            for _ in 0..limit.min(n) {
+                let f = *cursor as usize;
+                *cursor = (*cursor + 1) % n;
+                if self.hot[f] && !self.queued[f] && self.heat[f] <= threshold {
+                    return Some(FileId(f as u64));
+                }
+            }
+            None
+        }
+    }
+
+    fn assert_same_residency(m: &TierMap, r: &Reference, ctx: &str) {
+        assert_eq!(m.hot_count(), r.hot_count, "{ctx}");
+        for id in 0..m.len() {
+            assert_eq!(m.is_hot(FileId(id)), r.hot[id as usize], "{ctx} id {id}");
+        }
+    }
+
+    #[test]
+    fn seeded_flips_match_a_bitmap_reference() {
+        for n in [1u64, 64, 65, 1000, 1_000_000] {
+            for k in [0, 1, n / 2, n] {
+                let perm = RankPerm::new(n, 0x007E_1A11);
+                let mut m = TierMap::new(perm, k);
+                let mut r = Reference::new(&perm, k);
+                let ctx = format!("n={n} k={k}");
+                assert_same_residency(&m, &r, &ctx);
+                let mut rng = SimRng::new(n ^ k.rotate_left(32));
+                let (mut f, mut cursor) = (FileId(0), 0);
+                let sweep_every = (n / 16).max(1);
+                for step in 0..2000u64 {
+                    // Half the ops reuse the previous object, so repeated
+                    // and no-op sets and clears come up often.
+                    if rng.chance(0.5) {
+                        f = FileId(rng.gen_range(0, n));
+                    }
+                    match rng.gen_range(0, 16) {
+                        0..=3 => {
+                            m.set_hot(f);
+                            r.set_hot(f);
+                        }
+                        4..=7 => {
+                            m.clear_hot(f);
+                            r.clear_hot(f);
+                        }
+                        8..=10 => {
+                            let by = [1, 3, 50, 200][rng.gen_range(0, 4) as usize];
+                            let h = m.touch(f, by);
+                            let rh = &mut r.heat[f.0 as usize];
+                            *rh = rh.saturating_add(by);
+                            assert_eq!(h, *rh, "{ctx} step {step}");
+                        }
+                        11 => {
+                            m.decay();
+                            r.heat.iter_mut().for_each(|h| *h >>= 1);
+                        }
+                        12 | 13 => {
+                            let q = rng.chance(0.5);
+                            if q {
+                                m.set_queued(f);
+                            } else {
+                                m.clear_queued(f);
+                            }
+                            r.queued[f.0 as usize] = q;
+                        }
+                        _ => {
+                            if rng.chance(0.3) {
+                                cursor = rng.gen_range(0, n);
+                            }
+                            let limit = [1, 17, 64, 8192][rng.gen_range(0, 4) as usize];
+                            let threshold = rng.gen_range(0, 12) as u8;
+                            let mut rc = cursor;
+                            let got = m.find_cold_victim(&mut cursor, limit, threshold);
+                            let want = r.find_cold_victim(&mut rc, limit, threshold);
+                            assert_eq!((got, cursor), (want, rc), "{ctx} step {step}");
+                            if let Some(v) = got {
+                                m.clear_hot(v);
+                                r.clear_hot(v);
+                            }
+                        }
+                    }
+                    assert_eq!(m.hot_count(), r.hot_count, "{ctx} step {step}");
+                    if step % sweep_every == 0 {
+                        assert_same_residency(&m, &r, &format!("{ctx} step {step}"));
+                    }
+                }
+                assert_same_residency(&m, &r, &ctx);
+                for id in 0..n {
+                    let f = FileId(id);
+                    assert_eq!(m.heat(f), r.heat[id as usize], "{ctx} id {id}");
+                    assert_eq!(m.is_queued(f), r.queued[id as usize], "{ctx} id {id}");
+                }
+            }
+        }
     }
 }

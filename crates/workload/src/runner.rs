@@ -17,6 +17,8 @@ use dcn_netdev::{tcp_frame_info, DelayMiddlebox, SentBurst, WireFrame};
 use dcn_obs::export::{stage_summary, write_trace_jsonl, TimeSeries};
 use dcn_packet::FlowId;
 use dcn_simcore::{EventQueue, Nanos};
+use dcn_srvcore::TierIds;
+pub use dcn_srvcore::TierMetrics;
 use dcn_store::Catalog;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -82,6 +84,11 @@ pub trait VideoServer {
     fn pool_snapshot(&self) -> Option<(u64, u64)> {
         None
     }
+    /// The `tier.*` handles, registered iff the server was built with
+    /// a tier engine (or, on Atlas, the hot-chunk cache).
+    fn tier_ids(&self) -> Option<&TierIds> {
+        None
+    }
 }
 
 impl VideoServer for AtlasServer {
@@ -140,6 +147,9 @@ impl VideoServer for AtlasServer {
             u64::from(self.pool_capacity()),
         ))
     }
+    fn tier_ids(&self) -> Option<&TierIds> {
+        self.tier_ids.as_ref()
+    }
 }
 
 impl VideoServer for KstackServer {
@@ -175,6 +185,9 @@ impl VideoServer for KstackServer {
     }
     fn inject_faults(&mut self, f: &FaultConfig, seed: u64) {
         KstackServer::inject_faults(self, f, seed);
+    }
+    fn tier_ids(&self) -> Option<&TierIds> {
+        self.tier_ids.as_ref()
     }
 }
 
@@ -319,37 +332,6 @@ pub struct OverloadMetrics {
     pub client_retries: u64,
     /// p99 time-to-first-body-byte (ms), including retry backoff.
     pub ttfb_p99_ms: f64,
-}
-
-/// Tiered-catalog activity over one run, assembled from the `tier.*`
-/// registry family (present when the server ran with a tier engine
-/// and/or the hot-chunk DMA cache).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TierMetrics {
-    /// Requests classified hot / cold (per request, not per fetch).
-    pub hot_hits: u64,
-    pub cold_misses: u64,
-    /// hot_hits / (hot_hits + cold_misses).
-    pub hit_ratio: f64,
-    /// Objects resident on the hot tier at run end.
-    pub hot_count: u64,
-    /// Bytes delivered from the cold object store (demand misses).
-    pub cold_bytes: u64,
-    /// Cold-store GETs (demand + promotion reads).
-    pub cold_requests: u64,
-    /// Simulated cold-store bill, micro-cents.
-    pub cold_cost_ucents: u64,
-    pub promotions: u64,
-    pub demotions: u64,
-    pub promote_deferred: u64,
-    pub promoted_bytes: u64,
-    pub epochs: u64,
-    /// Hot-chunk DMA cache (Atlas ablation; zero on kstack).
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_hit_ratio: f64,
-    /// DRAM traffic the cache itself cost (fills + hit readbacks).
-    pub cache_dram_bytes: u64,
 }
 
 /// DMA buffer-pool occupancy over the measurement window, sampled on
@@ -751,28 +733,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         client_retries: fleet.retries_fired,
         ttfb_p99_ms: fleet.ttfb_p99_ms(),
     };
-    // `tier.hit_ratio` is registered iff the server was built with a
-    // tier engine or hot-chunk cache — its presence gates the readout.
-    let tier = reg
-        .find_gauge("tier.hit_ratio")
-        .map(|hit_ratio| TierMetrics {
-            hot_hits: reg.sum_prefixed("tier.hot_hits"),
-            cold_misses: reg.sum_prefixed("tier.cold_misses"),
-            hit_ratio,
-            hot_count: reg.find_gauge("tier.hot_count").unwrap_or(0.0) as u64,
-            cold_bytes: reg.sum_prefixed("tier.cold_bytes"),
-            cold_requests: reg.find_gauge("tier.cold_requests").unwrap_or(0.0) as u64,
-            cold_cost_ucents: reg.find_gauge("tier.cold_cost_ucents").unwrap_or(0.0) as u64,
-            promotions: reg.find_gauge("tier.promotions").unwrap_or(0.0) as u64,
-            demotions: reg.find_gauge("tier.demotions").unwrap_or(0.0) as u64,
-            promote_deferred: reg.find_gauge("tier.promote_deferred").unwrap_or(0.0) as u64,
-            promoted_bytes: reg.find_gauge("tier.promoted_bytes").unwrap_or(0.0) as u64,
-            epochs: reg.find_gauge("tier.epochs").unwrap_or(0.0) as u64,
-            cache_hits: reg.sum_prefixed("tier.cache_hits"),
-            cache_misses: reg.sum_prefixed("tier.cache_misses"),
-            cache_hit_ratio: reg.find_gauge("tier.cache_hit_ratio").unwrap_or(0.0),
-            cache_dram_bytes: reg.find_gauge("tier.cache_dram_bytes").unwrap_or(0.0) as u64,
-        });
+    let tier = server.tier_ids().map(|ids| ids.read(reg));
     let disk_reads = reg.sum_prefixed("atlas.disk_reads");
     let disk_read_bytes =
         reg.sum_prefixed("atlas.disk_read_bytes") + reg.sum_prefixed("kstack.disk_read_bytes");

@@ -52,7 +52,7 @@ fn zipf_workload_is_seed_deterministic_and_head_heavy() {
     // ranks hold ~79% of Zipf(0.9) over 1M objects, and they must be
     // the *permuted* ids (the same ids the tier engine seeds hot).
     let perm = RankPerm::new(n, PERM_SEED);
-    let head: HashSet<u64> = perm.head(n / 10).collect();
+    let head: HashSet<u64> = (0..n / 10).map(|r| perm.apply(r)).collect();
     let in_head = a.iter().filter(|f| head.contains(f)).count();
     assert!(
         in_head as f64 / a.len() as f64 > 0.70,
