@@ -3,7 +3,7 @@
 //! loop process-to-completion.
 
 use crate::conn::{AtlasConn, InflightFetch, ResponseLayout};
-use dcn_crypto::RECORD_PAYLOAD_MAX;
+use dcn_crypto::{record_header, RECORD_PAYLOAD_MAX};
 use dcn_diskmap::{BufId, DiskId, DiskmapKernel, IoDesc, NvmeQueue};
 use dcn_httpd::{response_header, ResponseInfo};
 use dcn_mem::{
@@ -489,6 +489,19 @@ impl AtlasServer {
             ids.publish(&mut self.reg, self.tier.as_ref(), self.cache.as_ref());
         }
         self.prof.publish(&mut self.reg);
+    }
+
+    /// Fault counts so far: device faults and SQ rejects from the
+    /// diskmap kernel, aborted connections through their counter.
+    #[must_use]
+    pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
+        let (nvme_read_errors, nvme_latency_spikes) = self.kernel.nvme_fault_totals();
+        dcn_faults::FaultCounts {
+            nvme_read_errors,
+            nvme_latency_spikes,
+            sq_rejects: self.kernel.sq_rejects(),
+            conns_aborted: self.reg.counter_value(self.ids.conns_aborted),
+        }
     }
 
     /// Snapshot the per-stage profile (`None` unless `cfg.profile`).
@@ -1386,13 +1399,7 @@ impl AtlasServer {
             } else {
                 [0u8; 16]
             };
-            let mut rec_hdr = [0x17, 0x03, 0x03, 0, 0]; // TLS1.2 app-data
-            rec_hdr[3..5].copy_from_slice(
-                &u16::try_from(plain_len + 16)
-                    .expect("record fits u16")
-                    .to_be_bytes(),
-            );
-            framing_tag = Some((rec_hdr, tag));
+            framing_tag = Some((record_header(plain_len), tag));
         } else {
             // Plaintext path still touches headers only; payload goes
             // DMA→DMA untouched (the paper's Fig 5 ideal).

@@ -26,4 +26,6 @@ pub mod record;
 
 pub use aes::Aes128;
 pub use gcm::AesGcm128;
-pub use record::{derive_nonce, RecordCipher, GCM_TAG_LEN, RECORD_HEADER_LEN, RECORD_PAYLOAD_MAX};
+pub use record::{
+    derive_nonce, record_header, RecordCipher, GCM_TAG_LEN, RECORD_HEADER_LEN, RECORD_PAYLOAD_MAX,
+};

@@ -30,6 +30,15 @@ pub fn record_overhead() -> usize {
     RECORD_HEADER_LEN + GCM_TAG_LEN
 }
 
+/// The TLS 1.2 application-data record header for `plain_len`
+/// plaintext bytes (the length field counts the GCM tag too).
+#[must_use]
+pub fn record_header(plain_len: u64) -> [u8; RECORD_HEADER_LEN] {
+    let len = u16::try_from(plain_len + GCM_TAG_LEN as u64).expect("record fits u16");
+    let [hi, lo] = len.to_be_bytes();
+    [0x17, 0x03, 0x03, hi, lo]
+}
+
 /// Derive the GCM nonce for the record containing stream byte
 /// `stream_offset`. Deterministic: a retransmission recomputes the
 /// identical nonce, so the keystream matches what the client already

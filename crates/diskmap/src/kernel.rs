@@ -87,6 +87,13 @@ impl DiskmapKernel {
         self.sq_faults.as_ref().map_or(0, |i| i.rejects)
     }
 
+    /// NVMe media errors and latency spikes fired so far, over all
+    /// disks.
+    #[must_use]
+    pub fn nvme_fault_totals(&self) -> (u64, u64) {
+        NvmeDevice::fault_totals(&self.disks)
+    }
+
     #[must_use]
     pub fn num_disks(&self) -> usize {
         self.disks.len()
@@ -103,10 +110,7 @@ impl DiskmapKernel {
         reg.set(g, self.attachments.len() as f64);
         let g = reg.gauge("faults.sq_rejects");
         reg.set(g, self.sq_rejects() as f64);
-        let (errors, spikes) = self.disks.iter().fold((0, 0), |(e, s), d| {
-            d.fault_injector()
-                .map_or((e, s), |i| (e + i.read_errors, s + i.latency_spikes))
-        });
+        let (errors, spikes) = self.nvme_fault_totals();
         let g = reg.gauge("faults.nvme_read_errors");
         reg.set(g, errors as f64);
         let g = reg.gauge("faults.nvme_latency_spikes");

@@ -187,6 +187,19 @@ impl ClusterFaults {
     }
 }
 
+/// What a server's own fault handling counted over a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FaultCounts {
+    /// Injected NVMe media errors and latency spikes fired.
+    pub nvme_read_errors: u64,
+    pub nvme_latency_spikes: u64,
+    /// Submissions the diskmap SQ injector refused (Atlas only).
+    pub sq_rejects: u64,
+    /// Connections aborted once their fetch retries ran out (Atlas
+    /// only).
+    pub conns_aborted: u64,
+}
+
 /// The full fault schedule for one scenario. `Default` is entirely
 /// inactive — every existing scenario runs unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

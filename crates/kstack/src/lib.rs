@@ -24,5 +24,5 @@
 pub mod conn;
 pub mod server;
 
-pub use conn::{KConn, SendChunk};
+pub use conn::KConn;
 pub use server::{KstackConfig, KstackServer, StackVariant};

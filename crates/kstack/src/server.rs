@@ -1,7 +1,7 @@
 //! The conventional-stack server: nginx + FreeBSD (stock or
 //! Netflix-optimized) over the shared hardware models.
 
-use crate::conn::{KConn, StagedResponse};
+use crate::conn::{KConn, StagedResponse, CT_REGION_LEN};
 use dcn_crypto::RECORD_PAYLOAD_MAX;
 use dcn_httpd::response_header;
 use dcn_mem::{
@@ -256,10 +256,8 @@ impl KstackServer {
         // DRAM-resident frames change nothing but memory usage of the
         // simulator itself.
         let cache_bytes = cfg.bufcache_bytes.min(6 << 30);
-        let bufcache = BufferCache::new(cache_bytes, &mut phys);
-        let ct_pool = (0..4096)
-            .map(|_| phys.alloc(RECORD_PAYLOAD_MAX + 64))
-            .collect();
+        let bufcache = BufferCache::new(cache_bytes, &catalog, &mut phys);
+        let ct_pool = (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect();
         let rx_slots = (0..cfg.cores).map(|_| phys.alloc(2048)).collect();
         let mut reg = Registry::new();
         let ids = KstackIds::register(&mut reg, cfg.cores);
@@ -362,16 +360,30 @@ impl KstackServer {
         self.mem.counters.publish_metrics(&mut self.reg);
         self.reg
             .set(self.ids.bufcache_hit_ratio, self.bufcache.hit_ratio());
-        let (errs, spikes) = self.disks.iter().fold((0u64, 0u64), |(e, s), d| {
-            d.fault_injector()
-                .map_or((e, s), |f| (e + f.read_errors, s + f.latency_spikes))
-        });
-        self.reg.set(self.ids.nvme_read_errors, errs as f64);
-        self.reg.set(self.ids.nvme_latency_spikes, spikes as f64);
+        let faults = self.fault_counts();
+        self.reg
+            .set(self.ids.nvme_read_errors, faults.nvme_read_errors as f64);
+        self.reg.set(
+            self.ids.nvme_latency_spikes,
+            faults.nvme_latency_spikes as f64,
+        );
         if let Some(ids) = &self.tier_ids {
             ids.publish(&mut self.reg, self.tier.as_ref(), None);
         }
         self.prof.publish(&mut self.reg);
+    }
+
+    /// Device faults fired so far. The kernel stack has no diskmap
+    /// SQ and retries fills rather than aborting connections, so
+    /// those counts stay 0.
+    #[must_use]
+    pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
+        let (nvme_read_errors, nvme_latency_spikes) = NvmeDevice::fault_totals(&self.disks);
+        dcn_faults::FaultCounts {
+            nvme_read_errors,
+            nvme_latency_spikes,
+            ..dcn_faults::FaultCounts::default()
+        }
     }
 
     /// The tiering engine, when `cfg.tier` is set.
@@ -445,12 +457,16 @@ impl KstackServer {
             match ev {
                 TcbEvent::Data(bytes) => self.on_request_bytes(now, slot_idx, &bytes),
                 TcbEvent::AckedTo(off) => {
-                    let (pages, regions, _) = self.front.slots[slot_idx].conn.release_acked(off);
-                    let unpinned = !pages.is_empty();
-                    for (f, p) in pages {
-                        self.bufcache.unpin(f, p);
-                    }
-                    self.ct_pool.extend(regions);
+                    let (bufcache, ct_pool) = (&mut self.bufcache, &mut self.ct_pool);
+                    let mut unpinned = false;
+                    self.front.slots[slot_idx].conn.release_acked(
+                        off,
+                        |f, p| {
+                            bufcache.unpin(f, p);
+                            unpinned = true;
+                        },
+                        |r| ct_pool.push(r),
+                    );
                     if unpinned {
                         self.wake_alloc_waiters(now);
                     }
@@ -542,8 +558,7 @@ impl KstackServer {
             if slot.conn.staging.is_empty() && slot.conn.fills_inflight == 0 {
                 if let Some((info, file)) = slot.conn.answered.pop_front() {
                     let header = response_header(info, self.cfg.encrypted);
-                    slot.conn
-                        .enqueue(SgList::from_bytes(header), Vec::new(), None);
+                    slot.conn.enqueue_head(header);
                     if let Some(((body_off, body_len), file)) = info.body().zip(file) {
                         slot.conn.staging.push_back(StagedResponse {
                             file,
@@ -886,11 +901,17 @@ impl KstackServer {
             // fraction of the data on the TX path.
             let mut sg = SgList::empty();
             let mut remaining = len;
-            let mut pinned = Vec::new();
+            let first_page = pages[0].0;
+            let mut pinned = 0u32;
             for (p, frame) in &pages {
+                assert_eq!(
+                    *p,
+                    first_page + u64::from(pinned),
+                    "fill pages not consecutive"
+                );
                 let n = remaining.min(CHUNK_SIZE);
                 sg.push_region(frame.slice(0, n));
-                pinned.push((st.file, *p));
+                pinned += 1;
                 remaining -= n;
                 if remaining == 0 {
                     break;
@@ -900,7 +921,7 @@ impl KstackServer {
             // file content (the NIC materializes from them). Fills
             // wrote them via device DMA; cache hits reuse them.
             let slot = &mut self.front.slots[slot_idx];
-            slot.conn.enqueue(sg, pinned, None);
+            slot.conn.enqueue_sendfile(sg, st.file, first_page, pinned);
             // Plaintext "chunk" = one sendfile fill staged into the
             // socket buffer.
             self.prof.chunk_done(core);
@@ -967,7 +988,7 @@ impl KstackServer {
                 // The pool grows on demand: the real bound on
                 // ciphertext socket-buffer memory is sb_max per
                 // connection, enforced at staging time.
-                self.phys.alloc(RECORD_PAYLOAD_MAX + 64)
+                self.phys.alloc(CT_REGION_LEN)
             });
             let ct_region = ct_region.slice(0, rec_plain);
             let mut cycles = (rec_plain as f64 * costs.aes_gcm_cycles_per_byte) as u64;
@@ -1022,24 +1043,12 @@ impl KstackServer {
             } else {
                 [0u8; 16]
             };
-            let mut rec_hdr = [0x17, 0x03, 0x03, 0, 0];
-            rec_hdr[3..5]
-                .copy_from_slice(&u16::try_from(rec_plain + 16).expect("fits").to_be_bytes());
-            // TLS framing (5-byte record header, 16-byte GCM tag)
-            // rides inline in the chunk — no heap allocation per
-            // record.
-            let mut sg = SgList::empty();
-            sg.push_inline(&rec_hdr);
-            sg.push_region(ct_region);
-            sg.push_inline(&tag);
-            let slot = &mut self.front.slots[slot_idx];
-            slot.conn
-                .enqueue(sg, Vec::new(), Some(ct_region.slice(0, 0).slice(0, 0)));
-            // Track the full pool region for release (not the
-            // truncated slice).
-            if let Some(last) = slot.conn.sendq.back_mut() {
-                last.ct_region = Some(PhysRegion::new(ct_region.addr, RECORD_PAYLOAD_MAX + 64));
-            }
+            // The record keeps its pool region and tag; its header
+            // and wire pieces are rebuilt when sent, so the socket
+            // buffer allocates nothing per record.
+            self.front.slots[slot_idx]
+                .conn
+                .enqueue_record(ct_region.addr, rec_plain, tag);
             off_in_fill += rec_plain;
             let _ = t_enc;
         }

@@ -35,6 +35,51 @@ pub enum SgChunk {
 }
 
 impl SgChunk {
+    /// An [`SgChunk::Inline`] holding `b`. Panics past
+    /// [`SG_INLINE_CAP`].
+    #[must_use]
+    pub fn inline(b: &[u8]) -> Self {
+        assert!(b.len() <= SG_INLINE_CAP, "inline chunk over capacity");
+        let mut data = [0u8; SG_INLINE_CAP];
+        data[..b.len()].copy_from_slice(b);
+        SgChunk::Inline {
+            len: b.len() as u8,
+            data,
+        }
+    }
+
+    /// Bytes `[from, to)` of this chunk, sliced without touching
+    /// payload memory. A cut-off front keeps an inline chunk's array
+    /// (and length `to`); a cut-off back shifts it down, so either
+    /// half stays inline.
+    fn window(&self, from: u64, to: u64) -> SgChunk {
+        if from == 0 && to == self.len() {
+            return self.clone();
+        }
+        let n = to - from;
+        match self {
+            SgChunk::Bytes(b) => SgChunk::Bytes(b[from as usize..to as usize].to_vec()),
+            SgChunk::Inline { len, data } => {
+                let mut out = *data;
+                if from > 0 {
+                    out = [0u8; SG_INLINE_CAP];
+                    let rest = &data[from as usize..usize::from(*len)];
+                    out[..rest.len()].copy_from_slice(rest);
+                }
+                SgChunk::Inline {
+                    len: n as u8,
+                    data: out,
+                }
+            }
+            SgChunk::Shared { bytes, off, len: _ } => SgChunk::Shared {
+                bytes: Arc::clone(bytes),
+                off: off + from as u32,
+                len: n as u32,
+            },
+            SgChunk::Region(r) => SgChunk::Region(r.slice(from, n)),
+        }
+    }
+
     #[must_use]
     pub fn len(&self) -> u64 {
         match self {
@@ -94,14 +139,9 @@ impl SgList {
     /// [`SG_INLINE_CAP`] — callers use this only for record framing,
     /// whose size is a protocol constant.
     pub fn push_inline(&mut self, b: &[u8]) {
-        assert!(b.len() <= SG_INLINE_CAP, "inline chunk over capacity");
+        let chunk = SgChunk::inline(b);
         if !b.is_empty() {
-            let mut data = [0u8; SG_INLINE_CAP];
-            data[..b.len()].copy_from_slice(b);
-            self.0.push(SgChunk::Inline {
-                len: b.len() as u8,
-                data,
-            });
+            self.0.push(chunk);
         }
     }
 
@@ -170,50 +210,39 @@ impl SgList {
                 need -= l;
                 front.push(chunk);
             } else {
-                match chunk {
-                    SgChunk::Bytes(mut b) => {
-                        let tail = b.split_off(need as usize);
-                        front.push(SgChunk::Bytes(b));
-                        self.0.push(SgChunk::Bytes(tail));
-                    }
-                    SgChunk::Inline { len, data } => {
-                        // Two inline chunks — still no allocation.
-                        let cut = need as usize;
-                        let mut tail = [0u8; SG_INLINE_CAP];
-                        let tail_len = usize::from(len) - cut;
-                        tail[..tail_len].copy_from_slice(&data[cut..usize::from(len)]);
-                        front.push(SgChunk::Inline {
-                            len: cut as u8,
-                            data,
-                        });
-                        self.0.push(SgChunk::Inline {
-                            len: tail_len as u8,
-                            data: tail,
-                        });
-                    }
-                    SgChunk::Shared { bytes, off, len } => {
-                        let cut = need as u32;
-                        front.push(SgChunk::Shared {
-                            bytes: Arc::clone(&bytes),
-                            off,
-                            len: cut,
-                        });
-                        self.0.push(SgChunk::Shared {
-                            bytes,
-                            off: off + cut,
-                            len: len - cut,
-                        });
-                    }
-                    SgChunk::Region(r) => {
-                        front.push(SgChunk::Region(r.slice(0, need)));
-                        self.0.push(SgChunk::Region(r.slice(need, r.len - need)));
-                    }
-                }
+                front.push(chunk.window(0, need));
+                self.0.push(chunk.window(need, l));
                 need = 0;
             }
         }
         self.0.extend(rest);
         SgList(front)
+    }
+
+    /// Append bytes `[off, off + len)` of the payload `chunks` spell,
+    /// exactly the pieces cloning them into a list and splitting it at
+    /// `off`, then at `len`, would leave in front — without cloning
+    /// the chunks outside the window. `chunks` holds no empty chunk
+    /// (the `push_*` methods never add one).
+    pub fn push_window(&mut self, chunks: &[SgChunk], off: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let end = off + len;
+        let mut at = 0;
+        for c in chunks {
+            if at >= end {
+                break;
+            }
+            let l = c.len();
+            if at + l > off {
+                let from = off.saturating_sub(at);
+                let to = (end - at).min(l);
+                self.0.push(c.window(from, to));
+            }
+            at += l;
+        }
+        assert!(at >= end, "window past end");
     }
 
     /// Materialize the full payload (what the NIC's DMA engine reads
@@ -263,6 +292,34 @@ mod tests {
 
     fn region(addr: u64, len: u64) -> PhysRegion {
         PhysRegion::new(PhysAddr(addr), len)
+    }
+
+    #[test]
+    fn push_window_matches_clone_and_split_at_every_window() {
+        // Every chunk kind, plus an inline chunk whose array runs past
+        // its length (the front of an earlier split).
+        let mut cut = SgList::empty();
+        cut.push_inline(&[1, 2, 3, 4, 5, 6, 7]);
+        let cut = cut.split_front(4).0.remove(0);
+        let mut src = SgList::empty();
+        src.push_bytes((10..17).collect());
+        src.push_inline(&[0x17, 3, 3, 0, 9]);
+        src.push_shared((0..20).collect::<Vec<u8>>().into(), 4, 9);
+        src.push_region(region(8192, 13));
+        src.0.push(cut);
+        src.push_inline(&[0xAB; 16]);
+        let total = src.len();
+        for off in 0..=total {
+            for len in 0..=total - off {
+                let mut want = src.clone();
+                let _ = want.split_front(off);
+                let want = want.split_front(len);
+                let mut got = SgList::from_bytes(vec![0xEE]);
+                got.push_window(&src.0, off, len);
+                assert_eq!(got.0[0], SgChunk::Bytes(vec![0xEE]));
+                assert_eq!(got.0[1..], want.0[..], "window [{off}, +{len})");
+            }
+        }
     }
 
     #[test]

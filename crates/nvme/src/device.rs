@@ -127,6 +127,17 @@ impl NvmeDevice {
         self.faults.as_ref()
     }
 
+    /// Media errors and latency spikes fired across `devices`' armed
+    /// fault injectors.
+    pub fn fault_totals<'a>(devices: impl IntoIterator<Item = &'a NvmeDevice>) -> (u64, u64) {
+        devices
+            .into_iter()
+            .filter_map(NvmeDevice::fault_injector)
+            .fold((0, 0), |(e, s), f| {
+                (e + f.read_errors, s + f.latency_spikes)
+            })
+    }
+
     /// Host access to a queue pair (the driver owns these
     /// structurally; the device borrows them during `advance`).
     pub fn qpair(&mut self, qid: u16) -> &mut QueuePair {

@@ -16,37 +16,21 @@
 //! lazily, a frame's physical region is derived from its index, the
 //! page map is an open-addressed table of frame indices that reads
 //! each key from the arena, and the LRU order of the unpinned frames
-//! is a doubly linked list threaded through the arena. A frame costs
-//! 16 bytes plus its share of the table, 5.3 bytes at the kstack's
-//! 6 GiB cap.
+//! is a doubly linked list threaded through the arena. A page's key
+//! is its dense index in the catalog, `file × pages_per_file + page`,
+//! which fits a `u32` for any catalog the cache accepts (the paper's
+//! takes 150 M of the 4.29 G keys). A frame costs 12 bytes plus its
+//! share of the table, 5.3 bytes at the kstack's 6 GiB cap: 17.3
+//! bytes in all.
 
-use crate::catalog::FileId;
+use crate::catalog::{Catalog, FileId};
 use dcn_mem::{CostParams, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
-
-/// Low bits of a packed page key that hold the page index; the file
-/// id takes the other 44.
-const PAGE_BITS: u32 = 20;
 
 /// Null link in the LRU list.
 const NIL: u32 = u32::MAX;
 
 /// `Frame::next` of a pinned frame, whose `prev` holds the pin count.
 const PINNED: u32 = u32::MAX - 1;
-
-/// Pack `(file, page index)` into one map key. Panics on a key that
-/// does not fit, so two pages can never alias.
-fn page_key(file: FileId, page: u64) -> u64 {
-    assert!(
-        page < 1 << PAGE_BITS,
-        "page index {page} does not fit the buffer-cache key"
-    );
-    assert!(
-        file.0 < 1 << (64 - PAGE_BITS),
-        "file id {} does not fit the buffer-cache key",
-        file.0
-    );
-    file.0 << PAGE_BITS | page
-}
 
 /// A resident cache page handed to sendfile.
 #[derive(Clone, Copy, Debug)]
@@ -61,8 +45,8 @@ pub struct CachePageRef {
 /// past them; a pinned frame needs no links, and its two link words
 /// hold the pin count instead.
 struct Frame {
-    /// Packed key of the page this frame holds (while it is mapped).
-    key: u64,
+    /// Key of the page this frame holds (while it is mapped).
+    key: u32,
     /// Unpinned: the LRU predecessor (`NIL` at the head).
     /// Pinned: the pin count, at least 1.
     prev: u32,
@@ -78,10 +62,13 @@ impl Frame {
 }
 
 /// Resident pages: an open-addressed table of frame indices, keyed by
-/// the packed key the frame itself holds. Linear probing; deletion
+/// the page key the frame itself holds. Linear probing; deletion
 /// shifts the rest of the probe run back, so there are no tombstones.
-/// A slot holds `index + 1`, so the table starts as zeroed memory and
-/// building it touches no page.
+/// A slot holds `index + 1`, so the table starts as zeroed memory.
+/// That memory is only free while the allocator maps it fresh: once
+/// the process has freed a large block, glibc raises its mmap
+/// threshold, serves the next table from the heap and zero-fills it
+/// here, which costs 0.35–0.45 ms at the kstack's 8 MiB.
 struct PageIndex {
     slots: Vec<u32>,
     /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
@@ -101,8 +88,8 @@ impl PageIndex {
     }
 
     /// Home slot of `key` (Fibonacci hashing).
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    fn home(&self, key: u32) -> usize {
+        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
     fn mask(&self) -> usize {
@@ -111,7 +98,7 @@ impl PageIndex {
 
     /// The slot holding `key`, or the empty slot that ends its probe
     /// run.
-    fn probe(&self, key: u64, frames: &[Frame]) -> (usize, Option<u32>) {
+    fn probe(&self, key: u32, frames: &[Frame]) -> (usize, Option<u32>) {
         let mut i = self.home(key);
         loop {
             match self.slots[i] {
@@ -122,7 +109,7 @@ impl PageIndex {
         }
     }
 
-    fn get(&self, key: u64, frames: &[Frame]) -> Option<u32> {
+    fn get(&self, key: u32, frames: &[Frame]) -> Option<u32> {
         self.probe(key, frames).1
     }
 
@@ -136,7 +123,7 @@ impl PageIndex {
         old
     }
 
-    fn remove(&mut self, key: u64, frames: &[Frame]) -> Option<u32> {
+    fn remove(&mut self, key: u32, frames: &[Frame]) -> Option<u32> {
         let (mut hole, found) = self.probe(key, frames);
         found?;
         self.len -= 1;
@@ -176,6 +163,9 @@ pub struct VmPressure {
 /// The disk buffer cache.
 pub struct BufferCache {
     capacity_pages: usize,
+    /// Catalog geometry for page keys: files, and pages per file.
+    n_files: u64,
+    pages_per_file: u64,
     /// Start of the cache's physical range. Frames are handed out
     /// from its top down (frame `i` is page `capacity − 1 − i`); the
     /// committed `BENCH_*.json` files depend on this address order.
@@ -186,7 +176,7 @@ pub struct BufferCache {
     /// Frames released by a racing insert; reused (last in, first
     /// out) before never-used frames.
     free: Vec<u32>,
-    /// Resident pages: packed key → frame index.
+    /// Resident pages: page key → frame index.
     pages: PageIndex,
     /// Unpinned (reclaimable) frames, least recently unpinned first.
     lru_head: u32,
@@ -196,19 +186,30 @@ pub struct BufferCache {
 }
 
 impl BufferCache {
-    /// A cache of `capacity_bytes`, reserving its whole physical range
-    /// from `phys` up front.
+    /// A cache of `capacity_bytes` over `catalog`'s pages, reserving
+    /// its whole physical range from `phys` up front. Panics if the
+    /// catalog has more pages than a `u32` key can name.
     #[must_use]
-    pub fn new(capacity_bytes: u64, phys: &mut PhysAlloc) -> Self {
+    pub fn new(capacity_bytes: u64, catalog: &Catalog, phys: &mut PhysAlloc) -> Self {
         let capacity_pages = (capacity_bytes / CHUNK_SIZE) as usize;
         assert!(capacity_pages > 0);
         assert!(
             capacity_pages < PINNED as usize,
             "too many buffer-cache frames"
         );
+        let n_files = catalog.n_files();
+        let pages_per_file = catalog.file_size().div_ceil(CHUNK_SIZE);
+        assert!(
+            n_files
+                .checked_mul(pages_per_file)
+                .is_some_and(|keys| keys <= u64::from(u32::MAX)),
+            "{n_files} files × {pages_per_file} pages do not fit a u32 buffer-cache key"
+        );
         let base = phys.alloc(capacity_pages as u64 * CHUNK_SIZE).addr.0;
         BufferCache {
             capacity_pages,
+            n_files,
+            pages_per_file,
             base,
             frames: Vec::with_capacity(capacity_pages),
             free: Vec::new(),
@@ -218,6 +219,17 @@ impl BufferCache {
             lru_len: 0,
             stats: VmPressure::default(),
         }
+    }
+
+    /// The dense key of `(file, page index)`. Panics on a page outside
+    /// the catalog, so two pages can never alias.
+    fn page_key(&self, file: FileId, page: u64) -> u32 {
+        assert!(
+            file.0 < self.n_files && page < self.pages_per_file,
+            "page {page} of file {} does not fit the buffer-cache key",
+            file.0
+        );
+        (file.0 * self.pages_per_file + page) as u32
     }
 
     #[must_use]
@@ -259,7 +271,7 @@ impl BufferCache {
         page: u64,
         costs: &CostParams,
     ) -> (Option<CachePageRef>, u64) {
-        let key = page_key(file, page);
+        let key = self.page_key(file, page);
         self.stats.lookups += 1;
         let Some(idx) = self.pages.get(key, &self.frames) else {
             return (None, costs.bufcache_page_cycles);
@@ -306,7 +318,7 @@ impl BufferCache {
         costs: &CostParams,
         cores: usize,
     ) -> Option<(CachePageRef, u64)> {
-        let key = page_key(file, page);
+        let key = self.page_key(file, page);
         self.stats.inserts += 1;
         let mut cycles = costs.bufcache_page_cycles;
         let frame = Frame {
@@ -369,7 +381,7 @@ impl BufferCache {
     /// Unpin a page (socket buffer released it after the NIC consumed
     /// the data); it becomes reclaimable at MRU position.
     pub fn unpin(&mut self, file: FileId, page: u64) {
-        if let Some(idx) = self.pages.get(page_key(file, page), &self.frames) {
+        if let Some(idx) = self.pages.get(self.page_key(file, page), &self.frames) {
             let f = &mut self.frames[idx as usize];
             assert!(f.pinned(), "unpin of unpinned page");
             f.prev -= 1;
@@ -420,10 +432,15 @@ mod tests {
     use dcn_simcore::SimRng;
     use std::collections::{BTreeMap, HashMap};
 
+    /// The test catalog: 128 files of 64 pages each.
+    fn catalog() -> Catalog {
+        Catalog::new(128, 64 * CHUNK_SIZE, 1, 0)
+    }
+
     fn cache(pages: u64) -> (BufferCache, CostParams) {
         let mut phys = PhysAlloc::new();
         (
-            BufferCache::new(pages * CHUNK_SIZE, &mut phys),
+            BufferCache::new(pages * CHUNK_SIZE, &catalog(), &mut phys),
             CostParams::default(),
         )
     }
@@ -520,30 +537,50 @@ mod tests {
     #[should_panic(expected = "does not fit")]
     fn oversized_page_index_fails_loudly() {
         let (mut c, costs) = cache(4);
-        c.lookup(FileId(0), 1 << 20, &costs);
+        c.lookup(FileId(0), 64, &costs);
     }
 
     #[test]
     #[should_panic(expected = "does not fit")]
     fn oversized_file_id_fails_loudly() {
         let (mut c, costs) = cache(4);
-        c.lookup(FileId(1 << 44), 0, &costs);
+        c.lookup(FileId(128), 0, &costs);
     }
 
     #[test]
     fn largest_keys_do_not_alias() {
         let (mut c, costs) = cache(4);
-        c.insert(FileId(0), (1 << 20) - 1, &costs, 1);
-        c.insert(FileId((1 << 44) - 1), 0, &costs, 1);
+        c.insert(FileId(0), 63, &costs, 1);
+        c.insert(FileId(127), 0, &costs, 1);
         assert!(c.lookup(FileId(1), 0, &costs).0.is_none());
         assert!(c.lookup(FileId(0), 0, &costs).0.is_none());
-        assert!(c.lookup(FileId(0), (1 << 20) - 1, &costs).0.is_some());
-        assert!(c.lookup(FileId((1 << 44) - 1), 0, &costs).0.is_some());
+        assert!(c.lookup(FileId(0), 63, &costs).0.is_some());
+        assert!(c.lookup(FileId(127), 0, &costs).0.is_some());
     }
 
     #[test]
-    fn frame_is_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<Frame>(), 16);
+    fn a_catalog_of_u32_max_keys_reaches_the_last_key() {
+        // 65,535 files × 65,537 pages = u32::MAX keys, 0..=u32::MAX − 1.
+        let big = Catalog::new(65_535, 65_537 * CHUNK_SIZE, 1, 0);
+        let mut c = BufferCache::new(4 * CHUNK_SIZE, &big, &mut PhysAlloc::new());
+        let costs = CostParams::default();
+        assert_eq!(c.page_key(FileId(65_534), 65_536), u32::MAX - 1);
+        c.insert(FileId(65_534), 65_536, &costs, 1);
+        assert!(c.lookup(FileId(0), 0, &costs).0.is_none());
+        assert!(c.lookup(FileId(65_534), 65_536, &costs).0.is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit a u32")]
+    fn a_catalog_too_large_for_u32_keys_fails_at_construction() {
+        // 2^32 pages: one more than a u32 key can name.
+        let big = Catalog::new(1 << 16, (1 << 16) * CHUNK_SIZE, 1, 0);
+        let _ = BufferCache::new(4 * CHUNK_SIZE, &big, &mut PhysAlloc::new());
+    }
+
+    #[test]
+    fn frame_is_twelve_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 12);
     }
 
     #[test]
@@ -581,14 +618,14 @@ mod tests {
         let mut index = PageIndex::new(CAP);
         assert_eq!(index.slots.len(), 16);
         let last = index.mask();
-        let pool: Vec<u64> = (0u64..)
+        let pool: Vec<u32> = (0u32..)
             .filter(|&k| index.home(k) == 7 || index.home(k) == last)
             .take(40)
             .collect();
         assert!(pool.iter().filter(|&&k| index.home(k) == last).count() > 10);
         let mut frames: Vec<Frame> = Vec::new();
         let mut free: Vec<u32> = Vec::new();
-        let mut reference: HashMap<u64, u32> = HashMap::new();
+        let mut reference: HashMap<u32, u32> = HashMap::new();
         let mut rng = SimRng::new(0x1de8);
         let (mut wrapped, mut shifted) = (0u64, 0u64);
         for _ in 0..50_000 {
@@ -811,7 +848,7 @@ mod tests {
         phys_arena.alloc(3 * CHUNK_SIZE);
         phys_ref.alloc(3 * CHUNK_SIZE);
         let mut t = Pair {
-            arena: BufferCache::new(FRAMES * CHUNK_SIZE, &mut phys_arena),
+            arena: BufferCache::new(FRAMES * CHUNK_SIZE, &catalog(), &mut phys_arena),
             reference: RefCache::new(FRAMES * CHUNK_SIZE, &mut phys_ref),
             costs: CostParams::default(),
             held: Vec::new(),

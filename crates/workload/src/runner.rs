@@ -9,7 +9,7 @@
 
 use crate::fleet::{ClientFleet, ClientTx, FleetConfig};
 use dcn_atlas::{AtlasConfig, AtlasServer};
-use dcn_faults::{salt, FaultConfig, FrameFate, FrameInfo, LinkFaults, LossModel};
+use dcn_faults::{salt, FaultConfig, FaultCounts, FrameFate, FrameInfo, LinkFaults, LossModel};
 use dcn_kstack::{KstackConfig, KstackServer};
 use dcn_mem::{Fidelity, MemSnapshot};
 use dcn_netdev::parse_frame;
@@ -89,6 +89,8 @@ pub trait VideoServer {
     fn tier_ids(&self) -> Option<&TierIds> {
         None
     }
+    /// What the server's own fault handling counted so far.
+    fn fault_counts(&self) -> FaultCounts;
 }
 
 impl VideoServer for AtlasServer {
@@ -150,6 +152,9 @@ impl VideoServer for AtlasServer {
     fn tier_ids(&self) -> Option<&TierIds> {
         self.tier_ids.as_ref()
     }
+    fn fault_counts(&self) -> FaultCounts {
+        AtlasServer::fault_counts(self)
+    }
 }
 
 impl VideoServer for KstackServer {
@@ -188,6 +193,9 @@ impl VideoServer for KstackServer {
     }
     fn tier_ids(&self) -> Option<&TierIds> {
         self.tier_ids.as_ref()
+    }
+    fn fault_counts(&self) -> FaultCounts {
+        KstackServer::fault_counts(self)
     }
 }
 
@@ -704,6 +712,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
     let net_gbps = fleet.goodput.rate_per_sec(sc.warmup, end) * 8.0 / 1e9;
     let empty_reg = dcn_obs::Registry::new();
     let reg = server.registry().unwrap_or(&empty_reg);
+    let counts = server.fault_counts();
     let faults = FaultMetrics {
         net_dropped: link.dropped,
         net_duplicated: link.duplicated,
@@ -711,12 +720,12 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         net_corrupt_delivered: link.corrupt_delivered,
         net_retx_dropped: link.retx_dropped,
         client_stalls,
-        nvme_read_errors: reg.find_gauge("faults.nvme_read_errors").unwrap_or(0.0) as u64,
-        nvme_latency_spikes: reg.find_gauge("faults.nvme_latency_spikes").unwrap_or(0.0) as u64,
-        sq_rejects: reg.find_gauge("faults.sq_rejects").unwrap_or(0.0) as u64,
+        nvme_read_errors: counts.nvme_read_errors,
+        nvme_latency_spikes: counts.nvme_latency_spikes,
+        sq_rejects: counts.sq_rejects,
         fetch_retries: reg.sum_prefixed("atlas.fetch_retries")
             + reg.sum_prefixed("kstack.fill_retries"),
-        conns_aborted: reg.find_counter("atlas.conns_aborted").unwrap_or(0),
+        conns_aborted: counts.conns_aborted,
         rto_fired: reg.sum_prefixed_gauge("tcp.rto_fired") as u64,
     };
     let overload = OverloadMetrics {
