@@ -1,5 +1,6 @@
 //! Micro-benchmarks for the hot primitives: AES-GCM sealing, TCP
-//! wire codecs, NVMe firmware submit/drain, and the LLC model.
+//! wire codecs, NVMe firmware submit/drain, the LLC model, and the
+//! kstack buffer cache's construction.
 //!
 //! This is a plain `harness = false` binary (the container builds
 //! offline, so no external bench framework): each case is warmed up,
@@ -7,10 +8,11 @@
 //! reported as ns/iter plus throughput where bytes are meaningful.
 
 use dcn_crypto::{AesGcm128, RecordCipher};
-use dcn_mem::{CostParams, LlcConfig, MemSystem, PhysAddr, PhysRegion, CHUNK_SIZE};
+use dcn_mem::{CostParams, LlcConfig, MemSystem, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
 use dcn_nvme::{FirmwareParams, NvmeCommand, Opcode};
 use dcn_packet::{internet_checksum, SeqNumber, TcpFlags, TcpRepr};
 use dcn_simcore::Nanos;
+use dcn_store::{BufferCache, Catalog};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -112,10 +114,21 @@ fn bench_llc() {
     });
 }
 
+/// Build and drop a buffer cache at the kstack's 6 GiB cap over the
+/// paper catalog: the per-construction cost a `netflix_tls_2k` set-up
+/// sample pays (wall clock, advisory).
+fn bench_store() {
+    let catalog = Catalog::paper(1);
+    bench("store/bufcache_new_6g", 0, || {
+        black_box(BufferCache::new(6 << 30, &catalog, &mut PhysAlloc::new()));
+    });
+}
+
 fn main() {
     println!("{:-<34} {:->12}--------  {:->8}-----", "", "", "");
     bench_crypto();
     bench_packet();
     bench_nvme();
     bench_llc();
+    bench_store();
 }

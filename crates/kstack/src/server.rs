@@ -132,7 +132,10 @@ struct Fill {
     /// The response being filled, at the fill's file offset.
     st: StagedResponse,
     len: u64,
-    pages: Vec<(u64, PhysRegion)>, // (page index, frame)
+    /// Cache page held by `frames[0]`; `frames[i]` holds page
+    /// `first_page + i`.
+    first_page: u64,
+    frames: Vec<PhysRegion>,
     issued_at: Nanos,
     /// How many times this fill has been (re)issued; device read
     /// errors retry up to [`MAX_FILL_ATTEMPTS`].
@@ -607,12 +610,12 @@ impl KstackServer {
                 let (hit, cyc) = self.bufcache.lookup(st.file, p, &costs);
                 lookup_cycles += cyc;
                 match hit {
-                    Some(r) => pages.push((p, r.region)),
+                    Some(r) => pages.push(r.region),
                     None => {
                         all_hit = false;
                         // Unpin what we already pinned this round.
-                        for (pp, _) in &pages {
-                            self.bufcache.unpin(st.file, *pp);
+                        for pp in first_page..p {
+                            self.bufcache.unpin(st.file, pp);
                         }
                         pages.clear();
                         break;
@@ -623,7 +626,7 @@ impl KstackServer {
             let t_work = self.cores.run_on(core, now, lookup_cycles);
             if all_hit {
                 // Cache hit: enqueue immediately.
-                self.enqueue_body(t_work, slot_idx, st, want, pages);
+                self.enqueue_body(t_work, slot_idx, st, want, first_page, pages);
                 let slot = &mut self.front.slots[slot_idx];
                 if let Some(front) = slot.conn.staging.front_mut() {
                     front.next_fill += want;
@@ -640,7 +643,7 @@ impl KstackServer {
                 match self.bufcache.try_insert(st.file, p, &costs, cores_n) {
                     Some((r, cyc)) => {
                         alloc_cycles += cyc;
-                        frames.push((p, r.region));
+                        frames.push(r.region);
                     }
                     None => {
                         pressured = true;
@@ -649,8 +652,8 @@ impl KstackServer {
                 }
             }
             if pressured {
-                for (p, _) in &frames {
-                    self.bufcache.unpin(st.file, *p);
+                for p in first_page..first_page + frames.len() as u64 {
+                    self.bufcache.unpin(st.file, p);
                 }
                 self.cores.run_on(core, now, alloc_cycles);
                 // Park: retried when ACKs unpin socket-buffer pages.
@@ -677,7 +680,8 @@ impl KstackServer {
                 conn_slot: slot_idx,
                 st,
                 len: want,
-                pages: frames,
+                first_page,
+                frames,
                 issued_at: t_alloc,
                 attempts: 1,
             };
@@ -710,7 +714,7 @@ impl KstackServer {
         // PRP list = the cache page frames.
         let mut prp: Vec<PhysRegion> = Vec::new();
         let mut remaining = aligned;
-        for (_, frame) in &fill.pages {
+        for frame in &fill.frames {
             let n = remaining.min(CHUNK_SIZE);
             prp.push(frame.slice(0, n));
             remaining -= n;
@@ -859,7 +863,14 @@ impl KstackServer {
             );
             self.sync_busy[core] = false;
         }
-        self.enqueue_body(irq_done, slot_idx, fill.st, fill.len, fill.pages);
+        self.enqueue_body(
+            irq_done,
+            slot_idx,
+            fill.st,
+            fill.len,
+            fill.first_page,
+            fill.frames,
+        );
         let slot = &mut self.front.slots[slot_idx];
         slot.conn.fills_inflight -= 1;
         self.stage(irq_done, slot_idx);
@@ -880,14 +891,16 @@ impl KstackServer {
     }
 
     /// Move body bytes into the socket buffer, encrypting per the
-    /// variant's TLS design.
+    /// variant's TLS design. `frames[i]` holds cache page
+    /// `first_page + i`.
     fn enqueue_body(
         &mut self,
         now: Nanos,
         slot_idx: usize,
         st: StagedResponse,
         len: u64,
-        pages: Vec<(u64, PhysRegion)>,
+        first_page: u64,
+        frames: Vec<PhysRegion>,
     ) {
         let costs = self.cfg.costs;
         let core = self.front.slots[slot_idx].core;
@@ -901,14 +914,8 @@ impl KstackServer {
             // fraction of the data on the TX path.
             let mut sg = SgList::empty();
             let mut remaining = len;
-            let first_page = pages[0].0;
             let mut pinned = 0u32;
-            for (p, frame) in &pages {
-                assert_eq!(
-                    *p,
-                    first_page + u64::from(pinned),
-                    "fill pages not consecutive"
-                );
+            for frame in &frames {
                 let n = remaining.min(CHUNK_SIZE);
                 sg.push_region(frame.slice(0, n));
                 pinned += 1;
@@ -939,7 +946,7 @@ impl KstackServer {
             self.crypt_scratch.resize(len as usize, 0);
             dcn_obs::steady::note_growth(cap_before, self.crypt_scratch.capacity());
             let mut off = 0usize;
-            for (_, frame) in &pages {
+            for frame in &frames {
                 if off >= len as usize {
                     break;
                 }
@@ -976,7 +983,7 @@ impl KstackServer {
             let mut page_cursor = (off_in_fill / CHUNK_SIZE) as usize;
             let mut in_page = off_in_fill % CHUNK_SIZE;
             while remaining > 0 {
-                let (_, frame) = pages[page_cursor];
+                let frame = frames[page_cursor];
                 let n = remaining.min(CHUNK_SIZE - in_page);
                 self.src_scratch.push(frame.slice(in_page, n));
                 remaining -= n;
@@ -1053,8 +1060,8 @@ impl KstackServer {
             let _ = t_enc;
         }
         // Encrypted path: unpin all the fill's pages now.
-        for (p, _) in &pages {
-            self.bufcache.unpin(st.file, *p);
+        for p in first_page..first_page + frames.len() as u64 {
+            self.bufcache.unpin(st.file, p);
         }
     }
 
@@ -1133,7 +1140,7 @@ impl KstackServer {
             // NIC DMA writes the object bytes into the cache frames,
             // page by page — same layout the NVMe PRP list would use.
             let mut remaining = tk.len;
-            for (p, frame) in &fill.pages {
+            for (p, frame) in (fill.first_page..).zip(&fill.frames) {
                 let n = remaining.min(CHUNK_SIZE);
                 let region = frame.slice(0, n);
                 if self.cfg.fidelity == Fidelity::Full {

@@ -262,15 +262,16 @@ impl Nic {
             for r in desc.payload.regions() {
                 dma_dram_bytes += mem.dma_read(start, Agent::NicDma, r).dram_read_bytes;
             }
-            let frames = self.segment(&desc, host);
+            let payload_len = desc.payload.len();
+            let token = desc.completion;
+            let frames = self.segment(desc, host);
             let burst_wire: u64 = frames.iter().map(WireFrame::wire_len).sum();
             let t = self.cfg.port_rate.tx_time(burst_wire);
             let departed = start + t;
             self.ports[port_idx].busy_until = departed;
             self.tx_wire_bytes += burst_wire;
-            self.tx_payload_bytes += desc.payload.len();
+            self.tx_payload_bytes += payload_len;
             self.tx_frames += frames.len() as u64;
-            let token = desc.completion;
             out.push(SentBurst {
                 departed,
                 port: port_idx,
@@ -330,15 +331,16 @@ impl Nic {
 
     /// TSO: split one descriptor into MSS-sized frames, patching the
     /// TCP sequence number per frame. Without TSO the descriptor
-    /// must already be ≤ MSS and maps to exactly one frame.
-    fn segment(&self, desc: &crate::rings::TxDescriptor, host: &HostMem) -> Vec<WireFrame> {
+    /// must already be ≤ MSS and maps to exactly one frame, which
+    /// takes the descriptor's header bytes (as does a Modeled train).
+    fn segment(&self, desc: crate::rings::TxDescriptor, host: &HostMem) -> Vec<WireFrame> {
         let total = desc.payload.len();
         let mss = match desc.tso_mss {
             Some(m) if self.cfg.tso && total > u64::from(m) => u64::from(m),
             _ => {
                 // Single frame.
                 let payload = self.payload_bytes(&desc.payload, host);
-                return vec![WireFrame::single(desc.headers.clone(), payload)];
+                return vec![WireFrame::single(desc.headers, payload)];
             }
         };
         if self.cfg.fidelity == Fidelity::Modeled {
@@ -347,7 +349,7 @@ impl Nic {
             // simulation cost. Wire accounting still charges every
             // segment's headers (see WireFrame::wire_len).
             let n = total.div_ceil(mss) as u32;
-            let mut headers = desc.headers.clone();
+            let mut headers = desc.headers;
             patch_ip_len(&mut headers, total);
             return vec![WireFrame {
                 headers,
@@ -356,7 +358,7 @@ impl Nic {
             }];
         }
         let mut frames = Vec::with_capacity((total / mss + 2) as usize);
-        let mut rest = desc.payload.clone();
+        let mut rest = desc.payload;
         let mut off = 0u64;
         let base_seq = if desc.tcp_seq_off != usize::MAX {
             u32::from_be_bytes(

@@ -16,12 +16,14 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod zeroed;
 
 pub use ids::{Arena, Id};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{prf_bytes, RankPerm, SimRng, Zipf};
 pub use stats::{Histogram, MeanCi, SeriesPoint, TimeBuckets};
 pub use time::{Bandwidth, Nanos};
+pub use zeroed::ZeroedTable;
 
 /// Earliest of two optional deadlines — the standard combinator for
 /// merging `poll_at()` results from multiple components.

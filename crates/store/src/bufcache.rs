@@ -25,6 +25,7 @@
 
 use crate::catalog::{Catalog, FileId};
 use dcn_mem::{CostParams, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
+use dcn_simcore::ZeroedTable;
 
 /// Null link in the LRU list.
 const NIL: u32 = u32::MAX;
@@ -64,13 +65,12 @@ impl Frame {
 /// Resident pages: an open-addressed table of frame indices, keyed by
 /// the page key the frame itself holds. Linear probing; deletion
 /// shifts the rest of the probe run back, so there are no tombstones.
-/// A slot holds `index + 1`, so the table starts as zeroed memory.
-/// That memory is only free while the allocator maps it fresh: once
-/// the process has freed a large block, glibc raises its mmap
-/// threshold, serves the next table from the heap and zero-fills it
-/// here, which costs 0.35–0.45 ms at the kstack's 8 MiB.
+/// A slot holds `index + 1`, so an empty table is all zeros, and its
+/// slots are a [`ZeroedTable`]: fresh zero pages that construction does
+/// not write, whatever the process allocated and freed before (a heap
+/// `calloc` of the kstack's 8 MiB would zero-fill it on the spot).
 struct PageIndex {
-    slots: Vec<u32>,
+    slots: ZeroedTable<u32>,
     /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
     len: usize,
@@ -81,7 +81,7 @@ impl PageIndex {
     fn new(capacity: usize) -> Self {
         let n = (capacity * 8).div_ceil(7).next_power_of_two().max(2);
         PageIndex {
-            slots: vec![0; n],
+            slots: ZeroedTable::new(n),
             shift: 64 - n.trailing_zeros(),
             len: 0,
         }
@@ -593,6 +593,27 @@ mod tests {
         assert_eq!(PageIndex::new(8).slots.len(), 16);
     }
 
+    #[test]
+    fn a_cache_built_after_a_dropped_one_starts_empty() {
+        // At the kstack's 6 GiB cap, so the second page index is the
+        // same size as the first and could be handed its memory.
+        let costs = CostParams::default();
+        let keys = || (0..128).flat_map(|f| (0..64).map(move |p| (FileId(f), p)));
+        let mut first = BufferCache::new(6 << 30, &catalog(), &mut PhysAlloc::new());
+        for (f, p) in keys() {
+            first.insert(f, p, &costs, 1);
+            first.unpin(f, p);
+        }
+        assert_eq!(first.resident_pages(), 128 * 64);
+        drop(first);
+        let mut second = BufferCache::new(6 << 30, &catalog(), &mut PhysAlloc::new());
+        assert_eq!(second.resident_pages(), 0);
+        for (f, p) in keys() {
+            assert!(second.lookup(f, p, &costs).0.is_none(), "{f:?} page {p}");
+        }
+        assert_eq!(second.stats.hits, 0);
+    }
+
     /// Every entry is reachable from its home slot without crossing an
     /// empty slot, which is what backward-shift deletion must keep.
     fn assert_probe_runs_intact(index: &PageIndex, frames: &[Frame]) {
@@ -648,13 +669,13 @@ mod tests {
                 assert_eq!(old, reference.insert(key, idx));
                 free.extend(old);
             } else {
-                let before = index.slots.clone();
+                let before = index.slots.to_vec();
                 let got = index.remove(key, &frames);
                 assert_eq!(got, reference.remove(&key));
                 free.extend(got);
                 let moved = before
                     .iter()
-                    .zip(&index.slots)
+                    .zip(index.slots.iter())
                     .filter(|(a, b)| a != b)
                     .count();
                 shifted += u64::from(moved > 1);

@@ -3,8 +3,10 @@
 //! A million-object catalog cannot afford a `HashMap<FileId, _>` per
 //! concern. [`TierMap`] keeps exactly three flat arrays — a residency
 //! flip bitmap, a promotion-queued bitmap, and one saturating heat
-//! byte per object — 1.25 MB per million objects, allocated zeroed
-//! once at construction and never resized.
+//! byte per object — 1.25 MB per million objects, never resized. Each
+//! starts all zeros, so each is a [`ZeroedTable`]: construction
+//! writes none of it, and a page costs its first-touch fault when the
+//! run first uses it.
 //!
 //! Residency is stored relative to the seeded hot set: the `seeded`
 //! most popular objects under the catalog's [`RankPerm`] start hot,
@@ -12,7 +14,7 @@
 //! from that. So `is_hot(f) = (rank_of(f) < seeded) != flipped[f]`,
 //! and seeding a 400k-object hot set writes nothing.
 
-use dcn_simcore::RankPerm;
+use dcn_simcore::{RankPerm, ZeroedTable};
 use dcn_store::FileId;
 
 /// Residency + access-heat metadata for every catalog object.
@@ -22,11 +24,11 @@ pub struct TierMap {
     /// Objects of rank < `seeded` start resident on the hot tier.
     seeded: u64,
     /// Bit set ⇒ residency differs from the seeded head.
-    flipped: Vec<u64>,
+    flipped: ZeroedTable<u64>,
     /// Bit set ⇒ object is already in the promotion queue (dedup).
-    queued: Vec<u64>,
+    queued: ZeroedTable<u64>,
     /// Saturating access-heat counter, halved every epoch.
-    heat: Vec<u8>,
+    heat: ZeroedTable<u8>,
     hot_count: u64,
 }
 
@@ -41,9 +43,9 @@ impl TierMap {
         TierMap {
             perm,
             seeded,
-            flipped: vec![0; words],
-            queued: vec![0; words],
-            heat: vec![0; n as usize],
+            flipped: ZeroedTable::new(words),
+            queued: ZeroedTable::new(words),
+            heat: ZeroedTable::new(n as usize),
             hot_count: seeded,
         }
     }
@@ -128,7 +130,7 @@ impl TierMap {
     /// Epoch decay: halve every heat counter. O(n) over one byte per
     /// object — ~1 MB scanned per epoch for a million objects.
     pub fn decay(&mut self) {
-        for h in &mut self.heat {
+        for h in self.heat.iter_mut() {
             *h >>= 1;
         }
     }
@@ -215,6 +217,35 @@ mod tests {
         let mut cur2 = 8;
         // Wraps around the end of the id space.
         assert_eq!(m.find_cold_victim(&mut cur2, 128, 10), Some(FileId(7)));
+    }
+
+    #[test]
+    fn a_map_built_after_a_dropped_one_reads_only_the_seeded_head() {
+        // A million objects, as the tier serves, so the second map's
+        // tables are the size of the first's.
+        const N: u64 = 1_000_000;
+        let perm = RankPerm::new(N, 0x5eed);
+        let seeded = N * 2 / 5;
+        let mut first = TierMap::new(perm, seeded);
+        for id in 0..N {
+            let f = FileId(id);
+            if first.is_hot(f) {
+                first.clear_hot(f);
+            } else {
+                first.set_hot(f);
+            }
+            first.touch(f, 200);
+            first.set_queued(f);
+        }
+        assert_eq!(first.hot_count(), N - seeded);
+        drop(first);
+        let second = TierMap::new(perm, seeded);
+        assert_eq!(second.hot_count(), seeded);
+        for id in 0..N {
+            let f = FileId(id);
+            assert_eq!(second.is_hot(f), perm.rank_of(id) < seeded, "id {id}");
+            assert_eq!((second.heat(f), second.is_queued(f)), (0, false), "id {id}");
+        }
     }
 
     /// The map as it was stored before residency became a flip from
