@@ -48,8 +48,10 @@ cargo test -q --release -p dcn-simcore zeroed
 cargo test -q --release -p dcn-store bufcache
 cargo test -q --release -p dcn-kstack
 
-echo "==> diskmap gate (IOMMU page runs vs page-set reference, syscall-level faults, SQ admission)"
+echo "==> diskmap gate (IOMMU page runs vs page-set reference, syscall-level faults, SQ admission, one-allocation pool vs eager pool, queue-entry rings vs slot-array ring, GHASH vs bytewise reference)"
 cargo test -q --release -p dcn-diskmap
+cargo test -q --release -p dcn-nvme
+cargo test -q --release -p dcn-crypto
 
 echo "==> tier ledger gate (ablation_tiers vs committed BENCH_tiers.json; rank permutation known answers and rank_of round trip)"
 cargo test -q --release -p dcn-simcore rank_perm

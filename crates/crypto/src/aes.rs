@@ -124,11 +124,10 @@ impl Aes128 {
     unsafe fn encrypt_block_ni(&self, block: &mut [u8; 16]) {
         use std::arch::x86_64::*;
         let mut b = _mm_loadu_si128(block.as_ptr() as *const __m128i);
-        let rk: Vec<__m128i> = self
-            .round_keys
-            .iter()
-            .map(|k| _mm_loadu_si128(k.as_ptr() as *const __m128i))
-            .collect();
+        let mut rk = [_mm_setzero_si128(); 11];
+        for (r, k) in rk.iter_mut().zip(&self.round_keys) {
+            *r = _mm_loadu_si128(k.as_ptr() as *const __m128i);
+        }
         b = _mm_xor_si128(b, rk[0]);
         for k in rk.iter().take(10).skip(1) {
             b = _mm_aesenc_si128(b, *k);

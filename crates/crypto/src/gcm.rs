@@ -1,81 +1,74 @@
 //! AES-128-GCM (NIST SP 800-38D): CTR-mode encryption + GHASH
 //! authentication, with in-place seal/open.
 //!
-//! GHASH uses Shoup's 4-bit table method: 512 bytes of per-key tables
-//! and two lookups per byte — small enough to live per-connection and
-//! fast enough to run real payload through tests and examples.
+//! GHASH uses Shoup's 4-bit table method on `u128`: a 256-byte per-key
+//! table of H times every nibble, and one shared 16-entry table for
+//! the reduction of the four bits each ×x⁴ step shifts out. A block
+//! costs 32 steps of a shift and two lookups — fast enough to run real
+//! payload through tests and examples.
 
 use crate::aes::Aes128;
 
-/// 128-bit value in GHASH's bit-reflected GF(2^128).
+/// One 16-byte cipher block (J0, counter, keystream, tag).
 type Block = [u8; 16];
 
-fn xor_block(a: &mut Block, b: &Block) {
-    for i in 0..16 {
-        a[i] ^= b[i];
+/// Multiply by x in the reflected GF(2^128), with the block loaded
+/// big-endian (the x⁰ coefficient is the top bit): right shift, reduce
+/// with 0xE1 << 120 when the shifted-out bit was set.
+const fn mul_x(v: u128) -> u128 {
+    if v & 1 == 1 {
+        (v >> 1) ^ (0xE1 << 120)
+    } else {
+        v >> 1
     }
 }
 
-/// GHASH key tables: `table[i]` = H * i (as a 4-bit nibble product),
+/// `REM[n]` = n · x⁴ for a nibble n in the low four bits: what the bits
+/// shifted out by `z >> 4` reduce to.
+static REM: [u128; 16] = {
+    let mut rem = [0u128; 16];
+    let mut n = 0;
+    while n < 16 {
+        rem[n] = mul_x(mul_x(mul_x(mul_x(n as u128))));
+        n += 1;
+    }
+    rem
+};
+
+/// GHASH key table: `table[n]` = n · H for every 4-bit nibble n,
 /// computed once per key.
 struct GhashKey {
-    /// M[i] = (i as 4-bit poly) · H, for the low nibble position.
-    table: [Block; 16],
+    table: [u128; 16],
 }
 
 impl GhashKey {
-    fn new(h: &Block) -> Self {
-        let mut table = [[0u8; 16]; 16];
-        // table[1] = H; table[i<<1] = xtime(table[i]); sums for the rest.
-        table[8] = *h; // bit 0 of nibble = MSB-first "8"
-                       // In GHASH's reflected representation, multiplying by x is a
-                       // right shift with conditional reduction by E1000...0.
+    fn new(h: u128) -> Self {
+        let mut table = [0u128; 16];
+        // Nibbles are MSB-first: 8 is x⁰, so table[8] = H and each
+        // halving of the index is one more multiplication by x.
+        table[8] = h;
         for i in [4usize, 2, 1] {
-            table[i] = mul_x(&table[i * 2]);
+            table[i] = mul_x(table[i * 2]);
         }
         for i in 2..16usize {
             if !i.is_power_of_two() {
                 let hi = 1usize << (usize::BITS - 1 - i.leading_zeros());
-                let mut v = table[hi];
-                xor_block(&mut v, &table[i - hi]);
-                table[i] = v;
+                table[i] = table[hi] ^ table[i - hi];
             }
         }
         GhashKey { table }
     }
 
-    /// y ← (y ⊕ x) · H
-    fn mul_h(&self, y: &mut Block) {
-        let mut z = [0u8; 16];
-        // Process 32 nibbles from the last to the first.
-        for i in (0..16).rev() {
-            for shift in [0u32, 4] {
-                let nib = (y[i] >> shift) & 0xF;
-                // z = z · x^4  (four multiplications by x)
-                for _ in 0..4 {
-                    z = mul_x(&z);
-                }
-                xor_block(&mut z, &self.table[nib as usize]);
-            }
+    /// y · H, taking y's 32 nibbles from the x¹²⁴..x¹²⁷ end: each step
+    /// multiplies the running product by x⁴ and adds nibble · H.
+    fn mul_h(&self, y: u128) -> u128 {
+        let mut z = 0u128;
+        for k in 0..32 {
+            let nib = (y >> (4 * k)) & 0xF;
+            z = (z >> 4) ^ REM[(z & 0xF) as usize] ^ self.table[nib as usize];
         }
-        *y = z;
+        z
     }
-}
-
-/// Multiply by x in the reflected GF(2^128): right shift, reduce with
-/// 0xE1 << 120 when the shifted-out bit was set.
-fn mul_x(v: &Block) -> Block {
-    let mut out = [0u8; 16];
-    let mut carry = 0u8;
-    for i in 0..16 {
-        let b = v[i];
-        out[i] = (b >> 1) | (carry << 7);
-        carry = b & 1;
-    }
-    if carry == 1 {
-        out[0] ^= 0xE1;
-    }
-    out
 }
 
 /// AES-128-GCM context for one key.
@@ -94,7 +87,7 @@ impl AesGcm128 {
         let mut h = [0u8; 16];
         aes.encrypt_block(&mut h);
         AesGcm128 {
-            ghash: GhashKey::new(&h),
+            ghash: GhashKey::new(u128::from_be_bytes(h)),
             aes,
         }
     }
@@ -119,27 +112,21 @@ impl AesGcm128 {
     }
 
     fn ghash_tag(&self, j0: &Block, aad: &[u8], ct: &[u8]) -> Block {
-        let mut y = [0u8; 16];
-        let feed = |data: &[u8], y: &mut Block| {
+        let feed = |data: &[u8], mut y: u128| {
             for chunk in data.chunks(16) {
                 let mut b = [0u8; 16];
                 b[..chunk.len()].copy_from_slice(chunk);
-                xor_block(y, &b);
-                self.ghash.mul_h(y);
+                y = self.ghash.mul_h(y ^ u128::from_be_bytes(b));
             }
+            y
         };
-        feed(aad, &mut y);
-        feed(ct, &mut y);
-        let mut lens = [0u8; 16];
-        lens[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
-        lens[8..].copy_from_slice(&((ct.len() as u64) * 8).to_be_bytes());
-        xor_block(&mut y, &lens);
-        self.ghash.mul_h(&mut y);
+        let y = feed(ct, feed(aad, 0));
+        let lens = (((aad.len() as u128) * 8) << 64) | ((ct.len() as u128) * 8);
+        let y = self.ghash.mul_h(y ^ lens);
         // E(K, J0) ⊕ GHASH
         let mut ek = *j0;
         self.aes.encrypt_block(&mut ek);
-        xor_block(&mut y, &ek);
-        y
+        (y ^ u128::from_be_bytes(ek)).to_be_bytes()
     }
 
     /// Encrypt `data` in place and return the tag. This is Atlas's
@@ -191,6 +178,87 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
             .collect()
+    }
+
+    /// The byte-array GHASH multiply the `u128` one replaced: the same
+    /// nibble table, but ×x⁴ as four one-bit shifts over 16 bytes.
+    mod bytewise {
+        type Block = [u8; 16];
+
+        fn xor_block(a: &mut Block, b: &Block) {
+            for i in 0..16 {
+                a[i] ^= b[i];
+            }
+        }
+
+        fn mul_x(v: &Block) -> Block {
+            let mut out = [0u8; 16];
+            let mut carry = 0u8;
+            for i in 0..16 {
+                let b = v[i];
+                out[i] = (b >> 1) | (carry << 7);
+                carry = b & 1;
+            }
+            if carry == 1 {
+                out[0] ^= 0xE1;
+            }
+            out
+        }
+
+        fn table(h: &Block) -> [Block; 16] {
+            let mut table = [[0u8; 16]; 16];
+            table[8] = *h;
+            for i in [4usize, 2, 1] {
+                table[i] = mul_x(&table[i * 2]);
+            }
+            for i in 2..16usize {
+                if !i.is_power_of_two() {
+                    let hi = 1usize << (usize::BITS - 1 - i.leading_zeros());
+                    let mut v = table[hi];
+                    xor_block(&mut v, &table[i - hi]);
+                    table[i] = v;
+                }
+            }
+            table
+        }
+
+        pub fn mul_h(h: &Block, y: &mut Block) {
+            let table = table(h);
+            let mut z = [0u8; 16];
+            for i in (0..16).rev() {
+                for shift in [0u32, 4] {
+                    let nib = (y[i] >> shift) & 0xF;
+                    for _ in 0..4 {
+                        z = mul_x(&z);
+                    }
+                    xor_block(&mut z, &table[nib as usize]);
+                }
+            }
+            *y = z;
+        }
+    }
+
+    #[test]
+    fn mul_h_matches_bytewise_reference() {
+        let check = |h: u128, y: u128| {
+            let mut want = y.to_be_bytes();
+            bytewise::mul_h(&h.to_be_bytes(), &mut want);
+            let got = GhashKey::new(h).mul_h(y);
+            assert_eq!(got.to_be_bytes(), want, "H {h:032x}, y {y:032x}");
+        };
+        // Every single-bit y (each reduction path) under edge keys.
+        for h in [0, 1, 1 << 127, u128::MAX, 0xE1 << 120] {
+            check(h, 0);
+            check(h, u128::MAX);
+            for bit in 0..128 {
+                check(h, 1 << bit);
+            }
+        }
+        let mut rng = dcn_simcore::SimRng::new(0x6a4c);
+        let mut draw = || (u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64());
+        for _ in 0..2000 {
+            check(draw(), draw());
+        }
     }
 
     #[test]

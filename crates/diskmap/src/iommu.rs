@@ -9,10 +9,9 @@
 //! the domain faults instead of corrupting memory.
 //!
 //! The mapped set is kept as sorted, maximal runs of pages rather
-//! than one entry per page. `PhysAlloc` is a bump allocator, so a
-//! whole buffer pool maps as a single run: attach costs O(1) per
-//! buffer and a check is one binary search, while the set itself
-//! stays exactly page-granular.
+//! than one entry per page. A buffer pool is one physical allocation,
+//! so attach maps it as a single run and a check is one binary search,
+//! while the set itself stays exactly page-granular.
 
 use dcn_mem::PhysRegion;
 use std::ops::Range;
@@ -58,15 +57,7 @@ impl IommuDomain {
         if first == end {
             return;
         }
-        if let Some(last) = self.runs.last_mut() {
-            // Fast path: attach maps a pool's buffers in address order,
-            // so each one after the first touches the last run.
-            if first >= last.0 && first <= last.1 {
-                last.1 = last.1.max(end);
-                return;
-            }
-        }
-        // General merge: runs[lo..hi] overlap or touch [first, end).
+        // Merge: runs[lo..hi] overlap or touch [first, end).
         let lo = self.runs.partition_point(|r| r.1 < first);
         let hi = self.runs.partition_point(|r| r.0 <= end);
         if lo == hi {
@@ -76,6 +67,12 @@ impl IommuDomain {
             self.runs[lo] = merged;
             self.runs.drain(lo + 1..hi);
         }
+    }
+
+    /// The mapped page runs (tests inspect the layout).
+    #[cfg(test)]
+    pub(crate) fn runs(&self) -> &[(u64, u64)] {
+        &self.runs
     }
 
     /// Number of mapped pages (diagnostics).

@@ -150,9 +150,7 @@ impl DiskmapKernel {
         } else {
             IommuDomain::passthrough()
         };
-        for r in pool.all_regions() {
-            domain.map(r);
-        }
+        domain.map(pool.extent());
         self.attachments.push(Attachment { disk, qid, domain });
         let token = self.attachments.len() - 1;
         Ok((pool, token))
@@ -473,6 +471,48 @@ mod tests {
             })
             .collect();
         (k, atts)
+    }
+
+    #[test]
+    fn attach_maps_each_pool_as_one_run_with_per_buffer_answers() {
+        // Buffer sizes on, below and across chunk edges, behind a lead
+        // allocation so pools start mid-space.
+        for (count, buf_size) in [(1, 16384), (5, 100), (7, 5000), (320, 16384)] {
+            let mut pa = PhysAlloc::new();
+            pa.alloc(3 * CHUNK_SIZE);
+            let mut k = kernel(1);
+            let pools: Vec<BufPool> = (0..2)
+                .map(|qid| k.attach(DiskId(0), qid, count, buf_size, &mut pa, true))
+                .map(|res| res.unwrap().0)
+                .collect();
+            for (att, pool) in k.attachments.iter().zip(&pools) {
+                // The per-buffer mapping attach used to make.
+                let mut want = IommuDomain::new();
+                let bufs: Vec<PhysRegion> = (0..count).map(|i| pool.region(BufId(i))).collect();
+                for &r in &bufs {
+                    want.map(r);
+                }
+                assert_eq!(att.domain.runs().len(), 1, "{count} × {buf_size}");
+                assert_eq!(att.domain.runs(), want.runs());
+                for r in bufs {
+                    let (start, end) = (r.addr.0, r.end());
+                    let page_end = r.chunks().end * CHUNK_SIZE;
+                    let probes = [
+                        PhysRegion::new(PhysAddr(start - CHUNK_SIZE), CHUNK_SIZE),
+                        PhysRegion::new(PhysAddr(start - 1), 2),
+                        PhysRegion::new(PhysAddr(start), 0),
+                        r,
+                        PhysRegion::new(PhysAddr(end - 1), 2),
+                        PhysRegion::new(PhysAddr(page_end - 1), 1),
+                        PhysRegion::new(PhysAddr(page_end), 1),
+                        PhysRegion::new(PhysAddr(page_end), CHUNK_SIZE),
+                    ];
+                    for p in probes {
+                        assert_eq!(att.domain.check(p), want.check(p), "{r:?}: probe {p:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// A 4 KiB read into physical page `page`.

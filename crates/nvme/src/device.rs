@@ -149,14 +149,14 @@ impl NvmeDevice {
     /// firmware. Invalid commands complete immediately with an error
     /// status.
     pub fn ring_sq_doorbell(&mut self, now: Nanos, qid: u16) {
-        let qp = &mut self.qpairs[usize::from(qid)];
-        let tail = qp.sq_tail();
-        let cmds = qp.device_fetch(tail);
-        let sq_head = qp.sq_head;
-        for cmd in cmds {
+        let q = usize::from(qid);
+        // Completions report the SQ head after the whole fetch, which is
+        // the doorbell tail.
+        let sq_head = self.qpairs[q].sq_tail();
+        while let Some(cmd) = self.qpairs[q].device_fetch() {
             let status = self.validate(&cmd);
             if status != NvmeStatus::Success {
-                self.qpairs[usize::from(qid)].cq_post(CompletionEntry {
+                self.qpairs[q].cq_post(CompletionEntry {
                     cid: cmd.cid,
                     status,
                     sq_head,
@@ -182,6 +182,7 @@ impl NvmeDevice {
             let dup = self.pending.insert((qid, cid), (cmd, fail));
             assert!(dup.is_none(), "cid {cid} already in flight on queue {qid}");
         }
+        debug_assert_eq!(self.qpairs[q].sq_head, sq_head);
     }
 
     fn validate(&self, cmd: &NvmeCommand) -> NvmeStatus {
