@@ -24,6 +24,9 @@ cargo test -q --release --test faults --test retransmission --test observability
 echo "==> cluster smoke (multi-server scale-out / failover)"
 cargo test -q --release --test cluster
 
+echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop, pinned to exact counts and goodput bits)"
+cargo test -q --release --test testbed
+
 echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS)"
 cargo test -q --release -p dcn-workload verify
 cargo test -q --release -p dcn-httpd

@@ -35,4 +35,4 @@ pub mod conn;
 pub mod server;
 
 pub use conn::{AtlasConn, ResponseLayout};
-pub use server::{AtlasConfig, AtlasMetrics, AtlasServer};
+pub use server::{AtlasConfig, AtlasServer};

@@ -18,7 +18,7 @@ use dcn_obs::{ChunkKind, CounterId, GaugeId, Prof, ProfStage, Registry, Stage, S
 use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
 use dcn_srvcore::{
     AdmissionConfig, AutotuneConfig, Front, FrontConfig, LadderLevel, ResourceSnapshot, Rx,
-    ServerControl, TierIds,
+    ServedWork, ServerControl, TierIds,
 };
 use dcn_store::{Catalog, CatalogBacking};
 use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
@@ -128,19 +128,6 @@ impl Default for AtlasConfig {
             tier_cache: None,
         }
     }
-}
-
-/// Steady-state measurements. Since the dcn-obs refactor this is a
-/// thin view assembled from the unified registry by
-/// [`AtlasServer::metrics`] — the registry (per-core labelled
-/// counters) is the source of truth.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AtlasMetrics {
-    pub http_payload_bytes: u64,
-    pub responses: u64,
-    pub disk_read_bytes: u64,
-    pub retransmit_fetches: u64,
-    pub conns: usize,
 }
 
 /// Pre-registered registry handles for the per-chunk hot path: one
@@ -446,15 +433,21 @@ impl AtlasServer {
         self.cache.as_ref()
     }
 
-    /// Assemble the legacy metrics view from the unified registry.
+    /// Served work so far, read through the counter handles.
     #[must_use]
-    pub fn metrics(&self) -> AtlasMetrics {
-        AtlasMetrics {
-            http_payload_bytes: self.reg.sum_prefixed("atlas.http_payload_bytes"),
-            responses: self.reg.sum_prefixed("atlas.responses"),
-            disk_read_bytes: self.reg.sum_prefixed("atlas.disk_read_bytes"),
-            retransmit_fetches: self.reg.sum_prefixed("atlas.retransmit_fetches"),
-            conns: self.reg.counter_value(self.ids.conns) as usize,
+    pub fn served(&self) -> ServedWork {
+        let (reg, ids) = (&self.reg, &self.ids);
+        ServedWork {
+            responses: reg.counter_sum(&ids.responses),
+            http_payload_bytes: reg.counter_sum(&ids.http_payload_bytes),
+            disk_reads: reg.counter_sum(&ids.disk_reads),
+            disk_read_bytes: reg.counter_sum(&ids.disk_read_bytes),
+            retransmit_fetches: reg.counter_sum(&ids.retransmit_fetches),
+            fetch_retries: reg.counter_sum(&ids.fetch_retries),
+            reaped_idle: reg.counter_sum(&ids.reaped_idle),
+            aborted_slow: reg.counter_sum(&ids.aborted_slow),
+            empty_waits: reg.counter_sum(&ids.empty_waits),
+            ..self.front.served(reg)
         }
     }
 
@@ -1840,46 +1833,6 @@ impl AtlasServer {
     /// their own delivery paths).
     pub fn phys_mut(&mut self) -> &mut PhysAlloc {
         &mut self.phys
-    }
-
-    /// Which component wants service next (wake-storm debugging).
-    #[must_use]
-    pub fn poll_breakdown(&self) -> String {
-        format!(
-            "kernel={:?} timer={:?} nic={:?}",
-            self.kernel.poll_at(),
-            self.front.next_timer(),
-            self.nic.poll_at()
-        ) + &format!(" [{}]", self.nic.ring_state())
-    }
-
-    /// One-line state dump for stall debugging.
-    #[must_use]
-    pub fn debug_stats_string(&self) -> String {
-        let mut per_conn = String::new();
-        for (i, s) in self.front.slots.iter().enumerate().take(4) {
-            let c = &s.conn;
-            per_conn.push_str(&format!(
-                " [conn{i}: state={:?} layouts={} next_rec={} ready={} reserved={} fetches={} retx_in={} usable={} inflight={} cwnd={} retx_bytes={}]",
-                s.tcb.state,
-                c.layouts.len(),
-                c.next_record,
-                c.ready_tx.len(),
-                c.reserved,
-                c.fetches_inflight,
-                c.retx_inflight,
-                s.tcb.usable_window(),
-                s.tcb.inflight(),
-                s.tcb.cc.cwnd(),
-                s.tcb.bytes_retransmitted,
-            ));
-        }
-        format!(
-            "metrics={:?} inflight_fetch_tokens={} free_bufs={}{per_conn}",
-            self.metrics(),
-            self.fetches.len(),
-            self.free_buffers(),
-        )
     }
 }
 

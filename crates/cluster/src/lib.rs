@@ -9,9 +9,9 @@
 //!   `replication` owners, cold files one; requests prefer the
 //!   primary, fail over to replicas, and overflow past the owner set
 //!   when everything it names is down.
-//! * [`sim`] — the event loop: the single-server §4 testbed
-//!   generalized to N servers plus a fail-stop kill/drain/detect
-//!   control loop. Interrupted transfers reconnect to a replica and
+//! * [`sim`] — the cluster's client side on `dcn-workload`'s testbed
+//!   loop (the §4 testbed over N servers) plus a fail-stop
+//!   kill/drain/detect control loop. Interrupted transfers reconnect to a replica and
 //!   resume with HTTP range requests; stream verification carries
 //!   across the reconnect at absolute file offsets.
 //!

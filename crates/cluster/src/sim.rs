@@ -1,12 +1,13 @@
 //! N Atlas servers, one virtual-time simulation.
 //!
-//! The topology generalizes `dcn-workload`'s single-server testbed:
-//! every server sits behind the same cut-through switch; the delay
-//! middlebox stays on the client→server path only. The dispatcher is
-//! *control-plane only* — it picks which server a request goes to
-//! (the way a CDN's request router or DNS steering does), and the
-//! client then talks TCP to that server directly, so the data path is
-//! byte-identical to the single-server runs.
+//! A cluster run is `dcn_workload::testbed`'s event loop over N
+//! servers: every server sits behind the same cut-through switch; the
+//! delay middlebox stays on the client→server path only. This module
+//! is the loop's cluster client side (`Pod`) and the result builder.
+//! The dispatcher is *control-plane only* — it picks which server a
+//! request goes to (the way a CDN's request router or DNS steering
+//! does), and the client then talks TCP to that server directly, so
+//! the data path is byte-identical to the single-server runs.
 //!
 //! Failure handling is fail-stop with delayed detection: a killed
 //! server's frames (in both directions) vanish, and `detect_delay`
@@ -16,24 +17,18 @@
 
 use crate::dispatcher::{Dispatcher, Health};
 use dcn_atlas::{AtlasConfig, AtlasServer};
-use dcn_faults::{salt, FaultConfig, FrameFate, FrameInfo, LinkFaults};
+use dcn_faults::FaultConfig;
 use dcn_mem::Fidelity;
-use dcn_netdev::parse_frame;
-use dcn_netdev::{tcp_frame_info, DelayMiddlebox, SentBurst, WireFrame};
-use dcn_obs::export::{chunk_to_json, stage_summary, TimeSeries};
+use dcn_netdev::{DelayMiddlebox, WireFrame};
+use dcn_obs::export::TimeSeries;
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr};
-use dcn_simcore::{EventQueue, Nanos};
+use dcn_simcore::Nanos;
 use dcn_store::Catalog;
 use dcn_tcpstack::Endpoint;
-use dcn_workload::fleet::{AbrReadout, ClientTx, FleetConfig};
+use dcn_workload::fleet::{AbrReadout, FleetConfig};
 use dcn_workload::runner::{ObsOptions, ObsReport};
-use dcn_workload::{MultiFleet, NeedStep, RequestNeed};
-use std::collections::HashMap;
-use std::io::Write as _;
-
-/// Switch forwarding latency (same switch as the single-server
-/// testbed).
-const SWITCH_LATENCY: Nanos = Nanos(2_000);
+use dcn_workload::testbed::{self, ClientSide, Net, Testbed};
+use dcn_workload::{MultiFleet, NeedStep, PoolOcc, RequestNeed, VideoServer};
 
 /// One cluster experiment.
 #[derive(Clone, Debug)]
@@ -117,6 +112,8 @@ pub struct ServerStats {
     pub tier_hit_ratio: f64,
     /// Bytes this server pulled from the cold object store.
     pub tier_cold_bytes: u64,
+    /// DMA-pool occupancy over the measurement window.
+    pub pool_occ: Option<PoolOcc>,
 }
 
 /// Goodput before the kill vs after the control loop re-converged.
@@ -163,16 +160,23 @@ pub struct ClusterMetrics {
     pub abr: Option<AbrReadout>,
 }
 
-enum Ev {
-    /// Ramp-up: spawn client `idx` and issue its first request.
-    Spawn(usize),
-    /// Frames arrive at server `s`.
-    ServerRx(usize, Vec<WireFrame>),
-    /// A burst arrives at the clients for `flow` (server→client
-    /// direction).
-    ClientRx(FlowId, Vec<WireFrame>),
-    /// Server `s` internal wake (disk completion / TCP timer).
-    ServerWake(usize),
+/// The cluster's clients: a `MultiFleet` behind the dispatcher, plus
+/// the control loop that kills, drains and detects servers.
+struct Pod {
+    fleet: MultiFleet,
+    dispatcher: Dispatcher,
+    detect_delay: Nanos,
+    /// Requests with no live server at all.
+    unroutable: u64,
+    /// Admission-control feedback: servers holding their overload
+    /// latch are marked Draining so the dispatcher routes around them;
+    /// `shed_marked` remembers which Draining states are ours to undo
+    /// (operator drains and kill-detection stay authoritative).
+    shed_marked: Vec<bool>,
+    operator_drained: Vec<bool>,
+}
+
+enum PodEv {
     /// Fail-stop: server `s` goes dark (frames black-holed).
     Kill(usize),
     /// Operator drain: `s` takes no new requests, finishes in-flight.
@@ -182,6 +186,127 @@ enum Ev {
     /// Client `c`'s ABR playout buffer drained to the resume level:
     /// draw its next need and dispatch it.
     AbrWake(usize),
+}
+
+impl Pod {
+    /// Draw client `idx`'s next need (ABR-aware) and dispatch it; an
+    /// on-off pause becomes an `AbrWake` at the session's resume time.
+    fn issue_next_need(&mut self, net: &mut Net<PodEv>, now: Nanos, idx: usize) {
+        match self.fleet.next_need_at(idx, now) {
+            NeedStep::Need(need) => self.issue_request(net, now, need),
+            NeedStep::PausedUntil(t) => net.schedule(t, PodEv::AbrWake(idx)),
+        }
+    }
+
+    /// Route a request to the dispatcher's pick; clients with no live
+    /// server go idle.
+    fn issue_request(&mut self, net: &mut Net<PodEv>, now: Nanos, need: RequestNeed) {
+        match self.dispatcher.route(need.file) {
+            Some(server) => {
+                let tx = self.fleet.request(need, server);
+                net.send(now, server, tx);
+            }
+            None => self.unroutable += 1,
+        }
+    }
+}
+
+impl ClientSide for Pod {
+    type Event = PodEv;
+
+    fn start(&mut self, net: &mut Net<PodEv>) {
+        let faults = net.tb.faults.cluster;
+        if let Some(k) = faults.kill {
+            net.schedule(k.at, PodEv::Kill(k.server as usize));
+            net.schedule(k.at + self.detect_delay, PodEv::Detect(k.server as usize));
+        }
+        if let Some(d) = faults.drain {
+            if (d.server as usize) < net.tb.servers.len() {
+                net.schedule(d.at, PodEv::Drain(d.server as usize));
+            }
+        }
+    }
+
+    fn spawn(&mut self, net: &mut Net<PodEv>, now: Nanos, idx: usize) {
+        self.fleet.spawn(idx, net.tb.seed);
+        self.issue_next_need(net, now, idx);
+    }
+
+    fn on_burst(&mut self, net: &mut Net<PodEv>, now: Nanos, flow: FlowId, frames: Vec<WireFrame>) {
+        if let Some(out) = self.fleet.on_burst(now, flow, frames) {
+            net.send(now, out.server, out.tx);
+            for _ in 0..out.completed {
+                self.issue_next_need(net, now, out.client);
+            }
+        }
+    }
+
+    fn on_event(&mut self, net: &mut Net<PodEv>, now: Nanos, ev: PodEv) {
+        match ev {
+            // The server stops mid-whatever; the control loop notices
+            // at Detect.
+            PodEv::Kill(s) => net.alive[s] = false,
+            PodEv::Drain(s) => {
+                self.operator_drained[s] = true;
+                self.dispatcher.set_health(s, Health::Draining);
+            }
+            PodEv::Detect(s) => {
+                self.dispatcher.set_health(s, Health::Down);
+                for plan in self.fleet.fail_server(s) {
+                    self.issue_request(net, now, plan);
+                }
+            }
+            PodEv::AbrWake(c) => self.issue_next_need(net, now, c),
+        }
+    }
+
+    fn after_event(&mut self, net: &mut Net<PodEv>, touched: Option<usize>) {
+        // A server shedding load is treated like a draining one: no
+        // new requests route to it until its latch clears. Operator
+        // drains and detected failures are never undone from here.
+        let Some(s) = touched else { return };
+        let shedding = net.tb.servers[s].is_shedding();
+        if shedding != self.shed_marked[s] && net.alive[s] && !self.operator_drained[s] {
+            self.shed_marked[s] = shedding;
+            let health = if shedding {
+                Health::Draining
+            } else {
+                Health::Healthy
+            };
+            self.dispatcher.set_health(s, health);
+        }
+    }
+
+    /// Cluster-level aggregates no single registry carries.
+    fn sample(&self, ts: &mut TimeSeries, at: Nanos, net: &Net<PodEv>) {
+        let live = net.alive.iter().filter(|a| **a).count();
+        let (fleet, dispatcher) = (&self.fleet, &self.dispatcher);
+        for (name, v) in [
+            ("cluster.live_servers", live as f64),
+            ("cluster.responses", fleet.responses_completed as f64),
+            ("cluster.body_bytes", fleet.total_body_bytes as f64),
+            (
+                "cluster.verify_failures",
+                fleet.verify_stats.failures as f64,
+            ),
+            ("cluster.failovers", fleet.failovers as f64),
+            ("cluster.resumed_responses", fleet.resumed_responses as f64),
+            ("cluster.fallback_routes", dispatcher.fallback_routes as f64),
+            ("cluster.overflow_routes", dispatcher.overflow_routes as f64),
+            ("cluster.net_dropped", net.link.dropped as f64),
+            (
+                "cluster.net_corrupt_dropped",
+                net.link.corrupt_dropped as f64,
+            ),
+            ("cluster.client_stalls", net.client_stalls as f64),
+        ] {
+            ts.push_value(at, name, v);
+        }
+    }
+
+    fn finish_abr(&mut self, end: Nanos) -> Option<AbrReadout> {
+        self.fleet.finish_abr(end)
+    }
 }
 
 /// Run a cluster scenario and report metrics.
@@ -196,12 +321,6 @@ pub fn run_cluster(sc: &ClusterConfig) -> ClusterMetrics {
 pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMetrics, ObsReport) {
     assert!(sc.n_servers > 0, "cluster needs at least one server");
     let endpoints = ClusterConfig::endpoints(sc.n_servers);
-    let ip_to_server: HashMap<Ipv4Addr, usize> = endpoints
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.ip, i))
-        .collect();
-
     let fcfg = sc.faults;
     if let Some(k) = fcfg.cluster.kill {
         assert!(
@@ -211,288 +330,70 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
             sc.n_servers
         );
     }
-    let mut servers: Vec<AtlasServer> = (0..sc.n_servers)
+    let servers: Vec<Box<dyn VideoServer>> = (0..sc.n_servers)
         .map(|i| {
             let mut cfg = sc.atlas.clone();
             cfg.server_endpoint = endpoints[i];
-            if obs.trace_out.is_some() {
-                cfg.trace = true;
-            }
+            cfg.trace |= obs.trace_out.is_some();
             // Distinct seed per server: independent NVMe timings,
             // firmware jitter, fault schedules.
             let seed = sc.seed ^ ((i as u64 + 1) << 48);
             let mut srv = AtlasServer::new(cfg, sc.catalog.clone(), seed);
             srv.inject_faults(&fcfg, seed);
-            srv
+            Box::new(srv) as Box<dyn VideoServer>
         })
         .collect();
 
     let mut fleet_cfg = sc.fleet;
-    if !matches!(sc.atlas.fidelity, Fidelity::Full) {
-        fleet_cfg.verify = false; // nothing real to verify
-    }
-    let mut fleet = MultiFleet::new(fleet_cfg, sc.catalog.clone(), endpoints);
-    let mut dispatcher =
-        Dispatcher::new(sc.n_servers, sc.vnodes, sc.replication, sc.fleet.hot_files);
-    let middlebox = DelayMiddlebox::new(sc.client_delay.0, sc.client_delay.1, 7, sc.seed);
-    let mut link = LinkFaults::new(fcfg.net, sc.seed);
-    let mut stall_rng = dcn_faults::rng_for(sc.seed, salt::CLIENT);
-    let mut stalled_until: HashMap<FlowId, Nanos> = HashMap::new();
-    let mut client_stalls: u64 = 0;
-    let mut unroutable: u64 = 0;
-
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    let ramp = sc.warmup.min(Nanos::from_millis(150));
-    for idx in 0..sc.fleet.n_clients {
-        let at = ramp.mul_f64(idx as f64 / sc.fleet.n_clients.max(1) as f64);
-        q.schedule(at, Ev::Spawn(idx));
-    }
-    for s in 0..sc.n_servers {
-        q.schedule(Nanos::ZERO, Ev::ServerWake(s));
-    }
-    // The fault schedule: kill (with delayed detection) and drain.
-    let mut kill_times: Option<(Nanos, Nanos)> = None;
-    if let Some(k) = fcfg.cluster.kill {
-        let detect = k.at + sc.detect_delay;
-        q.schedule(k.at, Ev::Kill(k.server as usize));
-        q.schedule(detect, Ev::Detect(k.server as usize));
-        kill_times = Some((k.at, detect));
-    }
-    if let Some(d) = fcfg.cluster.drain {
-        if (d.server as usize) < sc.n_servers {
-            q.schedule(d.at, Ev::Drain(d.server as usize));
-        }
-    }
-
-    let mut alive = vec![true; sc.n_servers];
-    let mut next_wake = vec![Nanos::MAX; sc.n_servers];
-    // Admission-control feedback: servers holding their overload
-    // latch are marked Draining so the dispatcher routes around them;
-    // `shed_marked` remembers which Draining states are ours to undo
-    // (operator drains and kill-detection stay authoritative).
-    let mut shed_marked = vec![false; sc.n_servers];
-    let mut operator_drained = vec![false; sc.n_servers];
-
-    let sample_interval = obs.sample_interval.unwrap_or(Nanos::from_millis(10));
-    let mut series = obs.metrics_out.as_ref().map(|_| TimeSeries::new());
-    let mut next_sample = sample_interval;
-
-    while let Some(ev) = q.pop() {
-        let now = ev.at;
-        if now > sc.duration {
-            break;
-        }
-        if let Some(ts) = series.as_mut() {
-            while next_sample <= now {
-                sample_cluster(
-                    ts,
-                    next_sample,
-                    &mut servers,
-                    &alive,
-                    &fleet,
-                    &dispatcher,
-                    &link,
-                    client_stalls,
-                );
-                next_sample += sample_interval;
-            }
-        }
-        // Which server's internal state this event touched (its wake
-        // deadline may have moved).
-        let mut touched: Option<usize> = None;
-        match ev.event {
-            Ev::Spawn(idx) => {
-                fleet.spawn(idx, sc.seed);
-                issue_next_need(
-                    &mut q,
-                    &middlebox,
-                    &ip_to_server,
-                    now,
-                    &mut fleet,
-                    &mut dispatcher,
-                    idx,
-                    &mut unroutable,
-                );
-            }
-            Ev::ServerRx(s, frames) => {
-                if alive[s] {
-                    let bursts = servers[s].on_wire_rx(now, frames);
-                    route_bursts(&mut q, bursts, &mut link);
-                    touched = Some(s);
-                }
-            }
-            Ev::ClientRx(flow, frames) => {
-                if fcfg.client.is_active() {
-                    let until = stalled_until.get(&flow).copied();
-                    if let Some(until) = until.filter(|&u| u > now) {
-                        q.schedule(until, Ev::ClientRx(flow, frames));
-                        continue;
-                    }
-                    if stall_rng.chance(fcfg.client.stall_p) {
-                        client_stalls += 1;
-                        let until = now + fcfg.client.stall;
-                        stalled_until.insert(flow, until);
-                        q.schedule(until, Ev::ClientRx(flow, frames));
-                        continue;
-                    }
-                }
-                if let Some(out) = fleet.on_burst(now, flow, frames) {
-                    route_client_tx(&mut q, &middlebox, &ip_to_server, now, out.tx);
-                    for _ in 0..out.completed {
-                        issue_next_need(
-                            &mut q,
-                            &middlebox,
-                            &ip_to_server,
-                            now,
-                            &mut fleet,
-                            &mut dispatcher,
-                            out.client,
-                            &mut unroutable,
-                        );
-                    }
-                }
-            }
-            Ev::ServerWake(s) => {
-                if now >= next_wake[s] {
-                    next_wake[s] = Nanos::MAX;
-                }
-                if alive[s] {
-                    let bursts = servers[s].advance(now);
-                    route_bursts(&mut q, bursts, &mut link);
-                    touched = Some(s);
-                }
-            }
-            Ev::Kill(s) => {
-                // Fail-stop: the server stops mid-whatever. Frames to
-                // and from it are black-holed from this instant; the
-                // control loop notices at Detect.
-                alive[s] = false;
-            }
-            Ev::Drain(s) => {
-                operator_drained[s] = true;
-                dispatcher.set_health(s, Health::Draining);
-            }
-            Ev::Detect(s) => {
-                dispatcher.set_health(s, Health::Down);
-                for plan in fleet.fail_server(s) {
-                    issue_request(
-                        &mut q,
-                        &middlebox,
-                        &ip_to_server,
-                        now,
-                        &mut fleet,
-                        &mut dispatcher,
-                        plan,
-                        &mut unroutable,
-                    );
-                }
-            }
-            Ev::AbrWake(c) => {
-                issue_next_need(
-                    &mut q,
-                    &middlebox,
-                    &ip_to_server,
-                    now,
-                    &mut fleet,
-                    &mut dispatcher,
-                    c,
-                    &mut unroutable,
-                );
-            }
-        }
-        if let Some(s) = touched {
-            // Single-pending-wake per server, as in the single-server
-            // runner: only schedule if earlier than the pending one.
-            if let Some(at) = servers[s].poll_at() {
-                let at = at.max(q.now());
-                if at < next_wake[s] {
-                    q.schedule(at, Ev::ServerWake(s));
-                    next_wake[s] = at;
-                }
-            }
-            // A server shedding load is treated like a draining one:
-            // no new requests route to it until its latch clears.
-            // Operator drains and detected failures are never undone
-            // from here.
-            let shedding = servers[s].is_shedding();
-            if shedding != shed_marked[s] && alive[s] && !operator_drained[s] {
-                shed_marked[s] = shedding;
-                dispatcher.set_health(
-                    s,
-                    if shedding {
-                        Health::Draining
-                    } else {
-                        Health::Healthy
-                    },
-                );
-            }
-        }
-    }
+    fleet_cfg.verify &= matches!(sc.atlas.fidelity, Fidelity::Full); // else nothing to verify
+    let pod = Pod {
+        fleet: MultiFleet::new(fleet_cfg, sc.catalog.clone(), endpoints),
+        dispatcher: Dispatcher::new(sc.n_servers, sc.vnodes, sc.replication, sc.fleet.hot_files),
+        detect_delay: sc.detect_delay,
+        unroutable: 0,
+        shed_marked: vec![false; sc.n_servers],
+        operator_drained: vec![false; sc.n_servers],
+    };
+    let testbed = Testbed {
+        servers,
+        middlebox: DelayMiddlebox::new(sc.client_delay.0, sc.client_delay.1, 7, sc.seed),
+        faults: fcfg,
+        n_clients: sc.fleet.n_clients,
+        warmup: sc.warmup,
+        duration: sc.duration,
+        seed: sc.seed,
+        tag_servers: true,
+    };
+    let run = testbed::run(testbed, pod, obs);
 
     let end = sc.duration;
-    let mut report = ObsReport::default();
-    for srv in servers.iter_mut() {
-        srv.publish_obs();
-    }
-    if let Some(ts) = series.as_mut() {
-        sample_cluster(
-            ts,
-            end,
-            &mut servers,
-            &alive,
-            &fleet,
-            &dispatcher,
-            &link,
-            client_stalls,
-        );
-    }
-    if let (Some(path), Some(ts)) = (obs.metrics_out.as_ref(), series.as_ref()) {
-        if let Err(e) = ts.write_csv(path) {
-            eprintln!(
-                "warning: failed to write metrics CSV {}: {e}",
-                path.display()
-            );
-        }
-    }
-    if let Some(path) = obs.trace_out.as_ref() {
-        match write_cluster_traces(path, &servers) {
-            Ok(n) => report.traced_chunks = n,
-            Err(e) => eprintln!(
-                "warning: failed to write trace JSONL {}: {e}",
-                path.display()
-            ),
-        }
-        let mut s = String::new();
-        for (i, srv) in servers.iter().enumerate() {
-            if srv.tracer.finished().is_empty() {
-                continue;
-            }
-            s.push_str(&format!("server {i}:\n"));
-            s.push_str(&stage_summary(&srv.tracer));
-        }
-        report.stage_summary = s;
-    }
-
+    let servers = run.net.tb.servers.iter().enumerate();
     let per_server: Vec<ServerStats> = servers
-        .iter()
-        .enumerate()
         .map(|(i, srv)| {
-            let tier = srv.tier_ids.as_ref().map(|ids| ids.read(&srv.reg));
+            let tier = srv
+                .tier_ids()
+                .map(|ids| ids.read(srv.registry().expect("both stacks keep a registry")));
+            let served = srv.served();
             ServerStats {
                 server: i,
-                alive: alive[i],
-                responses: srv.reg.sum_prefixed("atlas.responses"),
-                http_payload_bytes: srv.reg.sum_prefixed("atlas.http_payload_bytes"),
-                disk_read_bytes: srv.reg.sum_prefixed("atlas.disk_read_bytes"),
-                cpu_pct: srv.cores.utilization_pct(sc.warmup, end),
+                alive: run.net.alive[i],
+                responses: served.responses,
+                http_payload_bytes: served.http_payload_bytes,
+                disk_read_bytes: served.disk_read_bytes,
+                cpu_pct: srv.cpu_pct(sc.warmup, end),
                 leaked_buffers: srv.leaked_buffers(),
                 tier_hit_ratio: tier.map_or(1.0, |t| t.hit_ratio),
                 tier_cold_bytes: tier.map_or(0, |t| t.cold_bytes),
+                pool_occ: run.pool_occ[i],
             }
         })
         .collect();
 
-    let recovery = kill_times
+    let fleet = &run.client.fleet;
+    let recovery = fcfg
+        .cluster
+        .kill
+        .map(|k| (k.at, k.at + sc.detect_delay))
         .filter(|&(kill_at, _)| kill_at > sc.warmup && kill_at < end)
         .map(|(kill_at, detect_at)| {
             // Let TCP and the re-dispatched transfers settle before
@@ -507,12 +408,10 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
             }
         });
 
+    let dispatcher = &run.client.dispatcher;
+    let tls = if sc.atlas.encrypted { " TLS" } else { "" };
     let metrics = ClusterMetrics {
-        label: format!(
-            "cluster x{}{}",
-            sc.n_servers,
-            if sc.atlas.encrypted { " TLS" } else { "" }
-        ),
+        label: format!("cluster x{}{tls}", sc.n_servers),
         n_servers: sc.n_servers,
         net_gbps: fleet.goodput.rate_per_sec(sc.warmup, end) * 8.0 / 1e9,
         responses: fleet.responses_completed,
@@ -525,179 +424,10 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
         resumed_bytes_saved: fleet.resumed_bytes_saved,
         fallback_routes: dispatcher.fallback_routes,
         overflow_routes: dispatcher.overflow_routes,
-        unroutable,
+        unroutable: run.client.unroutable,
         per_server,
         recovery,
-        abr: fleet.finish_abr(end),
+        abr: run.abr,
     };
-    (metrics, report)
-}
-
-/// Draw client `idx`'s next need (ABR-aware) and dispatch it; an
-/// on-off pause becomes an `AbrWake` at the session's resume time.
-#[allow(clippy::too_many_arguments)]
-fn issue_next_need(
-    q: &mut EventQueue<Ev>,
-    mb: &DelayMiddlebox,
-    ip_to_server: &HashMap<Ipv4Addr, usize>,
-    now: Nanos,
-    fleet: &mut MultiFleet,
-    dispatcher: &mut Dispatcher,
-    idx: usize,
-    unroutable: &mut u64,
-) {
-    match fleet.next_need_at(idx, now) {
-        NeedStep::Need(need) => issue_request(
-            q,
-            mb,
-            ip_to_server,
-            now,
-            fleet,
-            dispatcher,
-            need,
-            unroutable,
-        ),
-        NeedStep::PausedUntil(t) => q.schedule(t, Ev::AbrWake(idx)),
-    }
-}
-
-/// Route a request to the dispatcher's pick; clients with no live
-/// server go idle.
-#[allow(clippy::too_many_arguments)]
-fn issue_request(
-    q: &mut EventQueue<Ev>,
-    mb: &DelayMiddlebox,
-    ip_to_server: &HashMap<Ipv4Addr, usize>,
-    now: Nanos,
-    fleet: &mut MultiFleet,
-    dispatcher: &mut Dispatcher,
-    need: RequestNeed,
-    unroutable: &mut u64,
-) {
-    match dispatcher.route(need.file) {
-        Some(server) => {
-            let tx = fleet.request(need, server);
-            route_client_tx(q, mb, ip_to_server, now, tx);
-        }
-        None => *unroutable += 1,
-    }
-}
-
-fn route_client_tx(
-    q: &mut EventQueue<Ev>,
-    mb: &DelayMiddlebox,
-    ip_to_server: &HashMap<Ipv4Addr, usize>,
-    now: Nanos,
-    tx: ClientTx,
-) {
-    if tx.frames.is_empty() {
-        return;
-    }
-    let Some(&server) = ip_to_server.get(&tx.flow.dst_ip) else {
-        return;
-    };
-    // Client → middlebox (per-flow constant delay) → switch → server.
-    // A dead server still "receives" (and drops) the frames — the
-    // network doesn't know it died.
-    let delay = mb.delay(tx.flow) + SWITCH_LATENCY;
-    q.schedule(now + delay, Ev::ServerRx(server, tx.frames));
-}
-
-fn route_bursts(q: &mut EventQueue<Ev>, bursts: Vec<SentBurst>, link: &mut LinkFaults) {
-    let active = link.is_active();
-    for b in bursts {
-        // Server → switch → client: LAN latency only. Link faults act
-        // on data frames; control frames always get through.
-        let frames: Vec<WireFrame> = if active {
-            let mut out = Vec::with_capacity(b.frames.len());
-            for f in b.frames {
-                let info = tcp_frame_info(&f).filter(|i| i.payload_len > 0);
-                let Some(i) = info else {
-                    out.push(f);
-                    continue;
-                };
-                match link.classify(FrameInfo {
-                    flow_key: i.flow_key,
-                    seq: i.seq,
-                    payload_len: i.payload_len,
-                }) {
-                    FrameFate::Deliver => out.push(f),
-                    FrameFate::Drop | FrameFate::CorruptDrop => {}
-                    FrameFate::Duplicate => {
-                        out.push(f.clone());
-                        out.push(f);
-                    }
-                    FrameFate::CorruptDeliver => out.push(dcn_workload::runner::corrupt_frame(f)),
-                }
-            }
-            out
-        } else {
-            b.frames
-        };
-        if frames.is_empty() {
-            continue;
-        }
-        let Some((flow, _, _)) = parse_frame(&frames[0]) else {
-            continue;
-        };
-        q.schedule(b.departed + SWITCH_LATENCY, Ev::ClientRx(flow, frames));
-    }
-}
-
-/// One CSV sample: every server's registry under `s{i}.`, plus
-/// cluster-level aggregates no single registry carries.
-#[allow(clippy::too_many_arguments)]
-fn sample_cluster(
-    ts: &mut TimeSeries,
-    at: Nanos,
-    servers: &mut [AtlasServer],
-    alive: &[bool],
-    fleet: &MultiFleet,
-    dispatcher: &Dispatcher,
-    link: &LinkFaults,
-    client_stalls: u64,
-) {
-    for (i, srv) in servers.iter_mut().enumerate() {
-        if alive[i] {
-            srv.publish_obs();
-        }
-        ts.sample_labeled(at, &srv.reg, &format!("s{i}."));
-        ts.push_value(at, &format!("s{i}.alive"), f64::from(u8::from(alive[i])));
-    }
-    let live = alive.iter().filter(|a| **a).count();
-    for (name, v) in [
-        ("cluster.live_servers", live as f64),
-        ("cluster.responses", fleet.responses_completed as f64),
-        ("cluster.body_bytes", fleet.total_body_bytes as f64),
-        (
-            "cluster.verify_failures",
-            fleet.verify_stats.failures as f64,
-        ),
-        ("cluster.failovers", fleet.failovers as f64),
-        ("cluster.resumed_responses", fleet.resumed_responses as f64),
-        ("cluster.fallback_routes", dispatcher.fallback_routes as f64),
-        ("cluster.overflow_routes", dispatcher.overflow_routes as f64),
-        ("cluster.net_dropped", link.dropped as f64),
-        ("cluster.net_corrupt_dropped", link.corrupt_dropped as f64),
-        ("cluster.client_stalls", client_stalls as f64),
-    ] {
-        ts.push_value(at, name, v);
-    }
-}
-
-/// Concatenate every server's finished chunk traces into one JSONL,
-/// tagging each line with its server index (chunk and connection ids
-/// are per-server and would collide in the merged file).
-fn write_cluster_traces(path: &std::path::Path, servers: &[AtlasServer]) -> std::io::Result<usize> {
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    let mut n = 0;
-    for (i, srv) in servers.iter().enumerate() {
-        for t in srv.tracer.finished() {
-            let json = chunk_to_json(t);
-            writeln!(w, "{{\"server\":{i},{}", &json[1..])?;
-            n += 1;
-        }
-    }
-    w.flush()?;
-    Ok(n)
+    (metrics, run.report)
 }

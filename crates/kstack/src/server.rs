@@ -13,8 +13,8 @@ use dcn_nvme::{FirmwareParams, NvmeCommand, NvmeConfig, NvmeDevice, NvmeStatus, 
 use dcn_obs::{CounterId, GaugeId, Prof, ProfStage, Registry, StallKind};
 use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
 use dcn_srvcore::{
-    AdmissionConfig, AutotuneConfig, Front, FrontConfig, ResourceSnapshot, Rx, ServerControl,
-    TierIds,
+    AdmissionConfig, AutotuneConfig, Front, FrontConfig, ResourceSnapshot, Rx, ServedWork,
+    ServerControl, TierIds,
 };
 use dcn_store::{BufferCache, Catalog, CatalogBacking};
 use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
@@ -65,13 +65,6 @@ pub struct KstackConfig {
     /// fraction; the slow-client sweeps are Atlas-only (socket
     /// buffers, not DMA buffers, absorb slow readers here).
     pub admission: AdmissionConfig,
-    /// I/O-window autotuner knobs (shared `dcn-srvcore` control
-    /// plane). The kernel stack has no per-connection fetch watermark
-    /// to steer — read-ahead is a global kernel heuristic — so here
-    /// the tuner is observational: fill completions feed it, its
-    /// operating point is reportable, but it never gates I/O. Off by
-    /// default.
-    pub autotune: AutotuneConfig,
     /// Install the per-stage cycle/DRAM profiler. Off by default: no
     /// handle is installed anywhere, so sweeps pay one `None` check.
     /// The run is bit-identical either way (purely observational).
@@ -111,7 +104,6 @@ impl KstackConfig {
                 port: 80,
             },
             admission: AdmissionConfig::default(),
-            autotune: AutotuneConfig::default(),
             profile: false,
             tier: None,
         }
@@ -318,7 +310,10 @@ impl KstackServer {
             next_cid: 0,
             ctl: ServerControl::new(
                 cfg.admission,
-                cfg.autotune,
+                // The kernel stack has no per-connection fetch window
+                // for a tuner to steer (read-ahead is a global kernel
+                // heuristic), so its tuners stay at the defaults, unfed.
+                AutotuneConfig::default(),
                 cfg.fill_bytes,
                 seed ^ 0x6B70,
                 cfg.cores,
@@ -343,16 +338,19 @@ impl KstackServer {
         self.prof.report()
     }
 
-    /// Responses completed, served from the unified registry.
+    /// Served work so far, read through the counter handles. The
+    /// kernel stack counts bytes, not disk commands, and has no
+    /// slow-reader ladder or HTTP payload counter; those stay 0.
     #[must_use]
-    pub fn responses(&self) -> u64 {
-        self.reg.sum_prefixed("kstack.responses")
-    }
-
-    /// Bytes read from disk, served from the unified registry.
-    #[must_use]
-    pub fn disk_read_bytes(&self) -> u64 {
-        self.reg.sum_prefixed("kstack.disk_read_bytes")
+    pub fn served(&self) -> ServedWork {
+        let (reg, ids) = (&self.reg, &self.ids);
+        ServedWork {
+            responses: reg.counter_sum(&ids.responses),
+            disk_read_bytes: reg.counter_sum(&ids.disk_read_bytes),
+            fetch_retries: reg.counter_sum(&ids.fill_retries),
+            empty_waits: reg.counter_sum(&ids.empty_waits),
+            ..self.front.served(reg)
+        }
     }
 
     /// Publish sample-point gauges (TCP, NIC, buffer cache) into the
@@ -740,11 +738,9 @@ impl KstackServer {
 
     /// Issue a cold-tier byte-range GET into freshly allocated buffer
     /// cache frames. Mirrors [`Self::issue_fill`] but the bytes arrive
-    /// over the NIC — no SQE, no doorbell, and the I/O tuner never
-    /// sees these completions (it steers NVMe windows, not WAN
-    /// latency). Stock's synchronous-sendfile block applies here too:
-    /// the worker would block inside a remote read exactly as it does
-    /// on a local one.
+    /// over the NIC — no SQE, no doorbell. Stock's synchronous-sendfile
+    /// block applies here too: the worker would block inside a remote
+    /// read exactly as it does on a local one.
     fn issue_cold_fill(&mut self, fill: Fill) {
         let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
         let token = self.next_cold;
@@ -821,19 +817,6 @@ impl KstackServer {
         let Some(fill) = self.fills.remove(&cid) else {
             return;
         };
-        let core = self.front.slots[fill.conn_slot].core;
-        // Feed the fill's completion latency to the core's I/O tuner.
-        // Observational here: the kernel stack's read-ahead is a
-        // global heuristic with no per-core window to steer (see
-        // DESIGN.md §12), but the shared control plane keeps the two
-        // stacks' telemetry comparable.
-        let lat = now.saturating_sub(fill.issued_at).as_nanos();
-        let outstanding = self.fills.len();
-        self.ctl[core].tuner.observe_completion(
-            lat,
-            outstanding,
-            usize::from(NvmeConfig::default().queue_depth),
-        );
         self.finish_fill(now, fill);
     }
 
@@ -1120,9 +1103,7 @@ impl KstackServer {
 
     /// Run tier epoch work and land completed cold-store fills. The
     /// bytes arrive over the NIC into the buffer-cache frames the fill
-    /// pinned at issue, then take the normal fill-completion tail —
-    /// minus the I/O-tuner observation (WAN latency must not steer the
-    /// NVMe window).
+    /// pinned at issue, then take the normal fill-completion tail.
     fn drain_cold(&mut self, now: Nanos) {
         let Some(tier) = self.tier.as_mut() else {
             return;

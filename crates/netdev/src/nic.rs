@@ -300,22 +300,6 @@ impl Nic {
         out
     }
 
-    /// Per-ring pending/port state (debugging).
-    #[must_use]
-    pub fn ring_state(&self) -> String {
-        (0..self.tx_rings.len())
-            .map(|r| {
-                format!(
-                    "r{r}:pend={},infl={},port_busy={:?}",
-                    self.tx_rings[r].pending_len(),
-                    self.tx_rings[r].inflight(),
-                    self.ports[self.port_of_ring(r)].busy_until
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
     /// Next instant a queued descriptor can start serializing.
     #[must_use]
     pub fn poll_at(&self) -> Option<Nanos> {

@@ -75,15 +75,6 @@ pub fn chunk_to_json(t: &ChunkTrace) -> String {
     s
 }
 
-/// Write every finished chunk trace as JSON-lines.
-pub fn write_trace_jsonl(path: &Path, tracer: &Tracer) -> std::io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for t in tracer.finished() {
-        writeln!(w, "{}", chunk_to_json(t))?;
-    }
-    w.flush()
-}
-
 /// Per-stage p50/p99 summary table, for run footers.
 pub fn stage_summary(tracer: &Tracer) -> String {
     let mut s = String::new();

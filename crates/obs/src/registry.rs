@@ -135,6 +135,12 @@ impl Registry {
         self.counters[id.0 as usize]
     }
 
+    /// Sum of a family of counters read through their handles (one
+    /// per core, say).
+    pub fn counter_sum(&self, ids: &[CounterId]) -> u64 {
+        ids.iter().map(|&id| self.counter_value(id)).sum()
+    }
+
     pub fn gauge_value(&self, id: GaugeId) -> f64 {
         self.gauges[id.0 as usize]
     }

@@ -22,6 +22,33 @@ use dcn_store::{Catalog, FileId};
 use dcn_tcpstack::{rst_for_syn, Endpoint, Tcb, TcbConfig};
 use std::collections::{BTreeSet, HashMap};
 
+/// The work a server has served so far, read through its counter
+/// handles rather than by name, so a renamed counter cannot read 0.
+/// A stack that does not count one of these leaves it 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServedWork {
+    pub responses: u64,
+    pub http_payload_bytes: u64,
+    /// Successful disk read commands.
+    pub disk_reads: u64,
+    pub disk_read_bytes: u64,
+    /// Loss-driven re-fetches from disk.
+    pub retransmit_fetches: u64,
+    /// Disk fetches (Atlas) or fills (kstack) re-issued after a
+    /// device error.
+    pub fetch_retries: u64,
+    /// SYNs refused with RST by admission control.
+    pub shed_new: u64,
+    /// Requests answered 503 + Retry-After while shedding.
+    pub retry_503: u64,
+    /// Idle / header-timeout connections reaped.
+    pub reaped_idle: u64,
+    /// Buffer-holding slow readers aborted.
+    pub aborted_slow: u64,
+    /// Staging or fetch passes parked on an empty buffer pool.
+    pub empty_waits: u64,
+}
+
 /// What the front end needs to know about its server.
 #[derive(Clone, Copy, Debug)]
 pub struct FrontConfig {
@@ -293,6 +320,16 @@ impl<C> Front<C> {
             .range(..=(now, usize::MAX))
             .map(|&(_, s)| s)
             .collect()
+    }
+
+    /// The front end's share of [`ServedWork`]: its admission counts.
+    #[must_use]
+    pub fn served(&self, reg: &Registry) -> ServedWork {
+        ServedWork {
+            shed_new: reg.counter_sum(&self.shed_new),
+            retry_503: reg.counter_sum(&self.retry_503),
+            ..ServedWork::default()
+        }
     }
 
     /// The earliest armed TCB timer.

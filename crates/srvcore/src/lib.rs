@@ -27,6 +27,6 @@ pub mod tier;
 
 pub use autotune::{AutotuneConfig, IoTuner};
 pub use control::{CoreControl, ServerControl};
-pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, Syn};
+pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, ServedWork, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
 pub use tier::{TierIds, TierMetrics};

@@ -2,6 +2,7 @@
 
 use crate::abr::{AbrConfig, AbrSession, FetchStep};
 use crate::receive::{frame_of, ClientStream, Receiver};
+use crate::testbed::{ClientSide, Net, PendingWake};
 use crate::verify::{Expected, RungClaim, VerifyStats};
 use dcn_httpd::{chunk_path, parser::build_get, RequestDriver};
 use dcn_netdev::WireFrame;
@@ -115,6 +116,10 @@ pub struct ClientFleet {
     pending_paced: std::collections::BTreeSet<(Nanos, usize)>,
     /// Fetches re-started after an on-off pause.
     pub paced_fired: u64,
+    /// The one pending Retry-After wake on the testbed…
+    retry_wake: PendingWake,
+    /// …and the one pending on-off resume.
+    paced_wake: PendingWake,
 }
 
 /// End-of-run ABR readout: fleet QoE plus the canonical decision
@@ -131,6 +136,27 @@ pub struct AbrReadout {
     /// On-off "on" edges: fetches resumed after a full-buffer pause
     /// (how many synchronized bursts the server absorbed).
     pub paced_wakes: u64,
+}
+
+impl AbrReadout {
+    /// Publish the fleet's QoE as `qoe.*` gauges.
+    pub fn publish(&self, reg: &mut dcn_obs::Registry) {
+        let q = &self.qoe;
+        for (name, v) in [
+            ("qoe.sessions", q.sessions as f64),
+            ("qoe.started", q.started as f64),
+            ("qoe.startup_ms_mean", q.startup_ms_mean),
+            ("qoe.startup_ms_max", q.startup_ms_max),
+            ("qoe.rebuffer_ratio", q.rebuffer_ratio),
+            ("qoe.rebuffer_events", q.rebuffer_events as f64),
+            ("qoe.switches", q.switches as f64),
+            ("qoe.downswitches", self.downswitches as f64),
+            ("qoe.avg_bitrate_mbps", q.avg_bitrate_mbps),
+        ] {
+            let g = reg.gauge(name);
+            reg.set(g, v);
+        }
+    }
 }
 
 /// Frames a client wants transmitted (they enter the middlebox).
@@ -159,6 +185,8 @@ impl ClientFleet {
             manifest,
             pending_paced: std::collections::BTreeSet::new(),
             paced_fired: 0,
+            retry_wake: PendingWake::IDLE,
+            paced_wake: PendingWake::IDLE,
         }
     }
 
@@ -167,7 +195,7 @@ impl ClientFleet {
         self.clients.len()
     }
 
-    fn endpoint_of(idx: usize, _cfg: &FleetConfig) -> Endpoint {
+    fn endpoint_of(idx: usize) -> Endpoint {
         // Clients spread over many source IPs and ports, as two load
         // generator machines with many sockets would.
         let ip = Ipv4Addr::new(10, 1, (idx / 250) as u8, (idx % 250) as u8 + 1);
@@ -181,7 +209,7 @@ impl ClientFleet {
     /// Spawn the next client: returns its SYN.
     pub fn spawn(&mut self, idx: usize, seed: u64) -> ClientTx {
         assert_eq!(idx, self.clients.len(), "spawn in order");
-        let local = Self::endpoint_of(idx, &self.cfg);
+        let local = Self::endpoint_of(idx);
         let remote = Endpoint {
             mac: MacAddr::from_host_id(1),
             ip: self.cfg.server_ip,
@@ -504,6 +532,67 @@ impl ClientFleet {
             .iter()
             .map(|c| c.stream.conn.dupacks_sent)
             .sum()
+    }
+}
+
+/// A lone server's client-side timers.
+pub enum FleetWake {
+    /// A client's Retry-After backoff expired: re-send shed requests.
+    Retry,
+    /// An ABR client's playout buffer drained to the resume level:
+    /// the "on" edge of its on-off cycle.
+    Paced,
+}
+
+/// The lone-server client side: every client talks to server 0.
+impl ClientSide for ClientFleet {
+    type Event = FleetWake;
+
+    fn spawn(&mut self, net: &mut Net<FleetWake>, now: Nanos, idx: usize) {
+        let tx = ClientFleet::spawn(self, idx, net.tb.seed);
+        net.send(now, 0, tx);
+    }
+
+    fn on_burst(
+        &mut self,
+        net: &mut Net<FleetWake>,
+        now: Nanos,
+        flow: FlowId,
+        frames: Vec<WireFrame>,
+    ) {
+        if let Some(tx) = ClientFleet::on_burst(self, now, flow, frames) {
+            net.send(now, 0, tx);
+        }
+    }
+
+    fn on_event(&mut self, net: &mut Net<FleetWake>, now: Nanos, ev: FleetWake) {
+        let txs = match ev {
+            FleetWake::Retry => {
+                self.retry_wake.fired(now);
+                self.fire_retries(now)
+            }
+            FleetWake::Paced => {
+                self.paced_wake.fired(now);
+                self.fire_paced(now)
+            }
+        };
+        for tx in txs {
+            net.send(now, 0, tx);
+        }
+    }
+
+    fn after_event(&mut self, net: &mut Net<FleetWake>, _touched: Option<usize>) {
+        let now = net.now();
+        if let Some(at) = self.retry_wake.arm(self.next_retry_at(), now) {
+            net.schedule(at, FleetWake::Retry);
+        }
+        if let Some(at) = self.paced_wake.arm(self.next_paced_at(), now) {
+            net.schedule(at, FleetWake::Paced);
+        }
+    }
+
+    fn finish_abr(&mut self, end: Nanos) -> Option<AbrReadout> {
+        ClientFleet::finish_abr(self, end)
     }
 }
 

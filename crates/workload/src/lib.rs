@@ -1,9 +1,10 @@
 //! # dcn-workload — the evaluation harness
 //!
-//! Wires a server (Atlas or a conventional-stack variant), the §4
+//! Wires servers (Atlas or a conventional-stack variant), the §4
 //! testbed network (40 GbE switch + delay middlebox), and a fleet of
-//! weighttp-style clients into one deterministic discrete-event run,
-//! then reads out every metric the paper plots: network throughput,
+//! weighttp-style clients into one deterministic discrete-event run
+//! ([`testbed`]: one loop over N ≥ 1 servers, which `dcn-cluster`
+//! drives too), then reads out every metric the paper plots: network throughput,
 //! CPU utilization, DRAM read/write throughput, the read:network
 //! ratio, and LLC-miss rates.
 //!
@@ -18,6 +19,7 @@ pub mod fleet;
 pub mod multi;
 mod receive;
 pub mod runner;
+pub mod testbed;
 pub mod verify;
 
 pub use abr::{AbrConfig, AbrDecision, AbrPolicy, AbrSession, FetchStep};

@@ -84,6 +84,8 @@ struct MClient {
 pub struct BurstOut {
     pub tx: ClientTx,
     pub client: usize,
+    /// The server the burst came from (and `tx` goes to).
+    pub server: usize,
     pub completed: u64,
 }
 
@@ -337,6 +339,7 @@ impl MultiFleet {
                 frames: out,
             },
             client: idx,
+            server,
             completed,
         })
     }
