@@ -27,6 +27,9 @@ cargo test -q --release --test cluster
 echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop, pinned to exact counts and goodput bits)"
 cargo test -q --release --test testbed
 
+echo "==> metrics registry gate (keyed per-core series vs an in-test copy of the string-scan reference registry: handles, export names and order, by-name reads)"
+cargo test -q --release -p dcn-obs registry
+
 echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS)"
 cargo test -q --release -p dcn-workload verify
 cargo test -q --release -p dcn-httpd

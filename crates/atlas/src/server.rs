@@ -485,7 +485,8 @@ impl AtlasServer {
     }
 
     /// Fault counts so far: device faults and SQ rejects from the
-    /// diskmap kernel, aborted connections through their counter.
+    /// diskmap kernel, aborted connections through their counter,
+    /// RTOs from the TCBs.
     #[must_use]
     pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
         let (nvme_read_errors, nvme_latency_spikes) = self.kernel.nvme_fault_totals();
@@ -494,6 +495,7 @@ impl AtlasServer {
             nvme_latency_spikes,
             sq_rejects: self.kernel.sq_rejects(),
             conns_aborted: self.reg.counter_value(self.ids.conns_aborted),
+            rto_fired: self.front.rto_fired(),
         }
     }
 

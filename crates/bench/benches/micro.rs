@@ -1,17 +1,21 @@
 //! Micro-benchmarks for the hot primitives: AES-GCM sealing, TCP
 //! wire codecs, NVMe firmware submit/drain, the LLC model, and the
-//! kstack buffer cache's construction.
+//! set-up costs of the kstack buffer cache, metric registration and
+//! an Atlas server.
 //!
 //! This is a plain `harness = false` binary (the container builds
 //! offline, so no external bench framework): each case is warmed up,
 //! then timed over enough iterations to smooth scheduler noise, and
 //! reported as ns/iter plus throughput where bytes are meaningful.
 
+use dcn_atlas::{AtlasConfig, AtlasServer};
 use dcn_crypto::{AesGcm128, RecordCipher};
 use dcn_mem::{CostParams, LlcConfig, MemSystem, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
 use dcn_nvme::{FirmwareParams, NvmeCommand, Opcode};
+use dcn_obs::Registry;
 use dcn_packet::{internet_checksum, SeqNumber, TcpFlags, TcpRepr};
 use dcn_simcore::Nanos;
+use dcn_srvcore::TierIds;
 use dcn_store::{BufferCache, Catalog};
 use std::hint::black_box;
 use std::time::Instant;
@@ -124,6 +128,54 @@ fn bench_store() {
     });
 }
 
+/// Per-core counter families an Atlas server registers for itself.
+const ATLAS_COUNTER_FAMILIES: [&str; 11] = [
+    "atlas.responses",
+    "atlas.http_payload_bytes",
+    "atlas.disk_read_bytes",
+    "atlas.retransmit_fetches",
+    "atlas.disk_reads",
+    "atlas.fetch_errors",
+    "atlas.fetch_retries",
+    "atlas.overload.reaped_idle",
+    "atlas.overload.aborted_slow",
+    "atlas.bufpool.empty_waits",
+    "atlas.bufpool.share_limited",
+];
+
+/// Set-up costs an Atlas `setup_s` sample pays (wall clock, advisory):
+/// a fresh registry with the 4-core Atlas, tier and front-end families
+/// in `AtlasServer::new`'s order, then a whole default server built
+/// and dropped.
+fn bench_atlas_setup() {
+    let cores = 4;
+    bench("obs/register_atlas_tier_ids", 0, || {
+        let mut reg = Registry::new();
+        reg.counter("atlas.conns");
+        reg.counter("atlas.conns_aborted");
+        for name in ATLAS_COUNTER_FAMILIES {
+            black_box(reg.counters_per_core(name, cores));
+        }
+        for name in [
+            "atlas.pool_free_bufs",
+            "atlas.overload.level",
+            "atlas.live_conns",
+        ] {
+            black_box(reg.gauges_per_core(name, cores));
+        }
+        reg.gauge("atlas.leaked_bufs");
+        black_box(TierIds::register(&mut reg, cores));
+        for name in ["shed_new", "retry_503", "bad_requests"] {
+            black_box(reg.counters_per_core(&format!("atlas.overload.{name}"), cores));
+        }
+        black_box(reg);
+    });
+    let catalog = Catalog::paper(1);
+    bench("atlas/server_new", 0, || {
+        black_box(AtlasServer::new(AtlasConfig::default(), catalog.clone(), 1));
+    });
+}
+
 fn main() {
     println!("{:-<34} {:->12}--------  {:->8}-----", "", "", "");
     bench_crypto();
@@ -131,4 +183,5 @@ fn main() {
     bench_nvme();
     bench_llc();
     bench_store();
+    bench_atlas_setup();
 }

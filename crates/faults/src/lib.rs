@@ -198,6 +198,8 @@ pub struct FaultCounts {
     /// Connections aborted once their fetch retries ran out (Atlas
     /// only).
     pub conns_aborted: u64,
+    /// TCP retransmission timeouts fired, summed over every TCB.
+    pub rto_fired: u64,
 }
 
 /// The full fault schedule for one scenario. `Default` is entirely

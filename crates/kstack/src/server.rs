@@ -374,15 +374,16 @@ impl KstackServer {
         self.prof.publish(&mut self.reg);
     }
 
-    /// Device faults fired so far. The kernel stack has no diskmap
-    /// SQ and retries fills rather than aborting connections, so
-    /// those counts stay 0.
+    /// Device faults and TCP RTOs fired so far. The kernel stack has
+    /// no diskmap SQ and retries fills rather than aborting
+    /// connections, so those counts stay 0.
     #[must_use]
     pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
         let (nvme_read_errors, nvme_latency_spikes) = NvmeDevice::fault_totals(&self.disks);
         dcn_faults::FaultCounts {
             nvme_read_errors,
             nvme_latency_spikes,
+            rto_fired: self.front.rto_fired(),
             ..dcn_faults::FaultCounts::default()
         }
     }

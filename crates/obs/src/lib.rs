@@ -17,10 +17,10 @@
 //!   DRAM-bytes-per-net-byte, and stall attribution for the
 //!   `perf_baseline` regression gate.
 //! * [`Registry`] — named counters / gauges / histograms behind cheap
-//!   integer handles. Registration (naming, labelling) allocates;
-//!   the hot path is a `Vec` index increment. All stack components
-//!   publish into one registry per server so experiments query a
-//!   single surface.
+//!   integer handles. Registration stores each base name once and
+//!   keys per-core series by (base, core); the hot path is a `Vec`
+//!   index increment. All stack components publish into one
+//!   registry per server so experiments query a single surface.
 //! * [`export`] — hand-rolled JSON-lines and CSV emitters (the
 //!   container builds offline; no serde), wired into the workload
 //!   runner and `fig*` binaries behind `--trace-out`/`--metrics-out`.

@@ -347,6 +347,13 @@ impl<C> Front<C> {
         self.conns.remove(&self.slots[slot].flow);
     }
 
+    /// Retransmission timeouts fired over every slot's TCB (slots
+    /// outlive their connections, so this is a lifetime total).
+    #[must_use]
+    pub fn rto_fired(&self) -> u64 {
+        self.slots.iter().map(|s| s.tcb.rto_fired).sum()
+    }
+
     /// Publish the per-core `tcp.*` gauges over every slot's TCB.
     pub fn publish_tcb_metrics(&self, reg: &mut Registry) {
         for core in 0..self.rx_slots.len() {

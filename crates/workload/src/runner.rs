@@ -374,7 +374,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         sq_rejects: counts.sq_rejects,
         fetch_retries: served.fetch_retries,
         conns_aborted: counts.conns_aborted,
-        rto_fired: reg.sum_prefixed_gauge("tcp.rto_fired") as u64,
+        rto_fired: counts.rto_fired,
     };
     let overload = OverloadMetrics {
         shed_new: served.shed_new,
@@ -533,6 +533,26 @@ mod tests {
             if is_atlas {
                 assert!(atlas_only(&served).iter().all(|&n| n > 0), "{served:?}");
             }
+        }
+    }
+
+    #[test]
+    fn rto_fired_reads_the_tcbs_its_gauges_sum() {
+        let servers = [
+            ServerKind::Atlas(AtlasConfig::default()),
+            ServerKind::Kstack(KstackConfig::netflix()),
+        ];
+        for server in servers {
+            let mut sc = Scenario::smoke(server, 8, 17);
+            sc.duration = Nanos::from_millis(1200);
+            sc.faults.net.loss = LossModel::gilbert_elliott_for(0.03);
+            let run = run_lone(&sc, &ObsOptions::disabled());
+            let server = &run.net.tb.servers[0];
+            let rto_fired = server.fault_counts().rto_fired;
+            let reg = server.registry().expect("registry");
+            assert_eq!(rto_fired as f64, reg.sum_prefixed_gauge("tcp.rto_fired"));
+            // Loss engaged the timer: the comparison is not 0 == 0.
+            assert!(rto_fired > 0, "{}", server.label());
         }
     }
 }
