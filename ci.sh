@@ -24,8 +24,8 @@ cargo test -q --release --test faults --test retransmission --test observability
 echo "==> cluster smoke (multi-server scale-out / failover)"
 cargo test -q --release --test cluster
 
-echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop, pinned to exact counts and goodput bits)"
-cargo test -q --release --test testbed
+echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop and the one server shell both stacks plug into, pinned to exact counts and goodput bits; front-end answers on both stacks)"
+cargo test -q --release --test testbed --test front_end
 
 echo "==> metrics registry gate (keyed per-core series vs an in-test copy of the string-scan reference registry: handles, export names and order, by-name reads)"
 cargo test -q --release -p dcn-obs registry
@@ -35,8 +35,10 @@ cargo test -q --release -p dcn-workload verify
 cargo test -q --release -p dcn-httpd
 cargo test -q --release --test end_to_end_atlas --test end_to_end_kstack
 
-echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged)"
-cargo test -q --release --test overload two_x_overload_smoke
+echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged; Atlas minimum-drain deadline fires at a Normal ladder; kstack SQ-watermark 503s retried and verified)"
+cargo test -q --release --test overload -- --exact two_x_overload_smoke \
+    min_drain_deadline_aborts_buffer_holders_without_ack_progress \
+    kstack_sq_watermark_defers_with_503_and_retries_verify
 
 echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC in goodput and read:net < 0.5×"
 cargo test -q --release --test paper_shapes headline_atlas_tls_2k_steady_state_beats_netflix

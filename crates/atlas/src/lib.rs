@@ -35,4 +35,4 @@ pub mod conn;
 pub mod server;
 
 pub use conn::{AtlasConn, ResponseLayout};
-pub use server::{AtlasConfig, AtlasServer};
+pub use server::{Atlas, AtlasConfig, AtlasServer};

@@ -1,29 +1,29 @@
 //! The Atlas server: four single-core stack instances over shared
 //! hardware (NIC, disks, memory system), each running the §3 control
-//! loop process-to-completion.
+//! loop process-to-completion. This module is Atlas's TX data source;
+//! the server shell around it lives in `dcn_srvcore::server`.
 
 use crate::conn::{AtlasConn, InflightFetch, ResponseLayout};
 use dcn_crypto::{record_header, RECORD_PAYLOAD_MAX};
 use dcn_diskmap::{BufId, DiskId, DiskmapKernel, IoDesc, NvmeQueue};
+use dcn_faults::{FaultConfig, FaultCounts};
 use dcn_httpd::{response_header, ResponseInfo};
-use dcn_mem::{
-    Agent, CoreSet, CostParams, Fidelity, HostMem, LlcConfig, MemSystem, PhysAlloc, PhysRegion,
-};
+use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc};
 /// The frame demux Atlas's RX path uses, re-exported for harnesses
 /// that route frames by flow.
 pub use dcn_netdev::parse_frame;
-use dcn_netdev::{Nic, NicConfig, SentBurst, SgList, WireFrame};
+use dcn_netdev::{NicConfig, SentBurst, SgList};
 use dcn_nvme::{FirmwareParams, NvmeConfig, NvmeDevice};
-use dcn_obs::{ChunkKind, CounterId, GaugeId, Prof, ProfStage, Registry, Stage, StallKind, Tracer};
-use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
+use dcn_obs::{ChunkKind, CounterId, GaugeId, ProfStage, Registry, Stage, StallKind, Tracer};
+use dcn_simcore::{earliest, prf_bytes, Nanos};
 use dcn_srvcore::{
-    AdmissionConfig, AutotuneConfig, Front, FrontConfig, LadderLevel, ResourceSnapshot, Rx,
-    ServedWork, ServerControl, TierIds,
+    AdmissionConfig, Answer, AutotuneConfig, FrontConfig, LadderLevel, ResourceSnapshot,
+    ServedWork, Server, Shell, Stack,
 };
-use dcn_store::{Catalog, CatalogBacking};
-use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
-use dcn_tier::{CacheConfig, GetTicket, HotChunkCache, Placement, TierConfig, TierEngine};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use dcn_store::Catalog;
+use dcn_tcpstack::{Endpoint, TcbConfig};
+use dcn_tier::{CacheConfig, GetTicket, Placement, TierConfig};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Atlas deployment configuration.
@@ -156,8 +156,7 @@ struct AtlasIds {
     /// Connections parked on the buffer-pool waiter list because an
     /// alloc came up empty.
     empty_waits: Vec<CounterId>,
-    /// Pumps stopped by the fair-share read-ahead bound (see
-    /// [`AtlasServer::pump`]).
+    /// Pumps stopped by the fair-share read-ahead bound (see `pump`).
     share_limited: Vec<CounterId>,
     /// Gauges refreshed by [`AtlasServer::publish_obs`] at every
     /// metric sample point — pre-registered so sampled runs do no
@@ -212,56 +211,32 @@ struct RetryEntry {
     attempt: u32,
 }
 
-/// One per-core stack instance's storage handles.
-struct CoreDisks {
-    queues: Vec<NvmeQueue>, // one per disk
-}
-
-/// The server.
-pub struct AtlasServer {
-    pub cfg: AtlasConfig,
-    pub mem: MemSystem,
-    pub host: HostMem,
-    pub nic: Nic,
-    pub kernel: DiskmapKernel,
-    pub cores: CoreSet,
-    pub catalog: Catalog,
-    core_disks: Vec<CoreDisks>,
-    /// The connection front end shared with the kstack: flow table,
-    /// TCB timers, admission/accept, RX demux, request classifier.
-    front: Front<AtlasConn>,
+/// Atlas's TX data source: ACK-clocked disk fetch into a DMA buffer,
+/// in-place encryption, recycling on TX completion. The rest of the
+/// server is the shell in `dcn-srvcore`.
+pub struct Atlas {
+    kernel: DiskmapKernel,
+    /// Diskmap queue pairs, one per (core, disk), each with its DMA
+    /// buffer pool.
+    queues: Vec<Vec<NvmeQueue>>,
     /// user-token → fetch bookkeeping. Token encodes (slot, seq of
     /// fetch); details live here.
     fetches: HashMap<u64, (usize, InflightFetch, BufId, usize, u32, FetchSrc)>, // slot, fetch, buf, disk, attempt, source
     next_token: u64,
     /// Failed fresh fetches awaiting their backoff deadline, keyed
     /// (deadline, serial).
-    retries: std::collections::BTreeMap<(Nanos, u64), RetryEntry>,
+    retries: BTreeMap<(Nanos, u64), RetryEntry>,
     next_retry: u64,
     /// When to re-`sqsync` commands a QueueFull left staged (SQ
     /// backpressure recovery). `None` = nothing staged anywhere.
     resync_at: Option<Nanos>,
-    /// Unified dcn-obs registry: every subsystem (server, TCP, NIC,
-    /// diskmap) publishes here; [`AtlasServer::metrics`] is a view.
-    pub reg: Registry,
     /// Chunk-lifecycle tracer (no-op unless `cfg.trace`).
-    pub tracer: Tracer,
-    /// Per-stage cycle/DRAM profiler, shared with the CoreSet and
-    /// MemSystem. A no-op handle unless `cfg.profile`.
-    prof: Prof,
+    tracer: Tracer,
     ids: AtlasIds,
     /// Virtual time of the wire event (RX frame or timer) that the
     /// current control-loop pass is servicing — the AckArrival stamp
     /// for any fetch that pass issues.
     trace_rx_at: Nanos,
-    phys: PhysAlloc,
-    /// Per-core control plane: hysteretic overload state (admission
-    /// latch + ladder), live-connection count, and the I/O-window
-    /// tuner.
-    ctl: ServerControl,
-    /// Connections parked waiting for a DMA buffer, per core; woken
-    /// (re-pumped) after TX reclaim and disk completions free buffers.
-    buf_waiters: Vec<BTreeSet<usize>>,
     /// Next overload sweep (slow-client deadlines + ladder tick).
     next_sweep: Nanos,
     /// (core, disk) queues with reads staged during the current
@@ -277,16 +252,6 @@ pub struct AtlasServer {
     /// so connections can tell "first record this sweep" (full TCP TX
     /// op cost) from "later record, hot TCB" (batched cost).
     sweep_serial: u64,
-    /// Tiering engine (`None` unless `cfg.tier`): residency map, cold
-    /// object store, promotion policy.
-    tier: Option<TierEngine>,
-    /// `tier.*` metric handles (`None` unless `cfg.tier` or
-    /// `cfg.tier_cache`).
-    pub tier_ids: Option<TierIds>,
-    /// Hot-chunk DMA cache index (`None` unless `cfg.tier_cache`) and
-    /// its slot memory, allocated once at construction.
-    cache: Option<HotChunkCache>,
-    cache_slots: Vec<PhysRegion>,
     /// Cache-hit completions synthesized off the NVMe path; `advance`
     /// delivers each at its virtual completion time.
     cache_ready: Vec<dcn_diskmap::CompletedIo>,
@@ -294,40 +259,70 @@ pub struct AtlasServer {
     cold_scratch: Vec<GetTicket>,
 }
 
-impl AtlasServer {
-    /// Build the full server: 4 NVMe disks with synthetic content
-    /// described by `catalog`, the NIC, and `cfg.cores` stack
-    /// instances each attached to every disk.
-    #[must_use]
-    pub fn new(cfg: AtlasConfig, catalog: Catalog, seed: u64) -> Self {
-        let mut phys = PhysAlloc::new();
-        let mut mem = MemSystem::new(cfg.llc, cfg.costs, Nanos::from_millis(1));
-        let mut cores = CoreSet::new(cfg.cores, &cfg.costs, Nanos::from_millis(1), true);
-        let prof = Prof::new(cfg.profile, cfg.cores);
-        if let Some(p) = prof.handle() {
-            cores.set_profiler(p.clone());
-            mem.set_profiler(p.clone());
-        }
-        let host = HostMem::new();
-        let nvme_cfg = NvmeConfig {
-            num_qpairs: cfg.cores as u16,
+/// The Atlas server: four single-core stack instances over shared
+/// hardware (NIC, disks, memory system).
+pub type AtlasServer = Server<Atlas>;
+
+impl Atlas {
+    /// Diskmap buffers (free, capacity), summed over every pool.
+    fn pool_totals(&self) -> (u32, u32) {
+        self.queues.iter().flatten().fold((0, 0), |(free, cap), q| {
+            (
+                free + q.pool_ref().available(),
+                cap + q.pool_ref().capacity(),
+            )
+        })
+    }
+}
+
+impl Stack for Atlas {
+    type Config = AtlasConfig;
+    type Conn = AtlasConn;
+
+    fn shell(cfg: &AtlasConfig) -> Shell {
+        Shell {
+            cores: cfg.cores,
+            front: FrontConfig {
+                endpoint: cfg.server_endpoint,
+                tcb: cfg.tcb,
+                encrypted: cfg.encrypted,
+                rx_ack_cycles: cfg.costs.tcp_rx_ack_cycles,
+            },
+            nic: cfg.nic,
             firmware: cfg.firmware,
+            llc: cfg.llc,
+            costs: cfg.costs,
             fidelity: cfg.fidelity,
-            ..NvmeConfig::default()
-        };
-        let disks: Vec<NvmeDevice> = (0..catalog.n_disks())
-            .map(|d| {
-                NvmeDevice::new(
-                    nvme_cfg,
-                    Box::new(CatalogBacking::new(&catalog, d)),
-                    seed ^ (d as u64) << 8,
-                )
-            })
-            .collect();
+            admission: cfg.admission,
+            autotune: cfg.autotune,
+            window: cfg.watermark,
+            profile: cfg.profile,
+            tier: cfg.tier,
+            tier_cache: cfg.tier_cache,
+            prefix: "atlas",
+            // One busy-polling stack instance per core, each with its
+            // own queue pair on every disk.
+            polls: true,
+            nvme_qpairs: cfg.cores as u16,
+            request_cycles: cfg.costs.atlas_request_cycles,
+            front_salt: 0xA71A5,
+            ctl_salt: 0xA070,
+        }
+    }
+
+    /// Attach `cfg.cores` stack instances to every disk, each with its
+    /// own DMA buffer pool per queue pair.
+    fn build(
+        cfg: &AtlasConfig,
+        catalog: &Catalog,
+        disks: Vec<NvmeDevice>,
+        phys: &mut PhysAlloc,
+        reg: &mut Registry,
+    ) -> Self {
         let mut kernel = DiskmapKernel::new(disks);
-        let mut core_disks = Vec::new();
+        let mut queues = Vec::new();
         for core in 0..cfg.cores {
-            let queues = (0..catalog.n_disks())
+            let per_disk = (0..catalog.n_disks())
                 .map(|d| {
                     NvmeQueue::nvme_open(
                         &mut kernel,
@@ -335,108 +330,338 @@ impl AtlasServer {
                         core as u16,
                         cfg.bufs_per_queue,
                         cfg.buf_size,
-                        &mut phys,
+                        phys,
                     )
                     .expect("attach")
                 })
                 .collect();
-            core_disks.push(CoreDisks { queues });
+            queues.push(per_disk);
         }
-        let rx_slots = (0..cfg.cores).map(|_| phys.alloc(2048)).collect();
-        let tier = cfg.tier.map(|tc| TierEngine::new(tc, &catalog, seed));
-        let cache = cfg.tier_cache.map(HotChunkCache::new);
-        let cache_slots: Vec<PhysRegion> = cache
-            .as_ref()
-            .map(|c| {
-                (0..c.n_slots())
-                    .map(|_| phys.alloc(c.slot_bytes()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut reg = Registry::new();
-        let ids = AtlasIds::register(&mut reg, cfg.cores);
-        let tier_ids =
-            (tier.is_some() || cache.is_some()).then(|| TierIds::register(&mut reg, cfg.cores));
-        let tracer = if cfg.trace {
-            Tracer::enabled()
-        } else {
-            Tracer::disabled()
-        };
-        let front = Front::new(
-            FrontConfig {
-                endpoint: cfg.server_endpoint,
-                tcb: cfg.tcb,
-                encrypted: cfg.encrypted,
-                rx_ack_cycles: cfg.costs.tcp_rx_ack_cycles,
-            },
-            &mut reg,
-            "atlas",
-            SimRng::new(seed ^ 0xA71A5),
-            rx_slots,
-            prof.clone(),
-        );
-        AtlasServer {
-            nic: Nic::new(NicConfig {
-                rings: cfg.cores,
-                fidelity: cfg.fidelity,
-                ..cfg.nic
-            }),
-            cores,
+        Atlas {
             kernel,
-            mem,
-            host,
-            catalog,
-            core_disks,
-            front,
+            queues,
             fetches: HashMap::new(),
             next_token: 1,
-            retries: std::collections::BTreeMap::new(),
+            retries: BTreeMap::new(),
             next_retry: 0,
             resync_at: None,
-            reg,
-            tracer,
-            prof,
-            ids,
+            tracer: if cfg.trace {
+                Tracer::enabled()
+            } else {
+                Tracer::disabled()
+            },
+            ids: AtlasIds::register(reg, cfg.cores),
             trace_rx_at: Nanos::ZERO,
-            ctl: ServerControl::new(
-                cfg.admission,
-                cfg.autotune,
-                cfg.watermark,
-                seed ^ 0xA070,
-                cfg.cores,
-            ),
-            buf_waiters: vec![BTreeSet::new(); cfg.cores],
             next_sweep: cfg.admission.sweep_interval,
             dirty_doorbells: BTreeMap::new(),
             completed_scratch: Vec::new(),
             sweep_serial: 0,
-            tier,
-            tier_ids,
-            cache,
-            cache_slots,
             cache_ready: Vec::new(),
             cold_scratch: Vec::with_capacity(64),
-            cfg,
-            phys,
         }
     }
 
-    /// Tiering engine view (`None` unless `cfg.tier`).
-    #[must_use]
-    pub fn tier(&self) -> Option<&TierEngine> {
-        self.tier.as_ref()
+    fn label(s: &AtlasServer) -> String {
+        let tls = if s.cfg.encrypted { " TLS" } else { "" };
+        format!("Atlas/{} cores{tls}", s.cfg.cores)
     }
 
-    /// Hot-chunk cache view (`None` unless `cfg.tier_cache`).
-    #[must_use]
-    pub fn cache(&self) -> Option<&HotChunkCache> {
-        self.cache.as_ref()
+    /// Live connections, worst (minimum) DMA-pool free fraction and
+    /// worst (maximum) NVMe SQ occupancy across the core's per-disk
+    /// queues.
+    fn snapshot(s: &AtlasServer, core: usize) -> ResourceSnapshot {
+        let sq_depth = f64::from(NvmeConfig::default().queue_depth);
+        let mut pool_free_frac = 1.0f64;
+        let mut sq_occupancy = 0.0f64;
+        for q in &s.stack.queues[core] {
+            let cap = f64::from(q.pool_ref().capacity()).max(1.0);
+            pool_free_frac = pool_free_frac.min(f64::from(q.pool_ref().available()) / cap);
+            sq_occupancy = sq_occupancy.max(q.inflight() as f64 / sq_depth);
+        }
+        ResourceSnapshot {
+            conns: s.ctl[core].live_conns,
+            pool_free_frac,
+            sq_occupancy,
+        }
     }
 
-    /// Served work so far, read through the counter handles.
-    #[must_use]
-    pub fn served(&self) -> ServedWork {
-        let (reg, ids) = (&self.reg, &self.ids);
+    /// The latch as the last sweep or SYN left it: while the core
+    /// sheds, requests on established keepalive connections are
+    /// answered 503 + Retry-After instead of entering the fetch
+    /// pipeline.
+    fn shedding(s: &mut AtlasServer, core: usize) -> bool {
+        s.ctl[core].overload.is_shedding()
+    }
+
+    /// Lay the response out on the stream and send its header.
+    fn queue_response(s: &mut AtlasServer, slot_idx: usize, (info, file): Answer, done: Nanos) {
+        let encrypted = s.cfg.encrypted;
+        // Shared header block: the layout keeps one reference for
+        // retransmit regeneration, the send path slices it into the
+        // scatter-gather list without copying.
+        let header: Arc<[u8]> = response_header(info, encrypted).into();
+        let slot = &mut s.front.slots[slot_idx];
+        // The next response starts where the previous one ends — or,
+        // with nothing outstanding, at snd_nxt's stream offset. The
+        // header goes out immediately (it is tiny and the initial
+        // window always covers it).
+        let cursor = slot
+            .conn
+            .layouts
+            .last()
+            .map(|l| l.end())
+            .unwrap_or_else(|| slot.tcb.stream_offset_of_snd_nxt());
+        let at = match info.body().zip(file) {
+            Some(((file_off, body_len), file)) => {
+                let id = slot.conn.next_layout_id;
+                slot.conn.next_layout_id += 1;
+                if slot.conn.active_layout().is_none() {
+                    slot.conn.next_record = 0;
+                }
+                slot.conn.layouts.push(ResponseLayout {
+                    id,
+                    start: cursor,
+                    header: header.clone(),
+                    file,
+                    file_off,
+                    body_len,
+                    encrypted,
+                });
+                cursor
+            }
+            // A bodiless answer queues behind whatever is parked.
+            None => slot
+                .conn
+                .ready_tx
+                .last_key_value()
+                .map(|(k, v)| *k + v.sg.len())
+                .unwrap_or(cursor)
+                .max(cursor),
+        };
+        let hdr_len = header.len();
+        slot.conn.ready_tx.insert(
+            at,
+            crate::conn::ReadyTx {
+                sg: SgList::from_shared(header, 0, hdr_len),
+                token: 0,
+                completes_response: false,
+            },
+        );
+        Self::drain_tx(s, done, slot_idx);
+    }
+
+    fn on_acked(s: &mut AtlasServer, now: Nanos, slot_idx: usize, off: u64) {
+        let conn = &mut s.front.slots[slot_idx].conn;
+        conn.prune_acked(off);
+        if off > conn.acked_stream_off {
+            conn.acked_stream_off = off;
+            conn.last_progress = now;
+        }
+    }
+
+    /// Storage is the retransmission buffer: re-fetch the record that
+    /// holds the range and send exactly that slice of it again.
+    fn on_retransmit(s: &mut AtlasServer, now: Nanos, slot_idx: usize, offset: u64, len: u64) {
+        let slot = &mut s.front.slots[slot_idx];
+        let Some(layout_idx) = slot.conn.layout_at(offset) else {
+            // Nothing known at this offset (already pruned?): nothing
+            // we can do; the RTO path will re-ask.
+            return;
+        };
+        let layout = &slot.conn.layouts[layout_idx];
+        if layout.in_header(offset) {
+            // Header bytes: slice the shared header block into the
+            // scatter-gather list — a refcount bump, no copy.
+            let rel = (offset - layout.start) as usize;
+            let end = (rel + len as usize).min(layout.header.len());
+            let sg = SgList::from_shared(layout.header.clone(), rel, end - rel);
+            let out = slot.tcb.send_retransmit(now, offset, sg);
+            let core = slot.core;
+            s.nic.tx_rings[core].push(out.into_tx(0));
+            return;
+        }
+        let Some(pos) = layout.locate_body(offset) else {
+            return;
+        };
+        // Re-fetch the containing record; on completion, slice out
+        // exactly [off_in_record, off_in_record+len).
+        let record = pos.record;
+        let file = layout.file;
+        let plain = layout.record_plain_len(record);
+        let file_off = layout.record_file_off(record);
+        let wire_len = layout.record_wire_len(record);
+        let retx_len = len.min(wire_len - pos.off_in_record);
+        let layout_id = layout.id;
+        slot.conn.retx_inflight += 1;
+        let issued = Self::issue_fetch(
+            s,
+            now,
+            slot_idx,
+            InflightFetch {
+                layout_id,
+                record,
+                retx: Some((pos.off_in_record, retx_len)),
+            },
+            file,
+            file_off,
+            plain,
+            0,
+        );
+        if !issued {
+            // No buffer for the retransmit right now: tell the TCB so
+            // the RTO (or further dup ACKs) can re-request it.
+            let slot = &mut s.front.slots[slot_idx];
+            slot.conn.retx_inflight -= 1;
+            slot.tcb.retransmit_abandoned();
+        }
+    }
+
+    fn after_events(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        Self::drain_tx(s, now, slot_idx);
+        Self::pump(s, now, slot_idx);
+    }
+
+    /// Re-pump a connection parked for a DMA buffer; `pump` re-parks
+    /// it if the pool is still dry.
+    fn wake(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        if s.front.slots[slot_idx].conn.aborted {
+            return;
+        }
+        Self::pump(s, now, slot_idx);
+        Self::drain_tx(s, now, slot_idx);
+        s.front.sync_timer(slot_idx);
+    }
+
+    /// Harvest disk completions (§3 steps 3–5), re-drive SQ
+    /// backpressure and failed fetches, run the overload sweep, and
+    /// serve the tier.
+    fn advance_io(s: &mut AtlasServer, now: Nanos) {
+        s.stack.kernel.advance(now, &mut s.mem, &mut s.host);
+        if s.stack.resync_at.is_some_and(|t| t <= now) {
+            s.stack.resync_at = None;
+            Self::resync_staged(s, now);
+        }
+        Self::fire_retries(s, now);
+        if now >= s.stack.next_sweep {
+            Self::overload_sweep(s, now);
+            s.stack.next_sweep = now + s.cfg.admission.sweep_interval;
+        }
+        // Batched completion sweep: gather every finished read for a
+        // core (across all of its per-disk queues) into one reusable
+        // scratch, feed the I/O tuner its latency/occupancy signals,
+        // then run a single crypto+packetize pass over the batch —
+        // consecutive records of one connection ride the hot TCB at
+        // the batched TX-op cost, and the DMA buffers are still
+        // LLC-resident when the pass reaches them.
+        let n_disks = s.catalog.n_disks();
+        let depth = usize::from(NvmeConfig::default().queue_depth);
+        for core in 0..s.cfg.cores {
+            s.stack.sweep_serial += 1;
+            let mut batch = std::mem::take(&mut s.stack.completed_scratch);
+            debug_assert!(batch.is_empty());
+            let cap_before = batch.capacity();
+            for disk in 0..n_disks {
+                let mark = batch.len();
+                let cycles = {
+                    let q = &mut s.stack.queues[core][disk];
+                    q.nvme_consume_completions_into(
+                        &mut s.stack.kernel,
+                        now,
+                        64,
+                        &s.cfg.costs,
+                        &mut batch,
+                    )
+                    .expect("consume")
+                };
+                if cycles > 0 {
+                    s.prof.stage(core, ProfStage::Fetch);
+                    s.cores.run_on(core, now, cycles);
+                }
+                if batch.len() > mark {
+                    let q = &s.stack.queues[core][disk];
+                    let outstanding = q.inflight() + q.staged_count();
+                    for io in &batch[mark..] {
+                        let lat = (io.completed_at - io.submitted_at).as_nanos();
+                        s.ctl[core]
+                            .tuner
+                            .observe_completion(lat, outstanding, depth);
+                    }
+                }
+            }
+            dcn_obs::steady::note_growth(cap_before, batch.capacity());
+            for io in batch.drain(..) {
+                Self::complete_fetch(s, now, io);
+            }
+            s.stack.completed_scratch = batch;
+        }
+        Self::drain_tier(s, now);
+    }
+
+    /// Stamp NIC-DMA time (and LLC residency at that instant) for every
+    /// chunk a drained burst carried — a burst whose payload DMA read
+    /// touched zero DRAM bytes was served entirely from the LLC, the
+    /// paper's ideal disk→LLC→wire path. Then §3 step 5: NIC TX
+    /// completions recycle buffers (LIFO), and connections parked on a
+    /// dry pool are re-pumped.
+    fn on_tx_drained(s: &mut AtlasServer, now: Nanos, bursts: &[SentBurst]) {
+        if s.stack.tracer.is_enabled() {
+            for b in bursts.iter().filter(|b| b.completion != 0) {
+                let tracer = &mut s.stack.tracer;
+                tracer.stamp_tx(b.completion, Stage::NicTxDma, b.departed);
+                tracer.llc_at_nic_dma_tx(b.completion, b.dma_dram_bytes == 0);
+            }
+        }
+        for core in 0..s.cfg.cores {
+            for token in s.nic.tx_rings[core].txsync_collect() {
+                if token != 0 {
+                    s.stack.tracer.finish_tx(token, now);
+                    let (c, disk, buf) = untx_token(token);
+                    s.stack.queues[c][disk].pool().free(buf);
+                }
+            }
+        }
+        s.wake_waiters(now);
+        Self::flush_doorbells(s);
+    }
+
+    /// Disk completions, fetch retries, SQ resubmission, the overload
+    /// sweep and cache-hit completions.
+    fn next_io_at(s: &AtlasServer) -> Option<Nanos> {
+        let st = &s.stack;
+        let retry = st.retries.keys().next().map(|&(d, _)| d);
+        // The overload sweep only needs to run while connections
+        // exist; an empty server stays fully quiescent.
+        let sweep = (s.ctl.live_conns() > 0).then_some(st.next_sweep);
+        let cache = st.cache_ready.iter().map(|io| io.completed_at).min();
+        earliest(
+            earliest(st.kernel.poll_at(), retry),
+            earliest(earliest(st.resync_at, sweep), cache),
+        )
+    }
+
+    /// Buffer-pool depth, ladder rung and live connections per core,
+    /// the diskmap kernel's totals, and the leak audit.
+    fn publish(s: &mut AtlasServer) {
+        for core in 0..s.cfg.cores {
+            let free: u32 = s.stack.queues[core]
+                .iter()
+                .map(|q| q.pool_ref().available())
+                .sum();
+            s.reg.set(s.stack.ids.pool_free_bufs[core], f64::from(free));
+            s.reg.set(
+                s.stack.ids.overload_level[core],
+                s.ctl[core].overload.level() as u8 as f64,
+            );
+            s.reg
+                .set(s.stack.ids.live_conns[core], s.ctl[core].live_conns as f64);
+        }
+        s.stack.kernel.publish_metrics(&mut s.reg);
+        let leaked = Atlas::leaked_buffers(s);
+        s.reg.set(s.stack.ids.leaked_bufs, leaked as f64);
+    }
+
+    fn stack_served(s: &AtlasServer, front: ServedWork) -> ServedWork {
+        let (reg, ids) = (&s.reg, &s.stack.ids);
         ServedWork {
             responses: reg.counter_sum(&ids.responses),
             http_payload_bytes: reg.counter_sum(&ids.http_payload_bytes),
@@ -447,287 +672,112 @@ impl AtlasServer {
             reaped_idle: reg.counter_sum(&ids.reaped_idle),
             aborted_slow: reg.counter_sum(&ids.aborted_slow),
             empty_waits: reg.counter_sum(&ids.empty_waits),
-            ..self.front.served(reg)
+            ..front
         }
     }
 
-    /// Refresh gauge-type registry metrics from component state —
-    /// buffer-pool depth per core, per-core TCP counters (RTO
-    /// firings, retransmitted bytes), NIC and diskmap totals. Called
-    /// at sample/report points, never on the per-chunk hot path; the
-    /// per-core gauge handles are pre-registered in [`AtlasIds`] so a
-    /// sampled run does no name scans here.
-    pub fn publish_obs(&mut self) {
-        for core in 0..self.cfg.cores {
-            let free: u32 = self.core_disks[core]
-                .queues
-                .iter()
-                .map(|q| q.pool_ref().available())
-                .sum();
-            self.reg.set(self.ids.pool_free_bufs[core], f64::from(free));
-            self.reg.set(
-                self.ids.overload_level[core],
-                self.ctl[core].overload.level() as u8 as f64,
-            );
-            self.reg
-                .set(self.ids.live_conns[core], self.ctl[core].live_conns as f64);
-        }
-        self.front.publish_tcb_metrics(&mut self.reg);
-        self.nic.publish_metrics(&mut self.reg);
-        self.kernel.publish_metrics(&mut self.reg);
-        self.mem.counters.publish_metrics(&mut self.reg);
-        let leaked = self.leaked_buffers();
-        self.reg.set(self.ids.leaked_bufs, leaked as f64);
-        if let Some(ids) = &self.tier_ids {
-            ids.publish(&mut self.reg, self.tier.as_ref(), self.cache.as_ref());
-        }
-        self.prof.publish(&mut self.reg);
-    }
-
-    /// Fault counts so far: device faults and SQ rejects from the
-    /// diskmap kernel, aborted connections through their counter,
-    /// RTOs from the TCBs.
-    #[must_use]
-    pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
-        let (nvme_read_errors, nvme_latency_spikes) = self.kernel.nvme_fault_totals();
-        dcn_faults::FaultCounts {
+    /// Device faults and SQ rejects from the diskmap kernel, aborted
+    /// connections through their counter.
+    fn stack_faults(s: &AtlasServer) -> FaultCounts {
+        let (nvme_read_errors, nvme_latency_spikes) = s.stack.kernel.nvme_fault_totals();
+        FaultCounts {
             nvme_read_errors,
             nvme_latency_spikes,
-            sq_rejects: self.kernel.sq_rejects(),
-            conns_aborted: self.reg.counter_value(self.ids.conns_aborted),
-            rto_fired: self.front.rto_fired(),
+            sq_rejects: s.stack.kernel.sq_rejects(),
+            conns_aborted: s.reg.counter_value(s.stack.ids.conns_aborted),
+            ..FaultCounts::default()
         }
     }
 
-    /// Snapshot the per-stage profile (`None` unless `cfg.profile`).
-    #[must_use]
-    pub fn prof_report(&self) -> Option<dcn_obs::ProfReport> {
-        self.prof.report()
-    }
-
-    /// One core's resource observation for the admission policy:
-    /// live connections, worst (minimum) DMA-pool free fraction and
-    /// worst (maximum) NVMe SQ occupancy across its per-disk queues.
-    fn resource_snapshot(&self, core: usize) -> ResourceSnapshot {
-        let sq_depth = f64::from(NvmeConfig::default().queue_depth);
-        let mut pool_free_frac = 1.0f64;
-        let mut sq_occupancy = 0.0f64;
-        for q in &self.core_disks[core].queues {
-            let cap = f64::from(q.pool_ref().capacity()).max(1.0);
-            pool_free_frac = pool_free_frac.min(f64::from(q.pool_ref().available()) / cap);
-            sq_occupancy = sq_occupancy.max(q.inflight() as f64 / sq_depth);
+    /// Device-level read errors and latency spikes per disk, SQ
+    /// admission rejects in the kernel.
+    fn inject_faults(s: &mut AtlasServer, f: &FaultConfig, seed: u64) {
+        for d in 0..s.catalog.n_disks() {
+            s.stack
+                .kernel
+                .disk(DiskId(d))
+                .set_faults(f.nvme, seed ^ ((d as u64 + 1) << 32));
         }
-        ResourceSnapshot {
-            conns: self.ctl[core].live_conns,
-            pool_free_frac,
-            sq_occupancy,
-        }
+        s.stack.kernel.set_sq_faults(f.nvme.sq_reject_p, seed);
     }
 
-    /// Is any core currently shedding load (resource latch held or
-    /// walking the degradation ladder) or at its connection cap? The
-    /// cluster dispatcher treats a shedding server like `Draining`.
-    #[must_use]
-    pub fn is_shedding(&self) -> bool {
-        self.ctl.is_shedding()
+    fn on_accept(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        let conn = &mut s.front.slots[slot_idx].conn;
+        conn.established_at = now;
+        conn.last_progress = now;
+        conn.drain_mark_at = now;
+        s.reg.inc(s.stack.ids.conns);
     }
 
-    /// Current degradation-ladder rung for one core.
-    #[must_use]
-    pub fn overload_level(&self, core: usize) -> LadderLevel {
-        self.ctl[core].overload.level()
+    /// Any fetch this event's processing issues is stamped with the
+    /// event's time.
+    fn on_wire_event(s: &mut AtlasServer, now: Nanos) {
+        s.stack.trace_rx_at = now;
     }
 
-    // ------------------------------------------------------------ input
-
-    /// Frames arriving from the wire at `now` (already RSS-steered by
-    /// flow hash). Runs the full receive→fetch→(encrypt)→send loop
-    /// and returns any bursts that left the NIC.
-    pub fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst> {
-        for frame in frames {
-            let (ctl, nic, mem, cores) = (&self.ctl, &mut self.nic, &mut self.mem, &mut self.cores);
-            let Some(rx) = self.front.rx(now, frame, ctl, nic, mem, cores) else {
-                continue;
-            };
-            // Any fetch this frame's processing issues is stamped with
-            // the frame's arrival.
-            self.trace_rx_at = now;
-            match rx {
-                Rx::Syn(syn) => {
-                    let snap = self.resource_snapshot(syn.core);
-                    let (ctl, nic, reg) = (&mut self.ctl, &mut self.nic, &mut self.reg);
-                    if let Some(slot_idx) = self.front.accept(now, syn, snap, ctl, nic, reg) {
-                        let conn = &mut self.front.slots[slot_idx].conn;
-                        conn.established_at = now;
-                        conn.last_progress = now;
-                        conn.drain_mark_at = now;
-                        self.reg.inc(self.ids.conns);
-                    }
-                }
-                Rx::Segment { slot, done } => self.process_conn_events(done, slot),
-                Rx::Stray => {}
-            }
-        }
-        self.flush_doorbells();
-        // NIC TX DMA reads        self.flush_doorbells();
-        // NIC TX DMA reads (payload leaving over the wire) attribute
-        // to the TX-completion/drain stage.
-        self.prof.stage(0, ProfStage::TxComplete);
-        let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
-        self.trace_bursts(&bursts);
-        self.reclaim_tx(now);
-        self.wake_buf_waiters(now);
-        self.flush_doorbells();
-        bursts
-    }
-
-    /// Stamp NIC-DMA time (and LLC residency at that instant) for
-    /// every chunk a drained burst carried. A burst whose payload DMA
-    /// read touched zero DRAM bytes was served entirely from the LLC
-    /// — the paper's ideal disk→LLC→wire path.
-    fn trace_bursts(&mut self, bursts: &[SentBurst]) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        for b in bursts {
-            if b.completion != 0 {
-                self.tracer
-                    .stamp_tx(b.completion, Stage::NicTxDma, b.departed);
-                self.tracer
-                    .llc_at_nic_dma_tx(b.completion, b.dma_dram_bytes == 0);
-            }
-        }
-    }
-
-    // ------------------------------------------------- event processing
-
-    fn process_conn_events(&mut self, now: Nanos, slot_idx: usize) {
-        let events = self.front.slots[slot_idx].tcb.take_events();
-        for ev in events {
-            match ev {
-                TcbEvent::Data(bytes) => self.on_request_bytes(now, slot_idx, &bytes),
-                TcbEvent::WindowOpen(_) => {}
-                TcbEvent::AckedTo(off) => {
-                    let conn = &mut self.front.slots[slot_idx].conn;
-                    conn.prune_acked(off);
-                    if off > conn.acked_stream_off {
-                        conn.acked_stream_off = off;
-                        conn.last_progress = now;
-                    }
-                }
-                TcbEvent::NeedRetransmit { offset, len } => {
-                    self.on_retransmit_needed(now, slot_idx, offset, len);
-                }
-                TcbEvent::Established | TcbEvent::PeerFin => {}
-                TcbEvent::Closed => {}
-            }
-        }
-        self.drain_tx(now, slot_idx);
-        self.pump(now, slot_idx);
-        self.front.sync_timer(slot_idx);
-    }
-
-    fn on_request_bytes(&mut self, now: Nanos, slot_idx: usize, bytes: &[u8]) {
-        let core = self.front.slots[slot_idx].core;
-        let encrypted = self.cfg.encrypted;
-        // While this core is shedding, requests on already-established
-        // keepalive connections are answered 503 + Retry-After instead
-        // of being admitted into the fetch pipeline. (The latch is read
-        // as the last sweep or SYN left it.)
-        let shedding = self.ctl[core].overload.is_shedding();
-        let mut answers = self.front.parse_requests(
-            slot_idx,
-            bytes,
-            shedding,
-            self.cfg.admission.retry_after,
-            &self.catalog,
-            &mut self.reg,
-        );
+    /// A complete request head (not a 431) is progress for the
+    /// header-read and idle deadlines.
+    fn note_requests(s: &mut AtlasServer, now: Nanos, slot_idx: usize, answers: &[Answer]) {
         if answers
             .iter()
             .any(|(info, _)| *info != ResponseInfo::HeaderTooLarge)
         {
-            let conn = &mut self.front.slots[slot_idx].conn;
+            let conn = &mut s.front.slots[slot_idx].conn;
             conn.got_request = true;
             conn.last_progress = now;
         }
-        for (info, file) in answers.drain(..) {
-            self.prof.stage(core, ProfStage::Parse);
-            let done = self
-                .cores
-                .run_on(core, now, self.cfg.costs.atlas_request_cycles);
-            // Shared header block: the layout keeps one reference for
-            // retransmit regeneration, the send path slices it into
-            // the scatter-gather list without copying.
-            let header: Arc<[u8]> = response_header(info, encrypted).into();
-            if let (Some(f), Some(tier)) = (file, self.tier.as_mut()) {
-                let ids = self.tier_ids.as_ref().expect("tier ids registered");
-                ids.note_request(&mut self.reg, tier, core, f);
-            }
-            let slot = &mut self.front.slots[slot_idx];
-            // The next response starts where the previous one ends —
-            // or, with nothing outstanding, at snd_nxt's stream
-            // offset. The header goes out immediately (it is tiny and
-            // the initial window always covers it).
-            let cursor = slot
-                .conn
-                .layouts
-                .last()
-                .map(|l| l.end())
-                .unwrap_or_else(|| slot.tcb.stream_offset_of_snd_nxt());
-            let at = match info.body().zip(file) {
-                Some(((file_off, body_len), file)) => {
-                    let id = slot.conn.next_layout_id;
-                    slot.conn.next_layout_id += 1;
-                    if slot.conn.active_layout().is_none() {
-                        slot.conn.next_record = 0;
-                    }
-                    slot.conn.layouts.push(ResponseLayout {
-                        id,
-                        start: cursor,
-                        header: header.clone(),
-                        file,
-                        file_off,
-                        body_len,
-                        encrypted,
-                    });
-                    cursor
-                }
-                // A bodiless answer queues behind whatever is parked.
-                None => slot
-                    .conn
-                    .ready_tx
-                    .last_key_value()
-                    .map(|(k, v)| *k + v.sg.len())
-                    .unwrap_or(cursor)
-                    .max(cursor),
-            };
-            let hdr_len = header.len();
-            slot.conn.ready_tx.insert(
-                at,
-                crate::conn::ReadyTx {
-                    sg: SgList::from_shared(header, 0, hdr_len),
-                    token: 0,
-                    completes_response: false,
-                },
-            );
-            self.drain_tx(done, slot_idx);
-        }
-        self.front.recycle(answers);
     }
 
+    /// Ring the doorbells for the fetches the RX frames staged before
+    /// the NIC drains.
+    fn before_rx_drain(s: &mut AtlasServer) {
+        Self::flush_doorbells(s);
+    }
+
+    /// DMA buffers not free and not accounted for by any legitimate
+    /// holder (in-flight fetch, parked record, NIC TX pipeline, or a
+    /// scheduled retry — which holds no buffer). Nonzero means a leak.
+    fn leaked_buffers(s: &AtlasServer) -> i64 {
+        let (free, capacity) = s.stack.pool_totals();
+        let inflight = s.stack.fetches.len() as i64;
+        let parked: i64 = s
+            .front
+            .slots
+            .iter()
+            .map(|slot| slot.conn.ready_tx.values().filter(|r| r.token != 0).count() as i64)
+            .sum();
+        let in_nic: i64 = s
+            .nic
+            .tx_rings
+            .iter()
+            .map(|r| r.unreclaimed_tokens() as i64)
+            .sum();
+        i64::from(capacity) - i64::from(free) - inflight - parked - in_nic
+    }
+
+    fn pool(s: &AtlasServer) -> Option<(u32, u32)> {
+        Some(s.stack.pool_totals())
+    }
+
+    fn tracer(s: &AtlasServer) -> Option<&Tracer> {
+        Some(&s.stack.tracer)
+    }
+}
+
+/// The data path over the shell's parts.
+impl Atlas {
     /// Transmit ready items whose stream offset has arrived — disk
     /// completions may arrive out of order, the TCP stream goes out
     /// in order.
-    fn drain_tx(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.front.slots[slot_idx].core;
+    fn drain_tx(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        let core = s.front.slots[slot_idx].core;
         loop {
             // TX-ring backpressure: if the ring is full the item
             // stays parked; the next ACK (or TX completion) retries.
-            if self.nic.tx_rings[core].space() == 0 {
+            if s.nic.tx_rings[core].space() == 0 {
                 break;
             }
-            let slot = &mut self.front.slots[slot_idx];
+            let slot = &mut s.front.slots[slot_idx];
             let cursor = slot.tcb.stream_offset_of_snd_nxt();
             let Some((&off, _)) = slot.conn.ready_tx.first_key_value() else {
                 break;
@@ -739,7 +789,7 @@ impl AtlasServer {
             if off != cursor {
                 // A hole: an earlier record's disk read is still in
                 // flight — the in-order stream is NVMe-wait stalled.
-                self.prof.stall(StallKind::NvmeWait);
+                s.prof.stall(StallKind::NvmeWait);
                 break;
             }
             let item = slot.conn.ready_tx.remove(&off).expect("just peeked");
@@ -747,26 +797,28 @@ impl AtlasServer {
             slot.conn.reserved = slot.conn.reserved.saturating_sub(len);
             if item.completes_response {
                 slot.conn.responses_completed += 1;
-                self.reg.inc(self.ids.responses[core]);
+                s.reg.inc(s.stack.ids.responses[core]);
             }
             let out = slot.tcb.send_data(now, item.sg, false);
-            self.nic.tx_rings[core].push(out.into_tx(item.token));
+            s.nic.tx_rings[core].push(out.into_tx(item.token));
             if item.token != 0 {
-                self.tracer.stamp_tx(item.token, Stage::TsoPacketize, now);
+                s.stack
+                    .tracer
+                    .stamp_tx(item.token, Stage::TsoPacketize, now);
             }
         }
     }
 
     /// §3 steps 1–2: issue on-demand reads for the active response
     /// while window space clears the watermark.
-    fn pump(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.front.slots[slot_idx].core;
+    fn pump(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        let core = s.front.slots[slot_idx].core;
         // Tuned per-core operating point (the fixed `cfg.watermark`
         // and an unbounded cap when autotuning is off).
-        let watermark = self.ctl[core].tuner.watermark();
-        let inflight_cap = self.ctl[core].tuner.inflight_cap();
+        let watermark = s.ctl[core].tuner.watermark();
+        let inflight_cap = s.ctl[core].tuner.inflight_cap();
         loop {
-            let slot = &mut self.front.slots[slot_idx];
+            let slot = &mut s.front.slots[slot_idx];
             // Start the next queued request if the active one is done.
             let Some(layout) = slot.conn.active_layout() else {
                 break;
@@ -794,20 +846,19 @@ impl AtlasServer {
             if usable < watermark.min(wire) && !idle {
                 // Window below the watermark with data in flight: the
                 // pipeline is waiting on client ACKs, not on us.
-                self.prof.stall(StallKind::CwndLimited);
+                s.prof.stall(StallKind::CwndLimited);
                 break;
             }
             // Tuned in-flight cap: when the tuner has backed off
             // (queueing latency or SQ saturation), stop issuing once
             // the core's outstanding reads reach the cap.
             if inflight_cap != u32::MAX {
-                let outstanding: u32 = self.core_disks[core]
-                    .queues
+                let outstanding: u32 = s.stack.queues[core]
                     .iter()
                     .map(|q| (q.inflight() + q.staged_count()) as u32)
                     .sum();
                 if outstanding >= inflight_cap {
-                    self.prof.stall(StallKind::NvmeWait);
+                    s.prof.stall(StallKind::NvmeWait);
                     break;
                 }
             }
@@ -823,20 +874,20 @@ impl AtlasServer {
             // would otherwise drain the pool into the overload latch.
             // Uncontended pools keep deep read-ahead (cold-tier
             // fetches need it).
-            let pool =
-                self.core_disks[core].queues[self.catalog.locate(file, file_off).disk].pool_ref();
+            let pool = s.stack.queues[core][s.catalog.locate(file, file_off).disk].pool_ref();
             if pool.available() * 2 <= pool.capacity() {
-                let pool_bufs = self.cfg.bufs_per_queue as usize * self.catalog.n_disks();
-                let share = (pool_bufs / self.ctl[core].live_conns.max(1)).max(1);
+                let pool_bufs = s.cfg.bufs_per_queue as usize * s.catalog.n_disks();
+                let share = (pool_bufs / s.ctl[core].live_conns.max(1)).max(1);
                 if slot.conn.read_ahead() >= share {
-                    self.reg.inc(self.ids.share_limited[core]);
+                    s.reg.inc(s.stack.ids.share_limited[core]);
                     break;
                 }
             }
             slot.conn.next_record += 1;
             slot.conn.reserved += wire;
             slot.conn.fetches_inflight += 1;
-            let issued = self.issue_fetch(
+            let issued = Self::issue_fetch(
+                s,
                 now,
                 slot_idx,
                 InflightFetch {
@@ -854,14 +905,14 @@ impl AtlasServer {
                 // buffers shortly): undo, park on the waiter list —
                 // the reclaim path re-pumps parked connections the
                 // moment a buffer frees — and stop this round.
-                let slot = &mut self.front.slots[slot_idx];
+                let slot = &mut s.front.slots[slot_idx];
                 slot.conn.next_record -= 1;
                 slot.conn.reserved -= wire;
                 slot.conn.fetches_inflight -= 1;
-                if self.buf_waiters[core].insert(slot_idx) {
-                    self.reg.inc(self.ids.empty_waits[core]);
+                if s.waiters[core].insert(slot_idx) {
+                    s.reg.inc(s.stack.ids.empty_waits[core]);
                 }
-                self.prof.stall(StallKind::PoolEmpty);
+                s.prof.stall(StallKind::PoolEmpty);
                 break;
             }
         }
@@ -872,7 +923,7 @@ impl AtlasServer {
     /// is 0 for first issues; the retry policy re-enters with 1..=N.
     #[allow(clippy::too_many_arguments)]
     fn issue_fetch(
-        &mut self,
+        s: &mut AtlasServer,
         now: Nanos,
         slot_idx: usize,
         fetch: InflightFetch,
@@ -881,14 +932,14 @@ impl AtlasServer {
         plain_len: u64,
         attempt: u32,
     ) -> bool {
-        let core = self.front.slots[slot_idx].core;
-        let (loc, aligned_len, _pre) = self.catalog.read_span(file, file_off, plain_len);
-        let q = &mut self.core_disks[core].queues[loc.disk];
+        let core = s.front.slots[slot_idx].core;
+        let (loc, aligned_len, _pre) = s.catalog.read_span(file, file_off, plain_len);
+        let q = &mut s.stack.queues[core][loc.disk];
         // Retransmit-fetch priority: hold the last few buffers back
         // from fresh fetches so a connection in RTO recovery is never
         // starved behind newly admitted traffic. (Clamped so tiny
-        // test pools aren't wedged by the reserve itself.)
-        let reserve = self
+        // test pools aren't wedged by the reserve its.)
+        let reserve = s
             .cfg
             .admission
             .retx_reserve_bufs
@@ -899,8 +950,8 @@ impl AtlasServer {
         let Some(buf) = q.pool().alloc() else {
             return false;
         };
-        let token = self.next_token;
-        self.next_token += 1;
+        let token = s.stack.next_token;
+        s.stack.next_token += 1;
         let aligned = aligned_len.min(q.pool_ref().buf_size());
         // Route the fetch: DMA-cache probe first (a resident chunk
         // needs no storage round trip at all, hot or cold), then tier
@@ -910,19 +961,19 @@ impl AtlasServer {
         // exert the same pool pressure admission control watches.
         let mut src = FetchSrc::Nvme;
         let mut cache_slot = 0usize;
-        if let Some(cache) = self.cache.as_mut() {
-            let ids = self.tier_ids.as_ref().expect("tier ids registered");
+        if let Some(cache) = s.cache.as_mut() {
+            let ids = s.tier_ids.as_ref().expect("tier ids registered");
             match cache.lookup(file, file_off, plain_len) {
-                Some(s) => {
+                Some(hit) => {
                     src = FetchSrc::Cache;
-                    cache_slot = s;
-                    self.reg.inc(ids.cache_hits[core]);
+                    cache_slot = hit;
+                    s.reg.inc(ids.cache_hits[core]);
                 }
-                None => self.reg.inc(ids.cache_misses[core]),
+                None => s.reg.inc(ids.cache_misses[core]),
             }
         }
         if src == FetchSrc::Nvme {
-            if let Some(tier) = self.tier.as_ref() {
+            if let Some(tier) = s.tier.as_ref() {
                 if tier.placement(file) == Placement::Cold {
                     src = FetchSrc::Cold;
                 }
@@ -938,7 +989,7 @@ impl AtlasServer {
                         offset: loc.dev_offset,
                         len: aligned,
                     },
-                    &self.cfg.costs,
+                    &s.cfg.costs,
                 );
                 // Doorbell batching: the command is staged now; one
                 // `nvme_sqsync` per dirty (core, disk) queue at the end of
@@ -947,48 +998,48 @@ impl AtlasServer {
                 // The per-command SQE-build cycles are accrued inside the
                 // queue and charged at flush; the per-chunk profiler sample
                 // here is the command's own share of the submit work.
-                self.dirty_doorbells
+                s.stack
+                    .dirty_doorbells
                     .entry((core, loc.disk))
                     .and_modify(|t| *t = (*t).max(now))
                     .or_insert(now);
-                self.prof.stage(core, ProfStage::Fetch);
-                self.prof
-                    .chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
+                s.prof.stage(core, ProfStage::Fetch);
+                s.prof
+                    .chunk(ProfStage::Fetch, s.cfg.costs.nvme_submit_cycles);
             }
             FetchSrc::Cold => {
                 // Issue a byte-range GET to the cold store. No SQE, no
                 // doorbell — the request leaves over the NIC; its cost
                 // here is the same submit-side CPU work as a disk read.
-                let tier = self.tier.as_mut().expect("cold route without tier");
+                let tier = s.tier.as_mut().expect("cold route without tier");
                 tier.cold_fetch(now, file, file_off, aligned, token);
-                self.prof.stage(core, ProfStage::Fetch);
-                self.prof
-                    .chunk(ProfStage::Fetch, self.cfg.costs.nvme_submit_cycles);
-                self.cores
-                    .run_on(core, now, self.cfg.costs.nvme_submit_cycles);
+                s.prof.stage(core, ProfStage::Fetch);
+                s.prof
+                    .chunk(ProfStage::Fetch, s.cfg.costs.nvme_submit_cycles);
+                s.cores.run_on(core, now, s.cfg.costs.nvme_submit_cycles);
             }
             FetchSrc::Cache => {
                 // Serve from the DMA cache: copy slot → pool buffer,
                 // charging the memory system both sides of the copy —
                 // the DRAM bandwidth the ablation is asking about.
-                let buf_region = self.core_disks[core].queues[loc.disk].buf_region(buf, plain_len);
-                let slot_region = self.cache_slots[cache_slot];
-                let rd = self.mem.cpu_read(now, slot_region);
-                let wr = self.mem.cpu_write(now, buf_region);
+                let buf_region = s.stack.queues[core][loc.disk].buf_region(buf, plain_len);
+                let slot_region = s.cache_slots[cache_slot];
+                let rd = s.mem.cpu_read(now, slot_region);
+                let wr = s.mem.cpu_write(now, buf_region);
                 let cycles = rd.stall_cycles
                     + wr.stall_cycles
-                    + (plain_len as f64 * self.cfg.costs.memcpy_cycles_per_byte) as u64;
-                self.prof.stage(core, ProfStage::Fetch);
-                self.prof.chunk(ProfStage::Fetch, cycles);
-                let done = self.cores.run_on(core, now, cycles);
-                if self.cfg.fidelity == Fidelity::Full {
-                    let data = self.host.read_region(slot_region);
-                    self.host.update_region(buf_region, |d| {
+                    + (plain_len as f64 * s.cfg.costs.memcpy_cycles_per_byte) as u64;
+                s.prof.stage(core, ProfStage::Fetch);
+                s.prof.chunk(ProfStage::Fetch, cycles);
+                let done = s.cores.run_on(core, now, cycles);
+                if s.cfg.fidelity == Fidelity::Full {
+                    let data = s.host.read_region(slot_region);
+                    s.host.update_region(buf_region, |d| {
                         let n = d.len();
                         d.copy_from_slice(&data[..n]);
                     });
                 }
-                self.cache_ready.push(dcn_diskmap::CompletedIo {
+                s.stack.cache_ready.push(dcn_diskmap::CompletedIo {
                     user: token,
                     buf,
                     len: aligned,
@@ -998,29 +1049,32 @@ impl AtlasServer {
                 });
             }
         }
-        self.fetches
+        s.stack
+            .fetches
             .insert(token, (slot_idx, fetch, buf, loc.disk, attempt, src));
         if fetch.retx.is_some() {
-            self.reg.inc(self.ids.retransmit_fetches[core]);
+            s.reg.inc(s.stack.ids.retransmit_fetches[core]);
         }
-        if self.tracer.is_enabled() {
+        if s.stack.tracer.is_enabled() {
             let kind = if fetch.retx.is_some() {
                 ChunkKind::RetransmitFetch
             } else {
                 ChunkKind::Fresh
             };
-            self.tracer
+            s.stack
+                .tracer
                 .begin(token, slot_idx as u64, core as u32, file_off, aligned, kind);
-            self.tracer
-                .stamp(token, Stage::AckArrival, self.trace_rx_at);
+            s.stack
+                .tracer
+                .stamp(token, Stage::AckArrival, s.stack.trace_rx_at);
             if fetch.retx.is_none() {
                 // A retransmit fetch is loss-driven, not watermark-
                 // driven; the stage is legitimately absent for it.
-                self.tracer.stamp(token, Stage::WatermarkTrigger, now);
+                s.stack.tracer.stamp(token, Stage::WatermarkTrigger, now);
             }
             // Staging time; the doorbell rings at pass end, at the
             // latest staging time recorded for this queue.
-            self.tracer.stamp(token, Stage::NvmeSubmit, now);
+            s.stack.tracer.stamp(token, Stage::NvmeSubmit, now);
         }
         true
     }
@@ -1032,186 +1086,25 @@ impl AtlasServer {
     /// end of every public entry point; between public calls no
     /// intentionally-staged command remains (QueueFull leftovers are
     /// re-driven via `resync_at`).
-    fn flush_doorbells(&mut self) {
-        while let Some(((core, disk), at)) = self.dirty_doorbells.pop_first() {
-            let q = &mut self.core_disks[core].queues[disk];
+    fn flush_doorbells(s: &mut AtlasServer) {
+        while let Some(((core, disk), at)) = s.stack.dirty_doorbells.pop_first() {
+            let q = &mut s.stack.queues[core][disk];
             if q.staged_count() == 0 {
                 continue;
             }
             let cycles = q
-                .nvme_sqsync(&mut self.kernel, at, &self.cfg.costs)
+                .nvme_sqsync(&mut s.stack.kernel, at, &s.cfg.costs)
                 .expect("sqsync");
             if q.staged_count() > 0 {
                 // The SQ refused (part of) the batch — QueueFull
                 // backpressure, real or injected. The commands stay
                 // staged; schedule a resubmission pass.
                 let t = at + RESYNC_DELAY;
-                self.resync_at = Some(self.resync_at.map_or(t, |x| x.min(t)));
+                s.stack.resync_at = Some(s.stack.resync_at.map_or(t, |x| x.min(t)));
             }
-            self.prof.stage(core, ProfStage::Fetch);
-            self.cores.run_on(core, at, cycles);
+            s.prof.stage(core, ProfStage::Fetch);
+            s.cores.run_on(core, at, cycles);
         }
-    }
-
-    fn on_retransmit_needed(&mut self, now: Nanos, slot_idx: usize, offset: u64, len: u64) {
-        let slot = &mut self.front.slots[slot_idx];
-        let Some(layout_idx) = slot.conn.layout_at(offset) else {
-            // Nothing known at this offset (already pruned?): nothing
-            // we can do; the RTO path will re-ask.
-            return;
-        };
-        let layout = &slot.conn.layouts[layout_idx];
-        if layout.in_header(offset) {
-            // Header bytes: slice the shared header block into the
-            // scatter-gather list — a refcount bump, no copy.
-            let rel = (offset - layout.start) as usize;
-            let end = (rel + len as usize).min(layout.header.len());
-            let sg = SgList::from_shared(layout.header.clone(), rel, end - rel);
-            let out = slot.tcb.send_retransmit(now, offset, sg);
-            let core = slot.core;
-            self.nic.tx_rings[core].push(out.into_tx(0));
-            return;
-        }
-        let Some(pos) = layout.locate_body(offset) else {
-            return;
-        };
-        // Re-fetch the containing record; on completion, slice out
-        // exactly [off_in_record, off_in_record+len).
-        let record = pos.record;
-        let file = layout.file;
-        let plain = layout.record_plain_len(record);
-        let file_off = layout.record_file_off(record);
-        let wire_len = layout.record_wire_len(record);
-        let retx_len = len.min(wire_len - pos.off_in_record);
-        let layout_id = layout.id;
-        slot.conn.retx_inflight += 1;
-        let issued = self.issue_fetch(
-            now,
-            slot_idx,
-            InflightFetch {
-                layout_id,
-                record,
-                retx: Some((pos.off_in_record, retx_len)),
-            },
-            file,
-            file_off,
-            plain,
-            0,
-        );
-        if !issued {
-            // No buffer for the retransmit right now: tell the TCB so
-            // the RTO (or further dup ACKs) can re-request it.
-            let slot = &mut self.front.slots[slot_idx];
-            slot.conn.retx_inflight -= 1;
-            slot.tcb.retransmit_abandoned();
-        }
-    }
-
-    // ----------------------------------------------------- disk → wire
-
-    /// Next instant the server needs service (disk completion, TCB
-    /// timer, or a NIC port freeing up for queued descriptors).
-    #[must_use]
-    pub fn poll_at(&self) -> Option<Nanos> {
-        let t = self.kernel.poll_at();
-        let timer = self.front.next_timer();
-        let retry = self.retries.keys().next().map(|&(d, _)| d);
-        // The overload sweep only needs to run while connections
-        // exist; an empty server stays fully quiescent.
-        let sweep = (self.ctl.live_conns() > 0).then_some(self.next_sweep);
-        let tier = self
-            .tier
-            .as_ref()
-            .map(TierEngine::poll_at)
-            .filter(|&at| at != Nanos::MAX);
-        let cache = self.cache_ready.iter().map(|io| io.completed_at).min();
-        earliest(
-            earliest(earliest(t, timer), self.nic.poll_at()),
-            earliest(
-                earliest(earliest(retry, self.resync_at), sweep),
-                earliest(tier, cache),
-            ),
-        )
-    }
-
-    /// Advance to `now`: harvest disk completions (steps 3–5) and
-    /// fire TCP timers. Returns bursts that left the NIC.
-    pub fn advance(&mut self, now: Nanos) -> Vec<SentBurst> {
-        // Disk-completion DMA writes (and any DDIO-cap evictions they
-        // force) attribute to the fetch stage.
-        self.prof.stage(0, ProfStage::Fetch);
-        self.kernel.advance(now, &mut self.mem, &mut self.host);
-        if self.resync_at.is_some_and(|t| t <= now) {
-            self.resync_at = None;
-            self.resync_staged(now);
-        }
-        self.fire_retries(now);
-        if now >= self.next_sweep {
-            self.overload_sweep(now);
-            self.next_sweep = now + self.cfg.admission.sweep_interval;
-        }
-        // Batched completion sweep: gather every finished read for a
-        // core (across all of its per-disk queues) into one reusable
-        // scratch, feed the I/O tuner its latency/occupancy signals,
-        // then run a single crypto+packetize pass over the batch —
-        // consecutive records of one connection ride the hot TCB at
-        // the batched TX-op cost, and the DMA buffers are still
-        // LLC-resident when the pass reaches them.
-        let n_disks = self.catalog.n_disks();
-        let depth = usize::from(NvmeConfig::default().queue_depth);
-        for core in 0..self.cfg.cores {
-            self.sweep_serial += 1;
-            let mut batch = std::mem::take(&mut self.completed_scratch);
-            debug_assert!(batch.is_empty());
-            let cap_before = batch.capacity();
-            for disk in 0..n_disks {
-                let mark = batch.len();
-                let cycles = {
-                    let q = &mut self.core_disks[core].queues[disk];
-                    q.nvme_consume_completions_into(
-                        &mut self.kernel,
-                        now,
-                        64,
-                        &self.cfg.costs,
-                        &mut batch,
-                    )
-                    .expect("consume")
-                };
-                if cycles > 0 {
-                    self.prof.stage(core, ProfStage::Fetch);
-                    self.cores.run_on(core, now, cycles);
-                }
-                if batch.len() > mark {
-                    let q = &self.core_disks[core].queues[disk];
-                    let outstanding = q.inflight() + q.staged_count();
-                    for io in &batch[mark..] {
-                        let lat = (io.completed_at - io.submitted_at).as_nanos();
-                        self.ctl[core]
-                            .tuner
-                            .observe_completion(lat, outstanding, depth);
-                    }
-                }
-            }
-            dcn_obs::steady::note_growth(cap_before, batch.capacity());
-            for io in batch.drain(..) {
-                self.complete_fetch(now, io);
-            }
-            self.completed_scratch = batch;
-        }
-        self.drain_tier(now);
-        // TCB timers.
-        for slot_idx in self.front.due_timers(now) {
-            self.trace_rx_at = now;
-            self.front.slots[slot_idx].tcb.on_timer(now);
-            self.process_conn_events(now, slot_idx);
-        }
-        self.prof.stage(0, ProfStage::TxComplete);
-        let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
-        self.trace_bursts(&bursts);
-        self.reclaim_tx(now);
-        self.wake_buf_waiters(now);
-        self.flush_doorbells();
-        bursts
     }
 
     /// Tiered-catalog service, run each `advance` after the NVMe
@@ -1222,31 +1115,33 @@ impl AtlasServer {
     /// the ordinary encrypt→packetize path; promotion reads are
     /// absorbed inside the engine. Deliberately *not* fed to the
     /// I/O-window tuner — cold latency is not an NVMe signal.
-    fn drain_tier(&mut self, now: Nanos) {
-        if let Some(tier) = self.tier.as_mut() {
+    fn drain_tier(s: &mut AtlasServer, now: Nanos) {
+        if let Some(tier) = s.tier.as_mut() {
             tier.maybe_epoch(now);
-            let mut tickets = std::mem::take(&mut self.cold_scratch);
+            let mut tickets = std::mem::take(&mut s.stack.cold_scratch);
             debug_assert!(tickets.is_empty());
             tier.drain_serving(now, &mut tickets);
             if !tickets.is_empty() {
-                self.sweep_serial += 1;
+                s.stack.sweep_serial += 1;
                 for tk in tickets.drain(..) {
-                    let Some(&(slot_idx, _, buf, disk, _, _)) = self.fetches.get(&tk.token) else {
+                    let Some(&(slot_idx, _, buf, disk, _, _)) = s.stack.fetches.get(&tk.token)
+                    else {
                         continue;
                     };
-                    let core = self.front.slots[slot_idx].core;
-                    let region = self.core_disks[core].queues[disk].buf_region(buf, tk.len);
-                    if self.cfg.fidelity == Fidelity::Full {
-                        let seed = self.catalog.file_seed(tk.file);
-                        self.host
+                    let core = s.front.slots[slot_idx].core;
+                    let region = s.stack.queues[core][disk].buf_region(buf, tk.len);
+                    if s.cfg.fidelity == Fidelity::Full {
+                        let seed = s.catalog.file_seed(tk.file);
+                        s.host
                             .update_region(region, |data| prf_bytes(seed, tk.offset, data));
                     }
-                    self.prof.stage(core, ProfStage::Fetch);
-                    self.mem.dma_write(now, Agent::NicDma, region);
-                    if let Some(ids) = &self.tier_ids {
-                        ids.note_cold_fill(&mut self.reg, core, &tk);
+                    s.prof.stage(core, ProfStage::Fetch);
+                    s.mem.dma_write(now, Agent::NicDma, region);
+                    if let Some(ids) = &s.tier_ids {
+                        ids.note_cold_fill(&mut s.reg, core, &tk);
                     }
-                    self.complete_fetch(
+                    Self::complete_fetch(
+                        s,
                         now,
                         dcn_diskmap::CompletedIo {
                             user: tk.token,
@@ -1259,15 +1154,15 @@ impl AtlasServer {
                     );
                 }
             }
-            self.cold_scratch = tickets;
+            s.stack.cold_scratch = tickets;
         }
-        if !self.cache_ready.is_empty() {
-            self.sweep_serial += 1;
+        if !s.stack.cache_ready.is_empty() {
+            s.stack.sweep_serial += 1;
             let mut i = 0;
-            while i < self.cache_ready.len() {
-                if self.cache_ready[i].completed_at <= now {
-                    let io = self.cache_ready.swap_remove(i);
-                    self.complete_fetch(now, io);
+            while i < s.stack.cache_ready.len() {
+                if s.stack.cache_ready[i].completed_at <= now {
+                    let io = s.stack.cache_ready.swap_remove(i);
+                    Self::complete_fetch(s, now, io);
                 } else {
                     i += 1;
                 }
@@ -1277,26 +1172,28 @@ impl AtlasServer {
 
     /// §3 step 4: read completion → (encrypt in place) → packetize →
     /// transmit.
-    fn complete_fetch(&mut self, now: Nanos, io: dcn_diskmap::CompletedIo) {
-        let Some((slot_idx, fetch, buf, disk, attempt, src)) = self.fetches.remove(&io.user) else {
+    fn complete_fetch(s: &mut AtlasServer, now: Nanos, io: dcn_diskmap::CompletedIo) {
+        let Some((slot_idx, fetch, buf, disk, attempt, src)) = s.stack.fetches.remove(&io.user)
+        else {
             return;
         };
-        self.tracer
+        s.stack
+            .tracer
             .stamp(io.user, Stage::FirmwareComplete, io.completed_at);
-        let core = self.front.slots[slot_idx].core;
-        let costs = self.cfg.costs;
-        if self.front.slots[slot_idx].conn.aborted {
+        let core = s.front.slots[slot_idx].core;
+        let costs = s.cfg.costs;
+        if s.front.slots[slot_idx].conn.aborted {
             // Late completion for a torn-down connection: the only
             // obligation left is returning the buffer to its pool.
-            self.core_disks[core].queues[disk].pool().free(buf);
-            self.tracer.discard(io.user);
+            s.stack.queues[core][disk].pool().free(buf);
+            s.stack.tracer.discard(io.user);
             return;
         }
         if io.status != dcn_diskmap::IoStatus::Ok {
-            self.fetch_failed(now, io.user, slot_idx, fetch, buf, disk, attempt);
+            Self::fetch_failed(s, now, io.user, slot_idx, fetch, buf, disk, attempt);
             return;
         }
-        let slot = &mut self.front.slots[slot_idx];
+        let slot = &mut s.front.slots[slot_idx];
         slot.conn.fetch_failures = 0;
         let Some(layout) = slot.conn.layout_by_id(fetch.layout_id) else {
             // The response was fully acked and pruned while this
@@ -1312,19 +1209,19 @@ impl AtlasServer {
                     slot.conn.fetches_inflight = slot.conn.fetches_inflight.saturating_sub(1);
                 }
             }
-            self.core_disks[core].queues[disk].pool().free(buf);
-            self.tracer.discard(io.user);
+            s.stack.queues[core][disk].pool().free(buf);
+            s.stack.tracer.discard(io.user);
             return;
         };
         let layout = layout.clone();
         let plain_len = layout.record_plain_len(fetch.record);
-        let buf_region = self.core_disks[core].queues[disk].buf_region(buf, plain_len);
+        let buf_region = s.stack.queues[core][disk].buf_region(buf, plain_len);
         // Batched packetize: the second and later records of the same
         // connection within one completion sweep reuse the hot TCB
         // state, the previous record's header template and the shared
         // TX-ring doorbell, at the reduced batched op cost.
-        let batched = slot.conn.tx_sweep == self.sweep_serial;
-        slot.conn.tx_sweep = self.sweep_serial;
+        let batched = slot.conn.tx_sweep == s.stack.sweep_serial;
+        slot.conn.tx_sweep = s.stack.sweep_serial;
         let tx_op_cycles = if batched {
             costs.tcp_tx_batched_op_cycles
         } else {
@@ -1340,23 +1237,23 @@ impl AtlasServer {
         // the copy are charged to the memory system — the cache's
         // DRAM cost is never free.
         if fetch.retx.is_none() && src != FetchSrc::Cache {
-            if let Some(cache) = self.cache.as_mut() {
-                let hot_enough = self
+            if let Some(cache) = s.cache.as_mut() {
+                let hot_enough = s
                     .tier
                     .as_ref()
                     .is_none_or(|t| t.heat(layout.file) >= cache.insert_min_heat());
                 if hot_enough && plain_len <= cache.slot_bytes() {
                     let rec_file_off = layout.record_file_off(fetch.record);
                     if let Some(slot_i) = cache.insert(layout.file, rec_file_off, plain_len) {
-                        let slot_region = self.cache_slots[slot_i];
-                        let rd = self.mem.cpu_read(now, buf_region);
-                        let wr = self.mem.cpu_write(now, slot_region);
+                        let slot_region = s.cache_slots[slot_i];
+                        let rd = s.mem.cpu_read(now, buf_region);
+                        let wr = s.mem.cpu_write(now, slot_region);
                         cycles += rd.stall_cycles
                             + wr.stall_cycles
                             + (plain_len as f64 * costs.memcpy_cycles_per_byte) as u64;
-                        if self.cfg.fidelity == Fidelity::Full {
-                            let data = self.host.read_region(buf_region);
-                            self.host.update_region(slot_region, |d| {
+                        if s.cfg.fidelity == Fidelity::Full {
+                            let data = s.host.read_region(buf_region);
+                            s.host.update_region(slot_region, |d| {
                                 d[..data.len()].copy_from_slice(&data);
                             });
                         }
@@ -1373,22 +1270,22 @@ impl AtlasServer {
             // buffer still LLC-resident as the CPU starts the
             // in-place encrypt? (Non-mutating probe — tracing on or
             // off, the simulation is bit-identical.)
-            if self.tracer.is_enabled() {
-                let resident = self.mem.probe_region(buf_region);
-                self.tracer.llc_at_encrypt(io.user, resident);
-                self.tracer.stamp(io.user, Stage::EncryptStart, now);
+            if s.stack.tracer.is_enabled() {
+                let resident = s.mem.probe_region(buf_region);
+                s.stack.tracer.llc_at_encrypt(io.user, resident);
+                s.stack.tracer.stamp(io.user, Stage::EncryptStart, now);
             }
-            self.prof.stage(core, ProfStage::Encrypt);
-            self.prof.encrypt_bytes(plain_len);
-            let rmw = self.mem.cpu_rmw(now, buf_region);
+            s.prof.stage(core, ProfStage::Encrypt);
+            s.prof.encrypt_bytes(plain_len);
+            let rmw = s.mem.cpu_rmw(now, buf_region);
             let enc_cycles =
                 rmw.stall_cycles + (plain_len as f64 * costs.aes_gcm_cycles_per_byte) as u64;
             cycles += enc_cycles;
-            self.prof.chunk(ProfStage::Encrypt, enc_cycles);
+            s.prof.chunk(ProfStage::Encrypt, enc_cycles);
             let record_plain_off = fetch.record * RECORD_PAYLOAD_MAX;
-            let tag = if self.cfg.fidelity == Fidelity::Full {
+            let tag = if s.cfg.fidelity == Fidelity::Full {
                 let cipher = slot.cipher.as_ref().expect("encrypted conn has cipher");
-                self.host.update_region(buf_region, |data| {
+                s.host.update_region(buf_region, |data| {
                     cipher.seal_record(record_plain_off, data)
                 })
             } else {
@@ -1398,7 +1295,7 @@ impl AtlasServer {
         } else {
             // Plaintext path still touches headers only; payload goes
             // DMA→DMA untouched (the paper's Fig 5 ideal).
-            self.prof.stage(core, ProfStage::Packetize);
+            s.prof.stage(core, ProfStage::Packetize);
         }
 
         // Build the record's wire SgList. TLS framing (5-byte record
@@ -1413,23 +1310,23 @@ impl AtlasServer {
             sg.push_region(buf_region);
         }
 
-        self.prof.chunk(ProfStage::Packetize, tx_op_cycles);
-        self.prof.chunk_done(core);
-        let done_at = self.cores.run_on(core, now, cycles);
+        s.prof.chunk(ProfStage::Packetize, tx_op_cycles);
+        s.prof.chunk_done(core);
+        let done_at = s.cores.run_on(core, now, cycles);
         if layout.encrypted {
-            self.tracer.stamp(io.user, Stage::EncryptEnd, done_at);
+            s.stack.tracer.stamp(io.user, Stage::EncryptEnd, done_at);
         }
         let token = tx_token(core, disk, buf);
-        self.tracer.map_tx(token, io.user);
+        s.stack.tracer.map_tx(token, io.user);
         match fetch.retx {
             None => {
                 slot.conn.fetches_inflight -= 1;
-                self.reg.inc(self.ids.disk_reads[core]);
-                self.reg.add(self.ids.http_payload_bytes[core], sg.len());
+                s.reg.inc(s.stack.ids.disk_reads[core]);
+                s.reg.add(s.stack.ids.http_payload_bytes[core], sg.len());
                 // `disk_read_bytes` counts storage reads (NVMe or the
                 // cold store); a cache hit moved no storage bytes.
                 if src != FetchSrc::Cache {
-                    self.reg.add(self.ids.disk_read_bytes[core], io.len);
+                    s.reg.add(s.stack.ids.disk_read_bytes[core], io.len);
                 }
                 let last = fetch.record + 1 == layout.n_records()
                     && fetch.layout_id + 1 == slot.conn.next_layout_id;
@@ -1447,20 +1344,20 @@ impl AtlasServer {
                     prev.is_none(),
                     "duplicate fetch parked at one stream offset (would leak a buffer)"
                 );
-                self.drain_tx(done_at, slot_idx);
+                Self::drain_tx(s, done_at, slot_idx);
             }
             Some((off, len)) => {
                 slot.conn.retx_inflight -= 1;
-                self.reg.inc(self.ids.disk_reads[core]);
-                if self.nic.tx_rings[core].space() == 0 {
+                s.reg.inc(s.stack.ids.disk_reads[core]);
+                if s.nic.tx_rings[core].space() == 0 {
                     // TX ring full: a push would be rejected and the
                     // descriptor — with its DMA buffer — dropped on
                     // the floor. Same policy as a failed retransmit
                     // read: recycle the buffer and abandon to the
                     // RTO, which re-drives the range.
                     slot.tcb.retransmit_abandoned();
-                    self.core_disks[core].queues[disk].pool().free(buf);
-                    self.tracer.discard(io.user);
+                    s.stack.queues[core][disk].pool().free(buf);
+                    s.stack.tracer.discard(io.user);
                 } else {
                     // Slice exactly the requested wire range out of
                     // the regenerated record; retransmissions bypass
@@ -1472,15 +1369,15 @@ impl AtlasServer {
                     let piece = want.split_front(len.min(want.len()));
                     let stream_off = layout.record_stream_off(fetch.record) + off;
                     let out = slot.tcb.send_retransmit(done_at, stream_off, piece);
-                    self.nic.tx_rings[core].push(out.into_tx(token));
-                    self.tracer.stamp_tx(token, Stage::TsoPacketize, done_at);
+                    s.nic.tx_rings[core].push(out.into_tx(token));
+                    s.stack.tracer.stamp_tx(token, Stage::TsoPacketize, done_at);
                 }
             }
         }
         // Keep pumping: completing a fetch freed a buffer slot and the
         // window may allow more.
-        self.pump(done_at, slot_idx);
-        self.front.sync_timer(slot_idx);
+        Self::pump(s, done_at, slot_idx);
+        s.front.sync_timer(slot_idx);
     }
 
     /// Recovery policy for a read that completed with an error. The
@@ -1492,7 +1389,7 @@ impl AtlasServer {
     /// consecutive errors the connection is degraded away.
     #[allow(clippy::too_many_arguments)]
     fn fetch_failed(
-        &mut self,
+        s: &mut AtlasServer,
         now: Nanos,
         user: u64,
         slot_idx: usize,
@@ -1501,12 +1398,12 @@ impl AtlasServer {
         disk: usize,
         attempt: u32,
     ) {
-        let core = self.front.slots[slot_idx].core;
-        self.core_disks[core].queues[disk].pool().free(buf);
-        self.tracer.discard(user);
-        self.reg.inc(self.ids.fetch_errors[core]);
-        let max_conn = self.cfg.max_conn_failures;
-        let slot = &mut self.front.slots[slot_idx];
+        let core = s.front.slots[slot_idx].core;
+        s.stack.queues[core][disk].pool().free(buf);
+        s.stack.tracer.discard(user);
+        s.reg.inc(s.stack.ids.fetch_errors[core]);
+        let max_conn = s.cfg.max_conn_failures;
+        let slot = &mut s.front.slots[slot_idx];
         slot.conn.fetch_failures += 1;
         let failures = slot.conn.fetch_failures;
         match fetch.retx {
@@ -1514,28 +1411,27 @@ impl AtlasServer {
                 slot.conn.retx_inflight -= 1;
                 slot.tcb.retransmit_abandoned();
                 if failures > max_conn {
-                    self.abort_conn(now, slot_idx);
+                    Self::abort_conn(s, now, slot_idx);
                 } else {
                     // The RTO timer is armed (unacked data exists by
                     // definition of a retransmission); it will ask
                     // again.
-                    self.front.sync_timer(slot_idx);
+                    s.front.sync_timer(slot_idx);
                 }
             }
             None => {
-                if attempt >= self.cfg.max_fetch_retries || failures > max_conn {
-                    self.abort_conn(now, slot_idx);
+                if attempt >= s.cfg.max_fetch_retries || failures > max_conn {
+                    Self::abort_conn(s, now, slot_idx);
                 } else {
-                    self.reg.inc(self.ids.fetch_retries[core]);
-                    let backoff = Nanos::from_nanos(
-                        self.cfg.fetch_retry_backoff.as_nanos() << attempt.min(16),
-                    );
-                    let serial = self.next_retry;
-                    self.next_retry += 1;
+                    s.reg.inc(s.stack.ids.fetch_retries[core]);
+                    let backoff =
+                        Nanos::from_nanos(s.cfg.fetch_retry_backoff.as_nanos() << attempt.min(16));
+                    let serial = s.stack.next_retry;
+                    s.stack.next_retry += 1;
                     // fetches_inflight / reserved / next_record keep
                     // counting this record — it is still logically in
                     // flight until the retry resolves it.
-                    self.retries.insert(
+                    s.stack.retries.insert(
                         (now + backoff, serial),
                         RetryEntry {
                             slot_idx,
@@ -1549,13 +1445,13 @@ impl AtlasServer {
     }
 
     /// Re-issue failed fresh fetches whose backoff deadline passed.
-    fn fire_retries(&mut self, now: Nanos) {
-        while let Some((&(deadline, serial), _)) = self.retries.first_key_value() {
+    fn fire_retries(s: &mut AtlasServer, now: Nanos) {
+        while let Some((&(deadline, serial), _)) = s.stack.retries.first_key_value() {
             if deadline > now {
                 break;
             }
-            let entry = self.retries.remove(&(deadline, serial)).expect("peeked");
-            let slot = &mut self.front.slots[entry.slot_idx];
+            let entry = s.stack.retries.remove(&(deadline, serial)).expect("peeked");
+            let slot = &mut s.front.slots[entry.slot_idx];
             if slot.conn.aborted {
                 continue; // teardown already reconciled the counters
             }
@@ -1568,8 +1464,9 @@ impl AtlasServer {
             let file = layout.file;
             let plain = layout.record_plain_len(entry.fetch.record);
             let file_off = layout.record_file_off(entry.fetch.record);
-            self.trace_rx_at = now;
-            let issued = self.issue_fetch(
+            s.stack.trace_rx_at = now;
+            let issued = Self::issue_fetch(
+                s,
                 now,
                 entry.slot_idx,
                 entry.fetch,
@@ -1581,10 +1478,10 @@ impl AtlasServer {
             if !issued {
                 // Pool exhausted: try again one backoff later without
                 // consuming an attempt.
-                let serial = self.next_retry;
-                self.next_retry += 1;
-                self.retries.insert(
-                    (now + self.cfg.fetch_retry_backoff, serial),
+                let serial = s.stack.next_retry;
+                s.stack.next_retry += 1;
+                s.stack.retries.insert(
+                    (now + s.cfg.fetch_retry_backoff, serial),
                     RetryEntry {
                         attempt: entry.attempt,
                         ..entry
@@ -1596,19 +1493,19 @@ impl AtlasServer {
 
     /// Resubmit staged-but-unadmitted NVMe commands after SQ
     /// backpressure (QueueFull, real or injected).
-    fn resync_staged(&mut self, now: Nanos) {
+    fn resync_staged(s: &mut AtlasServer, now: Nanos) {
         let mut still_staged = false;
-        for core in 0..self.cfg.cores {
-            for disk in 0..self.catalog.n_disks() {
-                let q = &mut self.core_disks[core].queues[disk];
+        for core in 0..s.cfg.cores {
+            for disk in 0..s.catalog.n_disks() {
+                let q = &mut s.stack.queues[core][disk];
                 if q.staged_count() == 0 {
                     continue;
                 }
                 let cycles = q
-                    .nvme_sqsync(&mut self.kernel, now, &self.cfg.costs)
+                    .nvme_sqsync(&mut s.stack.kernel, now, &s.cfg.costs)
                     .expect("sqsync");
-                self.prof.stage(core, ProfStage::Fetch);
-                self.cores.run_on(core, now, cycles);
+                s.prof.stage(core, ProfStage::Fetch);
+                s.cores.run_on(core, now, cycles);
                 if q.staged_count() > 0 {
                     still_staged = true;
                 }
@@ -1616,7 +1513,7 @@ impl AtlasServer {
         }
         if still_staged {
             let at = now + RESYNC_DELAY;
-            self.resync_at = Some(self.resync_at.map_or(at, |t| t.min(at)));
+            s.stack.resync_at = Some(s.stack.resync_at.map_or(at, |t| t.min(at)));
         }
     }
 
@@ -1624,12 +1521,12 @@ impl AtlasServer {
     /// degradation ladder, and enforce the slow-client deadlines —
     /// header-read timeout, idle keepalive reaping, and the
     /// minimum-drain-rate check for connections pinning DMA buffers.
-    fn overload_sweep(&mut self, now: Nanos) {
-        let acfg = self.cfg.admission;
-        for core in 0..self.cfg.cores {
-            let snap = self.resource_snapshot(core);
-            self.ctl[core].overload.observe(&acfg, snap);
-            let level = self.ctl[core].overload.on_sweep(&acfg);
+    fn overload_sweep(s: &mut AtlasServer, now: Nanos) {
+        let acfg = s.cfg.admission;
+        for core in 0..s.cfg.cores {
+            let snap = Self::snapshot(s, core);
+            s.ctl[core].overload.observe(&acfg, snap);
+            let level = s.ctl[core].overload.on_sweep(&acfg);
             // Under pressure idle conns are reaped much sooner: a
             // few sweeps of silence instead of the full keepalive
             // allowance (kept above a WAN RTT so a healthy client
@@ -1643,23 +1540,23 @@ impl AtlasServer {
             let min_drain_per_window = acfg.min_drain_bytes_per_sec as u128
                 * acfg.drain_window.as_nanos() as u128
                 / 1_000_000_000;
-            let slot_ids: Vec<usize> = (0..self.front.slots.len())
-                .filter(|&i| self.front.slots[i].core == core && !self.front.slots[i].conn.aborted)
+            let slot_ids: Vec<usize> = (0..s.front.slots.len())
+                .filter(|&i| s.front.slots[i].core == core && !s.front.slots[i].conn.aborted)
                 .collect();
             let mut slowest: Option<(u64, usize)> = None;
             for slot_idx in slot_ids {
-                let conn = &mut self.front.slots[slot_idx].conn;
+                let conn = &mut s.front.slots[slot_idx].conn;
                 // Slowloris defense: handshake done, no complete
                 // request head within the deadline.
                 if !conn.got_request && now - conn.established_at > acfg.header_timeout {
-                    self.abort_conn(now, slot_idx);
-                    self.reg.inc(self.ids.reaped_idle[core]);
+                    Self::abort_conn(s, now, slot_idx);
+                    s.reg.inc(s.stack.ids.reaped_idle[core]);
                     continue;
                 }
                 // Idle keepalive reaping.
                 if conn.got_request && conn.is_idle() && now - conn.last_progress > idle_cut {
-                    self.abort_conn(now, slot_idx);
-                    self.reg.inc(self.ids.reaped_idle[core]);
+                    Self::abort_conn(s, now, slot_idx);
+                    s.reg.inc(s.stack.ids.reaped_idle[core]);
                     continue;
                 }
                 // Minimum-drain-rate check: a reader that holds DMA
@@ -1673,8 +1570,8 @@ impl AtlasServer {
                 {
                     let drained = u128::from(conn.acked_stream_off - conn.drain_mark);
                     if drained < min_drain_per_window {
-                        self.abort_conn(now, slot_idx);
-                        self.reg.inc(self.ids.aborted_slow[core]);
+                        Self::abort_conn(s, now, slot_idx);
+                        s.reg.inc(s.stack.ids.aborted_slow[core]);
                         continue;
                     }
                     conn.drain_mark = conn.acked_stream_off;
@@ -1690,31 +1587,9 @@ impl AtlasServer {
             }
             if level == LadderLevel::AbortSlowest {
                 if let Some((_, victim)) = slowest {
-                    self.abort_conn(now, victim);
-                    self.reg.inc(self.ids.aborted_slow[core]);
+                    Self::abort_conn(s, now, victim);
+                    s.reg.inc(s.stack.ids.aborted_slow[core]);
                 }
-            }
-        }
-    }
-
-    /// Re-pump connections parked for a DMA buffer. Called after TX
-    /// reclaim / disk completions have returned buffers to the pools.
-    fn wake_buf_waiters(&mut self, now: Nanos) {
-        for core in 0..self.cfg.cores {
-            if self.buf_waiters[core].is_empty() {
-                continue;
-            }
-            let waiters: Vec<usize> = std::mem::take(&mut self.buf_waiters[core])
-                .into_iter()
-                .collect();
-            for slot_idx in waiters {
-                if self.front.slots[slot_idx].conn.aborted {
-                    continue;
-                }
-                // pump() re-parks the slot if the pool is still dry.
-                self.pump(now, slot_idx);
-                self.drain_tx(now, slot_idx);
-                self.front.sync_timer(slot_idx);
             }
         }
     }
@@ -1725,8 +1600,8 @@ impl AtlasServer {
     /// parked records here, in-flight fetches when they complete, and
     /// frames already on the NIC TX path via normal completion
     /// collection.
-    fn abort_conn(&mut self, now: Nanos, slot_idx: usize) {
-        let slot = &mut self.front.slots[slot_idx];
+    fn abort_conn(s: &mut AtlasServer, now: Nanos, slot_idx: usize) {
+        let slot = &mut s.front.slots[slot_idx];
         if slot.conn.aborted {
             return;
         }
@@ -1735,106 +1610,24 @@ impl AtlasServer {
         // Tell the peer: one RST (best-effort — a full TX ring just
         // drops it and the client's RTO discovers the teardown).
         let rst = slot.tcb.send_rst();
-        if self.nic.tx_rings[core].space() > 0 {
-            self.nic.tx_rings[core].push(rst.into_tx(0));
+        if s.nic.tx_rings[core].space() > 0 {
+            s.nic.tx_rings[core].push(rst.into_tx(0));
         }
-        let slot = &mut self.front.slots[slot_idx];
+        let slot = &mut s.front.slots[slot_idx];
         let ready = std::mem::take(&mut slot.conn.ready_tx);
         slot.conn.reserved = 0;
         slot.conn.layouts.clear();
         for item in ready.into_values() {
             if item.token != 0 {
-                self.tracer.finish_tx(item.token, now);
+                s.stack.tracer.finish_tx(item.token, now);
                 let (c, d, b) = untx_token(item.token);
-                self.core_disks[c].queues[d].pool().free(b);
+                s.stack.queues[c][d].pool().free(b);
             }
         }
-        self.front.close(slot_idx);
-        self.buf_waiters[core].remove(&slot_idx);
-        self.ctl.note_conn_closed(core);
-        self.reg.inc(self.ids.conns_aborted);
-    }
-
-    /// §3 step 5: NIC TX completions recycle buffers (LIFO).
-    fn reclaim_tx(&mut self, now: Nanos) {
-        for core in 0..self.cfg.cores {
-            for token in self.nic.tx_rings[core].txsync_collect() {
-                if token == 0 {
-                    continue;
-                }
-                self.tracer.finish_tx(token, now);
-                let (c, disk, buf) = untx_token(token);
-                self.core_disks[c].queues[disk].pool().free(buf);
-            }
-        }
-    }
-
-    /// Diagnostics: total diskmap buffers currently free across pools.
-    #[must_use]
-    pub fn free_buffers(&self) -> u32 {
-        self.core_disks
-            .iter()
-            .flat_map(|cd| cd.queues.iter())
-            .map(|q| q.pool_ref().available())
-            .sum()
-    }
-
-    /// Total diskmap buffer-pool capacity across pools (the
-    /// denominator for occupancy readouts).
-    #[must_use]
-    pub fn pool_capacity(&self) -> u32 {
-        self.core_disks
-            .iter()
-            .flat_map(|cd| cd.queues.iter())
-            .map(|q| q.pool_ref().capacity())
-            .sum()
-    }
-
-    /// Buffer-pool audit: DMA buffers not free and not accounted for
-    /// by any legitimate holder (in-flight fetch, parked record, NIC
-    /// TX pipeline, or a scheduled retry — which holds no buffer).
-    /// Nonzero means a leak; the fault tests assert 0 after quiesce.
-    #[must_use]
-    pub fn leaked_buffers(&self) -> i64 {
-        let capacity: i64 = self
-            .core_disks
-            .iter()
-            .flat_map(|cd| cd.queues.iter())
-            .map(|q| i64::from(q.pool_ref().capacity()))
-            .sum();
-        let free = i64::from(self.free_buffers());
-        let inflight = self.fetches.len() as i64;
-        let parked: i64 = self
-            .front
-            .slots
-            .iter()
-            .map(|s| s.conn.ready_tx.values().filter(|r| r.token != 0).count() as i64)
-            .sum();
-        let in_nic: i64 = self
-            .nic
-            .tx_rings
-            .iter()
-            .map(|r| r.unreclaimed_tokens() as i64)
-            .sum();
-        capacity - free - inflight - parked - in_nic
-    }
-
-    /// Arm the seeded fault injectors (device-level read errors and
-    /// latency spikes per disk, SQ admission rejects in the kernel).
-    /// Link and client faults live in the workload harness, not here.
-    pub fn inject_faults(&mut self, f: &dcn_faults::FaultConfig, seed: u64) {
-        for d in 0..self.catalog.n_disks() {
-            self.kernel
-                .disk(dcn_diskmap::DiskId(d))
-                .set_faults(f.nvme, seed ^ ((d as u64 + 1) << 32));
-        }
-        self.kernel.set_sq_faults(f.nvme.sq_reject_p, seed);
-    }
-
-    /// Allocate an RX-slot-sized region (used by harnesses that build
-    /// their own delivery paths).
-    pub fn phys_mut(&mut self) -> &mut PhysAlloc {
-        &mut self.phys
+        s.front.close(slot_idx);
+        s.waiters[core].remove(&slot_idx);
+        s.ctl.note_conn_closed(core);
+        s.reg.inc(s.stack.ids.conns_aborted);
     }
 }
 

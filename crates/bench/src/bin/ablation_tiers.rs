@@ -114,13 +114,6 @@ fn tiers_document(seed: u64, clients: usize, catalog: u64, dur_ms: u64, cells: &
 
 fn main() {
     let args = BenchArgs::parse();
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let value_of = |flag: &str| {
-        raw.iter()
-            .position(|a| a == flag)
-            .and_then(|i| raw.get(i + 1))
-            .cloned()
-    };
     let seed = args.seed_or(41);
     let n_files = args.catalog_or(1_000_000);
     let clients = match args.scale {
@@ -260,12 +253,13 @@ fn main() {
         &cells,
     );
     let mut wrote = false;
-    if let Some(path) = value_of("--out") {
-        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("tiers JSON -> {path}");
+    if let Some(path) = &args.out {
+        let shown = path.display();
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {shown}: {e}"));
+        println!("tiers JSON -> {shown}");
         wrote = true;
     }
-    if raw.iter().any(|a| a == "--write") {
+    if args.write {
         let path = "BENCH_tiers.json";
         std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("tiers baseline refreshed -> {path}");

@@ -17,7 +17,7 @@
 
 use dcn_atlas::AtlasConfig;
 use dcn_bench::perf::{compare_perf, perf_document, PerfCell};
-use dcn_bench::print_table;
+use dcn_bench::{print_table, BenchArgs};
 use dcn_kstack::KstackConfig;
 use dcn_mem::Fidelity;
 use dcn_srvcore::AutotuneConfig;
@@ -61,13 +61,7 @@ fn run_cell(name: &str, encrypted: bool, atlas: bool) -> PerfCell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_of = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let args = BenchArgs::parse();
 
     let cells = vec![
         run_cell("atlas_plain", false, true),
@@ -112,20 +106,22 @@ fn main() {
     );
 
     let mut wrote = false;
-    if let Some(path) = value_of("--out") {
-        std::fs::write(&path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("perf JSON -> {path}");
+    if let Some(path) = &args.out {
+        let shown = path.display();
+        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {shown}: {e}"));
+        println!("perf JSON -> {shown}");
         wrote = true;
     }
-    if args.iter().any(|a| a == "--write") {
+    if args.write {
         let path = "BENCH_perf_baseline.json";
         std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("baseline refreshed -> {path}");
         wrote = true;
     }
-    if let Some(path) = value_of("--check") {
+    if let Some(check) = &args.check {
+        let path = check.display();
         let baseline =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+            std::fs::read_to_string(check).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         match compare_perf(&baseline, &doc) {
             Ok(regs) if regs.is_empty() => {
                 println!("perf gate: OK vs {path}");

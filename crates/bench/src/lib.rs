@@ -54,9 +54,10 @@ pub fn fmt_ci(m: &MeanCi, digits: usize) -> String {
 }
 
 /// Scale selection from argv/env.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Scale {
     Quick,
+    #[default]
     Default,
     Paper,
 }

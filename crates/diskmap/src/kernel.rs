@@ -94,11 +94,6 @@ impl DiskmapKernel {
         NvmeDevice::fault_totals(&self.disks)
     }
 
-    #[must_use]
-    pub fn num_disks(&self) -> usize {
-        self.disks.len()
-    }
-
     /// Publish kernel-side storage counters into a dcn-obs registry
     /// under `diskmap.*` (sample/report points, not the I/O path).
     pub fn publish_metrics(&self, reg: &mut dcn_obs::Registry) {

@@ -25,4 +25,4 @@ pub mod conn;
 pub mod server;
 
 pub use conn::KConn;
-pub use server::{KstackConfig, KstackServer, StackVariant};
+pub use server::{Kstack, KstackConfig, KstackServer, StackVariant};

@@ -1,25 +1,25 @@
 //! The conventional-stack server: nginx + FreeBSD (stock or
-//! Netflix-optimized) over the shared hardware models.
+//! Netflix-optimized) over the shared hardware models. This module is
+//! the kernel stack's TX data source; the server shell around it lives
+//! in `dcn_srvcore::server`.
 
 use crate::conn::{KConn, StagedResponse, CT_REGION_LEN};
 use dcn_crypto::RECORD_PAYLOAD_MAX;
+use dcn_faults::{FaultConfig, FaultCounts};
 use dcn_httpd::response_header;
-use dcn_mem::{
-    Agent, CoreSet, CostParams, Fidelity, HostMem, LlcConfig, MemSystem, PhysAlloc, PhysRegion,
-    CHUNK_SIZE,
-};
-use dcn_netdev::{Nic, NicConfig, SentBurst, SgList, WireFrame};
+use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc, PhysRegion, CHUNK_SIZE};
+use dcn_netdev::{NicConfig, SgList};
 use dcn_nvme::{FirmwareParams, NvmeCommand, NvmeConfig, NvmeDevice, NvmeStatus, Opcode, LBA_SIZE};
-use dcn_obs::{CounterId, GaugeId, Prof, ProfStage, Registry, StallKind};
-use dcn_simcore::{earliest, prf_bytes, Nanos, SimRng};
+use dcn_obs::{CounterId, GaugeId, ProfStage, Registry, StallKind};
+use dcn_simcore::{earliest, prf_bytes, Nanos};
 use dcn_srvcore::{
-    AdmissionConfig, AutotuneConfig, Front, FrontConfig, ResourceSnapshot, Rx, ServedWork,
-    ServerControl, TierIds,
+    AdmissionConfig, Answer, AutotuneConfig, FrontConfig, ResourceSnapshot, ServedWork, Server,
+    Shell, Stack,
 };
-use dcn_store::{BufferCache, Catalog, CatalogBacking};
-use dcn_tcpstack::{Endpoint, TcbConfig, TcbEvent};
-use dcn_tier::{GetTicket, Placement, TierConfig, TierEngine};
-use std::collections::HashMap;
+use dcn_store::{BufferCache, Catalog};
+use dcn_tcpstack::{Endpoint, TcbConfig};
+use dcn_tier::{GetTicket, Placement, TierConfig};
+use std::collections::{BTreeSet, HashMap};
 
 /// Which baseline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -168,25 +168,13 @@ impl KstackIds {
     }
 }
 
-/// The server.
-pub struct KstackServer {
-    pub cfg: KstackConfig,
-    pub mem: MemSystem,
-    pub host: HostMem,
-    pub nic: Nic,
-    pub cores: CoreSet,
-    pub catalog: Catalog,
-    pub bufcache: BufferCache,
+/// The kernel stack's TX data source: buffer-cache and sendfile fill,
+/// then (with TLS) kTLS or userspace OpenSSL into socket buffers. The
+/// rest of the server is the shell in `dcn-srvcore`.
+pub struct Kstack {
+    bufcache: BufferCache,
     disks: Vec<NvmeDevice>,
-    /// The connection front end shared with Atlas: flow table, TCB
-    /// timers, admission/accept, RX demux, request classifier.
-    front: Front<KConn>,
     fills: HashMap<u16, Fill>,
-    /// Tiering engine (`cfg.tier`); owns the cold store and the
-    /// promotion/demotion policy.
-    tier: Option<TierEngine>,
-    /// `tier.*` metric handles (`None` unless `cfg.tier`).
-    pub tier_ids: Option<TierIds>,
     /// Cold-store fills in flight, keyed by cold-store token (its own
     /// counter — NVMe cids are u16 and must stay a disjoint space).
     cold_fills: HashMap<u64, Fill>,
@@ -200,14 +188,8 @@ pub struct KstackServer {
     sync_busy: Vec<bool>,
     /// Stock only: connections whose staging is waiting for the
     /// worker to unblock.
-    stage_waiting: Vec<std::collections::BTreeSet<usize>>,
+    stage_waiting: Vec<BTreeSet<usize>>,
     next_cid: u16,
-    /// Per-core control-plane state (admission latch, I/O tuner,
-    /// live-connection count).
-    ctl: ServerControl,
-    /// Connections whose staging hit buffer-cache VM pressure, parked
-    /// until ACKs unpin pages.
-    alloc_waiting: Vec<std::collections::BTreeSet<usize>>,
     /// Reusable CQ-drain scratch for `advance`.
     cq_scratch: Vec<dcn_nvme::CompletionEntry>,
     /// Reusable plaintext→ciphertext staging scratch for the
@@ -217,349 +199,267 @@ pub struct KstackServer {
     tag_scratch: Vec<[u8; 16]>,
     /// Reusable per-record plaintext source-region scratch.
     src_scratch: Vec<PhysRegion>,
-    /// Unified metrics registry (`kstack.*{core=N}`); counters are
-    /// bumped on the hot path through pre-registered handles.
-    pub reg: Registry,
     ids: KstackIds,
-    /// Per-stage cycle/DRAM profiler; a no-op unless `cfg.profile`.
-    prof: Prof,
-    phys: PhysAlloc,
 }
 
-impl KstackServer {
-    #[must_use]
-    pub fn new(cfg: KstackConfig, catalog: Catalog, seed: u64) -> Self {
-        let mut phys = PhysAlloc::new();
-        let mut mem = MemSystem::new(cfg.llc, cfg.costs, Nanos::from_millis(1));
-        let nvme_cfg = NvmeConfig {
-            num_qpairs: 1, // the in-kernel stack uses shared kernel queues
-            firmware: cfg.firmware,
-            fidelity: cfg.fidelity,
-            ..NvmeConfig::default()
-        };
-        let disks: Vec<NvmeDevice> = (0..catalog.n_disks())
-            .map(|d| {
-                NvmeDevice::new(
-                    nvme_cfg,
-                    Box::new(CatalogBacking::new(&catalog, d)),
-                    seed ^ (d as u64) << 8,
-                )
-            })
-            .collect();
-        // Cap simulated cache frames: the model only needs enough
-        // frames to exceed the LLC by a wide margin; beyond that more
-        // DRAM-resident frames change nothing but memory usage of the
-        // simulator itself.
-        let cache_bytes = cfg.bufcache_bytes.min(6 << 30);
-        let bufcache = BufferCache::new(cache_bytes, &catalog, &mut phys);
-        let ct_pool = (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect();
-        let rx_slots = (0..cfg.cores).map(|_| phys.alloc(2048)).collect();
-        let mut reg = Registry::new();
-        let ids = KstackIds::register(&mut reg, cfg.cores);
-        let tier = cfg.tier.map(|tc| TierEngine::new(tc, &catalog, seed));
-        let tier_ids = tier
-            .is_some()
-            .then(|| TierIds::register(&mut reg, cfg.cores));
-        let mut cores = CoreSet::new(cfg.cores, &cfg.costs, Nanos::from_millis(1), false);
-        let prof = Prof::new(cfg.profile, cfg.cores);
-        if let Some(p) = prof.handle() {
-            cores.set_profiler(p.clone());
-            mem.set_profiler(p.clone());
-        }
+/// The conventional-stack server (nginx + FreeBSD, stock or Netflix).
+pub type KstackServer = Server<Kstack>;
+
+impl Stack for Kstack {
+    type Config = KstackConfig;
+    type Conn = KConn;
+
+    fn shell(cfg: &KstackConfig) -> Shell {
         // Per-ACK kernel RX cost; Netflix's RSS-assisted LRO saves a
         // chunk of it (§2.1.3).
         let mut rx_ack_cycles = cfg.costs.kstack_rx_ack_cycles;
         if cfg.variant == StackVariant::Netflix {
             rx_ack_cycles = (rx_ack_cycles as f64 * (1.0 - cfg.costs.lro_rx_discount)) as u64;
         }
-        let front = Front::new(
-            FrontConfig {
+        Shell {
+            cores: cfg.cores,
+            front: FrontConfig {
                 endpoint: cfg.server_endpoint,
                 tcb: cfg.tcb,
                 encrypted: cfg.encrypted,
                 rx_ack_cycles,
             },
-            &mut reg,
-            "kstack",
-            SimRng::new(seed ^ 0x6B57),
-            rx_slots,
-            prof.clone(),
-        );
-        KstackServer {
-            nic: Nic::new(NicConfig {
-                rings: cfg.cores,
-                fidelity: cfg.fidelity,
-                ..cfg.nic
-            }),
-            cores,
-            mem,
-            host: HostMem::new(),
-            catalog,
-            bufcache,
+            nic: cfg.nic,
+            firmware: cfg.firmware,
+            llc: cfg.llc,
+            costs: cfg.costs,
+            fidelity: cfg.fidelity,
+            admission: cfg.admission,
+            // The kernel stack has no per-connection fetch window for a
+            // tuner to steer (read-ahead is a global kernel heuristic),
+            // so its tuners stay at the defaults, unfed.
+            autotune: AutotuneConfig::default(),
+            window: cfg.fill_bytes,
+            profile: cfg.profile,
+            tier: cfg.tier,
+            tier_cache: None,
+            prefix: "kstack",
+            polls: false,
+            // The in-kernel stack uses shared kernel queues.
+            nvme_qpairs: 1,
+            // nginx userspace work + the sendfile syscall.
+            request_cycles: cfg.costs.nginx_request_cycles + cfg.costs.sendfile_call_cycles,
+            front_salt: 0x6B57,
+            ctl_salt: 0x6B70,
+        }
+    }
+
+    fn build(
+        cfg: &KstackConfig,
+        catalog: &Catalog,
+        disks: Vec<NvmeDevice>,
+        phys: &mut PhysAlloc,
+        reg: &mut Registry,
+    ) -> Self {
+        // Cap simulated cache frames: the model only needs enough
+        // frames to exceed the LLC by a wide margin; beyond that more
+        // DRAM-resident frames change nothing but memory usage of the
+        // simulator itself.
+        let cache_bytes = cfg.bufcache_bytes.min(6 << 30);
+        Kstack {
+            bufcache: BufferCache::new(cache_bytes, catalog, phys),
+            ct_pool: (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect(),
             disks,
-            front,
             fills: HashMap::new(),
-            tier,
-            tier_ids,
             cold_fills: HashMap::new(),
             next_cold: 0,
             cold_scratch: Vec::with_capacity(64),
-            ct_pool,
             sync_busy: vec![false; cfg.cores],
-            stage_waiting: vec![std::collections::BTreeSet::new(); cfg.cores],
+            stage_waiting: vec![BTreeSet::new(); cfg.cores],
             next_cid: 0,
-            ctl: ServerControl::new(
-                cfg.admission,
-                // The kernel stack has no per-connection fetch window
-                // for a tuner to steer (read-ahead is a global kernel
-                // heuristic), so its tuners stay at the defaults, unfed.
-                AutotuneConfig::default(),
-                cfg.fill_bytes,
-                seed ^ 0x6B70,
-                cfg.cores,
-            ),
-            alloc_waiting: vec![std::collections::BTreeSet::new(); cfg.cores],
             cq_scratch: Vec::new(),
             crypt_scratch: Vec::new(),
             tag_scratch: Vec::new(),
             src_scratch: Vec::new(),
-            reg,
-            ids,
-            prof,
-            cfg,
-            phys,
+            ids: KstackIds::register(reg, cfg.cores),
         }
     }
 
-    /// Snapshot of the stage profiler, if this server was built with
-    /// `cfg.profile`.
-    #[must_use]
-    pub fn prof_report(&self) -> Option<dcn_obs::ProfReport> {
-        self.prof.report()
+    fn label(s: &KstackServer) -> String {
+        format!(
+            "{}{}",
+            match s.cfg.variant {
+                StackVariant::Stock => "Stock FreeBSD/nginx",
+                StackVariant::Netflix => "Netflix",
+            },
+            if s.cfg.encrypted { " TLS" } else { "" }
+        )
     }
 
-    /// Served work so far, read through the counter handles. The
-    /// kernel stack counts bytes, not disk commands, and has no
+    /// Live connections, the buffer cache's allocatable-frame fraction
+    /// (the kernel stack's scarce pool), and this core's share of
+    /// in-flight disk fills against the kernel queue depth.
+    fn snapshot(s: &KstackServer, core: usize) -> ResourceSnapshot {
+        let depth = f64::from(NvmeConfig::default().queue_depth);
+        let fills = s
+            .stack
+            .fills
+            .values()
+            .filter(|f| s.front.slots[f.conn_slot].core == core)
+            .count();
+        ResourceSnapshot {
+            conns: s.ctl[core].live_conns,
+            pool_free_frac: s.stack.bufcache.allocatable_frac(),
+            sq_occupancy: fills as f64 / depth,
+        }
+    }
+
+    /// Refresh the hysteretic latch against current resources so
+    /// keepalive requests on long-lived connections see the same
+    /// watermark state new SYNs do.
+    fn shedding(s: &mut KstackServer, core: usize) -> bool {
+        let snap = Kstack::snapshot(s, core);
+        s.ctl.defer_request(core, snap)
+    }
+
+    /// The response is queued at the request's arrival, not when its
+    /// request work completes.
+    fn queue_response(s: &mut KstackServer, slot_idx: usize, answer: Answer, _done: Nanos) {
+        s.front.slots[slot_idx].conn.answered.push_back(answer);
+    }
+
+    /// Unpin acknowledged socket-buffer pages; staging parked on VM
+    /// pressure may proceed now.
+    fn on_acked(s: &mut KstackServer, now: Nanos, slot_idx: usize, off: u64) {
+        let (bufcache, ct_pool) = (&mut s.stack.bufcache, &mut s.stack.ct_pool);
+        let mut unpinned = false;
+        s.front.slots[slot_idx].conn.release_acked(
+            off,
+            |f, p| {
+                bufcache.unpin(f, p);
+                unpinned = true;
+            },
+            |r| ct_pool.push(r),
+        );
+        if unpinned {
+            s.wake_waiters(now);
+        }
+    }
+
+    /// Socket-buffer semantics: the data is still here.
+    fn on_retransmit(s: &mut KstackServer, now: Nanos, slot_idx: usize, offset: u64, len: u64) {
+        let slot = &mut s.front.slots[slot_idx];
+        let core = slot.core;
+        if let Some(sg) = slot.conn.slice_sent(offset, len) {
+            let out = slot.tcb.send_retransmit(now, offset, sg);
+            s.nic.tx_rings[core].push(out.into_tx(0));
+        }
+    }
+
+    fn after_events(s: &mut KstackServer, now: Nanos, slot_idx: usize) {
+        Self::stage(s, now, slot_idx);
+        Self::pump_tx(s, now, slot_idx);
+    }
+
+    /// Retry staging for a connection parked on buffer-cache VM
+    /// pressure; it re-parks itself if still pressured.
+    fn wake(s: &mut KstackServer, now: Nanos, slot_idx: usize) {
+        Self::stage(s, now, slot_idx);
+        Self::pump_tx(s, now, slot_idx);
+        s.front.sync_timer(slot_idx);
+    }
+
+    /// Disk completions (device DMA into cache frames is fetch-stage
+    /// memory traffic), then cold-tier completions and epoch work.
+    fn advance_io(s: &mut KstackServer, now: Nanos) {
+        let mut done = std::mem::take(&mut s.stack.cq_scratch);
+        let cap_before = done.capacity();
+        for disk in &mut s.stack.disks {
+            disk.advance(now, &mut s.mem, &mut s.host);
+            disk.qpair(0).cq_consume_into(64, &mut done);
+        }
+        dcn_obs::steady::note_growth(cap_before, done.capacity());
+        for e in done.drain(..) {
+            let Some(fill) = s.stack.fills.remove(&e.cid) else {
+                continue;
+            };
+            if e.status == NvmeStatus::Success {
+                Self::finish_fill(s, now, fill);
+            } else {
+                Self::retry_fill(s, now, fill);
+            }
+        }
+        s.stack.cq_scratch = done;
+        if s.tier.is_some() {
+            Self::drain_cold(s, now);
+        }
+    }
+
+    fn next_io_at(s: &KstackServer) -> Option<Nanos> {
+        s.stack
+            .disks
+            .iter()
+            .fold(None, |acc, d| earliest(acc, d.poll_at()))
+    }
+
+    /// Buffer-cache hit ratio and device fault gauges.
+    fn publish(s: &mut KstackServer) {
+        s.reg
+            .set(s.stack.ids.bufcache_hit_ratio, s.stack.bufcache.hit_ratio());
+        let faults = Kstack::stack_faults(s);
+        s.reg
+            .set(s.stack.ids.nvme_read_errors, faults.nvme_read_errors as f64);
+        s.reg.set(
+            s.stack.ids.nvme_latency_spikes,
+            faults.nvme_latency_spikes as f64,
+        );
+    }
+
+    /// The kernel stack counts bytes, not disk commands, and has no
     /// slow-reader ladder or HTTP payload counter; those stay 0.
-    #[must_use]
-    pub fn served(&self) -> ServedWork {
-        let (reg, ids) = (&self.reg, &self.ids);
+    fn stack_served(s: &KstackServer, front: ServedWork) -> ServedWork {
+        let (reg, ids) = (&s.reg, &s.stack.ids);
         ServedWork {
             responses: reg.counter_sum(&ids.responses),
             disk_read_bytes: reg.counter_sum(&ids.disk_read_bytes),
             fetch_retries: reg.counter_sum(&ids.fill_retries),
             empty_waits: reg.counter_sum(&ids.empty_waits),
-            ..self.front.served(reg)
+            ..front
         }
     }
 
-    /// Publish sample-point gauges (TCP, NIC, buffer cache) into the
-    /// registry. Called at report/sample time, never on the hot path.
-    pub fn publish_obs(&mut self) {
-        self.front.publish_tcb_metrics(&mut self.reg);
-        self.nic.publish_metrics(&mut self.reg);
-        self.mem.counters.publish_metrics(&mut self.reg);
-        self.reg
-            .set(self.ids.bufcache_hit_ratio, self.bufcache.hit_ratio());
-        let faults = self.fault_counts();
-        self.reg
-            .set(self.ids.nvme_read_errors, faults.nvme_read_errors as f64);
-        self.reg.set(
-            self.ids.nvme_latency_spikes,
-            faults.nvme_latency_spikes as f64,
-        );
-        if let Some(ids) = &self.tier_ids {
-            ids.publish(&mut self.reg, self.tier.as_ref(), None);
-        }
-        self.prof.publish(&mut self.reg);
-    }
-
-    /// Device faults and TCP RTOs fired so far. The kernel stack has
-    /// no diskmap SQ and retries fills rather than aborting
-    /// connections, so those counts stay 0.
-    #[must_use]
-    pub fn fault_counts(&self) -> dcn_faults::FaultCounts {
-        let (nvme_read_errors, nvme_latency_spikes) = NvmeDevice::fault_totals(&self.disks);
-        dcn_faults::FaultCounts {
+    /// Device faults only: the kernel stack has no diskmap SQ and
+    /// retries fills rather than aborting connections.
+    fn stack_faults(s: &KstackServer) -> FaultCounts {
+        let (nvme_read_errors, nvme_latency_spikes) = NvmeDevice::fault_totals(&s.stack.disks);
+        FaultCounts {
             nvme_read_errors,
             nvme_latency_spikes,
-            rto_fired: self.front.rto_fired(),
-            ..dcn_faults::FaultCounts::default()
+            ..FaultCounts::default()
         }
     }
 
-    /// The tiering engine, when `cfg.tier` is set.
-    #[must_use]
-    pub fn tier(&self) -> Option<&TierEngine> {
-        self.tier.as_ref()
-    }
-
-    #[must_use]
-    pub fn variant_label(&self) -> String {
-        format!(
-            "{}{}",
-            match self.cfg.variant {
-                StackVariant::Stock => "Stock FreeBSD/nginx",
-                StackVariant::Netflix => "Netflix",
-            },
-            if self.cfg.encrypted { " TLS" } else { "" }
-        )
-    }
-
-    /// One core's resource observation: live connections, the buffer
-    /// cache's allocatable-frame fraction (the kernel stack's scarce
-    /// pool), and this core's share of in-flight disk fills against
-    /// the kernel queue depth.
-    fn resource_snapshot(&self, core: usize) -> ResourceSnapshot {
-        let depth = f64::from(NvmeConfig::default().queue_depth);
-        let fills = self
-            .fills
-            .values()
-            .filter(|f| self.front.slots[f.conn_slot].core == core)
-            .count();
-        ResourceSnapshot {
-            conns: self.ctl[core].live_conns,
-            pool_free_frac: self.bufcache.allocatable_frac(),
-            sq_occupancy: fills as f64 / depth,
+    /// The in-kernel stack has no diskmap SQ, so `sq_reject_p` does
+    /// not apply here.
+    fn inject_faults(s: &mut KstackServer, f: &FaultConfig, seed: u64) {
+        for (d, dev) in s.stack.disks.iter_mut().enumerate() {
+            dev.set_faults(f.nvme, seed ^ ((d as u64 + 1) << 32));
         }
     }
+}
 
-    /// Is any core shedding (latch held) or at its connection cap?
-    #[must_use]
-    pub fn is_shedding(&self) -> bool {
-        self.ctl.is_shedding()
-    }
-
-    // -------------------------------------------------------------- RX
-
-    pub fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst> {
-        for frame in frames {
-            let (ctl, nic, mem, cores) = (&self.ctl, &mut self.nic, &mut self.mem, &mut self.cores);
-            match self.front.rx(now, frame, ctl, nic, mem, cores) {
-                Some(Rx::Syn(syn)) => {
-                    let snap = self.resource_snapshot(syn.core);
-                    let (ctl, nic, reg) = (&mut self.ctl, &mut self.nic, &mut self.reg);
-                    self.front.accept(now, syn, snap, ctl, nic, reg);
-                }
-                Some(Rx::Segment { slot, done }) => self.process_conn_events(done, slot),
-                Some(Rx::Stray) | None => {}
-            }
-        }
-        self.prof.stage(0, ProfStage::TxComplete);
-        let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
-        self.collect_tx_completions();
-        bursts
-    }
-
-    // ---------------------------------------------------------- events
-
-    fn process_conn_events(&mut self, now: Nanos, slot_idx: usize) {
-        let events = self.front.slots[slot_idx].tcb.take_events();
-        for ev in events {
-            match ev {
-                TcbEvent::Data(bytes) => self.on_request_bytes(now, slot_idx, &bytes),
-                TcbEvent::AckedTo(off) => {
-                    let (bufcache, ct_pool) = (&mut self.bufcache, &mut self.ct_pool);
-                    let mut unpinned = false;
-                    self.front.slots[slot_idx].conn.release_acked(
-                        off,
-                        |f, p| {
-                            bufcache.unpin(f, p);
-                            unpinned = true;
-                        },
-                        |r| ct_pool.push(r),
-                    );
-                    if unpinned {
-                        self.wake_alloc_waiters(now);
-                    }
-                }
-                TcbEvent::NeedRetransmit { offset, len } => {
-                    // Socket-buffer semantics: the data is still here.
-                    let core = self.front.slots[slot_idx].core;
-                    let slot = &mut self.front.slots[slot_idx];
-                    if let Some(sg) = slot.conn.slice_sent(offset, len) {
-                        let out = slot.tcb.send_retransmit(now, offset, sg);
-                        self.nic.tx_rings[core].push(out.into_tx(0));
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.stage(now, slot_idx);
-        self.pump_tx(now, slot_idx);
-        self.front.sync_timer(slot_idx);
-    }
-
-    fn on_request_bytes(&mut self, now: Nanos, slot_idx: usize, bytes: &[u8]) {
-        let core = self.front.slots[slot_idx].core;
-        let costs = self.cfg.costs;
-        // Refresh the hysteretic latch against current resources so
-        // keepalive requests on long-lived connections see the same
-        // watermark state new SYNs do.
-        let snap = self.resource_snapshot(core);
-        let shedding = self.ctl.defer_request(core, snap);
-        let mut answers = self.front.parse_requests(
-            slot_idx,
-            bytes,
-            shedding,
-            self.cfg.admission.retry_after,
-            &self.catalog,
-            &mut self.reg,
-        );
-        for (info, file) in answers.drain(..) {
-            // nginx userspace work + the sendfile syscall. The response
-            // is queued at `now`, not when this work completes.
-            self.prof.stage(core, ProfStage::Parse);
-            let _ = self.cores.run_on(
-                core,
-                now,
-                costs.nginx_request_cycles + costs.sendfile_call_cycles,
-            );
-            if let (Some(f), Some(tier)) = (file, self.tier.as_mut()) {
-                let ids = self.tier_ids.as_ref().expect("tier ids registered");
-                ids.note_request(&mut self.reg, tier, core, f);
-            }
-            self.front.slots[slot_idx]
-                .conn
-                .answered
-                .push_back((info, file));
-        }
-        self.front.recycle(answers);
-    }
-
-    /// Retry staging for connections parked on buffer-cache VM
-    /// pressure: ACKs just unpinned pages, so frames may be
-    /// allocatable again. Each parked connection gets one attempt and
-    /// re-parks itself if still pressured.
-    fn wake_alloc_waiters(&mut self, now: Nanos) {
-        for core in 0..self.cfg.cores {
-            if self.alloc_waiting[core].is_empty() {
-                continue;
-            }
-            let waiting = std::mem::take(&mut self.alloc_waiting[core]);
-            for slot_idx in waiting {
-                self.stage(now, slot_idx);
-                self.pump_tx(now, slot_idx);
-                self.front.sync_timer(slot_idx);
-            }
-        }
-    }
-
+/// The data path over the shell's parts.
+impl Kstack {
     /// sendfile staging: move body bytes from the buffer cache (or
     /// disk) into the socket buffer, up to sb_max.
-    fn stage(&mut self, now: Nanos, slot_idx: usize) {
-        let costs = self.cfg.costs;
-        let fill_bytes = self.cfg.fill_bytes;
-        let cores_n = self.cfg.cores;
+    fn stage(s: &mut KstackServer, now: Nanos, slot_idx: usize) {
+        let costs = s.cfg.costs;
+        let fill_bytes = s.cfg.fill_bytes;
+        let cores_n = s.cfg.cores;
         loop {
-            let core = self.front.slots[slot_idx].core;
-            let slot = &mut self.front.slots[slot_idx];
+            let core = s.front.slots[slot_idx].core;
+            let slot = &mut s.front.slots[slot_idx];
             // A response's header enters the socket buffer only once
             // every earlier body is in it, so pipelined responses never
             // interleave.
             if slot.conn.staging.is_empty() && slot.conn.fills_inflight == 0 {
                 if let Some((info, file)) = slot.conn.answered.pop_front() {
-                    let header = response_header(info, self.cfg.encrypted);
+                    let header = response_header(info, s.cfg.encrypted);
                     slot.conn.enqueue_head(header);
                     if let Some(((body_off, body_len), file)) = info.body().zip(file) {
                         slot.conn.staging.push_back(StagedResponse {
@@ -578,24 +478,24 @@ impl KstackServer {
             if st.next_fill >= st.end {
                 slot.conn.staging.pop_front();
                 slot.conn.responses_completed += 1;
-                self.reg.inc(self.ids.responses[core]);
+                s.reg.inc(s.stack.ids.responses[core]);
                 continue;
             }
-            if slot.conn.sb_bytes >= self.cfg.sb_max {
-                self.prof.stall(StallKind::CwndLimited);
+            if slot.conn.sb_bytes >= s.cfg.sb_max {
+                s.prof.stall(StallKind::CwndLimited);
                 break; // socket buffer full: wait for ACKs
             }
-            if slot.conn.fills_inflight > 0 && self.cfg.variant == StackVariant::Netflix {
+            if slot.conn.fills_inflight > 0 && s.cfg.variant == StackVariant::Netflix {
                 // Async sendfile pipelines one fill per connection.
-                self.prof.stall(StallKind::NvmeWait);
+                s.prof.stall(StallKind::NvmeWait);
                 break;
             }
-            if self.cfg.variant == StackVariant::Stock && self.sync_busy[core] {
+            if s.cfg.variant == StackVariant::Stock && s.stack.sync_busy[core] {
                 // Synchronous sendfile: this worker is blocked inside
                 // an earlier conn's I/O; nothing else stages on this
                 // core until it returns (§2.1.1).
-                self.prof.stall(StallKind::NvmeWait);
-                self.stage_waiting[core].insert(slot_idx);
+                s.prof.stall(StallKind::NvmeWait);
+                s.stack.stage_waiting[core].insert(slot_idx);
                 break;
             }
             let want = fill_bytes.min(st.end - st.next_fill);
@@ -606,7 +506,7 @@ impl KstackServer {
             let mut lookup_cycles = 0;
             let mut pages = Vec::new();
             for p in first_page..=last_page {
-                let (hit, cyc) = self.bufcache.lookup(st.file, p, &costs);
+                let (hit, cyc) = s.stack.bufcache.lookup(st.file, p, &costs);
                 lookup_cycles += cyc;
                 match hit {
                     Some(r) => pages.push(r.region),
@@ -614,19 +514,19 @@ impl KstackServer {
                         all_hit = false;
                         // Unpin what we already pinned this round.
                         for pp in first_page..p {
-                            self.bufcache.unpin(st.file, pp);
+                            s.stack.bufcache.unpin(st.file, pp);
                         }
                         pages.clear();
                         break;
                     }
                 }
             }
-            self.prof.stage(core, ProfStage::Fetch);
-            let t_work = self.cores.run_on(core, now, lookup_cycles);
+            s.prof.stage(core, ProfStage::Fetch);
+            let t_work = s.cores.run_on(core, now, lookup_cycles);
             if all_hit {
                 // Cache hit: enqueue immediately.
-                self.enqueue_body(t_work, slot_idx, st, want, first_page, pages);
-                let slot = &mut self.front.slots[slot_idx];
+                Self::enqueue_body(s, t_work, slot_idx, st, want, first_page, pages);
+                let slot = &mut s.front.slots[slot_idx];
                 if let Some(front) = slot.conn.staging.front_mut() {
                     front.next_fill += want;
                 }
@@ -639,7 +539,7 @@ impl KstackServer {
             let mut alloc_cycles = 0;
             let mut pressured = false;
             for p in first_page..=last_page {
-                match self.bufcache.try_insert(st.file, p, &costs, cores_n) {
+                match s.stack.bufcache.try_insert(st.file, p, &costs, cores_n) {
                     Some((r, cyc)) => {
                         alloc_cycles += cyc;
                         frames.push(r.region);
@@ -652,26 +552,26 @@ impl KstackServer {
             }
             if pressured {
                 for p in first_page..first_page + frames.len() as u64 {
-                    self.bufcache.unpin(st.file, p);
+                    s.stack.bufcache.unpin(st.file, p);
                 }
-                self.cores.run_on(core, now, alloc_cycles);
+                s.cores.run_on(core, now, alloc_cycles);
                 // Park: retried when ACKs unpin socket-buffer pages.
-                self.prof.stall(StallKind::PoolEmpty);
-                if self.alloc_waiting[core].insert(slot_idx) {
-                    self.reg.inc(self.ids.empty_waits[core]);
+                s.prof.stall(StallKind::PoolEmpty);
+                if s.waiters[core].insert(slot_idx) {
+                    s.reg.inc(s.stack.ids.empty_waits[core]);
                 }
                 break;
             }
-            self.prof
+            s.prof
                 .chunk(ProfStage::Fetch, alloc_cycles + costs.kernel_io_cycles);
-            let t_alloc = self
+            let t_alloc = s
                 .cores
                 .run_on(core, now, alloc_cycles + costs.kernel_io_cycles);
             // Cold objects fetch from the object store over the
             // network instead of the local NVMe namespace; the frames
             // land in the same buffer cache either way, so repeat
             // reads of a cold object hit the page cache above.
-            let cold = self
+            let cold = s
                 .tier
                 .as_ref()
                 .is_some_and(|t| t.placement(st.file) == Placement::Cold);
@@ -685,18 +585,18 @@ impl KstackServer {
                 attempts: 1,
             };
             if cold {
-                self.issue_cold_fill(fill);
+                Self::issue_cold_fill(s, fill);
             } else {
-                self.issue_fill(fill);
+                Self::issue_fill(s, fill);
             }
-            let slot = &mut self.front.slots[slot_idx];
+            let slot = &mut s.front.slots[slot_idx];
             if let Some(front) = slot.conn.staging.front_mut() {
                 front.next_fill += want;
             }
             slot.conn.fills_inflight += 1;
-            if self.cfg.variant == StackVariant::Stock {
+            if s.cfg.variant == StackVariant::Stock {
                 // The worker now blocks until this I/O completes.
-                self.sync_busy[core] = true;
+                s.stack.sync_busy[core] = true;
                 break;
             }
         }
@@ -704,12 +604,12 @@ impl KstackServer {
 
     /// Submit `fill` as one NVMe read into its cache frames, at its
     /// `issued_at`.
-    fn issue_fill(&mut self, fill: Fill) {
+    fn issue_fill(s: &mut KstackServer, fill: Fill) {
         let now = fill.issued_at;
-        let loc = self.catalog.locate(fill.st.file, fill.st.next_fill);
+        let loc = s.catalog.locate(fill.st.file, fill.st.next_fill);
         let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
-        let cid = self.next_cid;
-        self.next_cid = self.next_cid.wrapping_add(1);
+        let cid = s.stack.next_cid;
+        s.stack.next_cid = s.stack.next_cid.wrapping_add(1);
         // PRP list = the cache page frames.
         let mut prp: Vec<PhysRegion> = Vec::new();
         let mut remaining = aligned;
@@ -721,7 +621,7 @@ impl KstackServer {
                 break;
             }
         }
-        let dev = &mut self.disks[loc.disk];
+        let dev = &mut s.stack.disks[loc.disk];
         let pushed = dev.qpair(0).sq_push(NvmeCommand {
             opcode: Opcode::Read,
             cid,
@@ -732,9 +632,9 @@ impl KstackServer {
         });
         assert!(pushed, "kernel NVMe queue overflow");
         dev.ring_sq_doorbell(now, 0);
-        let core = self.front.slots[fill.conn_slot].core;
-        self.reg.add(self.ids.disk_read_bytes[core], aligned);
-        self.fills.insert(cid, fill);
+        let core = s.front.slots[fill.conn_slot].core;
+        s.reg.add(s.stack.ids.disk_read_bytes[core], aligned);
+        s.stack.fills.insert(cid, fill);
     }
 
     /// Issue a cold-tier byte-range GET into freshly allocated buffer
@@ -742,11 +642,11 @@ impl KstackServer {
     /// over the NIC — no SQE, no doorbell. Stock's synchronous-sendfile
     /// block applies here too: the worker would block inside a remote
     /// read exactly as it does on a local one.
-    fn issue_cold_fill(&mut self, fill: Fill) {
+    fn issue_cold_fill(s: &mut KstackServer, fill: Fill) {
         let aligned = fill.len.div_ceil(LBA_SIZE) * LBA_SIZE;
-        let token = self.next_cold;
-        self.next_cold += 1;
-        let tier = self.tier.as_mut().expect("cold fill without tier");
+        let token = s.stack.next_cold;
+        s.stack.next_cold += 1;
+        let tier = s.tier.as_mut().expect("cold fill without tier");
         tier.cold_fetch(
             fill.issued_at,
             fill.st.file,
@@ -754,100 +654,77 @@ impl KstackServer {
             aligned,
             token,
         );
-        let core = self.front.slots[fill.conn_slot].core;
-        self.reg.add(self.ids.disk_read_bytes[core], aligned);
-        self.cold_fills.insert(token, fill);
+        let core = s.front.slots[fill.conn_slot].core;
+        s.reg.add(s.stack.ids.disk_read_bytes[core], aligned);
+        s.stack.cold_fills.insert(token, fill);
     }
 
     /// A fill came back with a device error: re-issue the same read
     /// into the same cache frames, up to [`MAX_FILL_ATTEMPTS`] total
     /// attempts; past that the fill is abandoned (the connection
     /// degrades — its stream stalls at the missing range).
-    fn retry_fill(&mut self, now: Nanos, cid: u16) {
-        let Some(fill) = self.fills.remove(&cid) else {
-            return;
-        };
+    fn retry_fill(s: &mut KstackServer, now: Nanos, fill: Fill) {
         let slot_idx = fill.conn_slot;
-        let core = self.front.slots[slot_idx].core;
-        self.prof.stage(core, ProfStage::Fetch);
-        self.cores.run_on(
+        let core = s.front.slots[slot_idx].core;
+        s.prof.stage(core, ProfStage::Fetch);
+        s.cores.run_on(
             core,
-            now + Nanos::from_nanos(self.cfg.costs.interrupt_latency_ns),
-            self.cfg.costs.interrupt_cycles,
+            now + Nanos::from_nanos(s.cfg.costs.interrupt_latency_ns),
+            s.cfg.costs.interrupt_cycles,
         );
-        if self.cfg.variant == StackVariant::Stock {
+        if s.cfg.variant == StackVariant::Stock {
             // The synchronous worker was blocked for the failed
             // attempt too; charge that interval before re-blocking
             // (or unblocking, if we give up).
             let blocked_ns = (now.saturating_sub(fill.issued_at)).as_nanos();
-            self.cores.run_on(
-                core,
-                fill.issued_at,
-                self.cfg.costs.ns_to_cycles(blocked_ns),
-            );
+            s.cores
+                .run_on(core, fill.issued_at, s.cfg.costs.ns_to_cycles(blocked_ns));
         }
         if fill.attempts >= MAX_FILL_ATTEMPTS {
-            let slot = &mut self.front.slots[slot_idx];
+            let slot = &mut s.front.slots[slot_idx];
             slot.conn.fills_inflight -= 1;
-            if self.cfg.variant == StackVariant::Stock {
-                self.sync_busy[core] = false;
+            if s.cfg.variant == StackVariant::Stock {
+                s.stack.sync_busy[core] = false;
             }
-            self.front.sync_timer(slot_idx);
+            s.front.sync_timer(slot_idx);
             return;
         }
-        self.reg.inc(self.ids.fill_retries[core]);
-        self.issue_fill(Fill {
-            issued_at: now,
-            attempts: fill.attempts + 1,
-            ..fill
-        });
-    }
-
-    /// Arm the seeded device fault injectors. The in-kernel stack has
-    /// no diskmap SQ, so `sq_reject_p` does not apply here; link and
-    /// client faults live in the workload harness.
-    pub fn inject_faults(&mut self, f: &dcn_faults::FaultConfig, seed: u64) {
-        for (d, dev) in self.disks.iter_mut().enumerate() {
-            dev.set_faults(f.nvme, seed ^ ((d as u64 + 1) << 32));
-        }
-    }
-
-    /// Disk fill completed: enqueue the body bytes (and for stock,
-    /// unblock the core).
-    fn complete_fill(&mut self, now: Nanos, cid: u16) {
-        let Some(fill) = self.fills.remove(&cid) else {
-            return;
-        };
-        self.finish_fill(now, fill);
+        s.reg.inc(s.stack.ids.fill_retries[core]);
+        Self::issue_fill(
+            s,
+            Fill {
+                issued_at: now,
+                attempts: fill.attempts + 1,
+                ..fill
+            },
+        );
     }
 
     /// Shared completion tail for NVMe and cold-tier fills: interrupt
     /// and completion cost, the stock blocked-interval charge, body
     /// enqueue, and the restage/unblock cascade.
-    fn finish_fill(&mut self, now: Nanos, fill: Fill) {
+    fn finish_fill(s: &mut KstackServer, now: Nanos, fill: Fill) {
         let slot_idx = fill.conn_slot;
-        let core = self.front.slots[slot_idx].core;
+        let core = s.front.slots[slot_idx].core;
         // Interrupt + completion handling.
-        self.prof.stage(core, ProfStage::Fetch);
-        let irq_done = self.cores.run_on(
+        s.prof.stage(core, ProfStage::Fetch);
+        let irq_done = s.cores.run_on(
             core,
-            now + Nanos::from_nanos(self.cfg.costs.interrupt_latency_ns),
-            self.cfg.costs.interrupt_cycles,
+            now + Nanos::from_nanos(s.cfg.costs.interrupt_latency_ns),
+            s.cfg.costs.interrupt_cycles,
         );
-        if self.cfg.variant == StackVariant::Stock {
+        if s.cfg.variant == StackVariant::Stock {
             // Synchronous sendfile (§2.1.1): the worker's whole event
             // loop was blocked from issue to completion — nothing
             // else ran on this core meanwhile, which is the
             // throughput collapse Fig 1 shows for stock at 0% BC.
             let blocked_ns = (now.saturating_sub(fill.issued_at)).as_nanos();
-            self.cores.run_on(
-                core,
-                fill.issued_at,
-                self.cfg.costs.ns_to_cycles(blocked_ns),
-            );
-            self.sync_busy[core] = false;
+            s.cores
+                .run_on(core, fill.issued_at, s.cfg.costs.ns_to_cycles(blocked_ns));
+            s.stack.sync_busy[core] = false;
         }
-        self.enqueue_body(
+        Self::enqueue_body(
+            s,
             irq_done,
             slot_idx,
             fill.st,
@@ -855,22 +732,22 @@ impl KstackServer {
             fill.first_page,
             fill.frames,
         );
-        let slot = &mut self.front.slots[slot_idx];
+        let slot = &mut s.front.slots[slot_idx];
         slot.conn.fills_inflight -= 1;
-        self.stage(irq_done, slot_idx);
-        self.pump_tx(irq_done, slot_idx);
-        self.front.sync_timer(slot_idx);
+        Self::stage(s, irq_done, slot_idx);
+        Self::pump_tx(s, irq_done, slot_idx);
+        s.front.sync_timer(slot_idx);
         // Stock: the unblocked worker services connections that were
         // waiting on it, until it blocks again.
-        let core2 = self.front.slots[slot_idx].core;
-        while !self.sync_busy[core2] {
-            let Some(&waiting) = self.stage_waiting[core2].iter().next() else {
+        let core2 = s.front.slots[slot_idx].core;
+        while !s.stack.sync_busy[core2] {
+            let Some(&waiting) = s.stack.stage_waiting[core2].iter().next() else {
                 break;
             };
-            self.stage_waiting[core2].remove(&waiting);
-            self.stage(irq_done, waiting);
-            self.pump_tx(irq_done, waiting);
-            self.front.sync_timer(waiting);
+            s.stack.stage_waiting[core2].remove(&waiting);
+            Self::stage(s, irq_done, waiting);
+            Self::pump_tx(s, irq_done, waiting);
+            s.front.sync_timer(waiting);
         }
     }
 
@@ -878,7 +755,7 @@ impl KstackServer {
     /// variant's TLS design. `frames[i]` holds cache page
     /// `first_page + i`.
     fn enqueue_body(
-        &mut self,
+        s: &mut KstackServer,
         now: Nanos,
         slot_idx: usize,
         st: StagedResponse,
@@ -886,10 +763,10 @@ impl KstackServer {
         first_page: u64,
         frames: Vec<PhysRegion>,
     ) {
-        let costs = self.cfg.costs;
-        let core = self.front.slots[slot_idx].core;
-        let encrypted = self.cfg.encrypted;
-        let variant = self.cfg.variant;
+        let costs = s.cfg.costs;
+        let core = s.front.slots[slot_idx].core;
+        let encrypted = s.cfg.encrypted;
+        let variant = s.cfg.variant;
         let file_off = st.next_fill;
 
         if !encrypted {
@@ -911,11 +788,11 @@ impl KstackServer {
             // At full fidelity the cache pages must really hold the
             // file content (the NIC materializes from them). Fills
             // wrote them via device DMA; cache hits reuse them.
-            let slot = &mut self.front.slots[slot_idx];
+            let slot = &mut s.front.slots[slot_idx];
             slot.conn.enqueue_sendfile(sg, st.file, first_page, pinned);
             // Plaintext "chunk" = one sendfile fill staged into the
             // socket buffer.
-            self.prof.chunk_done(core);
+            s.prof.chunk_done(core);
             return;
         }
 
@@ -924,36 +801,40 @@ impl KstackServer {
         // pass up front ([`RecordCipher::seal_records`] shares the
         // cipher setup across the run); the per-record loop below
         // models the costs and stages each ciphertext region.
-        if self.cfg.fidelity == Fidelity::Full {
-            let cap_before = self.crypt_scratch.capacity();
-            self.crypt_scratch.clear();
-            self.crypt_scratch.resize(len as usize, 0);
-            dcn_obs::steady::note_growth(cap_before, self.crypt_scratch.capacity());
+        if s.cfg.fidelity == Fidelity::Full {
+            let cap_before = s.stack.crypt_scratch.capacity();
+            s.stack.crypt_scratch.clear();
+            s.stack.crypt_scratch.resize(len as usize, 0);
+            dcn_obs::steady::note_growth(cap_before, s.stack.crypt_scratch.capacity());
             let mut off = 0usize;
             for frame in &frames {
                 if off >= len as usize {
                     break;
                 }
                 let n = (len as usize - off).min(CHUNK_SIZE as usize);
-                self.host
-                    .read(frame.addr, &mut self.crypt_scratch[off..off + n]);
+                s.host
+                    .read(frame.addr, &mut s.stack.crypt_scratch[off..off + n]);
                 off += n;
             }
-            let tag_cap_before = self.tag_scratch.capacity();
-            self.tag_scratch.clear();
-            let cipher = self.front.slots[slot_idx]
+            let tag_cap_before = s.stack.tag_scratch.capacity();
+            s.stack.tag_scratch.clear();
+            let cipher = s.front.slots[slot_idx]
                 .cipher
                 .as_ref()
                 .expect("encrypted conn");
             // GCM framing restarts at the response body, so a ranged
             // response seals from record 0 of its own stream.
             let rec_off = file_off - st.body_off;
-            cipher.seal_records(rec_off, &mut self.crypt_scratch, &mut self.tag_scratch);
-            dcn_obs::steady::note_growth(tag_cap_before, self.tag_scratch.capacity());
+            cipher.seal_records(
+                rec_off,
+                &mut s.stack.crypt_scratch,
+                &mut s.stack.tag_scratch,
+            );
+            dcn_obs::steady::note_growth(tag_cap_before, s.stack.tag_scratch.capacity());
         }
         let mut off_in_fill = 0u64;
         while off_in_fill < len {
-            self.prof.stage(core, ProfStage::Encrypt);
+            s.prof.stage(core, ProfStage::Encrypt);
             let rec_plain_off = file_off + off_in_fill;
             debug_assert_eq!(rec_plain_off % RECORD_PAYLOAD_MAX, 0);
             let rec_plain = (st.end - rec_plain_off)
@@ -961,25 +842,25 @@ impl KstackServer {
                 .min(len - off_in_fill);
             // Gather the plaintext source regions into the reusable
             // scratch (no per-record SgList spine allocation).
-            let src_cap_before = self.src_scratch.capacity();
-            self.src_scratch.clear();
+            let src_cap_before = s.stack.src_scratch.capacity();
+            s.stack.src_scratch.clear();
             let mut remaining = rec_plain;
             let mut page_cursor = (off_in_fill / CHUNK_SIZE) as usize;
             let mut in_page = off_in_fill % CHUNK_SIZE;
             while remaining > 0 {
                 let frame = frames[page_cursor];
                 let n = remaining.min(CHUNK_SIZE - in_page);
-                self.src_scratch.push(frame.slice(in_page, n));
+                s.stack.src_scratch.push(frame.slice(in_page, n));
                 remaining -= n;
                 in_page = 0;
                 page_cursor += 1;
             }
-            dcn_obs::steady::note_growth(src_cap_before, self.src_scratch.capacity());
-            let ct_region = self.ct_pool.pop().unwrap_or_else(|| {
+            dcn_obs::steady::note_growth(src_cap_before, s.stack.src_scratch.capacity());
+            let ct_region = s.stack.ct_pool.pop().unwrap_or_else(|| {
                 // The pool grows on demand: the real bound on
                 // ciphertext socket-buffer memory is sb_max per
                 // connection, enforced at staging time.
-                self.phys.alloc(CT_REGION_LEN)
+                s.phys.alloc(CT_REGION_LEN)
             });
             let ct_region = ct_region.slice(0, rec_plain);
             let mut cycles = (rec_plain as f64 * costs.aes_gcm_cycles_per_byte) as u64;
@@ -992,12 +873,12 @@ impl KstackServer {
                     // the plaintext read comes from DRAM; the
                     // ciphertext goes out with ISA-L non-temporal
                     // stores.
-                    for i in 0..self.src_scratch.len() {
-                        let r = self.src_scratch[i];
-                        self.mem.flush_delayed(now, r);
-                        cycles += self.mem.cpu_read(now, r).stall_cycles;
+                    for i in 0..s.stack.src_scratch.len() {
+                        let r = s.stack.src_scratch[i];
+                        s.mem.flush_delayed(now, r);
+                        cycles += s.mem.cpu_read(now, r).stall_cycles;
                     }
-                    self.mem.cpu_write_nt(now, ct_region);
+                    s.mem.cpu_write_nt(now, ct_region);
                 }
                 StackVariant::Stock => {
                     // Userspace OpenSSL: read() copy to user, encrypt,
@@ -1005,54 +886,53 @@ impl KstackServer {
                     // syscalls per record.
                     cycles += 2 * costs.syscall_cycles;
                     cycles += (2.0 * rec_plain as f64 * costs.memcpy_cycles_per_byte) as u64;
-                    for i in 0..self.src_scratch.len() {
-                        let r = self.src_scratch[i];
-                        cycles += self.mem.cpu_read(now, r).stall_cycles;
+                    for i in 0..s.stack.src_scratch.len() {
+                        let r = s.stack.src_scratch[i];
+                        cycles += s.mem.cpu_read(now, r).stall_cycles;
                     }
                     // user buffer write + read back
-                    cycles += self.mem.cpu_write(now, ct_region).stall_cycles;
-                    cycles += self.mem.cpu_read(now, ct_region).stall_cycles;
-                    cycles += self.mem.cpu_write(now, ct_region).stall_cycles;
+                    cycles += s.mem.cpu_write(now, ct_region).stall_cycles;
+                    cycles += s.mem.cpu_read(now, ct_region).stall_cycles;
+                    cycles += s.mem.cpu_write(now, ct_region).stall_cycles;
                 }
             }
             // Encrypted "chunk" = one TLS record through the variant's
             // crypto path.
-            self.prof.encrypt_bytes(rec_plain);
-            self.prof.chunk(ProfStage::Encrypt, cycles);
-            self.prof.chunk_done(core);
-            let t_enc = self.cores.run_on(core, now, cycles);
+            s.prof.encrypt_bytes(rec_plain);
+            s.prof.chunk(ProfStage::Encrypt, cycles);
+            s.prof.chunk_done(core);
+            s.cores.run_on(core, now, cycles);
             // Real encryption at full fidelity: the batch pre-pass
             // already sealed this record in the scratch; copy its
             // ciphertext into the socket-buffer region.
-            let tag = if self.cfg.fidelity == Fidelity::Full {
-                let s = off_in_fill as usize;
-                self.host.write(
+            let tag = if s.cfg.fidelity == Fidelity::Full {
+                let at = off_in_fill as usize;
+                s.host.write(
                     ct_region.addr,
-                    &self.crypt_scratch[s..s + rec_plain as usize],
+                    &s.stack.crypt_scratch[at..at + rec_plain as usize],
                 );
-                self.tag_scratch[(off_in_fill / RECORD_PAYLOAD_MAX) as usize]
+                s.stack.tag_scratch[(off_in_fill / RECORD_PAYLOAD_MAX) as usize]
             } else {
                 [0u8; 16]
             };
             // The record keeps its pool region and tag; its header
             // and wire pieces are rebuilt when sent, so the socket
             // buffer allocates nothing per record.
-            self.front.slots[slot_idx]
+            s.front.slots[slot_idx]
                 .conn
                 .enqueue_record(ct_region.addr, rec_plain, tag);
             off_in_fill += rec_plain;
-            let _ = t_enc;
         }
         // Encrypted path: unpin all the fill's pages now.
         for p in first_page..first_page + frames.len() as u64 {
-            self.bufcache.unpin(st.file, p);
+            s.stack.bufcache.unpin(st.file, p);
         }
     }
 
     /// Send from socket buffers as windows allow.
-    fn pump_tx(&mut self, now: Nanos, slot_idx: usize) {
-        let core = self.front.slots[slot_idx].core;
-        let costs = self.cfg.costs;
+    fn pump_tx(s: &mut KstackServer, now: Nanos, slot_idx: usize) {
+        let core = s.front.slots[slot_idx].core;
+        let costs = s.cfg.costs;
         // Batched packetize: the first TSO send of this pump pays the
         // full per-op cost; subsequent sends of the same connection in
         // the same pass reuse the hot TCB/socket state and the shared
@@ -1062,11 +942,11 @@ impl KstackServer {
         loop {
             // TX-ring backpressure: unsent data stays in the socket
             // buffer until slots free up.
-            if self.nic.tx_rings[core].space() == 0 {
+            if s.nic.tx_rings[core].space() == 0 {
                 break;
             }
-            self.prof.stage(core, ProfStage::Packetize);
-            let slot = &mut self.front.slots[slot_idx];
+            s.prof.stage(core, ProfStage::Packetize);
+            let slot = &mut s.front.slots[slot_idx];
             let usable = slot.tcb.usable_window();
             let tso_max = u64::from(slot.tcb.cfg.tso_max);
             let budget = usable.min(tso_max);
@@ -1088,128 +968,59 @@ impl KstackServer {
             // time: consume-once touches of a fraction of the payload
             // (sf_buf mapping, LRO bookkeeping) — by now the data has
             // usually aged out of the LLC.
-            let touch = self.cfg.touch_fraction;
+            let touch = s.cfg.touch_fraction;
             for r in sg.regions() {
                 let t = r.slice(0, ((r.len as f64) * touch) as u64);
                 if t.len > 0 {
-                    cycles += self.mem.cpu_read_once(now, t).stall_cycles;
+                    cycles += s.mem.cpu_read_once(now, t).stall_cycles;
                 }
             }
             let out = slot.tcb.send_data(now, sg, false);
-            self.nic.tx_rings[core].push(out.into_tx(0));
-            self.prof.chunk(ProfStage::Packetize, cycles);
-            self.cores.run_on(core, now, cycles);
+            s.nic.tx_rings[core].push(out.into_tx(0));
+            s.prof.chunk(ProfStage::Packetize, cycles);
+            s.cores.run_on(core, now, cycles);
         }
     }
 
     /// Run tier epoch work and land completed cold-store fills. The
     /// bytes arrive over the NIC into the buffer-cache frames the fill
     /// pinned at issue, then take the normal fill-completion tail.
-    fn drain_cold(&mut self, now: Nanos) {
-        let Some(tier) = self.tier.as_mut() else {
+    fn drain_cold(s: &mut KstackServer, now: Nanos) {
+        let Some(tier) = s.tier.as_mut() else {
             return;
         };
         tier.maybe_epoch(now);
-        let mut tickets = std::mem::take(&mut self.cold_scratch);
+        let mut tickets = std::mem::take(&mut s.stack.cold_scratch);
         tickets.clear();
         tier.drain_serving(now, &mut tickets);
         for tk in tickets.drain(..) {
-            let Some(fill) = self.cold_fills.remove(&tk.token) else {
+            let Some(fill) = s.stack.cold_fills.remove(&tk.token) else {
                 continue;
             };
-            let core = self.front.slots[fill.conn_slot].core;
-            self.prof.stage(core, ProfStage::Fetch);
+            let core = s.front.slots[fill.conn_slot].core;
+            s.prof.stage(core, ProfStage::Fetch);
             // NIC DMA writes the object bytes into the cache frames,
             // page by page — same layout the NVMe PRP list would use.
             let mut remaining = tk.len;
             for (p, frame) in (fill.first_page..).zip(&fill.frames) {
                 let n = remaining.min(CHUNK_SIZE);
                 let region = frame.slice(0, n);
-                if self.cfg.fidelity == Fidelity::Full {
-                    let seed = self.catalog.file_seed(fill.st.file);
-                    self.host
+                if s.cfg.fidelity == Fidelity::Full {
+                    let seed = s.catalog.file_seed(fill.st.file);
+                    s.host
                         .update_region(region, |data| prf_bytes(seed, p * CHUNK_SIZE, data));
                 }
-                self.mem.dma_write(now, Agent::NicDma, region);
+                s.mem.dma_write(now, Agent::NicDma, region);
                 remaining -= n;
                 if remaining == 0 {
                     break;
                 }
             }
-            if let Some(ids) = &self.tier_ids {
-                ids.note_cold_fill(&mut self.reg, core, &tk);
+            if let Some(ids) = &s.tier_ids {
+                ids.note_cold_fill(&mut s.reg, core, &tk);
             }
-            self.finish_fill(now, fill);
+            Self::finish_fill(s, now, fill);
         }
-        self.cold_scratch = tickets;
-    }
-
-    // ------------------------------------------------------- timekeeping
-
-    #[must_use]
-    pub fn poll_at(&self) -> Option<Nanos> {
-        let disks = self
-            .disks
-            .iter()
-            .fold(None, |acc, d| earliest(acc, d.poll_at()));
-        let timer = self.front.next_timer();
-        let tier = self
-            .tier
-            .as_ref()
-            .map(TierEngine::poll_at)
-            .filter(|&at| at != Nanos::MAX);
-        earliest(earliest(earliest(disks, timer), self.nic.poll_at()), tier)
-    }
-
-    pub fn advance(&mut self, now: Nanos) -> Vec<SentBurst> {
-        // Disk completions. Disk-controller DMA into cache frames is
-        // fetch-stage memory traffic.
-        self.prof.stage(0, ProfStage::Fetch);
-        let mut done = std::mem::take(&mut self.cq_scratch);
-        let cap_before = done.capacity();
-        for disk in &mut self.disks {
-            disk.advance(now, &mut self.mem, &mut self.host);
-            disk.qpair(0).cq_consume_into(64, &mut done);
-        }
-        dcn_obs::steady::note_growth(cap_before, done.capacity());
-        for e in done.drain(..) {
-            if e.status == NvmeStatus::Success {
-                self.complete_fill(now, e.cid);
-            } else {
-                self.retry_fill(now, e.cid);
-            }
-        }
-        self.cq_scratch = done;
-        // Cold-tier completions + epoch work (no-op without a tier).
-        if self.tier.is_some() {
-            self.drain_cold(now);
-        }
-        // TCP timers.
-        for slot_idx in self.front.due_timers(now) {
-            self.front.slots[slot_idx].tcb.on_timer(now);
-            self.process_conn_events(now, slot_idx);
-        }
-        self.prof.stage(0, ProfStage::TxComplete);
-        let bursts = self.nic.tx_drain_all(now, &mut self.mem, &self.host);
-        self.collect_tx_completions();
-        bursts
-    }
-
-    fn collect_tx_completions(&mut self) {
-        for core in 0..self.cfg.cores {
-            // The kernel stack keeps data until ACKed (not until TX),
-            // so completions carry no buffer tokens; just drain them.
-            let _ = self.nic.tx_rings[core].txsync_collect();
-        }
-    }
-
-    /// Buffer-cache hit ratio observed (checks the BC workload knobs).
-    #[must_use]
-    pub fn cache_hit_ratio(&self) -> f64 {
-        self.bufcache.hit_ratio()
-    }
-
-    pub fn phys_mut(&mut self) -> &mut PhysAlloc {
-        &mut self.phys
+        s.stack.cold_scratch = tickets;
     }
 }

@@ -40,12 +40,6 @@ impl CpuCore {
         self.busy_until
     }
 
-    /// Is the core already busy at `now`?
-    #[must_use]
-    pub fn is_busy(&self, now: Nanos) -> bool {
-        self.busy_until > now
-    }
-
     /// Run `cycles` of work requested at `now`; returns the completion
     /// time (which is when dependent events should fire).
     pub fn run(&mut self, now: Nanos, cycles: u64) -> Nanos {
@@ -62,13 +56,6 @@ impl CpuCore {
     #[must_use]
     pub fn utilization(&self, warmup: Nanos, end: Nanos) -> f64 {
         self.busy.rate_per_sec(warmup, end)
-    }
-
-    /// Block the core until `until` without accruing busy time — a
-    /// thread sleeping on synchronous I/O (stock sendfile, §2.1.1)
-    /// serializes the event loop but does not burn CPU.
-    pub fn stall_until(&mut self, until: Nanos) {
-        self.busy_until = self.busy_until.max(until);
     }
 }
 
@@ -132,11 +119,6 @@ impl CoreSet {
             p.borrow_mut().on_cycles(idx, cycles);
         }
         self.cores[idx].run(now, cycles)
-    }
-
-    /// Block a core until `until` (synchronous I/O wait).
-    pub fn stall_on(&mut self, idx: usize, until: Nanos) {
-        self.cores[idx].stall_until(until);
     }
 
     /// Total utilization in percent (the paper's 0–800% axis).

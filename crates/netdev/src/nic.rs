@@ -176,13 +176,6 @@ pub struct SentBurst {
     pub frames: Vec<WireFrame>,
 }
 
-impl SentBurst {
-    #[must_use]
-    pub fn wire_bytes(&self) -> u64 {
-        self.frames.iter().map(WireFrame::wire_len).sum()
-    }
-}
-
 struct Port {
     busy_until: Nanos,
 }
@@ -412,16 +405,6 @@ impl Nic {
             rx_slot_region.slice(0, frame.frame_len().min(rx_slot_region.len)),
         );
         self.rx_rings[ring].nic_deliver(RxFrame { at: now, frame });
-    }
-
-    /// Earliest port-idle instant (diagnostics: NIC saturation).
-    #[must_use]
-    pub fn ports_busy_until(&self) -> Nanos {
-        self.ports
-            .iter()
-            .map(|p| p.busy_until)
-            .max()
-            .unwrap_or(Nanos::ZERO)
     }
 
     /// Publish NIC counters into a dcn-obs registry under `nic.*`

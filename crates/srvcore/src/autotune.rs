@@ -226,12 +226,6 @@ impl IoTuner {
         self.ewma_lat
     }
 
-    /// Unloaded-service-time estimate (ns).
-    #[must_use]
-    pub fn base_latency_ns(&self) -> u64 {
-        self.base_lat
-    }
-
     /// Number of adjustment steps taken so far.
     #[must_use]
     pub fn adjustments(&self) -> u64 {

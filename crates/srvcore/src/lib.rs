@@ -4,6 +4,10 @@
 //! differ only in where TX bytes come from. Everything in front of
 //! that lives here once:
 //!
+//! * [`server`] — the server shell: [`Server`] builds the hardware
+//!   models and runs the RX loop, request intake, timers, the TX-drain
+//!   tail, the parked-connection wake loop and the readouts, once; a
+//!   [`Stack`] plugs in its TX data source as hooks.
 //! * [`front`] — the connection front end: flow→slot table, TCB
 //!   timers, SYN admission and accept, the per-segment RX path, and
 //!   the request classifier (200/206/404/503/431).
@@ -23,10 +27,12 @@ pub mod autotune;
 pub mod control;
 pub mod front;
 pub mod overload;
+pub mod server;
 pub mod tier;
 
 pub use autotune::{AutotuneConfig, IoTuner};
 pub use control::{CoreControl, ServerControl};
 pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, ServedWork, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
+pub use server::{Server, Shell, Stack, VideoServer};
 pub use tier::{TierIds, TierMetrics};

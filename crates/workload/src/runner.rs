@@ -5,127 +5,16 @@
 use crate::fleet::{ClientFleet, FleetConfig};
 use crate::testbed::{self, Testbed};
 use dcn_atlas::{AtlasConfig, AtlasServer};
-use dcn_faults::{FaultConfig, FaultCounts, LossModel};
+use dcn_faults::{FaultConfig, LossModel};
 use dcn_kstack::{KstackConfig, KstackServer};
-use dcn_mem::{Fidelity, MemSnapshot};
-use dcn_netdev::{DelayMiddlebox, SentBurst, WireFrame};
+use dcn_mem::Fidelity;
+use dcn_netdev::DelayMiddlebox;
 use dcn_simcore::Nanos;
-pub use dcn_srvcore::TierMetrics;
-use dcn_srvcore::{ServedWork, TierIds};
+pub use dcn_srvcore::{TierMetrics, VideoServer};
 use dcn_store::Catalog;
 use std::path::PathBuf;
 
 pub use crate::testbed::corrupt_frame;
-
-/// Abstraction over the two server implementations so the harness
-/// and every figure binary treat them identically.
-pub trait VideoServer {
-    /// Frames arrive from the wire; returns bursts that left the NIC.
-    fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst>;
-    /// Next instant internal state needs service.
-    fn poll_at(&self) -> Option<Nanos>;
-    /// Service internal state (disk completions, timers, worker
-    /// threads); returns bursts that left the NIC.
-    fn advance(&mut self, now: Nanos) -> Vec<SentBurst>;
-    /// DRAM counters over a window.
-    fn mem_snapshot(&self, warmup: Nanos, end: Nanos) -> MemSnapshot;
-    /// Total CPU utilization in percent over a window.
-    fn cpu_pct(&self, warmup: Nanos, end: Nanos) -> f64;
-    /// Descriptive label for reports.
-    fn label(&self) -> String;
-    /// Publish sample-point gauges into the server's registry.
-    fn publish_obs(&mut self);
-    /// The server's unified metrics registry.
-    fn registry(&self) -> Option<&dcn_obs::Registry>;
-    /// Mutable registry access (the testbed publishes link/client
-    /// fault counters into a lone server's registry so the metrics
-    /// CSV carries them).
-    fn registry_mut(&mut self) -> Option<&mut dcn_obs::Registry>;
-    /// The chunk-lifecycle tracer (Atlas only).
-    fn tracer(&self) -> Option<&dcn_obs::Tracer> {
-        None
-    }
-    /// Stage-profiler snapshot (servers built with `profile: true`).
-    fn prof_report(&self) -> Option<dcn_obs::ProfReport>;
-    /// Arm the server-side seeded fault injectors (NVMe device and
-    /// submission-queue faults). Link and client faults are applied
-    /// by the testbed itself.
-    fn inject_faults(&mut self, f: &FaultConfig, seed: u64);
-    /// Buffer-pool leak audit (Atlas only): DMA buffers neither free
-    /// nor legitimately held. 0 for servers without a DMA pool.
-    fn leaked_buffers(&self) -> i64 {
-        0
-    }
-    /// Instantaneous DMA buffer-pool state as (free, capacity). None
-    /// for servers without a pool — the testbed stops sampling.
-    fn pool_snapshot(&self) -> Option<(u64, u64)> {
-        None
-    }
-    /// The `tier.*` handles, registered iff the server was built with
-    /// a tier engine (or, on Atlas, the hot-chunk cache).
-    fn tier_ids(&self) -> Option<&TierIds>;
-    /// What the server's own fault handling counted so far.
-    fn fault_counts(&self) -> FaultCounts;
-    /// Whether admission control is shedding load right now.
-    fn is_shedding(&self) -> bool;
-    /// The work served so far, read through the counter handles.
-    fn served(&self) -> ServedWork;
-}
-
-/// `VideoServer` for a stack: the methods both stacks forward the same
-/// way, plus the stack's own `$extra` ones.
-macro_rules! video_server {
-    ($ty:ident { $($extra:item)* }) => {
-        impl VideoServer for $ty {
-            fn on_wire_rx(&mut self, now: Nanos, frames: Vec<WireFrame>) -> Vec<SentBurst> {
-                $ty::on_wire_rx(self, now, frames)
-            }
-            fn poll_at(&self) -> Option<Nanos> { $ty::poll_at(self) }
-            fn advance(&mut self, now: Nanos) -> Vec<SentBurst> { $ty::advance(self, now) }
-            fn mem_snapshot(&self, warmup: Nanos, end: Nanos) -> MemSnapshot {
-                self.mem.counters.snapshot(warmup, end)
-            }
-            fn cpu_pct(&self, warmup: Nanos, end: Nanos) -> f64 {
-                self.cores.utilization_pct(warmup, end)
-            }
-            fn publish_obs(&mut self) { $ty::publish_obs(self); }
-            fn registry(&self) -> Option<&dcn_obs::Registry> { Some(&self.reg) }
-            fn registry_mut(&mut self) -> Option<&mut dcn_obs::Registry> { Some(&mut self.reg) }
-            fn prof_report(&self) -> Option<dcn_obs::ProfReport> { $ty::prof_report(self) }
-            fn inject_faults(&mut self, f: &FaultConfig, seed: u64) {
-                $ty::inject_faults(self, f, seed);
-            }
-            fn tier_ids(&self) -> Option<&TierIds> { self.tier_ids.as_ref() }
-            fn fault_counts(&self) -> FaultCounts { $ty::fault_counts(self) }
-            fn is_shedding(&self) -> bool { $ty::is_shedding(self) }
-            fn served(&self) -> ServedWork { $ty::served(self) }
-            $($extra)*
-        }
-    };
-}
-
-video_server!(AtlasServer {
-    fn label(&self) -> String {
-        let tls = if self.cfg.encrypted { " TLS" } else { "" };
-        format!("Atlas/{} cores{tls}", self.cfg.cores)
-    }
-    fn tracer(&self) -> Option<&dcn_obs::Tracer> {
-        Some(&self.tracer)
-    }
-    fn leaked_buffers(&self) -> i64 {
-        AtlasServer::leaked_buffers(self)
-    }
-    fn pool_snapshot(&self) -> Option<(u64, u64)> {
-        let (free, cap) = (self.free_buffers(), self.pool_capacity());
-        Some((u64::from(free), u64::from(cap)))
-    }
-});
-
-video_server!(KstackServer {
-    fn label(&self) -> String {
-        self.variant_label()
-    }
-});
 
 /// Which server to run.
 #[derive(Clone, Debug)]
@@ -464,6 +353,7 @@ fn run_lone(sc: &Scenario, obs: &ObsOptions) -> testbed::Finished<ClientFleet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_srvcore::ServedWork;
 
     /// The served counts summed by counter name, as the result
     /// builders once read them.

@@ -189,6 +189,82 @@ fn kstack_admission_sheds_surplus_syns_too() {
 }
 
 #[test]
+fn min_drain_deadline_aborts_buffer_holders_without_ack_progress() {
+    // The ladder is pinned at Normal (no pool or SQ watermark can
+    // latch), so only the minimum-drain deadline can count
+    // `aborted_slow`. One core serves 250 clients from a 160-buffer
+    // pool through a 128-slot TX ring: a record that completes while
+    // the ring is full stays parked, and a connection with nothing else
+    // in flight then holds its buffer without ACK progress until the
+    // deadline returns it.
+    let mut cfg = AtlasConfig {
+        cores: 1,
+        bufs_per_queue: 40,
+        ..AtlasConfig::default()
+    };
+    cfg.nic.ring_slots = 128;
+    cfg.nic.port_rate = disk_crypt_net::simcore::Bandwidth::from_gbps(10.0);
+    cfg.admission.pool_low_enter = 0.0;
+    cfg.admission.pool_low_exit = 0.0;
+    cfg.admission.sq_high_enter = f64::INFINITY;
+    cfg.admission.sq_high_exit = f64::INFINITY;
+    let mut sc = Scenario::smoke(ServerKind::Atlas(cfg), 250, 83);
+    sc.duration = Nanos::from_millis(1500);
+    let m = run_scenario(&sc);
+    eprintln!("{:?}", m.overload);
+    assert_overload_invariants(&m);
+    assert_eq!(
+        m.overload.shed_new + m.overload.retry_503,
+        0,
+        "ladder stays at Normal"
+    );
+    assert!(
+        m.overload.aborted_slow > 0,
+        "the drain deadline must abort a stalled buffer holder: {:?}",
+        m.overload
+    );
+}
+
+#[test]
+fn kstack_sq_watermark_defers_with_503_and_retries_verify() {
+    // The kernel stack's buffer cache never drains to `pool_low_enter`,
+    // so its 503 path is driven from the SQ side: the latch sets as
+    // soon as a core has any fill in flight (enter 0) and releases once
+    // fewer than ~10 remain (exit 1% of the queue depth). Keepalive
+    // requests that land while it is set are answered 503; the client
+    // backs off and re-requests, and the retried body verifies against
+    // the same oracle entry.
+    let mut cfg = KstackConfig::netflix();
+    cfg.admission.sq_high_enter = 0.0;
+    cfg.admission.sq_high_exit = 0.01;
+    let mut sc = Scenario::smoke(ServerKind::Kstack(cfg), 16, 73);
+    sc.duration = Nanos::from_millis(2000);
+    let m = run_scenario(&sc);
+    eprintln!("{:?}", m.overload);
+    assert_overload_invariants(&m);
+    assert!(
+        m.overload.retry_503 > 0,
+        "SQ latch must answer 503: {:?}",
+        m.overload
+    );
+    assert_eq!(
+        m.overload.retry_503, m.overload.client_503s,
+        "every 503 the server sent reaches a client"
+    );
+    // Each deferred request is re-sent after its backoff, except one
+    // whose Retry-After outlasts the run.
+    assert!(
+        m.overload.client_retries + 1 >= m.overload.retry_503,
+        "deferred requests must be retried: {:?}",
+        m.overload
+    );
+    assert_eq!(
+        m.verified_bytes, m.total_body_bytes,
+        "every delivered body byte, retried ones included, verifies"
+    );
+}
+
+#[test]
 fn overload_counters_export_via_metrics_csv() {
     // The `--metrics-out` CSV must carry the per-core overload series
     // so a shedding incident is diagnosable after the fact.
