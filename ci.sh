@@ -30,15 +30,18 @@ cargo test -q --release --test testbed --test front_end
 echo "==> metrics registry gate (keyed per-core series vs an in-test copy of the string-scan reference registry: handles, export names and order, by-name reads)"
 cargo test -q --release -p dcn-obs registry
 
-echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS)"
+echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS; server ciphers and client oracles only where bytes are sealed and verified; per-connection size budgets)"
 cargo test -q --release -p dcn-workload verify
+cargo test -q --release -p dcn-workload only_when
+cargo test -q --release -p dcn-atlas -p dcn-kstack -p dcn-workload size_budget
 cargo test -q --release -p dcn-httpd
 cargo test -q --release --test end_to_end_atlas --test end_to_end_kstack
 
-echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged; Atlas minimum-drain deadline fires at a Normal ladder; kstack SQ-watermark 503s retried and verified)"
+echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged; Atlas minimum-drain deadline fires at a Normal ladder; kstack SQ-watermark 503s retried and verified; empty waits counted once per wait episode)"
 cargo test -q --release --test overload -- --exact two_x_overload_smoke \
     min_drain_deadline_aborts_buffer_holders_without_ack_progress \
-    kstack_sq_watermark_defers_with_503_and_retries_verify
+    kstack_sq_watermark_defers_with_503_and_retries_verify \
+    empty_waits_count_wait_episodes_not_re_parks
 
 echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC in goodput and read:net < 0.5×"
 cargo test -q --release --test paper_shapes headline_atlas_tls_2k_steady_state_beats_netflix

@@ -343,4 +343,17 @@ mod tests {
         assert_eq!(l.record_plain_len(0), 100);
         assert_eq!(l.body_wire_len(), 100 + RECORD_OVERHEAD);
     }
+
+    #[test]
+    fn conn_slot_size_budget() {
+        // A connection keeps layout, not payload (§3). The record
+        // cipher lives out of line and only on a server that seals.
+        let size = std::mem::size_of::<dcn_srvcore::ConnSlot<AtlasConn>>();
+        assert!(
+            size <= 544,
+            "ConnSlot<AtlasConn> is {size} B, over its 544 B budget: is \
+             `ConnSlot::cipher` (a {} B RecordCipher) inline again?",
+            std::mem::size_of::<dcn_crypto::RecordCipher>()
+        );
+    }
 }

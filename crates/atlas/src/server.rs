@@ -153,9 +153,6 @@ struct AtlasIds {
     reaped_idle: Vec<CounterId>,
     /// …slow-draining buffer-holders aborted.
     aborted_slow: Vec<CounterId>,
-    /// Connections parked on the buffer-pool waiter list because an
-    /// alloc came up empty.
-    empty_waits: Vec<CounterId>,
     /// Pumps stopped by the fair-share read-ahead bound (see `pump`).
     share_limited: Vec<CounterId>,
     /// Gauges refreshed by [`AtlasServer::publish_obs`] at every
@@ -182,7 +179,6 @@ impl AtlasIds {
             fetch_retries: reg.counters_per_core("atlas.fetch_retries", cores),
             reaped_idle: reg.counters_per_core("atlas.overload.reaped_idle", cores),
             aborted_slow: reg.counters_per_core("atlas.overload.aborted_slow", cores),
-            empty_waits: reg.counters_per_core("atlas.bufpool.empty_waits", cores),
             share_limited: reg.counters_per_core("atlas.bufpool.share_limited", cores),
             pool_free_bufs: reg.gauges_per_core("atlas.pool_free_bufs", cores),
             overload_level: reg.gauges_per_core("atlas.overload.level", cores),
@@ -299,7 +295,12 @@ impl Stack for Atlas {
             profile: cfg.profile,
             tier: cfg.tier,
             tier_cache: cfg.tier_cache,
-            prefix: "atlas",
+            front_metrics: [
+                "atlas.overload.shed_new",
+                "atlas.overload.retry_503",
+                "atlas.overload.bad_requests",
+            ],
+            wait_metrics: ["atlas.bufpool.empty_waits", "atlas.bufpool.futile_wakes"],
             // One busy-polling stack instance per core, each with its
             // own queue pair on every disk.
             polls: true,
@@ -671,7 +672,6 @@ impl Stack for Atlas {
             fetch_retries: reg.counter_sum(&ids.fetch_retries),
             reaped_idle: reg.counter_sum(&ids.reaped_idle),
             aborted_slow: reg.counter_sum(&ids.aborted_slow),
-            empty_waits: reg.counter_sum(&ids.empty_waits),
             ..front
         }
     }
@@ -773,7 +773,12 @@ impl Atlas {
         let core = s.front.slots[slot_idx].core;
         loop {
             // TX-ring backpressure: if the ring is full the item
-            // stays parked; the next ACK (or TX completion) retries.
+            // stays parked in `ready_tx`. TX completions do not retry
+            // it: only this connection's next TCB event (ACK, request,
+            // timer), its next disk completion, or a wake from the
+            // buffer-waiter list drains it again. A connection with
+            // none of those coming holds the record's buffer until
+            // the minimum-drain deadline aborts it.
             if s.nic.tx_rings[core].space() == 0 {
                 break;
             }
@@ -909,12 +914,11 @@ impl Atlas {
                 slot.conn.next_record -= 1;
                 slot.conn.reserved -= wire;
                 slot.conn.fetches_inflight -= 1;
-                if s.waiters[core].insert(slot_idx) {
-                    s.reg.inc(s.stack.ids.empty_waits[core]);
-                }
+                s.park(core, slot_idx);
                 s.prof.stall(StallKind::PoolEmpty);
                 break;
             }
+            s.end_wait(slot_idx);
         }
     }
 
@@ -1283,8 +1287,8 @@ impl Atlas {
             cycles += enc_cycles;
             s.prof.chunk(ProfStage::Encrypt, enc_cycles);
             let record_plain_off = fetch.record * RECORD_PAYLOAD_MAX;
-            let tag = if s.cfg.fidelity == Fidelity::Full {
-                let cipher = slot.cipher.as_ref().expect("encrypted conn has cipher");
+            // Only a server that seals bytes holds a cipher.
+            let tag = if let Some(cipher) = slot.cipher.as_deref() {
                 s.host.update_region(buf_region, |data| {
                     cipher.seal_record(record_plain_off, data)
                 })
@@ -1625,7 +1629,7 @@ impl Atlas {
             }
         }
         s.front.close(slot_idx);
-        s.waiters[core].remove(&slot_idx);
+        s.unpark(core, slot_idx);
         s.ctl.note_conn_closed(core);
         s.reg.inc(s.stack.ids.conns_aborted);
     }

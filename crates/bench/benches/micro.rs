@@ -129,7 +129,7 @@ fn bench_store() {
 }
 
 /// Per-core counter families an Atlas server registers for itself.
-const ATLAS_COUNTER_FAMILIES: [&str; 11] = [
+const ATLAS_COUNTER_FAMILIES: [&str; 10] = [
     "atlas.responses",
     "atlas.http_payload_bytes",
     "atlas.disk_read_bytes",
@@ -139,14 +139,13 @@ const ATLAS_COUNTER_FAMILIES: [&str; 11] = [
     "atlas.fetch_retries",
     "atlas.overload.reaped_idle",
     "atlas.overload.aborted_slow",
-    "atlas.bufpool.empty_waits",
     "atlas.bufpool.share_limited",
 ];
 
 /// Set-up costs an Atlas `setup_s` sample pays (wall clock, advisory):
-/// a fresh registry with the 4-core Atlas, tier and front-end families
-/// in `AtlasServer::new`'s order, then a whole default server built
-/// and dropped.
+/// a fresh registry with the 4-core Atlas, buffer-wait, tier and
+/// front-end families in `AtlasServer::new`'s order, then a whole
+/// default server built and dropped.
 fn bench_atlas_setup() {
     let cores = 4;
     bench("obs/register_atlas_tier_ids", 0, || {
@@ -164,9 +163,16 @@ fn bench_atlas_setup() {
             black_box(reg.gauges_per_core(name, cores));
         }
         reg.gauge("atlas.leaked_bufs");
+        for name in ["atlas.bufpool.empty_waits", "atlas.bufpool.futile_wakes"] {
+            black_box(reg.counters_per_core(name, cores));
+        }
         black_box(TierIds::register(&mut reg, cores));
-        for name in ["shed_new", "retry_503", "bad_requests"] {
-            black_box(reg.counters_per_core(&format!("atlas.overload.{name}"), cores));
+        for name in [
+            "atlas.overload.shed_new",
+            "atlas.overload.retry_503",
+            "atlas.overload.bad_requests",
+        ] {
+            black_box(reg.counters_per_core(name, cores));
         }
         black_box(reg);
     });

@@ -528,4 +528,17 @@ mod tests {
             "{crossings} {retransmits}"
         );
     }
+
+    #[test]
+    fn conn_slot_size_budget() {
+        // The record cipher lives out of line and only on a server
+        // that seals; the socket buffer's chunks live on the heap.
+        let size = std::mem::size_of::<dcn_srvcore::ConnSlot<KConn>>();
+        assert!(
+            size <= 536,
+            "ConnSlot<KConn> is {size} B, over its 536 B budget: is \
+             `ConnSlot::cipher` (a {} B RecordCipher) inline again?",
+            std::mem::size_of::<dcn_crypto::RecordCipher>()
+        );
+    }
 }

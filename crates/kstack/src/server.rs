@@ -144,8 +144,6 @@ struct KstackIds {
     responses: Vec<CounterId>,
     disk_read_bytes: Vec<CounterId>,
     fill_retries: Vec<CounterId>,
-    /// Staging passes parked on buffer-cache VM pressure.
-    empty_waits: Vec<CounterId>,
     /// Sample-point gauges, pre-registered so timed metric sampling
     /// does no per-sample name scans (`find_*`/`sum_prefixed` stay
     /// reserved for end-of-run export).
@@ -160,7 +158,6 @@ impl KstackIds {
             responses: reg.counters_per_core("kstack.responses", cores),
             disk_read_bytes: reg.counters_per_core("kstack.disk_read_bytes", cores),
             fill_retries: reg.counters_per_core("kstack.fill_retries", cores),
-            empty_waits: reg.counters_per_core("kstack.bufcache.empty_waits", cores),
             bufcache_hit_ratio: reg.gauge("kstack.bufcache_hit_ratio"),
             nvme_read_errors: reg.gauge("faults.nvme_read_errors"),
             nvme_latency_spikes: reg.gauge("faults.nvme_latency_spikes"),
@@ -238,7 +235,15 @@ impl Stack for Kstack {
             profile: cfg.profile,
             tier: cfg.tier,
             tier_cache: None,
-            prefix: "kstack",
+            front_metrics: [
+                "kstack.overload.shed_new",
+                "kstack.overload.retry_503",
+                "kstack.overload.bad_requests",
+            ],
+            wait_metrics: [
+                "kstack.bufcache.empty_waits",
+                "kstack.bufcache.futile_wakes",
+            ],
             polls: false,
             // The in-kernel stack uses shared kernel queues.
             nvme_qpairs: 1,
@@ -418,7 +423,6 @@ impl Stack for Kstack {
             responses: reg.counter_sum(&ids.responses),
             disk_read_bytes: reg.counter_sum(&ids.disk_read_bytes),
             fetch_retries: reg.counter_sum(&ids.fill_retries),
-            empty_waits: reg.counter_sum(&ids.empty_waits),
             ..front
         }
     }
@@ -557,11 +561,10 @@ impl Kstack {
                 s.cores.run_on(core, now, alloc_cycles);
                 // Park: retried when ACKs unpin socket-buffer pages.
                 s.prof.stall(StallKind::PoolEmpty);
-                if s.waiters[core].insert(slot_idx) {
-                    s.reg.inc(s.stack.ids.empty_waits[core]);
-                }
+                s.park(core, slot_idx);
                 break;
             }
+            s.end_wait(slot_idx);
             s.prof
                 .chunk(ProfStage::Fetch, alloc_cycles + costs.kernel_io_cycles);
             let t_alloc = s
@@ -820,8 +823,8 @@ impl Kstack {
             s.stack.tag_scratch.clear();
             let cipher = s.front.slots[slot_idx]
                 .cipher
-                .as_ref()
-                .expect("encrypted conn");
+                .as_deref()
+                .expect("a full-fidelity TLS server seals");
             // GCM framing restarts at the response body, so a ranged
             // response seals from record 0 of its own stream.
             let rec_off = file_off - st.body_off;

@@ -45,8 +45,11 @@ pub struct ServedWork {
     pub reaped_idle: u64,
     /// Buffer-holding slow readers aborted.
     pub aborted_slow: u64,
-    /// Staging or fetch passes parked on an empty buffer pool.
+    /// Waits on an empty buffer pool: one per wait episode (a
+    /// connection's parks up to its next fetch or its close).
     pub empty_waits: u64,
+    /// Wakes of a parked connection that found the pool still dry.
+    pub futile_wakes: u64,
 }
 
 /// What the front end needs to know about its server.
@@ -54,7 +57,7 @@ pub struct ServedWork {
 pub struct FrontConfig {
     pub endpoint: Endpoint,
     pub tcb: TcbConfig,
-    /// Give every accepted connection a per-session record cipher.
+    /// The stack serves TLS records.
     pub encrypted: bool,
     /// CPU cycles the stack charges per received (non-SYN) segment.
     pub rx_ack_cycles: u64,
@@ -65,8 +68,12 @@ pub struct FrontConfig {
 pub struct ConnSlot<C> {
     pub tcb: Tcb,
     pub parser: RequestParser,
-    /// Per-session record cipher (encrypted runs only).
-    pub cipher: Option<RecordCipher>,
+    /// Per-session record cipher, present only while the server seals
+    /// bytes (TLS at `Fidelity::Full`). A modeled TLS run charges the
+    /// encryption's cycles and memory traffic without the cipher, so
+    /// its connections do not carry one; boxed, so they carry 8 B
+    /// instead of its 464.
+    pub cipher: Option<Box<RecordCipher>>,
     pub core: usize,
     pub flow: FlowId,
     pub conn: C,
@@ -100,6 +107,8 @@ pub type Answer = (ResponseInfo, Option<FileId>);
 /// The connection table, admission, RX demux and request classifier.
 pub struct Front<C> {
     cfg: FrontConfig,
+    /// Build a record cipher per accepted connection.
+    seals: bool,
     pub slots: Vec<ConnSlot<C>>,
     conns: HashMap<FlowId, usize>,
     /// (deadline, slot) index of armed TCB timers.
@@ -125,25 +134,26 @@ pub struct Front<C> {
 }
 
 impl<C: Default> Front<C> {
-    /// A front end with one RX slot per core, counting its admission
-    /// and parse outcomes under `{prefix}.overload.*`.
+    /// A front end with one RX slot per core, counting its refused
+    /// SYNs, 503s and 431s per core under the three given names. With
+    /// `seals`, every accepted connection gets a record cipher.
     #[must_use]
     pub fn new(
         cfg: FrontConfig,
+        seals: bool,
         reg: &mut Registry,
-        prefix: &str,
+        [shed_new, retry_503, bad_requests]: [&str; 3],
         rng: SimRng,
         rx_slots: Vec<PhysRegion>,
         prof: Prof,
     ) -> Self {
         let cores = rx_slots.len();
-        let mut per_core =
-            |name: &str| reg.counters_per_core(&format!("{prefix}.overload.{name}"), cores);
         Front {
-            shed_new: per_core("shed_new"),
-            retry_503: per_core("retry_503"),
-            bad_requests: per_core("bad_requests"),
+            shed_new: reg.counters_per_core(shed_new, cores),
+            retry_503: reg.counters_per_core(retry_503, cores),
+            bad_requests: reg.counters_per_core(bad_requests, cores),
             cfg,
+            seals,
             slots: Vec::new(),
             conns: HashMap::new(),
             timers: BTreeSet::new(),
@@ -198,8 +208,9 @@ impl<C: Default> Front<C> {
     /// Admission control, then accept. The policy sees `snap` (the
     /// server's resources right now) before anything is spent on the
     /// connection: a refused SYN gets an RST — no TCB, no buffer. An
-    /// admitted one gets a TCB with a fresh ISS, its record cipher, a
-    /// slot with default stack state, and a SYN-ACK. Returns the slot.
+    /// admitted one gets a TCB with a fresh ISS, its record cipher if
+    /// the server seals, a slot with default stack state, and a
+    /// SYN-ACK. Returns the slot.
     pub fn accept(
         &mut self,
         now: Nanos,
@@ -223,13 +234,7 @@ impl<C: Default> Front<C> {
         }
         let iss = SeqNumber(self.rng.next_u64() as u32);
         let (tcb, synack) = Tcb::accept(self.cfg.tcb, self.cfg.endpoint, remote, &tcp, iss, now);
-        let cipher = self.cfg.encrypted.then(|| {
-            // Per-session key material (dummy keys, as in §4.2's TLS
-            // emulation — the handshake is out of scope).
-            let mut key = [0u8; 16];
-            dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-            RecordCipher::new(&key, flow.rss_hash())
-        });
+        let cipher = self.seals.then(|| Box::new(session_cipher(flow)));
         let slot = self.slots.len();
         self.slots.push(ConnSlot {
             tcb,
@@ -361,6 +366,16 @@ impl<C> Front<C> {
             dcn_tcpstack::publish_tcb_metrics(reg, core, tcbs.map(|s| &s.tcb));
         }
     }
+}
+
+/// The record cipher of the session on `flow`. Its key material is
+/// derived from the flow (dummy keys, as in §4.2's TLS emulation — the
+/// handshake is out of scope), so the client derives the same one.
+#[must_use]
+pub fn session_cipher(flow: FlowId) -> RecordCipher {
+    let mut key = [0u8; 16];
+    dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
+    RecordCipher::new(&key, flow.rss_hash())
 }
 
 /// 200, 206, 404 or 416 for one parsed GET. A `Range: bytes=N-` resume

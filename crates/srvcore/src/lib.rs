@@ -32,7 +32,7 @@ pub mod tier;
 
 pub use autotune::{AutotuneConfig, IoTuner};
 pub use control::{CoreControl, ServerControl};
-pub use front::{Answer, ConnSlot, Front, FrontConfig, Rx, ServedWork, Syn};
+pub use front::{session_cipher, Answer, ConnSlot, Front, FrontConfig, Rx, ServedWork, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
 pub use server::{Server, Shell, Stack, VideoServer};
 pub use tier::{TierIds, TierMetrics};

@@ -22,7 +22,7 @@ use dcn_mem::{
 };
 use dcn_netdev::{Nic, NicConfig, SentBurst, WireFrame};
 use dcn_nvme::{FirmwareParams, NvmeConfig, NvmeDevice};
-use dcn_obs::{Prof, ProfReport, ProfStage, Registry, Tracer};
+use dcn_obs::{CounterId, Prof, ProfReport, ProfStage, Registry, Tracer};
 use dcn_simcore::{earliest, Nanos, SimRng};
 use dcn_store::{Catalog, CatalogBacking};
 use dcn_tcpstack::TcbEvent;
@@ -46,8 +46,12 @@ pub struct Shell {
     pub profile: bool,
     pub tier: Option<TierConfig>,
     pub tier_cache: Option<CacheConfig>,
-    /// Metric-name prefix of the front end's counters.
-    pub prefix: &'static str,
+    /// Names of the front end's per-core counters: refused SYNs, 503s
+    /// and 431s.
+    pub front_metrics: [&'static str; 3],
+    /// Names of the per-core buffer-wait counters: empty waits and
+    /// futile wakes.
+    pub wait_metrics: [&'static str; 2],
     /// Do the cores busy-poll (charge idle time as busy)?
     pub polls: bool,
     /// I/O queue pairs per NVMe device.
@@ -95,7 +99,7 @@ pub trait Stack: Sized {
     fn on_retransmit(s: &mut Server<Self>, now: Nanos, slot: usize, offset: u64, len: u64);
     /// After a batch of TCB events on `slot`: move data toward the wire.
     fn after_events(s: &mut Server<Self>, now: Nanos, slot: usize);
-    /// Service a connection parked in [`Server::waiters`], and re-index
+    /// Service a connection parked by [`Server::park`], and re-index
     /// its timer.
     fn wake(s: &mut Server<Self>, now: Nanos, slot: usize);
     /// The stack's own work at a wake-up: storage completions, retries,
@@ -163,9 +167,9 @@ pub struct Server<S: Stack> {
     /// Per-stage cycle/DRAM profiler, shared with the CoreSet and the
     /// MemSystem; a no-op unless the config asks for it.
     pub prof: Prof,
-    /// Connections parked on an empty buffer pool, per core; each is
+    /// Connections parked on an empty buffer pool; each is
     /// re-serviced by [`Server::wake_waiters`].
-    pub waiters: Vec<BTreeSet<usize>>,
+    waiters: Waiters,
     /// Tiering engine (`None` unless the config sets a tier).
     pub tier: Option<TierEngine>,
     /// `tier.*` metric handles (present with a tier or a DMA cache).
@@ -223,12 +227,17 @@ impl<S: Stack> Server<S> {
                     .collect()
             })
             .unwrap_or_default();
+        let waiters = Waiters::register(&mut reg, sh.wait_metrics, sh.cores);
         let tier_ids =
             (tier.is_some() || cache.is_some()).then(|| TierIds::register(&mut reg, sh.cores));
+        // A modeled run charges encryption without sealing bytes, so
+        // only a full-fidelity TLS server needs record ciphers.
+        let seals = sh.front.encrypted && sh.fidelity == Fidelity::Full;
         let front = Front::new(
             sh.front,
+            seals,
             &mut reg,
-            sh.prefix,
+            sh.front_metrics,
             SimRng::new(seed ^ sh.front_salt),
             rx_slots,
             prof.clone(),
@@ -246,7 +255,7 @@ impl<S: Stack> Server<S> {
                 seed ^ sh.ctl_salt,
                 sh.cores,
             ),
-            waiters: vec![BTreeSet::new(); sh.cores],
+            waiters,
             cfg,
             mem,
             host: HostMem::new(),
@@ -317,13 +326,43 @@ impl<S: Stack> Server<S> {
     }
 
     /// Re-service every parked connection, core by core. A connection
-    /// still short of buffers parks itself again.
+    /// still short of buffers parks itself again: a futile wake.
     pub fn wake_waiters(&mut self, now: Nanos) {
-        for core in 0..self.waiters.len() {
-            for slot in std::mem::take(&mut self.waiters[core]) {
+        for core in 0..self.waiters.parked.len() {
+            for slot in std::mem::take(&mut self.waiters.parked[core]) {
                 S::wake(self, now, slot);
+                if self.waiters.parked[core].contains(&slot) {
+                    self.reg.inc(self.waiters.futile_wakes[core]);
+                }
             }
         }
+    }
+
+    /// Park `slot` on `core`'s waiter list: its allocation came up
+    /// empty. The first park of a wait episode counts one empty wait.
+    pub fn park(&mut self, core: usize, slot: usize) {
+        let w = &mut self.waiters;
+        w.parked[core].insert(slot);
+        if w.waiting.len() <= slot {
+            w.waiting.resize(slot + 1, false);
+        }
+        if !std::mem::replace(&mut w.waiting[slot], true) {
+            self.reg.inc(w.empty_waits[core]);
+        }
+    }
+
+    /// `slot` issued its fetch: its wait episode, if any, is over.
+    pub fn end_wait(&mut self, slot: usize) {
+        if let Some(w) = self.waiters.waiting.get_mut(slot) {
+            *w = false;
+        }
+    }
+
+    /// `slot` closed: take it off `core`'s waiter list and end its
+    /// wait episode.
+    pub fn unpark(&mut self, core: usize, slot: usize) {
+        self.waiters.parked[core].remove(&slot);
+        self.end_wait(slot);
     }
 
     /// DMA buffers currently free across pools (0 without pools).
@@ -336,6 +375,29 @@ impl<S: Stack> Server<S> {
     #[must_use]
     pub fn pool_capacity(&self) -> u32 {
         S::pool(self).map_or(0, |(_, cap)| cap)
+    }
+}
+
+/// Connections parked on an empty buffer pool, per core, and how they
+/// wait. A wait episode starts at a connection's first park and ends
+/// when it issues its fetch or closes; `empty_waits` counts episodes
+/// and `futile_wakes` the wakes that re-parked.
+struct Waiters {
+    parked: Vec<BTreeSet<usize>>,
+    /// Per slot: inside a wait episode?
+    waiting: Vec<bool>,
+    empty_waits: Vec<CounterId>,
+    futile_wakes: Vec<CounterId>,
+}
+
+impl Waiters {
+    fn register(reg: &mut Registry, [empty, futile]: [&str; 2], cores: usize) -> Self {
+        Waiters {
+            parked: vec![BTreeSet::new(); cores],
+            waiting: Vec::new(),
+            empty_waits: reg.counters_per_core(empty, cores),
+            futile_wakes: reg.counters_per_core(futile, cores),
+        }
     }
 }
 
@@ -388,6 +450,9 @@ pub trait VideoServer {
     fn is_shedding(&self) -> bool;
     /// The work served so far, read through the counter handles.
     fn served(&self) -> ServedWork;
+    /// Connections holding a record cipher: only a server that seals
+    /// bytes builds them.
+    fn record_ciphers(&self) -> usize;
 }
 
 impl<S: Stack> VideoServer for Server<S> {
@@ -514,6 +579,17 @@ impl<S: Stack> VideoServer for Server<S> {
     }
 
     fn served(&self) -> ServedWork {
-        S::stack_served(self, self.front.served(&self.reg))
+        let w = &self.waiters;
+        let front = ServedWork {
+            empty_waits: self.reg.counter_sum(&w.empty_waits),
+            futile_wakes: self.reg.counter_sum(&w.futile_wakes),
+            ..self.front.served(&self.reg)
+        };
+        S::stack_served(self, front)
+    }
+
+    fn record_ciphers(&self) -> usize {
+        let slots = &self.front.slots;
+        slots.iter().filter(|s| s.cipher.is_some()).count()
     }
 }

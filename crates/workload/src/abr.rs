@@ -19,6 +19,7 @@
 use dcn_obs::qoe::{PlayoutSim, QoeStats};
 use dcn_simcore::Nanos;
 use dcn_store::{AbrManifest, FileId};
+use std::rc::Rc;
 
 /// Rung-selection policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -146,7 +147,8 @@ struct SegFetch {
 
 /// Per-client adaptive-streaming state machine.
 pub struct AbrSession {
-    manifest: AbrManifest,
+    /// Shared by every session of a fleet.
+    manifest: Rc<AbrManifest>,
     cfg: AbrConfig,
     title: u64,
     /// Monotone playout position; manifest segment = this mod
@@ -163,7 +165,8 @@ pub struct AbrSession {
 
 impl AbrSession {
     #[must_use]
-    pub fn new(manifest: AbrManifest, cfg: AbrConfig, title: u64) -> Self {
+    pub fn new(manifest: impl Into<Rc<AbrManifest>>, cfg: AbrConfig, title: u64) -> Self {
+        let manifest = manifest.into();
         assert!(title < manifest.n_titles());
         assert!(cfg.startup <= cfg.target && cfg.resume < cfg.target);
         AbrSession {

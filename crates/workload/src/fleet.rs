@@ -12,6 +12,7 @@ use dcn_simcore::{Nanos, SimRng, TimeBuckets};
 use dcn_store::{AbrManifest, Catalog};
 use dcn_tcpstack::{ClientConn, Endpoint};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Workload shape.
 #[derive(Clone, Copy, Debug)]
@@ -81,8 +82,9 @@ struct Client {
     /// Send time of the oldest unanswered request (TTFB clock; spans
     /// 503 retries, so backoff shows up in the latency tail).
     ttfb_pending: Option<Nanos>,
-    /// Adaptive-streaming state (Some iff `FleetConfig::abr`).
-    abr: Option<AbrSession>,
+    /// Adaptive-streaming state (Some iff `FleetConfig::abr`), out of
+    /// line so a fixed-rate client carries 8 B for it.
+    abr: Option<Box<AbrSession>>,
 }
 
 /// The fleet.
@@ -108,8 +110,9 @@ pub struct ClientFleet {
     /// Time-to-first-body-byte samples (request send → first body
     /// byte), including any 503 backoff.
     pub ttfb: Vec<Nanos>,
-    /// The ABR manifest (Some iff `FleetConfig::abr`).
-    manifest: Option<AbrManifest>,
+    /// The ABR manifest (Some iff `FleetConfig::abr`), shared by every
+    /// session and verifier.
+    manifest: Option<Rc<AbrManifest>>,
     /// On-off pauses: (resume time, client index), fired by the
     /// harness via [`ClientFleet::fire_paced`] — the same deferred-
     /// wake discipline as `pending_retries`.
@@ -168,7 +171,7 @@ pub struct ClientTx {
 impl ClientFleet {
     #[must_use]
     pub fn new(cfg: FleetConfig, catalog: Catalog, _seed: u64) -> Self {
-        let manifest = cfg.abr.map(|_| AbrManifest::eval(&catalog));
+        let manifest = cfg.abr.map(|_| Rc::new(AbrManifest::eval(&catalog)));
         ClientFleet {
             cfg,
             catalog,
@@ -236,7 +239,11 @@ impl ClientFleet {
         // against the claimed rung's chunk range.
         let abr = self.cfg.abr.map(|acfg| {
             let m = self.manifest.as_ref().expect("manifest built with abr");
-            AbrSession::new(m.clone(), acfg, rng.gen_range(0, m.n_titles()))
+            Box::new(AbrSession::new(
+                Rc::clone(m),
+                acfg,
+                rng.gen_range(0, m.n_titles()),
+            ))
         });
         self.clients.push(Client {
             stream: ClientStream::new(conn, self.manifest.as_ref(), self.cfg.verify),
@@ -274,9 +281,8 @@ impl ClientFleet {
             &frames,
             &mut client.stream,
             &mut client.driver,
-            self.cfg
-                .verify
-                .then_some((&self.catalog, &mut self.verify_stats)),
+            &self.catalog,
+            &mut self.verify_stats,
         );
 
         // Application layer: account the delivered stream bytes.
@@ -351,7 +357,6 @@ impl ClientFleet {
     /// in the "off" phase — the resume is parked in `pending_paced`
     /// and fired by the harness.
     fn next_request(&mut self, now: Nanos, idx: usize) -> Option<WireFrame> {
-        let verify = self.cfg.verify;
         let client = &mut self.clients[idx];
         let (file, claim) = if let Some(abr) = client.abr.as_mut() {
             abr.note_first_request(now);
@@ -373,13 +378,11 @@ impl ClientFleet {
         } else {
             (client.driver.next_file(), None)
         };
-        if verify {
-            client.stream.outstanding.push_back(Expected {
-                file,
-                base: 0,
-                claim,
-            });
-        }
+        client.stream.expect(Expected {
+            file,
+            base: 0,
+            claim,
+        });
         if client.ttfb_pending.is_none() {
             client.ttfb_pending = Some(now);
         }
@@ -523,6 +526,15 @@ impl ClientFleet {
             return 0.0;
         }
         normal.iter().filter(|c| c.done_at_least_one).count() as f64 / normal.len() as f64
+    }
+
+    /// Clients whose connection carries an oracle.
+    #[cfg(test)]
+    pub(crate) fn oracles(&self) -> usize {
+        self.clients
+            .iter()
+            .filter(|c| c.stream.oracle.is_some())
+            .count()
     }
 
     /// Total dup-ACKs the fleet generated (loss diagnostics).
@@ -696,5 +708,19 @@ mod tests {
         assert_eq!(stats.failures, 0);
         assert_eq!(stats.verified_bytes, file_size);
         assert!(outstanding.is_empty(), "response consumed");
+    }
+
+    #[test]
+    fn client_size_budget() {
+        // A modeled run's clients carry neither the oracle nor, at a
+        // fixed rate, an ABR session: both live out of line.
+        let size = std::mem::size_of::<Client>();
+        assert!(
+            size <= 432,
+            "fleet Client is {size} B, over its 432 B budget: is \
+             `ClientStream::oracle` ({} B) or `Client::abr` ({} B) inline again?",
+            std::mem::size_of::<crate::receive::Oracle>(),
+            std::mem::size_of::<AbrSession>()
+        );
     }
 }

@@ -30,6 +30,7 @@ use dcn_simcore::{Nanos, SimRng, TimeBuckets};
 use dcn_store::{AbrManifest, Catalog, FileId};
 use dcn_tcpstack::{client::ClientState, ClientConn, Endpoint};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::fleet::{AbrReadout, ClientTx, FleetConfig};
 
@@ -74,8 +75,9 @@ struct MClient {
     /// reuses a flow id.
     next_port: u16,
     done_at_least_one: bool,
-    /// Adaptive-streaming state (Some iff `FleetConfig::abr`).
-    abr: Option<AbrSession>,
+    /// Adaptive-streaming state (Some iff `FleetConfig::abr`), out of
+    /// line so a fixed-rate client carries 8 B for it.
+    abr: Option<Box<AbrSession>>,
 }
 
 /// What `on_burst` produced: reply frames plus how many responses
@@ -113,15 +115,16 @@ pub struct MultiFleet {
     paced: u64,
     /// Plaintext bytes the range resumes did *not* re-download.
     pub resumed_bytes_saved: u64,
-    /// The ABR manifest (Some iff `FleetConfig::abr`).
-    manifest: Option<AbrManifest>,
+    /// The ABR manifest (Some iff `FleetConfig::abr`), shared by every
+    /// session and verifier.
+    manifest: Option<Rc<AbrManifest>>,
 }
 
 impl MultiFleet {
     #[must_use]
     pub fn new(cfg: FleetConfig, catalog: Catalog, endpoints: Vec<Endpoint>) -> Self {
         assert!(!endpoints.is_empty(), "need at least one server");
-        let manifest = cfg.abr.map(|_| AbrManifest::eval(&catalog));
+        let manifest = cfg.abr.map(|_| Rc::new(AbrManifest::eval(&catalog)));
         MultiFleet {
             cfg,
             catalog,
@@ -170,7 +173,11 @@ impl MultiFleet {
         };
         let abr = self.cfg.abr.map(|acfg| {
             let m = self.manifest.as_ref().expect("manifest built with abr");
-            AbrSession::new(m.clone(), acfg, rng.gen_range(0, m.n_titles()))
+            Box::new(AbrSession::new(
+                Rc::clone(m),
+                acfg,
+                rng.gen_range(0, m.n_titles()),
+            ))
         });
         self.clients.push(MClient {
             driver,
@@ -230,7 +237,6 @@ impl MultiFleet {
     /// connection lazily; the request rides once the handshake is
     /// done. Returns frames to inject into the network.
     pub fn request(&mut self, need: RequestNeed, server: usize) -> ClientTx {
-        let verify = self.cfg.verify;
         let idx = need.client;
         let client = &mut self.clients[idx];
         client.current = Some((server, need.file, need.base));
@@ -248,9 +254,7 @@ impl MultiFleet {
         };
         if let Some(cs) = client.conns[server].as_mut() {
             if matches!(cs.stream.conn.state, ClientState::Established) {
-                if verify {
-                    cs.stream.outstanding.push_back(expected);
-                }
+                cs.stream.expect(expected);
                 let f = cs.stream.conn.send(get_bytes(need));
                 return ClientTx {
                     flow: cs.stream.conn.flow(),
@@ -270,7 +274,7 @@ impl MultiFleet {
         let (conn, syn) = ClientConn::connect(local, self.endpoints[server], iss, 4 << 20);
         let flow = conn.flow();
         client.conns[server] = Some(ConnState {
-            stream: ClientStream::new(conn, self.manifest.as_ref(), verify),
+            stream: ClientStream::new(conn, self.manifest.as_ref(), self.cfg.verify),
             pending: Some(expected),
         });
         self.by_flow.insert(flow, (idx, server));
@@ -296,9 +300,8 @@ impl MultiFleet {
             &frames,
             &mut cs.stream,
             &mut client.driver,
-            self.cfg
-                .verify
-                .then_some((&self.catalog, &mut self.verify_stats)),
+            &self.catalog,
+            &mut self.verify_stats,
         );
 
         let mut completed = 0;
@@ -321,9 +324,7 @@ impl MultiFleet {
         // Handshake completed → release the parked request.
         if matches!(cs.stream.conn.state, ClientState::Established) {
             if let Some(exp) = cs.pending.take() {
-                if self.cfg.verify {
-                    cs.stream.outstanding.push_back(exp);
-                }
+                cs.stream.expect(exp);
                 let need = RequestNeed {
                     client: idx,
                     file: exp.file,
@@ -510,5 +511,35 @@ mod tests {
         assert!(fleet.fail_server(0).is_empty());
         // Killing server 1 yields the plan.
         assert_eq!(fleet.fail_server(1).len(), 1);
+    }
+
+    #[test]
+    fn client_size_budget() {
+        // Connections live in `MClient::conns` on the heap; the ABR
+        // session lives out of line.
+        let size = std::mem::size_of::<MClient>();
+        assert!(
+            size <= 408,
+            "MultiFleet MClient is {size} B, over its 408 B budget: is \
+             `MClient::abr` ({} B) inline again?",
+            std::mem::size_of::<AbrSession>()
+        );
+    }
+
+    #[test]
+    fn oracles_exist_only_when_verifying() {
+        for verify in [false, true] {
+            let cat = Catalog::new(1000, 300 * 1024, 4, 7);
+            let cfg = FleetConfig {
+                verify,
+                ..FleetConfig::default()
+            };
+            let mut fleet = MultiFleet::new(cfg, cat, endpoints(1));
+            fleet.spawn(0, 9);
+            let need = fleet.next_need(0);
+            fleet.request(need, 0);
+            let cs = fleet.clients[0].conns[0].as_ref().expect("opened");
+            assert_eq!(cs.stream.oracle.is_some(), verify);
+        }
     }
 }

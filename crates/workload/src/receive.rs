@@ -2,9 +2,9 @@
 //!
 //! A burst of frames goes through the connection's TCP receiver into
 //! one fleet-owned delivery buffer, the ACKs become wire frames, and
-//! the delivered bytes go to the request driver and — at full
-//! fidelity — the stream verifier. Payloads stay borrowed from their
-//! frames up to the delivery buffer, and the verifier checks them
+//! the delivered bytes go to the request driver and — when the fleet
+//! verifies — the connection's oracle. Payloads stay borrowed from
+//! their frames up to the delivery buffer, and the verifier checks them
 //! there, so no client keeps a copy of a burst once it is processed.
 
 use crate::verify::{Expected, StreamVerifier, VerifyStats};
@@ -15,35 +15,50 @@ use dcn_simcore::Nanos;
 use dcn_store::{AbrManifest, Catalog};
 use dcn_tcpstack::{client::ClientFrame, ClientConn};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
-/// One client connection's receive side: the TCP receiver, the
-/// session cipher, and the verifier with the responses it expects.
+/// One client connection's receive side: the TCP receiver and, when
+/// the fleet verifies, its oracle.
 pub(crate) struct ClientStream {
     pub(crate) conn: ClientConn,
-    pub(crate) cipher: RecordCipher,
-    pub(crate) verifier: StreamVerifier,
+    /// Present only when the fleet verifies (full fidelity). Boxed: a
+    /// modeled run's connections carry 8 B instead of its 560.
+    pub(crate) oracle: Option<Box<Oracle>>,
+}
+
+/// What checks one connection's delivered bytes: the session cipher,
+/// and the verifier with the responses it expects.
+pub(crate) struct Oracle {
+    cipher: RecordCipher,
+    verifier: StreamVerifier,
     /// Requested files, front = response currently arriving.
-    pub(crate) outstanding: VecDeque<Expected>,
+    outstanding: VecDeque<Expected>,
 }
 
 impl ClientStream {
-    /// Wrap a fresh connection. The session key is derived from the
-    /// flow the same way the server derives it (§4.2's TLS emulation:
-    /// handshake out of scope, keys pre-shared). ABR fleets that
-    /// verify check every response against the manifest too.
-    pub(crate) fn new(conn: ClientConn, manifest: Option<&AbrManifest>, verify: bool) -> Self {
-        let flow = conn.flow();
-        let mut key = [0u8; 16];
-        dcn_simcore::prf_bytes(u64::from(flow.rss_hash()) ^ 0x6B65_7931, 0, &mut key);
-        let verifier = match (manifest, verify) {
-            (Some(m), true) => StreamVerifier::with_manifest(m.clone()),
-            _ => StreamVerifier::new(),
-        };
-        ClientStream {
-            conn,
-            cipher: RecordCipher::new(&key, flow.rss_hash()),
-            verifier,
-            outstanding: VecDeque::new(),
+    /// Wrap a fresh connection, with an oracle if the fleet verifies.
+    /// Its session key is derived from the flow the same way the
+    /// server derives it (§4.2's TLS emulation: handshake out of
+    /// scope, keys pre-shared). ABR fleets also check every response
+    /// against the manifest.
+    pub(crate) fn new(conn: ClientConn, manifest: Option<&Rc<AbrManifest>>, verify: bool) -> Self {
+        let oracle = verify.then(|| {
+            Box::new(Oracle {
+                cipher: dcn_srvcore::session_cipher(conn.flow()),
+                verifier: manifest.map_or_else(StreamVerifier::new, |m| {
+                    StreamVerifier::with_manifest(Rc::clone(m))
+                }),
+                outstanding: VecDeque::new(),
+            })
+        });
+        ClientStream { conn, oracle }
+    }
+
+    /// A request went out: verify its response after those already
+    /// expected.
+    pub(crate) fn expect(&mut self, exp: Expected) {
+        if let Some(oracle) = self.oracle.as_mut() {
+            oracle.outstanding.push_back(exp);
         }
     }
 }
@@ -66,15 +81,16 @@ pub(crate) struct Receiver {
 impl Receiver {
     /// Run one burst through `stream` and `driver`. Returns the ACK
     /// frames to send and, if the burst delivered stream bytes, what
-    /// the application made of them. With `oracle` set, every
-    /// delivered byte is verified into its stats.
+    /// the application made of them. A stream with an oracle verifies
+    /// every delivered byte into `stats`.
     pub(crate) fn on_burst(
         &mut self,
         now: Nanos,
         frames: &[WireFrame],
         stream: &mut ClientStream,
         driver: &mut RequestDriver,
-        oracle: Option<(&Catalog, &mut VerifyStats)>,
+        catalog: &Catalog,
+        stats: &mut VerifyStats,
     ) -> (Vec<WireFrame>, Option<Delivered>) {
         let segments = frames
             .iter()
@@ -86,14 +102,9 @@ impl Receiver {
         }
         let body_before = driver.body_bytes;
         let completed = driver.on_bytes(&self.inbox);
-        if let Some((catalog, stats)) = oracle {
-            stream.verifier.push(
-                &self.inbox,
-                &mut stream.outstanding,
-                catalog,
-                &stream.cipher,
-                stats,
-            );
+        if let Some(o) = stream.oracle.as_mut() {
+            o.verifier
+                .push(&self.inbox, &mut o.outstanding, catalog, &o.cipher, stats);
         }
         let delivered = Delivered {
             body_bytes: driver.body_bytes - body_before,

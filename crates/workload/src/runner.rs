@@ -147,8 +147,11 @@ pub struct OverloadMetrics {
     pub reaped_idle: u64,
     /// Buffer-holding slow readers aborted (Atlas).
     pub aborted_slow: u64,
-    /// Staging/fetch passes parked on an empty buffer pool.
+    /// Waits on an empty buffer pool, one per wait episode (a
+    /// connection's parks up to its next fetch or its close).
     pub empty_waits: u64,
+    /// Wakes of a parked connection that found the pool still dry.
+    pub futile_wakes: u64,
     /// Clients that observed a server RST (refused or aborted).
     pub client_resets: u64,
     /// 503 responses the fleet received.
@@ -271,6 +274,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         reaped_idle: served.reaped_idle,
         aborted_slow: served.aborted_slow,
         empty_waits: served.empty_waits,
+        futile_wakes: served.futile_wakes,
         client_resets: fleet.resets_received(),
         client_503s: fleet.rejections_503(),
         client_retries: fleet.retries_fired,
@@ -371,6 +375,7 @@ mod tests {
             reaped_idle: sum(&["atlas.overload.reaped_idle"]),
             aborted_slow: sum(&["atlas.overload.aborted_slow"]),
             empty_waits: sum(&["atlas.bufpool.empty_waits", "kstack.bufcache.empty_waits"]),
+            futile_wakes: sum(&["atlas.bufpool.futile_wakes", "kstack.bufcache.futile_wakes"]),
         }
     }
 
@@ -443,6 +448,50 @@ mod tests {
             assert_eq!(rto_fired as f64, reg.sum_prefixed_gauge("tcp.rto_fired"));
             // Loss engaged the timer: the comparison is not 0 == 0.
             assert!(rto_fired > 0, "{}", server.label());
+        }
+    }
+
+    #[test]
+    fn record_ciphers_and_oracles_exist_only_when_sealing() {
+        // A modeled TLS run charges encryption without sealing bytes,
+        // so neither end builds a cipher; a full-fidelity one builds a
+        // server cipher and a client oracle per connection, and the
+        // oracle checks what the clients received: every byte but the
+        // record each connection still has in flight when the run ends
+        // (a record verifies once its tag arrives).
+        for fidelity in [Fidelity::Modeled, Fidelity::Full] {
+            let servers = [
+                ServerKind::Atlas(AtlasConfig {
+                    encrypted: true,
+                    fidelity,
+                    ..AtlasConfig::default()
+                }),
+                ServerKind::Kstack(KstackConfig {
+                    encrypted: true,
+                    fidelity,
+                    ..KstackConfig::netflix()
+                }),
+            ];
+            for server in servers {
+                let sc = Scenario::smoke(server, 8, 23);
+                let run = run_lone(&sc, &ObsOptions::disabled());
+                let (server, fleet) = (&run.net.tb.servers[0], &run.client);
+                let full = fidelity == Fidelity::Full;
+                let built = if full { fleet.n_clients() } else { 0 };
+                let label = server.label();
+                assert_eq!(server.record_ciphers(), built, "{label}");
+                assert_eq!(fleet.oracles(), built, "{label}");
+                assert!(fleet.total_body_bytes > 0, "{label}");
+                let stats = fleet.verify_stats;
+                assert_eq!(stats.failures, 0, "{label}");
+                if full {
+                    let cut = fleet.n_clients() as u64 * dcn_crypto::RECORD_PAYLOAD_MAX;
+                    let unverified = fleet.total_body_bytes - stats.verified_bytes;
+                    assert!(unverified < cut, "{label}: {unverified} B unverified");
+                } else {
+                    assert_eq!(stats.verified_bytes, 0, "{label}");
+                }
+            }
         }
     }
 }

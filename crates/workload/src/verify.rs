@@ -17,6 +17,7 @@ use dcn_crypto::{RecordCipher, GCM_TAG_LEN, RECORD_HEADER_LEN, RECORD_PAYLOAD_MA
 use dcn_httpd::response::scan_response_head;
 use dcn_store::{AbrManifest, Catalog, FileId};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Outcome counters of stream verification.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -109,8 +110,9 @@ pub struct StreamVerifier {
     /// record is assembled and opened.
     buf: Vec<u8>,
     pos: Position,
-    /// ABR manifest for rung-claim checks (None for fixed workloads).
-    manifest: Option<AbrManifest>,
+    /// ABR manifest for rung-claim checks (None for fixed workloads),
+    /// shared with the fleet.
+    manifest: Option<Rc<AbrManifest>>,
 }
 
 impl Default for StreamVerifier {
@@ -132,9 +134,9 @@ impl StreamVerifier {
     /// A verifier that additionally checks each response's delivered
     /// chunk against the manifest range of the client's rung claim.
     #[must_use]
-    pub fn with_manifest(manifest: AbrManifest) -> Self {
+    pub fn with_manifest(manifest: impl Into<Rc<AbrManifest>>) -> Self {
         StreamVerifier {
-            manifest: Some(manifest),
+            manifest: Some(manifest.into()),
             ..Self::new()
         }
     }

@@ -349,3 +349,32 @@ fn abr_on_off_bursts_do_not_trip_admission_at_sub_capacity() {
     assert_eq!(abr.qoe.sessions, 24);
     assert_eq!(abr.qoe.started, 24, "every client reaches steady playback");
 }
+
+#[test]
+fn empty_waits_count_wait_episodes_not_re_parks() {
+    // One core's four 4-buffer pools starve 64 clients: fetches park
+    // on the dry pools, and every TX drain wakes every parked
+    // connection, most of which re-park. A wait episode ends with a
+    // fetch or a close, so the episodes cannot outnumber the fetches
+    // issued (completed reads plus at most one in flight per buffer)
+    // and the connections.
+    let cfg = AtlasConfig {
+        cores: 1,
+        bufs_per_queue: 4,
+        ..AtlasConfig::default()
+    };
+    let sc = Scenario::smoke(ServerKind::Atlas(cfg.clone()), 64, 29);
+    let m = run_scenario(&sc);
+    eprintln!("{:?} disk_reads={}", m.overload, m.disk_reads);
+    assert_overload_invariants(&m);
+    let pool = u64::from(cfg.bufs_per_queue) * sc.catalog.n_disks() as u64;
+    assert!(m.overload.empty_waits > 0, "{:?}", m.overload);
+    assert!(
+        m.overload.empty_waits <= m.disk_reads + pool + sc.fleet.n_clients as u64,
+        "{} empty waits for {} reads: {:?}",
+        m.overload.empty_waits,
+        m.disk_reads,
+        m.overload
+    );
+    assert!(m.overload.futile_wakes > 0, "{:?}", m.overload);
+}
