@@ -27,6 +27,9 @@ cargo test -q --release --test cluster
 echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop and the one server shell both stacks plug into, pinned to exact counts and goodput bits; front-end answers on both stacks)"
 cargo test -q --release --test testbed --test front_end
 
+echo "==> knob census (the settable fields of every public server and workload config, pinned by name)"
+cargo test -q --release --test knobs
+
 echo "==> metrics registry gate (keyed per-core series vs an in-test copy of the string-scan reference registry: handles, export names and order, by-name reads)"
 cargo test -q --release -p dcn-obs registry
 

@@ -13,16 +13,21 @@ use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc};
 /// that route frames by flow.
 pub use dcn_netdev::parse_frame;
 use dcn_netdev::{NicConfig, SentBurst, SgList};
-use dcn_nvme::{FirmwareParams, NvmeConfig, NvmeDevice};
+use dcn_nvme::{FirmwareParams, NvmeDevice};
 use dcn_obs::{ChunkKind, CounterId, GaugeId, ProfStage, Registry, Stage, StallKind, Tracer};
 use dcn_simcore::{earliest, prf_bytes, Nanos};
+use dcn_srvcore::overload::{
+    DRAIN_WINDOW, HEADER_TIMEOUT, IDLE_TIMEOUT, MIN_DRAIN_BYTES_PER_SEC, RETX_RESERVE_BUFS,
+    SWEEP_INTERVAL,
+};
 use dcn_srvcore::{
-    AdmissionConfig, Answer, AutotuneConfig, FrontConfig, LadderLevel, ResourceSnapshot,
-    ServedWork, Server, Shell, Stack,
+    AdmissionConfig, Answer, FrontConfig, LadderLevel, ResourceSnapshot, ServedWork, Server, Shell,
+    Stack, NVME_QUEUE_DEPTH, SERVER_ENDPOINT,
 };
 use dcn_store::Catalog;
 use dcn_tcpstack::{Endpoint, TcbConfig};
-use dcn_tier::{CacheConfig, GetTicket, Placement, TierConfig};
+use dcn_tier::cache::INSERT_MIN_HEAT;
+use dcn_tier::{GetTicket, Placement, TierConfig};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -58,29 +63,15 @@ pub struct AtlasConfig {
     /// bit-identical either way — the profiler only records, it never
     /// alters completion times.
     pub profile: bool,
-    /// Recovery policy: how many times a failed *fresh* disk read is
-    /// retried (with exponential backoff) before the connection is
-    /// degraded. Failed retransmit fetches don't consume this budget
-    /// per-fetch — the RTO re-drives them — but count toward
-    /// `max_conn_failures`.
-    pub max_fetch_retries: u32,
-    /// Recovery policy: consecutive fetch failures (any kind, reset
-    /// by any success) after which the connection is aborted — the
-    /// graceful per-connection degradation bound.
-    pub max_conn_failures: u32,
-    /// Base delay before re-issuing a failed fetch (doubles per
-    /// attempt).
-    pub fetch_retry_backoff: Nanos,
-    /// Overload policy: admission watermarks, slow-client deadlines,
-    /// and the degradation ladder (defaults never engage in ordinary
-    /// runs).
+    /// Overload policy: the connection cap and the admission
+    /// watermarks (defaults never engage in ordinary runs).
     pub admission: AdmissionConfig,
     /// Online I/O-window autotuner. Off by default: `watermark` is
     /// used verbatim, reproducing the paper's fixed 10×MSS constant.
-    /// When enabled, each core's tuner moves the fetch watermark and
-    /// an in-flight read cap between a floor and a ceiling, driven by
+    /// When on, each core's tuner moves the fetch watermark and an
+    /// in-flight read cap between a floor and a ceiling, driven by
     /// NVMe completion latency and SQ occupancy.
-    pub autotune: AutotuneConfig,
+    pub autotune: bool,
     /// Tiered catalog. When set, only the popular head of the catalog
     /// is resident on the NVMe flat namespace; everything else is
     /// fetched on demand from a simulated cold object store, with
@@ -89,10 +80,10 @@ pub struct AtlasConfig {
     /// bit-identically.
     pub tier: Option<TierConfig>,
     /// Hot-chunk DMA cache — the buffer-cache ablation. Independent
-    /// knob so `ablation_tiers` can sweep {no-cache, cache} × {flat,
+    /// switch so `ablation_tiers` can sweep {no-cache, cache} × {flat,
     /// tiered}. Cache fills/hits charge the memory system for every
     /// copy, so DRAM-bytes-per-net-byte reports the cache's true cost.
-    pub tier_cache: Option<CacheConfig>,
+    pub tier_cache: bool,
 }
 
 impl Default for AtlasConfig {
@@ -112,23 +103,29 @@ impl Default for AtlasConfig {
             llc: LlcConfig::xeon_e5_2667v3(),
             costs: CostParams::default(),
             fidelity: Fidelity::Full,
-            server_endpoint: Endpoint {
-                mac: dcn_packet::MacAddr::from_host_id(1),
-                ip: dcn_packet::Ipv4Addr::new(10, 0, 0, 1),
-                port: 80,
-            },
+            server_endpoint: SERVER_ENDPOINT,
             trace: false,
             profile: false,
-            max_fetch_retries: 3,
-            max_conn_failures: 8,
-            fetch_retry_backoff: Nanos::from_micros(50),
             admission: AdmissionConfig::default(),
-            autotune: AutotuneConfig::default(),
+            autotune: false,
             tier: None,
-            tier_cache: None,
+            tier_cache: false,
         }
     }
 }
+
+/// Recovery policy: how many times a failed *fresh* disk read is
+/// retried (with exponential backoff) before the connection is
+/// degraded. Failed retransmit fetches don't consume this budget
+/// per-fetch — the RTO re-drives them — but count toward
+/// [`MAX_CONN_FAILURES`].
+pub const MAX_FETCH_RETRIES: u32 = 3;
+/// Recovery policy: consecutive fetch failures (any kind, reset by
+/// any success) after which the connection is aborted — the graceful
+/// per-connection degradation bound.
+pub const MAX_CONN_FAILURES: u32 = 8;
+/// Base delay before re-issuing a failed fetch (doubles per attempt).
+pub const FETCH_RETRY_BACKOFF: Nanos = Nanos::from_micros(50);
 
 /// Pre-registered registry handles for the per-chunk hot path: one
 /// counter per (signal, core), indexed by core — incrementing is a
@@ -353,7 +350,7 @@ impl Stack for Atlas {
             },
             ids: AtlasIds::register(reg, cfg.cores),
             trace_rx_at: Nanos::ZERO,
-            next_sweep: cfg.admission.sweep_interval,
+            next_sweep: SWEEP_INTERVAL,
             dirty_doorbells: BTreeMap::new(),
             completed_scratch: Vec::new(),
             sweep_serial: 0,
@@ -371,7 +368,7 @@ impl Stack for Atlas {
     /// worst (maximum) NVMe SQ occupancy across the core's per-disk
     /// queues.
     fn snapshot(s: &AtlasServer, core: usize) -> ResourceSnapshot {
-        let sq_depth = f64::from(NvmeConfig::default().queue_depth);
+        let sq_depth = f64::from(NVME_QUEUE_DEPTH);
         let mut pool_free_frac = 1.0f64;
         let mut sq_occupancy = 0.0f64;
         for q in &s.stack.queues[core] {
@@ -545,7 +542,7 @@ impl Stack for Atlas {
         Self::fire_retries(s, now);
         if now >= s.stack.next_sweep {
             Self::overload_sweep(s, now);
-            s.stack.next_sweep = now + s.cfg.admission.sweep_interval;
+            s.stack.next_sweep = now + SWEEP_INTERVAL;
         }
         // Batched completion sweep: gather every finished read for a
         // core (across all of its per-disk queues) into one reusable
@@ -555,7 +552,7 @@ impl Stack for Atlas {
         // the batched TX-op cost, and the DMA buffers are still
         // LLC-resident when the pass reaches them.
         let n_disks = s.catalog.n_disks();
-        let depth = usize::from(NvmeConfig::default().queue_depth);
+        let depth = usize::from(NVME_QUEUE_DEPTH);
         for core in 0..s.cfg.cores {
             s.stack.sweep_serial += 1;
             let mut batch = std::mem::take(&mut s.stack.completed_scratch);
@@ -943,11 +940,7 @@ impl Atlas {
         // from fresh fetches so a connection in RTO recovery is never
         // starved behind newly admitted traffic. (Clamped so tiny
         // test pools aren't wedged by the reserve its.)
-        let reserve = s
-            .cfg
-            .admission
-            .retx_reserve_bufs
-            .min(q.pool_ref().capacity() / 4);
+        let reserve = RETX_RESERVE_BUFS.min(q.pool_ref().capacity() / 4);
         if fetch.retx.is_none() && q.pool_ref().available() <= reserve {
             return false;
         }
@@ -1245,7 +1238,7 @@ impl Atlas {
                 let hot_enough = s
                     .tier
                     .as_ref()
-                    .is_none_or(|t| t.heat(layout.file) >= cache.insert_min_heat());
+                    .is_none_or(|t| t.heat(layout.file) >= INSERT_MIN_HEAT);
                 if hot_enough && plain_len <= cache.slot_bytes() {
                     let rec_file_off = layout.record_file_off(fetch.record);
                     if let Some(slot_i) = cache.insert(layout.file, rec_file_off, plain_len) {
@@ -1387,9 +1380,9 @@ impl Atlas {
     /// Recovery policy for a read that completed with an error. The
     /// buffer is returned immediately (the DMA never happened; its
     /// content is garbage). Fresh fetches retry with exponential
-    /// backoff up to `max_fetch_retries`; retransmit fetches are
+    /// backoff up to [`MAX_FETCH_RETRIES`]; retransmit fetches are
     /// abandoned to the RTO, which re-drives them — the mechanism
-    /// that survives a second failure. Past `max_conn_failures`
+    /// that survives a second failure. Past [`MAX_CONN_FAILURES`]
     /// consecutive errors the connection is degraded away.
     #[allow(clippy::too_many_arguments)]
     fn fetch_failed(
@@ -1406,7 +1399,6 @@ impl Atlas {
         s.stack.queues[core][disk].pool().free(buf);
         s.stack.tracer.discard(user);
         s.reg.inc(s.stack.ids.fetch_errors[core]);
-        let max_conn = s.cfg.max_conn_failures;
         let slot = &mut s.front.slots[slot_idx];
         slot.conn.fetch_failures += 1;
         let failures = slot.conn.fetch_failures;
@@ -1414,7 +1406,7 @@ impl Atlas {
             Some(_) => {
                 slot.conn.retx_inflight -= 1;
                 slot.tcb.retransmit_abandoned();
-                if failures > max_conn {
+                if failures > MAX_CONN_FAILURES {
                     Self::abort_conn(s, now, slot_idx);
                 } else {
                     // The RTO timer is armed (unacked data exists by
@@ -1424,12 +1416,12 @@ impl Atlas {
                 }
             }
             None => {
-                if attempt >= s.cfg.max_fetch_retries || failures > max_conn {
+                if attempt >= MAX_FETCH_RETRIES || failures > MAX_CONN_FAILURES {
                     Self::abort_conn(s, now, slot_idx);
                 } else {
                     s.reg.inc(s.stack.ids.fetch_retries[core]);
                     let backoff =
-                        Nanos::from_nanos(s.cfg.fetch_retry_backoff.as_nanos() << attempt.min(16));
+                        Nanos::from_nanos(FETCH_RETRY_BACKOFF.as_nanos() << attempt.min(16));
                     let serial = s.stack.next_retry;
                     s.stack.next_retry += 1;
                     // fetches_inflight / reserved / next_record keep
@@ -1485,7 +1477,7 @@ impl Atlas {
                 let serial = s.stack.next_retry;
                 s.stack.next_retry += 1;
                 s.stack.retries.insert(
-                    (now + s.cfg.fetch_retry_backoff, serial),
+                    (now + FETCH_RETRY_BACKOFF, serial),
                     RetryEntry {
                         attempt: entry.attempt,
                         ..entry
@@ -1530,19 +1522,18 @@ impl Atlas {
         for core in 0..s.cfg.cores {
             let snap = Self::snapshot(s, core);
             s.ctl[core].overload.observe(&acfg, snap);
-            let level = s.ctl[core].overload.on_sweep(&acfg);
+            let level = s.ctl[core].overload.on_sweep();
             // Under pressure idle conns are reaped much sooner: a
             // few sweeps of silence instead of the full keepalive
             // allowance (kept above a WAN RTT so a healthy client
             // between requests isn't collateral damage).
             let idle_cut = if level >= LadderLevel::ReapIdle {
-                acfg.idle_timeout
-                    .min(Nanos::from_nanos(acfg.sweep_interval.as_nanos() * 4))
+                IDLE_TIMEOUT.min(Nanos::from_nanos(SWEEP_INTERVAL.as_nanos() * 4))
             } else {
-                acfg.idle_timeout
+                IDLE_TIMEOUT
             };
-            let min_drain_per_window = acfg.min_drain_bytes_per_sec as u128
-                * acfg.drain_window.as_nanos() as u128
+            let min_drain_per_window = u128::from(MIN_DRAIN_BYTES_PER_SEC)
+                * u128::from(DRAIN_WINDOW.as_nanos())
                 / 1_000_000_000;
             let slot_ids: Vec<usize> = (0..s.front.slots.len())
                 .filter(|&i| s.front.slots[i].core == core && !s.front.slots[i].conn.aborted)
@@ -1552,7 +1543,7 @@ impl Atlas {
                 let conn = &mut s.front.slots[slot_idx].conn;
                 // Slowloris defense: handshake done, no complete
                 // request head within the deadline.
-                if !conn.got_request && now - conn.established_at > acfg.header_timeout {
+                if !conn.got_request && now - conn.established_at > HEADER_TIMEOUT {
                     Self::abort_conn(s, now, slot_idx);
                     s.reg.inc(s.stack.ids.reaped_idle[core]);
                     continue;
@@ -1564,14 +1555,13 @@ impl Atlas {
                     continue;
                 }
                 // Minimum-drain-rate check: a reader that holds DMA
-                // buffers must ack at least `min_drain_bytes_per_sec`
+                // buffers must ack at least `MIN_DRAIN_BYTES_PER_SEC`
                 // over the window, or it loses the buffers.
                 let holding = conn.holds_buffers();
                 if !holding {
                     conn.drain_mark = conn.acked_stream_off;
                     conn.drain_mark_at = now;
-                } else if min_drain_per_window > 0 && now - conn.drain_mark_at >= acfg.drain_window
-                {
+                } else if now - conn.drain_mark_at >= DRAIN_WINDOW {
                     let drained = u128::from(conn.acked_stream_off - conn.drain_mark);
                     if drained < min_drain_per_window {
                         Self::abort_conn(s, now, slot_idx);

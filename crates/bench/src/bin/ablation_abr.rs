@@ -28,7 +28,6 @@ use dcn_atlas::AtlasConfig;
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
-use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
 use dcn_workload::{run_scenario, AbrConfig, FleetConfig, RunMetrics, Scenario, ServerKind};
 
@@ -68,7 +67,7 @@ impl Load {
 fn run_cell(
     load: Load,
     encrypted: bool,
-    autotune: AutotuneConfig,
+    autotune: bool,
     n: usize,
     seed: u64,
     duration: Nanos,
@@ -149,11 +148,8 @@ fn main() {
         Load::AbrRate,
     ] {
         for encrypted in [false, true] {
-            for (tuner_name, autotune, tuned) in [
-                ("fixed", AutotuneConfig::default(), false),
-                ("autotuned", AutotuneConfig::on(), true),
-            ] {
-                let m = run_cell(load, encrypted, autotune, n, seed, duration);
+            for (tuner_name, tuned) in [("fixed", false), ("autotuned", true)] {
+                let m = run_cell(load, encrypted, tuned, n, seed, duration);
                 net.insert((load, encrypted, tuned), m.net_gbps);
                 rows.push(row(
                     format!(
@@ -204,11 +200,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut swing = std::collections::HashMap::new();
     for load in [Load::FixedRate, Load::AbrFixed] {
-        for (tuner_name, autotune, tuned) in [
-            ("fixed", AutotuneConfig::default(), false),
-            ("autotuned", AutotuneConfig::on(), true),
-        ] {
-            let m = run_cell(load, true, autotune, micro_n, seed, duration);
+        for (tuner_name, tuned) in [("fixed", false), ("autotuned", true)] {
+            let m = run_cell(load, true, tuned, micro_n, seed, duration);
             if let Some(p) = m.pool_occ {
                 swing.insert((load, tuned), p.free_stddev / m.net_gbps.max(1e-9));
             }

@@ -16,7 +16,6 @@ use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_nvme::FirmwareParams;
 use dcn_simcore::Nanos;
-use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
 use dcn_workload::{run_scenario, FleetConfig, Scenario, ServerKind};
 
@@ -40,10 +39,7 @@ fn main() {
         _ => 64,
     };
     let mut rows = Vec::new();
-    for (tuner_name, autotune) in [
-        ("fixed", AutotuneConfig::default()),
-        ("autotuned", AutotuneConfig::on()),
-    ] {
+    for (tuner_name, autotune) in [("fixed", false), ("autotuned", true)] {
         for encrypted in [false, true] {
             for slow in [false, true] {
                 let cfg = AtlasConfig {

@@ -31,9 +31,8 @@ use dcn_bench::perf::fmt_f64;
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
-use dcn_srvcore::AutotuneConfig;
 use dcn_store::Catalog;
-use dcn_tier::{CacheConfig, ColdStoreConfig, TierConfig};
+use dcn_tier::{ColdStoreConfig, TierConfig};
 use dcn_workload::{run_scenario, FleetConfig, Scenario, ServerKind, TierMetrics};
 use std::fmt::Write as _;
 
@@ -145,19 +144,14 @@ fn main() {
                     let tier = TierConfig {
                         cold: ColdStoreConfig {
                             base_latency: Nanos::from_millis(lat_ms),
-                            ..ColdStoreConfig::default()
                         },
                         ..TierConfig::default()
                     };
                     let cfg = AtlasConfig {
                         fidelity: Fidelity::Modeled,
                         tier: Some(tier),
-                        tier_cache: cache.then(CacheConfig::default),
-                        autotune: if tuned {
-                            AutotuneConfig::on()
-                        } else {
-                            AutotuneConfig::default()
-                        },
+                        tier_cache: cache,
+                        autotune: tuned,
                         ..AtlasConfig::default()
                     };
                     let sc = Scenario {

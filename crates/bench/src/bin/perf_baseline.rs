@@ -20,7 +20,6 @@ use dcn_bench::perf::{compare_perf, perf_document, PerfCell};
 use dcn_bench::{print_table, BenchArgs};
 use dcn_kstack::KstackConfig;
 use dcn_mem::Fidelity;
-use dcn_srvcore::AutotuneConfig;
 use dcn_workload::{run_scenario, Scenario, ServerKind};
 
 const SEED: u64 = 7001;
@@ -38,7 +37,7 @@ fn run_cell(name: &str, encrypted: bool, atlas: bool) -> PerfCell {
             // operating point now: it converges below the paper's
             // fixed 10×MSS watermark on the modeled P3700, overlapping
             // more of the ~100 µs read latency with ACK-clock waits.
-            autotune: AutotuneConfig::on(),
+            autotune: true,
             ..AtlasConfig::default()
         };
         let (cores, ghz) = (cfg.cores, cfg.costs.cpu_ghz);

@@ -6,7 +6,7 @@
 //! One strict pass over argv yields everything (an unknown flag or a
 //! value that does not parse exits 2 with [`USAGE`]):
 //!
-//! * `--quick` / `--paper` (or env `DCN_QUICK=1`) — sweep scale;
+//! * `--quick` / `--paper` — sweep scale;
 //! * `--seed <n>` — override the binary's default base seed;
 //! * `--trace-out <path>` — chunk-lifecycle JSONL dump;
 //! * `--metrics-out <path>` — registry time-series CSV;
@@ -48,8 +48,8 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parse the process argv (plus `DCN_QUICK`); on an error, print
-    /// it with the usage line and exit 2.
+    /// Parse the process argv; on an error, print it with the usage
+    /// line and exit 2.
     #[must_use]
     pub fn parse() -> Self {
         Self::try_parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
@@ -65,9 +65,6 @@ impl BenchArgs {
         S: Into<String>,
     {
         let mut a = BenchArgs::default();
-        if std::env::var_os("DCN_QUICK").is_some() {
-            a.scale = Scale::Quick;
-        }
         let mut paper = false;
         let mut it = args.into_iter().map(Into::into);
         while let Some(flag) = it.next() {
@@ -149,8 +146,7 @@ mod tests {
     #[test]
     fn defaults_without_flags() {
         let a = BenchArgs::try_parse_from(Vec::<String>::new()).expect("parses");
-        // Scale may be Quick if DCN_QUICK is set in the environment;
-        // either way nothing else is populated.
+        assert_eq!(a.scale, Scale::Default);
         assert_eq!(a.seed, None);
         assert_eq!(a.seed_or(23), 23);
         assert!(!a.obs.active());

@@ -6,7 +6,7 @@
 //! naming the figure it reproduces.
 //!
 //! Conventions:
-//! * `--quick` (or env `DCN_QUICK=1`) shrinks sweeps for smoke runs;
+//! * `--quick` shrinks sweeps for smoke runs;
 //! * `--paper` runs the full-scale sweep (2 k–16 k connections);
 //! * default is a mid-scale sweep that exhibits the paper's shapes in
 //!   minutes of wall time.
@@ -53,7 +53,7 @@ pub fn fmt_ci(m: &MeanCi, digits: usize) -> String {
     format!("{:.d$} ±{:.d$}", m.mean(), m.ci95(), d = digits)
 }
 
-/// Scale selection from argv/env.
+/// Scale selection from argv.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Scale {
     Quick,

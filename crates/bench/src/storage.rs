@@ -154,7 +154,6 @@ pub struct AutotunedPoint {
 pub fn run_diskmap_autotuned(
     n_disks: usize,
     io_size: u64,
-    cfg: dcn_srvcore::AutotuneConfig,
     horizon: Nanos,
     seed: u64,
 ) -> (StorageRun, AutotunedPoint) {
@@ -162,7 +161,7 @@ pub fn run_diskmap_autotuned(
     let costs = CostParams::default();
     let mut rng = SimRng::new(seed);
     let buf_size = io_size.max(LBA_SIZE);
-    let depth = (cfg.max_inflight + 4) as usize;
+    let depth = (dcn_srvcore::autotune::MAX_INFLIGHT + 4) as usize;
     let mut queues: Vec<NvmeQueue> = (0..n_disks)
         .map(|d| {
             NvmeQueue::nvme_open(&mut kernel, DiskId(d), 0, depth as u32, buf_size, &mut pa)
@@ -170,7 +169,7 @@ pub fn run_diskmap_autotuned(
         })
         .collect();
     let mut tuners: Vec<dcn_srvcore::IoTuner> = (0..n_disks)
-        .map(|d| dcn_srvcore::IoTuner::new(cfg, 10 * 1448, seed ^ ((d as u64 + 1) << 20)))
+        .map(|d| dcn_srvcore::IoTuner::new(true, 10 * 1448, seed ^ ((d as u64 + 1) << 20)))
         .collect();
     let mut outstanding = vec![0usize; n_disks];
     let span_lbas = 1_000_000u64;

@@ -69,14 +69,6 @@ impl Dispatcher {
         self.health[server] = h;
     }
 
-    #[must_use]
-    pub fn n_live(&self) -> usize {
-        self.health
-            .iter()
-            .filter(|h| matches!(h, Health::Healthy))
-            .count()
-    }
-
     /// The replica set a file *should* live on (ignores health).
     #[must_use]
     pub fn owners(&self, file: FileId) -> Vec<u32> {

@@ -10,7 +10,7 @@
 //! the data path is byte-identical to the single-server runs.
 //!
 //! Failure handling is fail-stop with delayed detection: a killed
-//! server's frames (in both directions) vanish, and `detect_delay`
+//! server's frames (in both directions) vanish, and [`DETECT_DELAY`]
 //! later the control loop marks it down, severs its client
 //! connections, and re-dispatches every interrupted transfer to a
 //! replica with a `Range: bytes=N-` resume.
@@ -23,12 +23,17 @@ use dcn_netdev::{DelayMiddlebox, WireFrame};
 use dcn_obs::export::TimeSeries;
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr};
 use dcn_simcore::Nanos;
+use dcn_srvcore::SERVER_ENDPOINT;
 use dcn_store::Catalog;
 use dcn_tcpstack::Endpoint;
 use dcn_workload::fleet::{AbrReadout, FleetConfig};
 use dcn_workload::runner::{ObsOptions, ObsReport};
-use dcn_workload::testbed::{self, ClientSide, Net, Testbed};
+use dcn_workload::testbed::{self, ClientSide, Net, PendingWake, Testbed};
 use dcn_workload::{MultiFleet, NeedStep, PoolOcc, RequestNeed, VideoServer};
+
+/// Control-loop failure-detection latency (kill → mark-down +
+/// re-dispatch).
+pub const DETECT_DELAY: Nanos = Nanos::from_millis(30);
 
 /// One cluster experiment.
 #[derive(Clone, Debug)]
@@ -51,9 +56,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Fault schedule; `faults.cluster` drives server kill/drain.
     pub faults: FaultConfig,
-    /// Control-loop failure-detection latency (kill → mark-down +
-    /// re-dispatch).
-    pub detect_delay: Nanos,
     /// Client-path middlebox delay band `[min, max]` (7 bands). The
     /// paper's WAN testbed is 10–40 ms; scale-out experiments model
     /// an edge pod with clients a few ms away, where per-server
@@ -79,19 +81,19 @@ impl ClusterConfig {
             duration: Nanos::from_millis(700),
             seed,
             faults: FaultConfig::default(),
-            detect_delay: Nanos::from_millis(30),
             client_delay: (Nanos::from_millis(10), Nanos::from_millis(40)),
         }
     }
 
-    /// Server *i*'s endpoint: 10.0.0.(i+1):80.
+    /// Server *i*'s endpoint: 10.0.0.(i+1):80, numbered on from the
+    /// lone server's [`SERVER_ENDPOINT`].
     #[must_use]
     pub fn endpoints(n_servers: usize) -> Vec<Endpoint> {
         (0..n_servers)
             .map(|i| Endpoint {
                 mac: MacAddr::from_host_id(i as u32 + 1),
                 ip: Ipv4Addr::new(10, 0, 0, i as u8 + 1),
-                port: 80,
+                ..SERVER_ENDPOINT
             })
             .collect()
     }
@@ -152,6 +154,12 @@ pub struct ClusterMetrics {
     pub overflow_routes: u64,
     /// Requests with no live server at all (clients go idle).
     pub unroutable: u64,
+    /// 503 load-shed responses the clients received…
+    pub client_503s: u64,
+    /// …the requests re-sent after their `Retry-After` backoff…
+    pub client_retries: u64,
+    /// …and those still backing off when the run ended.
+    pub client_retries_pending: u64,
     pub per_server: Vec<ServerStats>,
     /// Present when a kill was scheduled inside the run window.
     pub recovery: Option<RecoveryStats>,
@@ -165,7 +173,6 @@ pub struct ClusterMetrics {
 struct Pod {
     fleet: MultiFleet,
     dispatcher: Dispatcher,
-    detect_delay: Nanos,
     /// Requests with no live server at all.
     unroutable: u64,
     /// Admission-control feedback: servers holding their overload
@@ -174,6 +181,8 @@ struct Pod {
     /// (operator drains and kill-detection stay authoritative).
     shed_marked: Vec<bool>,
     operator_drained: Vec<bool>,
+    /// The one pending Retry-After wake on the testbed.
+    retry_wake: PendingWake,
 }
 
 enum PodEv {
@@ -186,6 +195,8 @@ enum PodEv {
     /// Client `c`'s ABR playout buffer drained to the resume level:
     /// draw its next need and dispatch it.
     AbrWake(usize),
+    /// A client's Retry-After backoff expired: re-send shed requests.
+    Retry,
 }
 
 impl Pod {
@@ -218,7 +229,7 @@ impl ClientSide for Pod {
         let faults = net.tb.faults.cluster;
         if let Some(k) = faults.kill {
             net.schedule(k.at, PodEv::Kill(k.server as usize));
-            net.schedule(k.at + self.detect_delay, PodEv::Detect(k.server as usize));
+            net.schedule(k.at + DETECT_DELAY, PodEv::Detect(k.server as usize));
         }
         if let Some(d) = faults.drain {
             if (d.server as usize) < net.tb.servers.len() {
@@ -257,10 +268,19 @@ impl ClientSide for Pod {
                 }
             }
             PodEv::AbrWake(c) => self.issue_next_need(net, now, c),
+            PodEv::Retry => {
+                self.retry_wake.fired(now);
+                for (server, tx) in self.fleet.fire_retries(now) {
+                    net.send(now, server, tx);
+                }
+            }
         }
     }
 
     fn after_event(&mut self, net: &mut Net<PodEv>, touched: Option<usize>) {
+        if let Some(at) = self.retry_wake.arm(self.fleet.next_retry_at(), net.now()) {
+            net.schedule(at, PodEv::Retry);
+        }
         // A server shedding load is treated like a draining one: no
         // new requests route to it until its latch clears. Operator
         // drains and detected failures are never undone from here.
@@ -349,10 +369,10 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
     let pod = Pod {
         fleet: MultiFleet::new(fleet_cfg, sc.catalog.clone(), endpoints),
         dispatcher: Dispatcher::new(sc.n_servers, sc.vnodes, sc.replication, sc.fleet.hot_files),
-        detect_delay: sc.detect_delay,
         unroutable: 0,
         shed_marked: vec![false; sc.n_servers],
         operator_drained: vec![false; sc.n_servers],
+        retry_wake: PendingWake::IDLE,
     };
     let testbed = Testbed {
         servers,
@@ -393,7 +413,7 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
     let recovery = fcfg
         .cluster
         .kill
-        .map(|k| (k.at, k.at + sc.detect_delay))
+        .map(|k| (k.at, k.at + DETECT_DELAY))
         .filter(|&(kill_at, _)| kill_at > sc.warmup && kill_at < end)
         .map(|(kill_at, detect_at)| {
             // Let TCP and the re-dispatched transfers settle before
@@ -425,6 +445,9 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
         fallback_routes: dispatcher.fallback_routes,
         overflow_routes: dispatcher.overflow_routes,
         unroutable: run.client.unroutable,
+        client_503s: fleet.rejections_503(),
+        client_retries: fleet.retries_fired,
+        client_retries_pending: fleet.retries_pending(),
         per_server,
         recovery,
         abr: run.abr,

@@ -24,12 +24,6 @@ pub const RECORD_HEADER_LEN: usize = 5;
 /// (§3.1.3) maps to exactly one record.
 pub const RECORD_PAYLOAD_MAX: u64 = 16 * 1024;
 
-/// Per-record wire overhead.
-#[must_use]
-pub fn record_overhead() -> usize {
-    RECORD_HEADER_LEN + GCM_TAG_LEN
-}
-
 /// The TLS 1.2 application-data record header for `plain_len`
 /// plaintext bytes (the length field counts the GCM tag too).
 #[must_use]

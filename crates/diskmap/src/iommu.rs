@@ -46,11 +46,6 @@ impl IommuDomain {
         }
     }
 
-    #[must_use]
-    pub fn is_enforcing(&self) -> bool {
-        self.enabled
-    }
-
     /// Map a region (page-granular, as IOMMUs are).
     pub fn map(&mut self, region: PhysRegion) {
         let Range { start: first, end } = region.chunks();
@@ -124,7 +119,6 @@ mod tests {
     fn passthrough_allows_everything() {
         let d = IommuDomain::passthrough();
         assert!(d.check(PhysRegion::new(PhysAddr(0xDEAD_0000), 4096)));
-        assert!(!d.is_enforcing());
     }
 
     #[test]

@@ -54,27 +54,6 @@ impl LossModel {
             loss_bad,
         }
     }
-
-    /// Long-run average loss rate of the model.
-    pub fn mean_loss(&self) -> f64 {
-        match *self {
-            LossModel::None => 0.0,
-            LossModel::Uniform(p) => p,
-            LossModel::GilbertElliott {
-                p_enter_bad,
-                p_exit_bad,
-                loss_good,
-                loss_bad,
-            } => {
-                let denom = p_enter_bad + p_exit_bad;
-                if denom <= 0.0 {
-                    return loss_good;
-                }
-                let frac_bad = p_enter_bad / denom;
-                frac_bad * loss_bad + (1.0 - frac_bad) * loss_good
-            }
-        }
-    }
 }
 
 /// What happens to one frame.
@@ -282,7 +261,6 @@ mod tests {
     fn gilbert_elliott_hits_target_mean_and_bursts() {
         let target = 0.01;
         let model = LossModel::gilbert_elliott_for(target);
-        assert!((model.mean_loss() - target).abs() < 1e-9);
         let cfg = NetFaults {
             loss: model,
             ..NetFaults::default()

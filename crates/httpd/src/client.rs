@@ -8,7 +8,7 @@
 
 use crate::response::{scan_response_head, RECORD_WIRE};
 use dcn_crypto::RECORD_PAYLOAD_MAX;
-use dcn_simcore::{RankPerm, SimRng, Zipf};
+use dcn_simcore::{RankPerm, SimRng, Zipf, RANK_PERM_SEED};
 use dcn_store::FileId;
 
 /// Where to pick up a response after its server died mid-stream: the
@@ -112,12 +112,13 @@ impl RequestDriver {
     }
 
     /// Zipf-popular requests with the rank → object-id permutation the
-    /// tiering engine seeds its hot set with: rank 0 is the hottest
-    /// *object* (scattered somewhere in the id space), not id 0.
+    /// tiering engine seeds its hot set with ([`RANK_PERM_SEED`]): rank
+    /// 0 is the hottest *object* (scattered somewhere in the id
+    /// space), not id 0.
     #[must_use]
-    pub fn zipf_perm(catalog_files: u64, alpha: f64, perm_seed: u64, rng: SimRng) -> Self {
+    pub fn zipf_perm(catalog_files: u64, alpha: f64, rng: SimRng) -> Self {
         let mut d = Self::zipf(catalog_files, alpha, rng);
-        d.perm = Some(RankPerm::new(catalog_files, perm_seed));
+        d.perm = Some(RankPerm::new(catalog_files, RANK_PERM_SEED));
         d
     }
 

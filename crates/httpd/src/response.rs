@@ -137,16 +137,9 @@ pub struct ResponseHead {
     pub retry_after_ms: Option<u64>,
 }
 
-/// Minimal response-header scanner for the client side: returns
-/// (header_len, content_length, encrypted) once the full header block
-/// is buffered.
-#[must_use]
-pub fn scan_response_header(buf: &[u8]) -> Option<(usize, u64, bool)> {
-    scan_response_head(buf).map(|h| (h.header_len, h.content_length, h.encrypted))
-}
-
-/// Scanner variant that also surfaces the status code and any
-/// Retry-After backoff, for clients that react to load shedding.
+/// Client-side response-head scanner: the head's length, status,
+/// content length, body encryption and any Retry-After backoff, once
+/// the full head block is buffered.
 #[must_use]
 pub fn scan_response_head(buf: &[u8]) -> Option<ResponseHead> {
     let end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
@@ -191,10 +184,10 @@ mod tests {
             },
             false,
         );
-        let (hl, cl, enc) = scan_response_header(&h).unwrap();
-        assert_eq!(hl, h.len());
-        assert_eq!(cl, 300 * 1024);
-        assert!(!enc);
+        let head = scan_response_head(&h).unwrap();
+        assert_eq!(head.header_len, h.len());
+        assert_eq!(head.content_length, 300 * 1024);
+        assert!(!head.encrypted);
     }
 
     #[test]
@@ -204,15 +197,15 @@ mod tests {
         let wire = encrypted_body_len(plain);
         assert_eq!(wire, plain + 19 * 21);
         let h = response_header(ResponseInfo::Ok { body_len: plain }, true);
-        let (_, cl, enc) = scan_response_header(&h).unwrap();
-        assert_eq!(cl, wire);
-        assert!(enc);
+        let head = scan_response_head(&h).unwrap();
+        assert_eq!(head.content_length, wire);
+        assert!(head.encrypted);
     }
 
     #[test]
     fn scanner_waits_for_full_header() {
         let h = response_header(ResponseInfo::Ok { body_len: 10 }, false);
-        assert!(scan_response_header(&h[..h.len() - 3]).is_none());
+        assert!(scan_response_head(&h[..h.len() - 3]).is_none());
     }
 
     #[test]
@@ -224,19 +217,18 @@ mod tests {
             },
             true,
         );
-        let (hl, cl, enc) = scan_response_header(&h).unwrap();
-        assert_eq!(hl, h.len());
+        let head = scan_response_head(&h).unwrap();
+        assert_eq!(head.header_len, h.len());
         // 100 KiB = 6.25 → 7 records.
-        assert_eq!(cl, 100 * 1024 + 7 * 21);
-        assert!(enc);
+        assert_eq!(head.content_length, 100 * 1024 + 7 * 21);
+        assert!(head.encrypted);
         assert!(std::str::from_utf8(&h).unwrap().contains("206 Partial"));
     }
 
     #[test]
     fn not_found_has_zero_length() {
         let h = response_header(ResponseInfo::NotFound, false);
-        let (_, cl, _) = scan_response_header(&h).unwrap();
-        assert_eq!(cl, 0);
+        assert_eq!(scan_response_head(&h).unwrap().content_length, 0);
     }
 
     #[test]

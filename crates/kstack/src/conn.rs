@@ -111,7 +111,7 @@ pub struct KConn {
     /// Responses whose bodies still need staging, oldest first.
     pub staging: VecDeque<StagedResponse>,
     /// Socket-buffer bytes currently held (flow control against
-    /// sb_max).
+    /// `SB_MAX`).
     pub sb_bytes: u64,
     /// Next stream offset to append at.
     tx_cursor: u64,

@@ -9,12 +9,12 @@ use dcn_faults::{FaultConfig, FaultCounts};
 use dcn_httpd::response_header;
 use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc, PhysRegion, CHUNK_SIZE};
 use dcn_netdev::{NicConfig, SgList};
-use dcn_nvme::{FirmwareParams, NvmeCommand, NvmeConfig, NvmeDevice, NvmeStatus, Opcode, LBA_SIZE};
+use dcn_nvme::{FirmwareParams, NvmeCommand, NvmeDevice, NvmeStatus, Opcode, LBA_SIZE};
 use dcn_obs::{CounterId, GaugeId, ProfStage, Registry, StallKind};
 use dcn_simcore::{earliest, prf_bytes, Nanos};
 use dcn_srvcore::{
-    AdmissionConfig, Answer, AutotuneConfig, FrontConfig, ResourceSnapshot, ServedWork, Server,
-    Shell, Stack,
+    AdmissionConfig, Answer, FrontConfig, ResourceSnapshot, ServedWork, Server, Shell, Stack,
+    NVME_QUEUE_DEPTH, SERVER_ENDPOINT,
 };
 use dcn_store::{BufferCache, Catalog};
 use dcn_tcpstack::{Endpoint, TcbConfig};
@@ -30,6 +30,18 @@ pub enum StackVariant {
     Netflix,
 }
 
+/// Disk buffer cache capacity. The eval server has 128 GB of RAM,
+/// most of it page cache (~96 GiB); the model simulates 6 GiB of it,
+/// which already exceeds the LLC by a wide margin — more DRAM-resident
+/// frames would change no modeled number, only the simulator's own
+/// memory (the cache's bookkeeping is per frame).
+pub const BUFCACHE_BYTES: u64 = 6 << 30;
+/// Per-connection socket-buffer cap.
+pub const SB_MAX: u64 = 2 << 20;
+/// Fill granularity per disk I/O (FreeBSD MAXPHYS-style read-ahead
+/// unit).
+pub const FILL_BYTES: u64 = 128 * 1024;
+
 /// Configuration.
 #[derive(Clone, Debug)]
 pub struct KstackConfig {
@@ -37,19 +49,6 @@ pub struct KstackConfig {
     /// The paper's baseline uses all 8 cores.
     pub cores: usize,
     pub encrypted: bool,
-    /// Disk buffer cache capacity (the eval server has 128 GB RAM;
-    /// most of it is page cache).
-    pub bufcache_bytes: u64,
-    /// Per-connection socket-buffer cap.
-    pub sb_max: u64,
-    /// Fraction of payload bytes the kernel TX path incidentally
-    /// touches (mbuf/sf_buf handling, LRO merge inspection) —
-    /// calibrated against Fig 11e's ~1.5× read ratio; see
-    /// EXPERIMENTS.md.
-    pub touch_fraction: f64,
-    /// Fill granularity per disk I/O (FreeBSD MAXPHYS-style
-    /// read-ahead unit).
-    pub fill_bytes: u64,
     pub tcb: TcbConfig,
     pub nic: NicConfig,
     pub firmware: FirmwareParams,
@@ -85,10 +84,6 @@ impl KstackConfig {
             variant: StackVariant::Netflix,
             cores: 8,
             encrypted: false,
-            bufcache_bytes: 96 << 30,
-            sb_max: 2 << 20,
-            touch_fraction: 0.45,
-            fill_bytes: 128 * 1024,
             tcb: TcbConfig::default(),
             nic: NicConfig {
                 rings: 8,
@@ -98,11 +93,7 @@ impl KstackConfig {
             llc: LlcConfig::xeon_e5_2667v3(),
             costs: CostParams::default(),
             fidelity: Fidelity::Full,
-            server_endpoint: Endpoint {
-                mac: dcn_packet::MacAddr::from_host_id(1),
-                ip: dcn_packet::Ipv4Addr::new(10, 0, 0, 1),
-                port: 80,
-            },
+            server_endpoint: SERVER_ENDPOINT,
             admission: AdmissionConfig::default(),
             profile: false,
             tier: None,
@@ -229,12 +220,12 @@ impl Stack for Kstack {
             admission: cfg.admission,
             // The kernel stack has no per-connection fetch window for a
             // tuner to steer (read-ahead is a global kernel heuristic),
-            // so its tuners stay at the defaults, unfed.
-            autotune: AutotuneConfig::default(),
-            window: cfg.fill_bytes,
+            // so its tuners stay off, unfed.
+            autotune: false,
+            window: FILL_BYTES,
             profile: cfg.profile,
             tier: cfg.tier,
-            tier_cache: None,
+            tier_cache: false,
             front_metrics: [
                 "kstack.overload.shed_new",
                 "kstack.overload.retry_503",
@@ -261,13 +252,8 @@ impl Stack for Kstack {
         phys: &mut PhysAlloc,
         reg: &mut Registry,
     ) -> Self {
-        // Cap simulated cache frames: the model only needs enough
-        // frames to exceed the LLC by a wide margin; beyond that more
-        // DRAM-resident frames change nothing but memory usage of the
-        // simulator itself.
-        let cache_bytes = cfg.bufcache_bytes.min(6 << 30);
         Kstack {
-            bufcache: BufferCache::new(cache_bytes, catalog, phys),
+            bufcache: BufferCache::new(BUFCACHE_BYTES, catalog, phys),
             ct_pool: (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect(),
             disks,
             fills: HashMap::new(),
@@ -300,7 +286,7 @@ impl Stack for Kstack {
     /// (the kernel stack's scarce pool), and this core's share of
     /// in-flight disk fills against the kernel queue depth.
     fn snapshot(s: &KstackServer, core: usize) -> ResourceSnapshot {
-        let depth = f64::from(NvmeConfig::default().queue_depth);
+        let depth = f64::from(NVME_QUEUE_DEPTH);
         let fills = s
             .stack
             .fills
@@ -450,10 +436,9 @@ impl Stack for Kstack {
 /// The data path over the shell's parts.
 impl Kstack {
     /// sendfile staging: move body bytes from the buffer cache (or
-    /// disk) into the socket buffer, up to sb_max.
+    /// disk) into the socket buffer, up to [`SB_MAX`].
     fn stage(s: &mut KstackServer, now: Nanos, slot_idx: usize) {
         let costs = s.cfg.costs;
-        let fill_bytes = s.cfg.fill_bytes;
         let cores_n = s.cfg.cores;
         loop {
             let core = s.front.slots[slot_idx].core;
@@ -485,7 +470,7 @@ impl Kstack {
                 s.reg.inc(s.stack.ids.responses[core]);
                 continue;
             }
-            if slot.conn.sb_bytes >= s.cfg.sb_max {
+            if slot.conn.sb_bytes >= SB_MAX {
                 s.prof.stall(StallKind::CwndLimited);
                 break; // socket buffer full: wait for ACKs
             }
@@ -502,7 +487,7 @@ impl Kstack {
                 s.stack.stage_waiting[core].insert(slot_idx);
                 break;
             }
-            let want = fill_bytes.min(st.end - st.next_fill);
+            let want = FILL_BYTES.min(st.end - st.next_fill);
             // Page-by-page cache lookup.
             let first_page = st.next_fill / CHUNK_SIZE;
             let last_page = (st.next_fill + want - 1) / CHUNK_SIZE;
@@ -861,7 +846,7 @@ impl Kstack {
             dcn_obs::steady::note_growth(src_cap_before, s.stack.src_scratch.capacity());
             let ct_region = s.stack.ct_pool.pop().unwrap_or_else(|| {
                 // The pool grows on demand: the real bound on
-                // ciphertext socket-buffer memory is sb_max per
+                // ciphertext socket-buffer memory is `SB_MAX` per
                 // connection, enforced at staging time.
                 s.phys.alloc(CT_REGION_LEN)
             });
@@ -971,7 +956,7 @@ impl Kstack {
             // time: consume-once touches of a fraction of the payload
             // (sf_buf mapping, LRO bookkeeping) — by now the data has
             // usually aged out of the LLC.
-            let touch = s.cfg.touch_fraction;
+            let touch = costs.kstack_touch_fraction;
             for r in sg.regions() {
                 let t = r.slice(0, ((r.len as f64) * touch) as u64);
                 if t.len > 0 {

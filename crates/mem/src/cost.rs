@@ -94,6 +94,11 @@ pub struct CostParams {
     /// additional core beyond the first (fake-NUMA partitioning keeps
     /// this small for Netflix; larger for stock).
     pub vm_contention_per_core: f64,
+    /// Fraction of payload bytes the kernel TX path incidentally
+    /// touches (mbuf/sf_buf handling, LRO merge inspection) —
+    /// calibrated against Fig 11e's ~1.5× read ratio; see
+    /// EXPERIMENTS.md.
+    pub kstack_touch_fraction: f64,
 }
 
 impl Default for CostParams {
@@ -124,6 +129,7 @@ impl Default for CostParams {
             bufcache_page_cycles: 1150,
             vm_reclaim_page_cycles: 2400,
             vm_contention_per_core: 0.035,
+            kstack_touch_fraction: 0.45,
         }
     }
 }

@@ -34,12 +34,6 @@ impl CpuCore {
         }
     }
 
-    /// Earliest instant new work submitted now could start.
-    #[must_use]
-    pub fn free_at(&self) -> Nanos {
-        self.busy_until
-    }
-
     /// Run `cycles` of work requested at `now`; returns the completion
     /// time (which is when dependent events should fire).
     pub fn run(&mut self, now: Nanos, cycles: u64) -> Nanos {
@@ -102,17 +96,6 @@ impl CoreSet {
         &mut self.cores[idx]
     }
 
-    /// Index of the core that can start work soonest.
-    #[must_use]
-    pub fn least_loaded(&self) -> usize {
-        self.cores
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| c.free_at())
-            .map(|(i, _)| i)
-            .expect("CoreSet is never empty")
-    }
-
     /// Run `cycles` on a specific core.
     pub fn run_on(&mut self, idx: usize, now: Nanos, cycles: u64) -> Nanos {
         if let Some(p) = &self.profiler {
@@ -127,16 +110,6 @@ impl CoreSet {
         if self.polling {
             return self.cores.len() as f64 * 100.0;
         }
-        self.cores
-            .iter()
-            .map(|c| c.utilization(warmup, end) * 100.0)
-            .sum()
-    }
-
-    /// Useful-work utilization in percent, ignoring the polling
-    /// convention — used to detect actual saturation of Atlas cores.
-    #[must_use]
-    pub fn useful_pct(&self, warmup: Nanos, end: Nanos) -> f64 {
         self.cores
             .iter()
             .map(|c| c.utilization(warmup, end) * 100.0)
@@ -171,16 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn coreset_least_loaded_balances() {
-        let costs = CostParams::default();
-        let mut cs = CoreSet::new(2, &costs, Nanos::from_millis(1), false);
-        let a = cs.least_loaded();
-        cs.run_on(a, Nanos::ZERO, 32_000);
-        let b = cs.least_loaded();
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn polling_coreset_reports_full_utilization() {
         let costs = CostParams::default();
         let cs = CoreSet::new(4, &costs, Nanos::from_millis(1), true);
@@ -188,6 +151,5 @@ mod tests {
             cs.utilization_pct(Nanos::ZERO, Nanos::from_millis(10)),
             400.0
         );
-        assert_eq!(cs.useful_pct(Nanos::ZERO, Nanos::from_millis(10)), 0.0);
     }
 }

@@ -72,13 +72,6 @@ impl PcapWriter {
         self.frames += 1;
     }
 
-    /// Record every frame of a burst.
-    pub fn record_burst(&mut self, at: Nanos, frames: &[WireFrame]) {
-        for f in frames {
-            self.record(at, f);
-        }
-    }
-
     #[must_use]
     pub fn frames(&self) -> u64 {
         self.frames
@@ -159,7 +152,9 @@ mod tests {
     #[test]
     fn multiple_records_append() {
         let mut w = PcapWriter::default();
-        w.record_burst(Nanos::from_micros(5), &[frame(10), frame(20)]);
+        for f in [frame(10), frame(20)] {
+            w.record(Nanos::from_micros(5), &f);
+        }
         assert_eq!(w.frames(), 2);
         let total = w.finish().len();
         assert_eq!(total, 24 + (16 + 64) + (16 + 74));

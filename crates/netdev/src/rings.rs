@@ -108,12 +108,6 @@ impl TxRing {
         std::mem::take(&mut self.reported)
     }
 
-    /// Force-publish everything transmitted (used by an explicit
-    /// "timely completion" ablation, and at quiesce points).
-    pub fn flush_completions(&mut self) {
-        self.publish();
-    }
-
     #[must_use]
     pub fn inflight(&self) -> usize {
         self.inflight
@@ -229,17 +223,6 @@ mod tests {
         // Batch of 4 reached: all four published.
         assert_eq!(r.txsync_collect(), vec![0, 1, 2, 3]);
         assert_eq!(r.space(), 64 - 2);
-    }
-
-    #[test]
-    fn flush_publishes_partial_batch() {
-        let mut r = TxRing::new(8, 100);
-        r.push(desc(7));
-        let d = r.nic_take().unwrap();
-        r.nic_done(d.completion);
-        assert!(r.txsync_collect().is_empty());
-        r.flush_completions();
-        assert_eq!(r.txsync_collect(), vec![7]);
     }
 
     #[test]

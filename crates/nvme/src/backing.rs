@@ -69,11 +69,6 @@ impl SparseBacking {
             written: HashMap::new(),
         }
     }
-
-    #[must_use]
-    pub fn written_lbas(&self) -> usize {
-        self.written.len()
-    }
 }
 
 impl BlockBacking for SparseBacking {
@@ -154,7 +149,7 @@ mod tests {
         let mut back = vec![0u8; 1000];
         s.read(1, 4, 200, &mut back);
         assert_eq!(back, data);
-        assert_eq!(s.written_lbas(), 3);
+        assert_eq!(s.written.len(), 3);
         // Bytes before the write keep base content.
         let base = SyntheticBacking::new(7);
         let mut got = vec![0u8; 200];

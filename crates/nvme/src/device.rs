@@ -1,11 +1,12 @@
 //! The NVMe device: queue pairs + firmware + DMA engine.
 //!
 //! The host interacts exactly the way a driver does (§3.1.1): write
-//! SQEs into a submission queue, ring the SQ tail doorbell, poll (or
-//! take an interrupt for) completion entries, ring the CQ head
-//! doorbell. Data for READ commands is DMA-written into the PRP
-//! pages — through the LLC model (DDIO) and, at full fidelity, into
-//! simulated host memory byte-for-byte from the backing store.
+//! SQEs into a submission queue, ring the SQ tail doorbell, poll for
+//! completion entries, ring the CQ head doorbell. (An interrupt-driven
+//! driver's cost is charged from `CostParams`, not timed here.) Data
+//! for READ commands is DMA-written into the PRP pages — through the
+//! LLC model (DDIO) and, at full fidelity, into simulated host memory
+//! byte-for-byte from the backing store.
 
 use crate::backing::BlockBacking;
 use crate::firmware::{Firmware, FirmwareParams};
@@ -18,6 +19,9 @@ use std::collections::HashMap;
 
 pub use dcn_mem::Fidelity;
 
+/// Namespace capacity in LBAs: 800 GB at 512 B LBAs (the P3700).
+pub const NS_LBAS: u64 = 800_000_000_000 / LBA_SIZE;
+
 /// Device geometry and behaviour.
 #[derive(Clone, Copy, Debug)]
 pub struct NvmeConfig {
@@ -26,14 +30,7 @@ pub struct NvmeConfig {
     pub num_qpairs: u16,
     /// Slots per SQ/CQ.
     pub queue_depth: u16,
-    /// Namespace capacity in LBAs.
-    pub ns_lbas: u64,
     pub firmware: FirmwareParams,
-    /// Interrupt moderation: a completion raises an interrupt only if
-    /// none was raised within this window (0 = every completion).
-    pub irq_coalesce: Nanos,
-    /// Delay from completion to interrupt delivery.
-    pub irq_latency: Nanos,
     pub fidelity: Fidelity,
 }
 
@@ -42,11 +39,7 @@ impl Default for NvmeConfig {
         NvmeConfig {
             num_qpairs: 8,
             queue_depth: 1024,
-            // 800 GB at 512 B LBAs.
-            ns_lbas: 800_000_000_000 / LBA_SIZE,
             firmware: FirmwareParams::p3700(),
-            irq_coalesce: Nanos::from_micros(20),
-            irq_latency: Nanos::from_micros(6),
             fidelity: Fidelity::Full,
         }
     }
@@ -69,8 +62,6 @@ pub struct NvmeDevice {
     /// Seeded fault decisions (media errors, latency spikes). `None`
     /// in every scenario that doesn't inject faults.
     faults: Option<NvmeFaultInjector>,
-    last_irq: Nanos,
-    irq_pending_at: Option<Nanos>,
     /// Lifetime stats.
     pub completed_reads: u64,
     pub completed_writes: u64,
@@ -97,8 +88,6 @@ impl NvmeDevice {
             latest_doorbell: Nanos::ZERO,
             faults: None,
             cfg,
-            last_irq: Nanos::ZERO,
-            irq_pending_at: None,
             completed_reads: 0,
             completed_writes: 0,
             read_bytes: 0,
@@ -195,7 +184,7 @@ impl NvmeDevice {
             Opcode::Read | Opcode::Write => {
                 if cmd.nlb == 0 || cmd.prp.is_empty() {
                     NvmeStatus::InvalidField
-                } else if end > self.cfg.ns_lbas {
+                } else if end > NS_LBAS {
                     NvmeStatus::LbaOutOfRange
                 } else if cmd.data_len() != u64::from(cmd.nlb) * LBA_SIZE {
                     NvmeStatus::InvalidField
@@ -232,14 +221,6 @@ impl NvmeDevice {
                     status: NvmeStatus::MediaError,
                     sq_head,
                 });
-                if now.saturating_sub(self.last_irq) >= self.cfg.irq_coalesce {
-                    self.last_irq = now;
-                    let at = now + self.cfg.irq_latency;
-                    self.irq_pending_at = Some(match self.irq_pending_at {
-                        Some(t) => t.min(at),
-                        None => at,
-                    });
-                }
                 continue;
             }
             self.dma(now, &cmd, mem, host);
@@ -259,15 +240,6 @@ impl NvmeDevice {
                 status: NvmeStatus::Success,
                 sq_head,
             });
-            // Interrupt moderation.
-            if now.saturating_sub(self.last_irq) >= self.cfg.irq_coalesce {
-                self.last_irq = now;
-                let at = now + self.cfg.irq_latency;
-                self.irq_pending_at = Some(match self.irq_pending_at {
-                    Some(t) => t.min(at),
-                    None => at,
-                });
-            }
         }
         n
     }
@@ -299,24 +271,6 @@ impl NvmeDevice {
             }
             Opcode::Flush => {}
         }
-    }
-
-    /// Take a pending interrupt if one is due at `now` (interrupt-
-    /// driven drivers: the in-kernel stack and the aio(4) baseline).
-    pub fn take_interrupt(&mut self, now: Nanos) -> bool {
-        match self.irq_pending_at {
-            Some(t) if t <= now => {
-                self.irq_pending_at = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// When the pending interrupt (if any) fires.
-    #[must_use]
-    pub fn irq_at(&self) -> Option<Nanos> {
-        self.irq_pending_at
     }
 }
 
@@ -392,8 +346,7 @@ mod tests {
         let (_m, _h, mut pa) = mem();
         let mut d = dev();
         let buf = pa.alloc(4096);
-        let lbas = d.config().ns_lbas;
-        d.qpair(0).sq_push(read_cmd(1, lbas - 1, 4096, buf));
+        d.qpair(0).sq_push(read_cmd(1, NS_LBAS - 1, 4096, buf));
         d.ring_sq_doorbell(Nanos::ZERO, 0);
         let entries = d.qpair(0).cq_consume(16);
         assert_eq!(entries.len(), 1, "error completes immediately");
@@ -462,26 +415,6 @@ mod tests {
             out.dram_read_bytes, 0,
             "DDIO must keep fresh disk data in LLC"
         );
-    }
-
-    #[test]
-    fn interrupts_fire_and_coalesce() {
-        let (mut m, mut h, mut pa) = mem();
-        let mut d = dev();
-        let buf = pa.alloc(4096);
-        d.qpair(0).sq_push(read_cmd(1, 0, 4096, buf));
-        d.ring_sq_doorbell(Nanos::ZERO, 0);
-        let t = loop {
-            let t = d.poll_at().expect("completion pending");
-            if d.advance(t, &mut m, &mut h) > 0 {
-                break t;
-            }
-        };
-        let irq_at = d.irq_at().expect("interrupt scheduled");
-        assert!(irq_at > t);
-        assert!(!d.take_interrupt(t), "not before latency elapses");
-        assert!(d.take_interrupt(irq_at));
-        assert!(!d.take_interrupt(irq_at), "taken once");
     }
 
     #[test]

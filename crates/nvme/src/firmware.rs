@@ -87,14 +87,6 @@ impl FirmwareParams {
         let effective = bytes.max(self.stripe_bytes);
         self.stripe_overhead + Nanos::from_nanos((effective as f64 / bw) as u64)
     }
-
-    /// Ideal read saturation throughput in Gb/s (diagnostic; used by
-    /// tests to bound measurements).
-    #[must_use]
-    pub fn max_read_gbps(&self) -> f64 {
-        let per = self.stripe_time(self.stripe_bytes, Opcode::Read);
-        self.channels as f64 * self.stripe_bytes as f64 * 8.0 / per.as_secs_f64() / 1e9
-    }
 }
 
 /// One command in flight.
@@ -220,12 +212,6 @@ impl Firmware {
         }
         out
     }
-
-    /// Commands currently in service (diagnostics / tests).
-    #[must_use]
-    pub fn inflight_count(&self) -> usize {
-        self.cmds.len()
-    }
 }
 
 #[cfg(test)]
@@ -265,13 +251,6 @@ mod tests {
         assert_eq!(done.len(), 1);
         let us = t.as_micros_f64();
         assert!((60.0..160.0).contains(&us), "16KiB QD1 latency {us}us");
-    }
-
-    #[test]
-    fn saturation_throughput_near_25gbps() {
-        let p = FirmwareParams::p3700();
-        let g = p.max_read_gbps();
-        assert!((20.0..30.0).contains(&g), "max read {g} Gb/s");
     }
 
     fn completion_time(fw: &mut Firmware, horizon: Nanos) -> Vec<(Nanos, u16)> {
@@ -326,9 +305,9 @@ mod tests {
         let mut fw = Firmware::new(FirmwareParams::p3700(), 1);
         fw.submit(Nanos::ZERO, 1, 0, &read_cmd(1, 16384));
         assert!(fw.drain_finished(Nanos::from_micros(1)).is_empty());
-        assert_eq!(fw.inflight_count(), 1);
+        assert_eq!(fw.cmds.len(), 1);
         assert_eq!(fw.drain_finished(Nanos::from_millis(10)).len(), 1);
-        assert_eq!(fw.inflight_count(), 0);
+        assert_eq!(fw.cmds.len(), 0);
     }
 
     #[test]

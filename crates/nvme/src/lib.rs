@@ -22,7 +22,7 @@ pub mod firmware;
 pub mod queue;
 
 pub use backing::{BlockBacking, SparseBacking, SyntheticBacking};
-pub use device::{Fidelity, NvmeConfig, NvmeDevice};
+pub use device::{Fidelity, NvmeConfig, NvmeDevice, NS_LBAS};
 pub use firmware::FirmwareParams;
 pub use queue::{CompletionEntry, NvmeCommand, NvmeStatus, Opcode, QueuePair};
 

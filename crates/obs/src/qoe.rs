@@ -188,12 +188,6 @@ impl PlayoutSim {
         self.level
     }
 
-    /// Is the session currently stalled (started once, buffer dry)?
-    #[must_use]
-    pub fn is_rebuffering(&self) -> bool {
-        self.state == PlayState::Rebuffering
-    }
-
     /// Has playback started at least once?
     #[must_use]
     pub fn started(&self) -> bool {
@@ -334,9 +328,13 @@ mod tests {
         p.on_segment(Nanos::ZERO, Nanos(100 * MS), 2e6, 1);
         assert!(p.started());
         p.on_segment(Nanos(250 * MS), Nanos(50 * MS), 1e6, 0);
-        assert!(p.is_rebuffering(), "50 ms refill < 100 ms startup");
+        assert_eq!(
+            p.state,
+            PlayState::Rebuffering,
+            "50 ms refill < 100 ms startup"
+        );
         p.on_segment(Nanos(260 * MS), Nanos(50 * MS), 1e6, 0);
-        assert!(!p.is_rebuffering());
+        assert_ne!(p.state, PlayState::Rebuffering);
         let q = p.finish(Nanos(300 * MS));
         assert_eq!(q.rebuffer_events, 1);
         // Stall from t=100 ms to t=260 ms.

@@ -298,11 +298,6 @@ impl Tracer {
         &self.done
     }
 
-    /// Chunks still mid-pipeline (run ended before recycle).
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// Per-stage latency histogram (µs). `None` when disabled.
     pub fn stage_hist(&self, s: Stage) -> Option<&Histogram> {
         self.stage_hists.get(s as usize)
@@ -321,7 +316,6 @@ mod tests {
         t.map_tx(99, 1);
         t.finish_tx(99, Nanos::from_micros(2));
         assert!(t.finished().is_empty());
-        assert_eq!(t.live_count(), 0);
         assert!(t.stage_hist(Stage::AckArrival).is_none());
     }
 

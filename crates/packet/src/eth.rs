@@ -14,7 +14,7 @@ impl MacAddr {
     /// Locally-administered address derived from a small host id —
     /// handy for generating fleets of simulated clients.
     #[must_use]
-    pub fn from_host_id(id: u32) -> Self {
+    pub const fn from_host_id(id: u32) -> Self {
         let b = id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }

@@ -76,10 +76,6 @@ macro_rules! bitflags_lite {
             pub fn contains(self, other: $name) -> bool {
                 self.0 & other.0 == other.0
             }
-            #[must_use]
-            pub fn intersects(self, other: $name) -> bool {
-                self.0 & other.0 != 0
-            }
         }
         impl std::ops::BitOr for $name {
             type Output = $name;
@@ -324,7 +320,6 @@ mod tests {
         assert!(f.contains(TcpFlags::SYN));
         assert!(f.contains(TcpFlags::ACK));
         assert!(!f.contains(TcpFlags::FIN));
-        assert!(f.intersects(TcpFlags::SYN | TcpFlags::FIN));
         assert_eq!(format!("{f:?}"), "SYN|ACK");
     }
 

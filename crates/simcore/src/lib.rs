@@ -20,7 +20,7 @@ pub mod zeroed;
 
 pub use ids::{Arena, Id};
 pub use queue::{EventQueue, Scheduled};
-pub use rng::{prf_bytes, RankPerm, SimRng, Zipf};
+pub use rng::{prf_bytes, RankPerm, SimRng, Zipf, RANK_PERM_SEED};
 pub use stats::{Histogram, MeanCi, SeriesPoint, TimeBuckets};
 pub use time::{Bandwidth, Nanos};
 pub use zeroed::ZeroedTable;

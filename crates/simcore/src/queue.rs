@@ -80,23 +80,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Schedule `event` after a relative delay.
-    pub fn schedule_after(&mut self, delay: Nanos, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pop the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         let ev = self.heap.pop()?;
         debug_assert!(ev.at >= self.now, "event queue time went backwards");
         self.now = ev.at;
         Some(ev)
-    }
-
-    /// Timestamp of the next event without popping it.
-    #[must_use]
-    pub fn peek_at(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
     }
 
     #[must_use]
@@ -143,14 +132,5 @@ mod tests {
         q.schedule(Nanos::from_micros(2), ());
         let e = q.pop().unwrap();
         assert_eq!(e.at, Nanos::from_micros(10));
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::from_micros(10), 1);
-        q.pop();
-        q.schedule_after(Nanos::from_micros(5), 2);
-        assert_eq!(q.peek_at(), Some(Nanos::from_micros(15)));
     }
 }

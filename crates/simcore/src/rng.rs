@@ -191,6 +191,11 @@ impl Zipf {
     }
 }
 
+/// Seed of the popularity-rank → object-id permutation. The Zipf
+/// workload's sampler and the tier's seeded hot set both draw from
+/// it, so "popular" means the same objects on both sides.
+pub const RANK_PERM_SEED: u64 = 0x007E_1A11;
+
 /// Seeded pseudo-random permutation of `{0, .., n-1}` — a 4-round
 /// Feistel network over the smallest even-width bit domain covering
 /// `n`, with cycle-walking to stay inside the range. O(1) per lookup
@@ -388,7 +393,7 @@ mod tests {
         let cases = [
             (
                 1_000_000,
-                0x007E_1A11,
+                RANK_PERM_SEED,
                 [363_205, 181_599, 525_792, 796_878],
                 40_006_946_816_443_448,
             ),

@@ -116,22 +116,10 @@ pub struct Bandwidth {
 
 impl Bandwidth {
     #[must_use]
-    pub fn from_gbps(g: f64) -> Self {
+    pub const fn from_gbps(g: f64) -> Self {
         Bandwidth {
             bits_per_sec: g * 1e9,
         }
-    }
-    #[must_use]
-    pub fn from_bits_per_sec(b: f64) -> Self {
-        Bandwidth { bits_per_sec: b }
-    }
-    #[must_use]
-    pub fn as_gbps(self) -> f64 {
-        self.bits_per_sec / 1e9
-    }
-    #[must_use]
-    pub fn as_bits_per_sec(self) -> f64 {
-        self.bits_per_sec
     }
 
     /// Time to serialize `bytes` at this rate.
@@ -141,19 +129,6 @@ impl Bandwidth {
             return Nanos::MAX;
         }
         Nanos(((bytes as f64 * 8.0) / self.bits_per_sec * 1e9).ceil() as u64)
-    }
-
-    /// Rate implied by moving `bytes` over `span`.
-    #[must_use]
-    pub fn from_bytes_over(bytes: u64, span: Nanos) -> Self {
-        if span == Nanos::ZERO {
-            return Bandwidth {
-                bits_per_sec: f64::INFINITY,
-            };
-        }
-        Bandwidth {
-            bits_per_sec: bytes as f64 * 8.0 / span.as_secs_f64(),
-        }
     }
 }
 
@@ -186,12 +161,6 @@ mod tests {
         let bw = Bandwidth::from_gbps(40.0);
         let t = bw.tx_time(1538);
         assert!(t.as_nanos() >= 307 && t.as_nanos() <= 309, "{t:?}");
-    }
-
-    #[test]
-    fn bandwidth_inverse() {
-        let bw = Bandwidth::from_bytes_over(125_000_000, Nanos::from_secs(1));
-        assert!((bw.as_gbps() - 1.0).abs() < 1e-9);
     }
 
     #[test]

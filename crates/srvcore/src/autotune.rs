@@ -15,7 +15,7 @@
 //! * **submission-queue occupancy** (in-flight commands / queue
 //!   depth), tracked as the peak since the last adjustment,
 //!
-//! and every `adjust_period` completions nudges two knobs between a
+//! and every [`ADJUST_PERIOD`] completions nudges two knobs between a
 //! floor and a ceiling:
 //!
 //! * the **watermark** — the minimum usable window before the next
@@ -25,10 +25,10 @@
 //! * the **in-flight cap** — the per-core bound on outstanding reads.
 //!
 //! The policy is a classic gradient probe: while the drive looks
-//! unloaded (EWMA ≤ base × `latency_queue_x100`/100) and the SQ has
+//! unloaded (EWMA ≤ base × [`LATENCY_QUEUE_X100`]/100) and the SQ has
 //! headroom, decay the watermark toward the floor and widen the cap;
 //! when latency inflates past the queueing threshold or the SQ peak
-//! crosses `sq_target_x100`, back off multiplicatively. A fast drive
+//! crosses [`SQ_TARGET_X100`], back off multiplicatively. A fast drive
 //! therefore converges near the floor (maximum prefetch overlap), a
 //! saturated or slow drive settles higher — the operating-point
 //! argument of the paper's Fig 6, discovered rather than hand-picked.
@@ -40,65 +40,33 @@
 
 use dcn_simcore::SimRng;
 
-/// Autotuner knobs. `enabled: false` (the default) makes the tuner a
-/// transparent pass-through of the configured fixed watermark, so
-/// existing configs reproduce the paper's constant exactly.
-#[derive(Clone, Copy, Debug)]
-pub struct AutotuneConfig {
-    pub enabled: bool,
-    /// Watermark floor: never require less usable window than this
-    /// before issuing (2×MSS keeps at least one segment clocked out
-    /// between fetch decisions).
-    pub floor_watermark: u64,
-    /// Watermark ceiling: never require more than this.
-    pub ceiling_watermark: u64,
-    /// In-flight read cap bounds (per core, across its queues).
-    pub min_inflight: u32,
-    pub max_inflight: u32,
-    /// Completions between adjustments (dithered ±25% per step).
-    pub adjust_period: u32,
-    /// Queueing threshold: back off once the latency EWMA exceeds
-    /// base × this / 100.
-    pub latency_queue_x100: u64,
-    /// SQ-occupancy threshold (percent) above which we back off.
-    pub sq_target_x100: u64,
-    /// EWMA gain as a right-shift: ewma += (sample - ewma) >> shift.
-    pub ewma_shift: u32,
-}
-
-impl Default for AutotuneConfig {
-    fn default() -> Self {
-        AutotuneConfig {
-            enabled: false,
-            floor_watermark: 2 * 1448,
-            ceiling_watermark: 32 * 1448,
-            min_inflight: 4,
-            max_inflight: 64,
-            adjust_period: 32,
-            latency_queue_x100: 150,
-            sq_target_x100: 75,
-            ewma_shift: 3,
-        }
-    }
-}
-
-impl AutotuneConfig {
-    /// The configuration the benchmarks use: tuning on, everything
-    /// else at the defaults.
-    #[must_use]
-    pub fn on() -> Self {
-        AutotuneConfig {
-            enabled: true,
-            ..AutotuneConfig::default()
-        }
-    }
-}
+/// Watermark floor: never require less usable window than this
+/// before issuing (2×MSS keeps at least one segment clocked out
+/// between fetch decisions).
+pub const FLOOR_WATERMARK: u64 = 2 * 1448;
+/// Watermark ceiling: never require more than this.
+pub const CEILING_WATERMARK: u64 = 32 * 1448;
+/// In-flight read cap bounds (per core, across its queues).
+pub const MIN_INFLIGHT: u32 = 4;
+pub const MAX_INFLIGHT: u32 = 64;
+/// Completions between adjustments (dithered ±25% per step).
+pub const ADJUST_PERIOD: u64 = 32;
+/// Queueing threshold: back off once the latency EWMA exceeds
+/// base × this / 100.
+pub const LATENCY_QUEUE_X100: u64 = 150;
+/// SQ-occupancy threshold (percent) above which we back off.
+pub const SQ_TARGET_X100: u64 = 75;
+/// EWMA gain as a right-shift: ewma += (sample - ewma) >> shift.
+pub const EWMA_SHIFT: u32 = 3;
 
 /// Per-core tuner state. Deterministic: integer EWMAs plus a seeded
-/// RNG used only to dither the adjustment period.
+/// RNG used only to dither the adjustment period. A tuner built with
+/// `enabled: false` (every stack's default) is a transparent
+/// pass-through of the configured fixed watermark, so existing configs
+/// reproduce the paper's constant exactly.
 #[derive(Debug)]
 pub struct IoTuner {
-    cfg: AutotuneConfig,
+    enabled: bool,
     /// The configured fixed watermark, returned verbatim when tuning
     /// is off and used as the starting point when it is on.
     fixed: u64,
@@ -119,14 +87,14 @@ pub struct IoTuner {
 
 impl IoTuner {
     #[must_use]
-    pub fn new(cfg: AutotuneConfig, fixed_watermark: u64, seed: u64) -> Self {
+    pub fn new(enabled: bool, fixed_watermark: u64, seed: u64) -> Self {
         let mut rng = SimRng::new(seed ^ 0x0107_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let next_adjust = Self::dither(&cfg, &mut rng);
+        let next_adjust = Self::dither(&mut rng);
         IoTuner {
-            cfg,
+            enabled,
             fixed: fixed_watermark,
-            wm: fixed_watermark.clamp(cfg.floor_watermark, cfg.ceiling_watermark),
-            cap: cfg.max_inflight,
+            wm: fixed_watermark.clamp(FLOOR_WATERMARK, CEILING_WATERMARK),
+            cap: MAX_INFLIGHT,
             ewma_lat: 0,
             base_lat: 0,
             occ_peak_x100: 0,
@@ -137,17 +105,17 @@ impl IoTuner {
         }
     }
 
-    fn dither(cfg: &AutotuneConfig, rng: &mut SimRng) -> u32 {
-        let p = u64::from(cfg.adjust_period.max(4));
-        // period ± 25%, never below 4 completions.
-        (rng.gen_range(p - p / 4, p + p / 4 + 1) as u32).max(4)
+    fn dither(rng: &mut SimRng) -> u32 {
+        let p = ADJUST_PERIOD;
+        // period ± 25%.
+        rng.gen_range(p - p / 4, p + p / 4 + 1) as u32
     }
 
     /// Current fetch watermark (bytes of usable window required before
     /// the next read is issued).
     #[must_use]
     pub fn watermark(&self) -> u64 {
-        if self.cfg.enabled {
+        if self.enabled {
             self.wm
         } else {
             self.fixed
@@ -158,7 +126,7 @@ impl IoTuner {
     /// off (the stack's natural pool/queue limits apply unchanged).
     #[must_use]
     pub fn inflight_cap(&self) -> u32 {
-        if self.cfg.enabled {
+        if self.enabled {
             self.cap
         } else {
             u32::MAX
@@ -168,7 +136,7 @@ impl IoTuner {
     /// Feed one NVMe completion: its submit→complete latency and the
     /// queue's occupancy at completion-drain time.
     pub fn observe_completion(&mut self, latency_ns: u64, inflight: usize, queue_depth: usize) {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return;
         }
         let lat = latency_ns.max(1);
@@ -176,7 +144,7 @@ impl IoTuner {
             self.ewma_lat = lat;
         } else {
             let delta = lat as i64 - self.ewma_lat as i64;
-            self.ewma_lat = (self.ewma_lat as i64 + (delta >> self.cfg.ewma_shift)) as u64;
+            self.ewma_lat = (self.ewma_lat as i64 + (delta >> EWMA_SHIFT)) as u64;
         }
         if self.base_lat == 0 || self.ewma_lat < self.base_lat {
             self.base_lat = self.ewma_lat.max(1);
@@ -190,16 +158,16 @@ impl IoTuner {
     }
 
     fn adjust(&mut self) {
-        let queued = self.ewma_lat > self.base_lat * self.cfg.latency_queue_x100 / 100;
-        let occ_high = self.occ_peak_x100 > self.cfg.sq_target_x100;
+        let queued = self.ewma_lat > self.base_lat * LATENCY_QUEUE_X100 / 100;
+        let occ_high = self.occ_peak_x100 > SQ_TARGET_X100;
         if queued || occ_high {
             // Multiplicative back-off: demand more window headroom
             // before issuing, and narrow the in-flight cap.
-            self.wm = (self.wm + (self.wm / 4).max(1)).min(self.cfg.ceiling_watermark);
+            self.wm = (self.wm + (self.wm / 4).max(1)).min(CEILING_WATERMARK);
             self.cap = self
                 .cap
                 .saturating_sub((self.cap / 4).max(1))
-                .max(self.cfg.min_inflight);
+                .max(MIN_INFLIGHT);
         } else {
             // Healthy: issue earlier (decay toward the floor) and
             // widen the cap additively. The base estimate also creeps
@@ -210,13 +178,13 @@ impl IoTuner {
             self.wm = self
                 .wm
                 .saturating_sub((self.wm / 8).max(1))
-                .max(self.cfg.floor_watermark);
-            self.cap = (self.cap + 1).min(self.cfg.max_inflight);
+                .max(FLOOR_WATERMARK);
+            self.cap = (self.cap + 1).min(MAX_INFLIGHT);
             self.base_lat += self.base_lat >> 6;
         }
         self.occ_peak_x100 = 0;
         self.seen = 0;
-        self.next_adjust = Self::dither(&self.cfg, &mut self.rng);
+        self.next_adjust = Self::dither(&mut self.rng);
         self.adjustments += 1;
     }
 
@@ -237,13 +205,9 @@ impl IoTuner {
 mod tests {
     use super::*;
 
-    fn on() -> AutotuneConfig {
-        AutotuneConfig::on()
-    }
-
     #[test]
     fn disabled_tuner_is_a_pass_through() {
-        let mut t = IoTuner::new(AutotuneConfig::default(), 14_480, 7);
+        let mut t = IoTuner::new(false, 14_480, 7);
         for _ in 0..1000 {
             t.observe_completion(1_000_000, 60, 64);
         }
@@ -254,19 +218,17 @@ mod tests {
 
     #[test]
     fn fast_unloaded_drive_converges_to_the_floor() {
-        let cfg = on();
-        let mut t = IoTuner::new(cfg, 14_480, 7);
+        let mut t = IoTuner::new(true, 14_480, 7);
         for _ in 0..2000 {
             t.observe_completion(80_000, 2, 1024);
         }
-        assert_eq!(t.watermark(), cfg.floor_watermark);
-        assert_eq!(t.inflight_cap(), cfg.max_inflight);
+        assert_eq!(t.watermark(), FLOOR_WATERMARK);
+        assert_eq!(t.inflight_cap(), MAX_INFLIGHT);
     }
 
     #[test]
     fn queueing_latency_backs_the_window_off() {
-        let cfg = on();
-        let mut t = IoTuner::new(cfg, 14_480, 7);
+        let mut t = IoTuner::new(true, 14_480, 7);
         // Establish a fast base…
         for _ in 0..500 {
             t.observe_completion(80_000, 2, 1024);
@@ -276,14 +238,13 @@ mod tests {
         for _ in 0..2000 {
             t.observe_completion(800_000, 2, 1024);
         }
-        assert!(t.watermark() > cfg.floor_watermark, "wm={}", t.watermark());
-        assert_eq!(t.inflight_cap(), cfg.min_inflight);
+        assert!(t.watermark() > FLOOR_WATERMARK, "wm={}", t.watermark());
+        assert_eq!(t.inflight_cap(), MIN_INFLIGHT);
     }
 
     #[test]
     fn sq_saturation_backs_off_even_at_base_latency() {
-        let cfg = on();
-        let mut t = IoTuner::new(cfg, 14_480, 7);
+        let mut t = IoTuner::new(true, 14_480, 7);
         for _ in 0..500 {
             t.observe_completion(80_000, 2, 64);
         }
@@ -296,9 +257,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_trajectory() {
-        let cfg = on();
         let run = |seed| {
-            let mut t = IoTuner::new(cfg, 14_480, seed);
+            let mut t = IoTuner::new(true, 14_480, seed);
             let mut points = Vec::new();
             for i in 0..1000u64 {
                 t.observe_completion(80_000 + (i % 7) * 1000, (i % 9) as usize, 64);
@@ -312,15 +272,14 @@ mod tests {
 
     #[test]
     fn bounds_are_respected_under_adversarial_input() {
-        let cfg = on();
-        let mut t = IoTuner::new(cfg, 14_480, 9);
+        let mut t = IoTuner::new(true, 14_480, 9);
         for i in 0..5000u64 {
             let lat = if i % 2 == 0 { 1 } else { 100_000_000 };
             t.observe_completion(lat, (i % 128) as usize, 64);
-            assert!(t.watermark() >= cfg.floor_watermark);
-            assert!(t.watermark() <= cfg.ceiling_watermark);
-            assert!(t.inflight_cap() >= cfg.min_inflight);
-            assert!(t.inflight_cap() <= cfg.max_inflight);
+            assert!(t.watermark() >= FLOOR_WATERMARK);
+            assert!(t.watermark() <= CEILING_WATERMARK);
+            assert!(t.inflight_cap() >= MIN_INFLIGHT);
+            assert!(t.inflight_cap() <= MAX_INFLIGHT);
         }
     }
 }

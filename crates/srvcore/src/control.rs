@@ -4,7 +4,7 @@
 //! [`ResourceSnapshot`] of its own scarce resources (DMA pool or
 //! buffer cache, NVMe queues) and hands it in.
 
-use crate::autotune::{AutotuneConfig, IoTuner};
+use crate::autotune::IoTuner;
 use crate::overload::{AdmissionConfig, OverloadState, ResourceSnapshot};
 use dcn_packet::FlowId;
 use std::ops::{Index, IndexMut};
@@ -37,12 +37,13 @@ pub struct ServerControl {
 }
 
 impl ServerControl {
-    /// `n_cores` cores, each with an I/O tuner that starts at `window`
-    /// and is seeded from `seed` and its core index.
+    /// `n_cores` cores, each with an I/O tuner (tuning iff `autotune`)
+    /// that starts at `window` and is seeded from `seed` and its core
+    /// index.
     #[must_use]
     pub fn new(
         admission: AdmissionConfig,
-        autotune: AutotuneConfig,
+        autotune: bool,
         window: u64,
         seed: u64,
         n_cores: usize,
@@ -122,13 +123,7 @@ mod tests {
     use super::*;
 
     fn ctl(cores: usize) -> ServerControl {
-        ServerControl::new(
-            AdmissionConfig::default(),
-            AutotuneConfig::default(),
-            14_480,
-            0,
-            cores,
-        )
+        ServerControl::new(AdmissionConfig::default(), false, 14_480, 0, cores)
     }
 
     fn snap(conns: usize, pool_free_frac: f64) -> ResourceSnapshot {

@@ -14,13 +14,39 @@
 //! crosses its enter threshold and only *exits* once every resource is
 //! back past its (more generous) exit threshold, so the server doesn't
 //! flap admit/shed at the boundary. Under sustained pressure the
-//! ladder escalates one rung per `ladder_escalate_sweeps` sweeps:
+//! ladder escalates one rung per [`LADDER_ESCALATE_SWEEPS`] sweeps:
 //! shed-new → reap-idle → abort-slowest; it de-escalates one rung per
 //! pressure-free sweep.
 
 use dcn_simcore::Nanos;
 
-/// Per-core admission + slow-client policy knobs.
+/// A connection that completes the handshake but never delivers a
+/// full request head within this deadline is reaped (slowloris
+/// defense).
+pub const HEADER_TIMEOUT: Nanos = Nanos::from_secs(1);
+/// A keepalive connection with no response in flight and no activity
+/// for this long is reaped.
+pub const IDLE_TIMEOUT: Nanos = Nanos::from_secs(5);
+/// Minimum drain rate for a connection that is pinning DMA buffers:
+/// measured over [`DRAIN_WINDOW`], an ACK-progress rate below this
+/// aborts the connection and returns its buffers.
+pub const MIN_DRAIN_BYTES_PER_SEC: u64 = 512;
+/// Measurement window for the drain-rate check.
+pub const DRAIN_WINDOW: Nanos = Nanos::from_secs(1);
+/// How often the server sweeps connections for the deadlines above
+/// and re-evaluates the ladder.
+pub const SWEEP_INTERVAL: Nanos = Nanos::from_millis(50);
+/// Backoff advertised on 503 responses (`Retry-After`).
+pub const RETRY_AFTER: Nanos = Nanos::from_millis(200);
+/// DMA buffers per queue held back for retransmit re-fetches, so a
+/// connection in RTO recovery is never starved behind fresh fetches
+/// from newly admitted connections.
+pub const RETX_RESERVE_BUFS: u32 = 2;
+/// Sweeps of sustained pressure per ladder escalation.
+pub const LADDER_ESCALATE_SWEEPS: u32 = 2;
+
+/// Per-core admission policy: the connection cap and the hysteretic
+/// resource watermarks.
 ///
 /// Defaults are deliberately generous: they never engage in the
 /// ordinary benchmark scenarios (sub-second runs, connection counts in
@@ -41,31 +67,6 @@ pub struct AdmissionConfig {
     pub sq_high_enter: f64,
     /// …and only stop once it falls below this.
     pub sq_high_exit: f64,
-    /// A connection that completes the handshake but never delivers a
-    /// full request head within this deadline is reaped (slowloris
-    /// defense).
-    pub header_timeout: Nanos,
-    /// A keepalive connection with no response in flight and no
-    /// activity for this long is reaped.
-    pub idle_timeout: Nanos,
-    /// Minimum drain rate for a connection that is pinning DMA
-    /// buffers: measured over `drain_window`, an ACK-progress rate
-    /// below this aborts the connection and returns its buffers.
-    /// 0 disables the check.
-    pub min_drain_bytes_per_sec: u64,
-    /// Measurement window for the drain-rate check.
-    pub drain_window: Nanos,
-    /// How often the server sweeps connections for the deadlines
-    /// above and re-evaluates the ladder.
-    pub sweep_interval: Nanos,
-    /// Backoff advertised on 503 responses (`Retry-After`).
-    pub retry_after: Nanos,
-    /// DMA buffers per queue held back for retransmit re-fetches, so
-    /// a connection in RTO recovery is never starved behind fresh
-    /// fetches from newly admitted connections.
-    pub retx_reserve_bufs: u32,
-    /// Sweeps of sustained pressure per ladder escalation.
-    pub ladder_escalate_sweeps: u32,
 }
 
 impl Default for AdmissionConfig {
@@ -76,14 +77,6 @@ impl Default for AdmissionConfig {
             pool_low_exit: 0.10,
             sq_high_enter: 0.95,
             sq_high_exit: 0.75,
-            header_timeout: Nanos::from_secs(1),
-            idle_timeout: Nanos::from_secs(5),
-            min_drain_bytes_per_sec: 512,
-            drain_window: Nanos::from_secs(1),
-            sweep_interval: Nanos::from_millis(50),
-            retry_after: Nanos::from_millis(200),
-            retx_reserve_bufs: 2,
-            ladder_escalate_sweeps: 2,
         }
     }
 }
@@ -162,13 +155,16 @@ impl OverloadState {
     /// Escalation keys on the *resource* latch, not the connection
     /// cap — a full-but-healthy server sheds new conns without ever
     /// churning the admitted ones.
-    pub fn on_sweep(&mut self, cfg: &AdmissionConfig) -> LadderLevel {
+    pub fn on_sweep(&mut self) -> LadderLevel {
+        self.walk_ladder(LADDER_ESCALATE_SWEEPS)
+    }
+
+    /// One ladder step, escalating every `escalate_sweeps` (≥ 1)
+    /// sweeps of sustained pressure.
+    fn walk_ladder(&mut self, escalate_sweeps: u32) -> LadderLevel {
         if self.latched {
             self.pressure_sweeps += 1;
-            if self
-                .pressure_sweeps
-                .is_multiple_of(cfg.ladder_escalate_sweeps.max(1))
-            {
+            if self.pressure_sweeps.is_multiple_of(escalate_sweeps) {
                 self.level = match self.level {
                     LadderLevel::Normal => LadderLevel::ShedNew,
                     LadderLevel::ShedNew => LadderLevel::ReapIdle,
@@ -274,37 +270,31 @@ mod tests {
 
     #[test]
     fn ladder_escalates_under_sustained_pressure_then_recovers() {
-        let cfg = AdmissionConfig {
-            ladder_escalate_sweeps: 2,
-            ..AdmissionConfig::default()
-        };
+        let cfg = AdmissionConfig::default();
         let mut st = OverloadState::default();
         st.observe(&cfg, snap(1, 0.0, 0.0));
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ShedNew);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ReapIdle);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ReapIdle);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::AbortSlowest);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::AbortSlowest, "saturates");
+        assert_eq!(st.on_sweep(), LadderLevel::ShedNew);
+        assert_eq!(st.on_sweep(), LadderLevel::ReapIdle);
+        assert_eq!(st.on_sweep(), LadderLevel::ReapIdle);
+        assert_eq!(st.on_sweep(), LadderLevel::AbortSlowest);
+        assert_eq!(st.on_sweep(), LadderLevel::AbortSlowest, "saturates");
         assert!(st.is_shedding());
         // Pressure clears: one rung back per sweep.
         st.observe(&cfg, snap(1, 0.9, 0.0));
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ReapIdle);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ShedNew);
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::Normal);
+        assert_eq!(st.on_sweep(), LadderLevel::ReapIdle);
+        assert_eq!(st.on_sweep(), LadderLevel::ShedNew);
+        assert_eq!(st.on_sweep(), LadderLevel::Normal);
         assert!(!st.is_shedding());
     }
 
     #[test]
     fn single_pressure_sweep_sheds_new_immediately() {
-        let cfg = AdmissionConfig {
-            ladder_escalate_sweeps: 4,
-            ..AdmissionConfig::default()
-        };
+        let cfg = AdmissionConfig::default();
         let mut st = OverloadState::default();
         st.observe(&cfg, snap(1, 0.0, 0.0));
         // Even before the first escalation boundary, pressure means at
         // least shed-new.
-        assert_eq!(st.on_sweep(&cfg), LadderLevel::ShedNew);
+        assert_eq!(st.walk_ladder(4), LadderLevel::ShedNew);
     }
 
     #[test]
@@ -314,7 +304,7 @@ mod tests {
         // Typical healthy observation from the existing benchmarks.
         for _ in 0..100 {
             assert!(st.admit(&cfg, snap(64, 0.85, 0.3)));
-            assert_eq!(st.on_sweep(&cfg), LadderLevel::Normal);
+            assert_eq!(st.on_sweep(), LadderLevel::Normal);
         }
     }
 }

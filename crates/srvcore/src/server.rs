@@ -10,10 +10,9 @@
 //! points. Every hook receives the whole [`Server`], so a stack reads
 //! the shell's parts (front end, NIC, cores, registry) directly.
 
-use crate::autotune::AutotuneConfig;
 use crate::control::ServerControl;
 use crate::front::{Answer, Front, FrontConfig, Rx, ServedWork};
-use crate::overload::{AdmissionConfig, ResourceSnapshot};
+use crate::overload::{AdmissionConfig, ResourceSnapshot, RETRY_AFTER};
 use crate::tier::TierIds;
 use dcn_faults::{FaultConfig, FaultCounts};
 use dcn_mem::{
@@ -23,11 +22,24 @@ use dcn_mem::{
 use dcn_netdev::{Nic, NicConfig, SentBurst, WireFrame};
 use dcn_nvme::{FirmwareParams, NvmeConfig, NvmeDevice};
 use dcn_obs::{CounterId, Prof, ProfReport, ProfStage, Registry, Tracer};
+use dcn_packet::{Ipv4Addr, MacAddr};
 use dcn_simcore::{earliest, Nanos, SimRng};
 use dcn_store::{Catalog, CatalogBacking};
-use dcn_tcpstack::TcbEvent;
-use dcn_tier::{CacheConfig, HotChunkCache, TierConfig, TierEngine};
+use dcn_tcpstack::{Endpoint, TcbEvent};
+use dcn_tier::{HotChunkCache, TierConfig, TierEngine};
 use std::collections::BTreeSet;
+
+/// Where a lone server listens: 10.0.0.1:80. A cluster numbers its
+/// servers on from here (server *i* at 10.0.0.(*i*+1)).
+pub const SERVER_ENDPOINT: Endpoint = Endpoint {
+    mac: MacAddr::from_host_id(1),
+    ip: Ipv4Addr::new(10, 0, 0, 1),
+    port: 80,
+};
+
+/// Slots per submission/completion queue of every NVMe device a
+/// server builds; the stacks' SQ-occupancy readings divide by it.
+pub const NVME_QUEUE_DEPTH: u16 = 1024;
 
 /// What the shell builds a server from, read off a stack's config,
 /// plus the per-stack constants of the build.
@@ -40,12 +52,13 @@ pub struct Shell {
     pub costs: CostParams,
     pub fidelity: Fidelity,
     pub admission: AdmissionConfig,
-    /// The per-core I/O tuners' config and starting window.
-    pub autotune: AutotuneConfig,
+    /// Do the per-core I/O tuners tune?
+    pub autotune: bool,
+    /// The tuners' starting window (their fixed one when untuned).
     pub window: u64,
     pub profile: bool,
     pub tier: Option<TierConfig>,
-    pub tier_cache: Option<CacheConfig>,
+    pub tier_cache: bool,
     /// Names of the front end's per-core counters: refused SYNs, 503s
     /// and 431s.
     pub front_metrics: [&'static str; 3],
@@ -201,9 +214,9 @@ impl<S: Stack> Server<S> {
         }
         let nvme_cfg = NvmeConfig {
             num_qpairs: sh.nvme_qpairs,
+            queue_depth: NVME_QUEUE_DEPTH,
             firmware: sh.firmware,
             fidelity: sh.fidelity,
-            ..NvmeConfig::default()
         };
         let disks = (0..catalog.n_disks())
             .map(|d| {
@@ -218,7 +231,7 @@ impl<S: Stack> Server<S> {
         let stack = S::build(&cfg, &catalog, disks, &mut phys, &mut reg);
         let rx_slots = (0..sh.cores).map(|_| phys.alloc(2048)).collect();
         let tier = sh.tier.map(|tc| TierEngine::new(tc, &catalog, seed));
-        let cache = sh.tier_cache.map(HotChunkCache::new);
+        let cache = sh.tier_cache.then(HotChunkCache::default);
         let cache_slots = cache
             .as_ref()
             .map(|c| {
@@ -308,7 +321,7 @@ impl<S: Stack> Server<S> {
             slot,
             bytes,
             shedding,
-            self.ctl.admission.retry_after,
+            RETRY_AFTER,
             &self.catalog,
             &mut self.reg,
         );

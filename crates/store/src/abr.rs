@@ -108,12 +108,6 @@ impl AbrManifest {
         self.chunk_size
     }
 
-    /// Chunks rung `rung` of any segment spans.
-    #[must_use]
-    pub fn chunks_at(&self, rung: usize) -> u32 {
-        self.ladder[rung]
-    }
-
     /// Bytes one segment occupies at `rung`.
     #[must_use]
     pub fn seg_bytes(&self, rung: usize) -> u64 {

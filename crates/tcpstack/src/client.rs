@@ -244,11 +244,6 @@ impl ClientConn {
             // s < rcv_nxt: stale duplicate, drop.
         }
     }
-
-    #[must_use]
-    pub fn ooo_segments(&self) -> usize {
-        self.ooo.len()
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +341,7 @@ mod tests {
         let (t, _) = TcpRepr::parse(&acks[0].headers[34..], None).unwrap();
         assert_eq!(t.ack, SeqNumber(1000), "dup ACK at the gap");
         assert_eq!(c.delivered, 0);
-        assert_eq!(c.ooo_segments(), 1);
+        assert_eq!(c.ooo.len(), 1);
         // The hole fills: cumulative ACK jumps past both.
         let acks = c.on_burst(
             Nanos::ZERO,
@@ -356,7 +351,7 @@ mod tests {
         let (t, _) = TcpRepr::parse(&acks.last().unwrap().headers[34..], None).unwrap();
         assert_eq!(t.ack, SeqNumber(1200));
         assert_eq!(c.delivered, 200);
-        assert_eq!(c.ooo_segments(), 0);
+        assert_eq!(c.ooo.len(), 0);
         // Stream order preserved.
         assert_eq!(inbox.len(), 200);
         assert!(inbox[..100].iter().all(|&b| b == 1));

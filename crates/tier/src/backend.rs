@@ -46,37 +46,33 @@ pub trait StorageBackend {
     fn drain_completed(&mut self, now: Nanos, out: &mut Vec<GetTicket>);
 }
 
-/// Cold-tier parameters. Defaults model a same-region object store
-/// reached over the backbone: ~20 ms to first byte, a shared 10 Gb/s
-/// egress pipe, and S3-shaped pricing (flat per-request fee plus
-/// per-byte egress).
+/// Uniform ± fraction applied to the cold store's base latency, drawn
+/// from the store's own seeded stream (bit-identical replay).
+pub const JITTER_FRAC: f64 = 0.2;
+/// Shared transfer pipe for all in-flight GETs (serving and
+/// promotions alike — migrations contend with misses): a 10 Gb/s
+/// backbone egress.
+pub const BANDWIDTH: Bandwidth = Bandwidth::from_gbps(10.0);
+/// Flat fee per GET, in micro-cents (≈ $0.40 per million requests).
+pub const COST_PER_REQ_UCENTS: u64 = 40;
+/// Egress fee per GiB, in micro-cents (≈ $0.01/GiB backbone rate).
+pub const COST_PER_GIB_UCENTS: u64 = 10_000;
+
+/// Cold-tier parameters. The default models a same-region object
+/// store reached over the backbone: ~20 ms to first byte, then the
+/// shared [`BANDWIDTH`] pipe and S3-shaped pricing (flat per-request
+/// fee plus per-byte egress).
 #[derive(Clone, Copy, Debug)]
 pub struct ColdStoreConfig {
     /// Request latency before the transfer starts (auth + index +
     /// first byte).
     pub base_latency: Nanos,
-    /// Uniform ± fraction applied to `base_latency`, drawn from the
-    /// store's own seeded stream (bit-identical replay).
-    pub jitter_frac: f64,
-    /// Shared transfer pipe for all in-flight GETs (serving and
-    /// promotions alike — migrations contend with misses).
-    pub bandwidth: Bandwidth,
-    /// Flat fee per GET, in micro-cents (≈ $0.40 per million
-    /// requests).
-    pub cost_per_req_ucents: u64,
-    /// Egress fee per GiB, in micro-cents (≈ $0.01/GiB backbone
-    /// rate).
-    pub cost_per_gib_ucents: u64,
 }
 
 impl Default for ColdStoreConfig {
     fn default() -> Self {
         ColdStoreConfig {
             base_latency: Nanos::from_micros(20_000),
-            jitter_frac: 0.2,
-            bandwidth: Bandwidth::from_gbps(10.0),
-            cost_per_req_ucents: 40,
-            cost_per_gib_ucents: 10_000,
         }
     }
 }
@@ -96,6 +92,7 @@ pub struct ColdStats {
 /// completion times and costs.
 pub struct ColdObjectStore {
     cfg: ColdStoreConfig,
+    jitter_frac: f64,
     rng: SimRng,
     /// When the shared transfer pipe frees up.
     next_free: Nanos,
@@ -109,19 +106,19 @@ pub struct ColdObjectStore {
 impl ColdObjectStore {
     #[must_use]
     pub fn new(cfg: ColdStoreConfig, seed: u64) -> Self {
+        Self::with_jitter(cfg, JITTER_FRAC, seed)
+    }
+
+    fn with_jitter(cfg: ColdStoreConfig, jitter_frac: f64, seed: u64) -> Self {
         ColdObjectStore {
             cfg,
+            jitter_frac,
             rng: SimRng::new(seed ^ 0xC01D_5708_0000_0000),
             next_free: Nanos::ZERO,
             pending: BTreeMap::new(),
             seq: 0,
             stats: ColdStats::default(),
         }
-    }
-
-    #[must_use]
-    pub fn inflight(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -131,9 +128,9 @@ impl StorageBackend for ColdObjectStore {
     }
 
     fn get_range(&mut self, now: Nanos, file: FileId, offset: u64, len: u64, token: u64) -> Nanos {
-        let jitter = 1.0 + self.cfg.jitter_frac * (2.0 * self.rng.next_f64() - 1.0);
+        let jitter = 1.0 + self.jitter_frac * (2.0 * self.rng.next_f64() - 1.0);
         let latency = Nanos::from_nanos((self.cfg.base_latency.as_nanos() as f64 * jitter) as u64);
-        let xfer = self.cfg.bandwidth.tx_time(len);
+        let xfer = BANDWIDTH.tx_time(len);
         // The request spends `latency` before its transfer can start;
         // transfers serialize on the shared pipe.
         let start = (now + latency).max(self.next_free);
@@ -141,8 +138,7 @@ impl StorageBackend for ColdObjectStore {
         self.next_free = done;
         self.stats.requests += 1;
         self.stats.bytes += len;
-        self.stats.cost_ucents +=
-            self.cfg.cost_per_req_ucents + ((len * self.cfg.cost_per_gib_ucents) >> 30);
+        self.stats.cost_ucents += COST_PER_REQ_UCENTS + ((len * COST_PER_GIB_UCENTS) >> 30);
         self.seq += 1;
         self.pending.insert(
             (done, self.seq),
@@ -273,15 +269,11 @@ mod tests {
 
     #[test]
     fn cold_pipe_serializes_transfers() {
-        let cfg = ColdStoreConfig {
-            jitter_frac: 0.0,
-            ..ColdStoreConfig::default()
-        };
-        let mut cold = ColdObjectStore::new(cfg, 1);
+        let mut cold = ColdObjectStore::with_jitter(ColdStoreConfig::default(), 0.0, 1);
         let len = 300 * 1024u64;
         let d1 = cold.get_range(Nanos::ZERO, FileId(1), 0, len, 1);
         let d2 = cold.get_range(Nanos::ZERO, FileId(2), 0, len, 2);
-        let xfer = cfg.bandwidth.tx_time(len);
+        let xfer = BANDWIDTH.tx_time(len);
         // Same latency (no jitter); the second transfer waits for the
         // first to release the pipe.
         assert_eq!(d2.as_nanos() - d1.as_nanos(), xfer.as_nanos());
@@ -306,7 +298,7 @@ mod tests {
         assert_eq!(s1.cost_ucents, s2.cost_ucents);
         assert_eq!(s1.requests, 100);
         assert_eq!(s1.bytes, 100 * 300 * 1024);
-        assert!(s1.cost_ucents >= 100 * ColdStoreConfig::default().cost_per_req_ucents);
+        assert!(s1.cost_ucents >= 100 * COST_PER_REQ_UCENTS);
         let (t3, _) = run(10);
         assert_ne!(t1, t3, "different seeds must jitter differently");
     }

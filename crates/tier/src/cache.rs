@@ -14,34 +14,19 @@
 //! miss — chunk fetches are record-aligned, so in practice keys are
 //! stable).
 
-use dcn_simcore::Nanos;
 use dcn_store::FileId;
 use std::collections::HashMap;
 
-/// Cache sizing. The default is deliberately small (64 MB ≈ one
-/// P3700's worth of in-flight DMA) — the point of the ablation is the
-/// marginal value of a *small* cache, not re-growing the kernel page
-/// cache.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheConfig {
-    pub capacity_bytes: u64,
-    /// Slot granularity; must be ≥ the largest disk fetch it will
-    /// hold (Atlas fetches are one TLS record's plaintext).
-    pub slot_bytes: u64,
-    /// Only insert chunks whose object heat is at least this —
-    /// filters one-hit wonders out of the cache.
-    pub insert_min_heat: u8,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity_bytes: 64 << 20,
-            slot_bytes: 16 * 1024,
-            insert_min_heat: 6,
-        }
-    }
-}
+/// Cache capacity: deliberately small (64 MB ≈ one P3700's worth of
+/// in-flight DMA) — the point of the ablation is the marginal value
+/// of a *small* cache, not re-growing the kernel page cache.
+pub const CAPACITY_BYTES: u64 = 64 << 20;
+/// Slot granularity; must be ≥ the largest disk fetch it will hold
+/// (Atlas fetches are one TLS record's plaintext).
+pub const SLOT_BYTES: u64 = 16 * 1024;
+/// Only insert chunks whose object heat is at least this — filters
+/// one-hit wonders out of the cache.
+pub const INSERT_MIN_HEAT: u8 = 6;
 
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
@@ -57,7 +42,6 @@ struct Slot {
     len: u64,
     prev: u32,
     next: u32,
-    used: bool,
 }
 
 const NIL: u32 = u32::MAX;
@@ -65,7 +49,7 @@ const NIL: u32 = u32::MAX;
 /// Fixed-slot LRU index. O(1) lookup/insert/evict; no allocation
 /// after construction.
 pub struct HotChunkCache {
-    cfg: CacheConfig,
+    slot_bytes: u64,
     map: HashMap<(u64, u64), u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
@@ -75,12 +59,18 @@ pub struct HotChunkCache {
     pub stats: CacheStats,
 }
 
+impl Default for HotChunkCache {
+    /// The ablation's cache: [`CAPACITY_BYTES`] in [`SLOT_BYTES`]
+    /// slots.
+    fn default() -> Self {
+        Self::with_slots((CAPACITY_BYTES / SLOT_BYTES) as usize, SLOT_BYTES)
+    }
+}
+
 impl HotChunkCache {
-    #[must_use]
-    pub fn new(cfg: CacheConfig) -> Self {
-        let n = (cfg.capacity_bytes / cfg.slot_bytes).max(1) as usize;
+    fn with_slots(n: usize, slot_bytes: u64) -> Self {
         HotChunkCache {
-            cfg,
+            slot_bytes,
             map: HashMap::with_capacity(n * 2),
             slots: vec![
                 Slot {
@@ -88,7 +78,6 @@ impl HotChunkCache {
                     len: 0,
                     prev: NIL,
                     next: NIL,
-                    used: false,
                 };
                 n
             ],
@@ -106,12 +95,7 @@ impl HotChunkCache {
 
     #[must_use]
     pub fn slot_bytes(&self) -> u64 {
-        self.cfg.slot_bytes
-    }
-
-    #[must_use]
-    pub fn insert_min_heat(&self) -> u8 {
-        self.cfg.insert_min_heat
+        self.slot_bytes
     }
 
     fn unlink(&mut self, i: u32) {
@@ -161,11 +145,7 @@ impl HotChunkCache {
     /// index the server should copy the plaintext into. `len` must fit
     /// a slot. No-op (None) if the key is already cached.
     pub fn insert(&mut self, file: FileId, offset: u64, len: u64) -> Option<usize> {
-        assert!(
-            len <= self.cfg.slot_bytes,
-            "{len} > slot {}",
-            self.cfg.slot_bytes
-        );
+        assert!(len <= self.slot_bytes, "{len} > slot {}", self.slot_bytes);
         if self.map.contains_key(&(file.0, offset)) {
             return None;
         }
@@ -183,23 +163,10 @@ impl HotChunkCache {
         let s = &mut self.slots[i as usize];
         s.key = (file.0, offset);
         s.len = len;
-        s.used = true;
         self.map.insert((file.0, offset), i);
         self.push_front(i);
         self.stats.inserts += 1;
         Some(i as usize)
-    }
-
-    /// Drop every slot belonging to `file` (demotion/invalidation is
-    /// not needed for the immutable catalog, but tests use it).
-    pub fn invalidate_file(&mut self, file: FileId) {
-        let keys: Vec<(u64, u64)> = self.map.keys().filter(|k| k.0 == file.0).copied().collect();
-        for k in keys {
-            let i = self.map.remove(&k).unwrap();
-            self.unlink(i);
-            self.slots[i as usize].used = false;
-            self.free.push(i);
-        }
     }
 
     #[must_use]
@@ -217,13 +184,7 @@ impl HotChunkCache {
     /// view for reports).
     #[must_use]
     pub fn approx_dram_bytes(&self) -> u64 {
-        (self.stats.inserts + self.stats.hits) * self.cfg.slot_bytes
-    }
-
-    /// Unused; kept for interface symmetry with the tier engine.
-    #[must_use]
-    pub fn poll_at(&self) -> Nanos {
-        Nanos::MAX
+        (self.stats.inserts + self.stats.hits) * self.slot_bytes
     }
 }
 
@@ -231,12 +192,8 @@ impl HotChunkCache {
 mod tests {
     use super::*;
 
-    fn cache(n_slots: u64) -> HotChunkCache {
-        HotChunkCache::new(CacheConfig {
-            capacity_bytes: n_slots * 1024,
-            slot_bytes: 1024,
-            insert_min_heat: 0,
-        })
+    fn cache(n_slots: usize) -> HotChunkCache {
+        HotChunkCache::with_slots(n_slots, 1024)
     }
 
     #[test]

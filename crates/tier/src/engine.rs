@@ -5,23 +5,23 @@
 //!
 //! * every access bumps the object's heat ([`TierMap::touch`]); every
 //!   epoch halves it — heat is an exponentially-decayed access count;
-//! * a cold object whose heat crosses `promote_at` is queued for
+//! * a cold object whose heat crosses [`PROMOTE_AT`] is queued for
 //!   promotion (once — a bitmap dedups the queue);
 //! * promotions launch at epoch boundaries within a byte budget and
 //!   ride the *same* cold-store pipe as demand misses, so migrations
 //!   contend with serving but can never exceed the configured budget;
 //! * demotion is metadata-only (the cold store keeps the canonical
 //!   copy of every immutable object) and happens only under capacity
-//!   pressure, taking victims with heat ≤ `demote_below`.
+//!   pressure, taking victims with heat ≤ [`DEMOTE_BELOW`].
 //!
-//! Hysteresis: `promote_at` ≫ `demote_below` and the decay clock mean
+//! Hysteresis: [`PROMOTE_AT`] ≫ [`DEMOTE_BELOW`] and the decay clock mean
 //! a just-promoted object needs several quiet epochs before it is
 //! even *eligible* for demotion — oscillating popularity cannot
 //! thrash an object back and forth (tested below).
 
 use crate::backend::{ColdObjectStore, ColdStoreConfig, GetTicket, StorageBackend};
 use crate::map::TierMap;
-use dcn_simcore::{Nanos, RankPerm};
+use dcn_simcore::{Nanos, RankPerm, RANK_PERM_SEED};
 use dcn_store::{Catalog, FileId};
 use std::collections::VecDeque;
 
@@ -29,30 +29,27 @@ use std::collections::VecDeque;
 /// (never surfaced to the serving path).
 pub const PROMO_TOKEN_BIT: u64 = 1 << 63;
 
+/// Heat added per access.
+pub const TOUCH_STEP: u8 = 3;
+/// Cold object at/above this heat ⇒ queue for promotion.
+pub const PROMOTE_AT: u8 = 12;
+/// Hot object at/below this heat ⇒ demotion victim (only under
+/// capacity pressure).
+pub const DEMOTE_BELOW: u8 = 2;
+/// Decay + migration cadence.
+pub const EPOCH: Nanos = Nanos::from_millis(50);
+/// Max bytes of promotions launched per epoch: small enough that
+/// migrations can never crowd out demand misses.
+pub const PROMOTE_BUDGET_BYTES: u64 = 8 << 20;
+
 /// Tiering knobs. `Default` models a 40%-hot split with S3-shaped
-/// cold storage and a promotion budget small enough that migrations
-/// can never crowd out demand misses.
+/// cold storage.
 #[derive(Clone, Copy, Debug)]
 pub struct TierConfig {
     /// Fraction of the catalog resident on the hot tier at any time
     /// (capacity, and the initially-seeded popular set).
     pub hot_frac: f64,
     pub cold: ColdStoreConfig,
-    /// Heat added per access.
-    pub touch_step: u8,
-    /// Cold object at/above this heat ⇒ queue for promotion.
-    pub promote_at: u8,
-    /// Hot object at/below this heat ⇒ demotion victim (only under
-    /// capacity pressure).
-    pub demote_below: u8,
-    /// Decay + migration cadence.
-    pub epoch: Nanos,
-    /// Max bytes of promotions launched per epoch.
-    pub promote_budget_bytes: u64,
-    /// Seed for the popularity-rank → object-id permutation; must
-    /// match the workload's sampler so the seeded hot set covers the
-    /// popular head.
-    pub perm_seed: u64,
 }
 
 impl Default for TierConfig {
@@ -60,12 +57,6 @@ impl Default for TierConfig {
         TierConfig {
             hot_frac: 0.4,
             cold: ColdStoreConfig::default(),
-            touch_step: 3,
-            promote_at: 12,
-            demote_below: 2,
-            epoch: Nanos::from_millis(50),
-            promote_budget_bytes: 8 << 20,
-            perm_seed: 0x007E_1A11,
         }
     }
 }
@@ -115,7 +106,7 @@ impl TierEngine {
         // so "popular" means the same thing on both sides. The map
         // answers residency from the permutation, so this writes
         // nothing per object.
-        let perm = RankPerm::new(n, cfg.perm_seed);
+        let perm = RankPerm::new(n, RANK_PERM_SEED);
         let map = TierMap::new(perm, Self::capacity_for(cfg.hot_frac, n));
         TierEngine {
             cfg,
@@ -123,7 +114,7 @@ impl TierEngine {
             cold: ColdObjectStore::new(cfg.cold, seed ^ 0x7E1A_C01D),
             file_size: catalog.file_size(),
             promo_q: VecDeque::with_capacity(1024),
-            next_epoch: cfg.epoch,
+            next_epoch: EPOCH,
             demote_cursor: 0,
             scratch: Vec::with_capacity(64),
             stats: TierStats::default(),
@@ -174,13 +165,13 @@ impl TierEngine {
     /// queue a promotion candidate when a cold object crosses the
     /// threshold. Call once per request (not per byte-range fetch).
     pub fn classify(&mut self, f: FileId) -> Placement {
-        let heat = self.map.touch(f, self.cfg.touch_step);
+        let heat = self.map.touch(f, TOUCH_STEP);
         if self.map.is_hot(f) {
             self.stats.hot_hits += 1;
             Placement::Hot
         } else {
             self.stats.cold_misses += 1;
-            if heat >= self.cfg.promote_at && !self.map.is_queued(f) {
+            if heat >= PROMOTE_AT && !self.map.is_queued(f) {
                 self.map.set_queued(f);
                 self.promo_q.push_back(f);
             }
@@ -242,7 +233,7 @@ impl TierEngine {
         // times (the server only calls us when it has other service
         // to do, so quiet periods batch here).
         while self.next_epoch <= now {
-            self.next_epoch += self.cfg.epoch;
+            self.next_epoch += EPOCH;
             self.stats.epochs += 1;
             self.map.decay();
         }
@@ -251,7 +242,7 @@ impl TierEngine {
     }
 
     fn launch_promotions(&mut self, now: Nanos) {
-        let mut budget = self.cfg.promote_budget_bytes;
+        let mut budget = PROMOTE_BUDGET_BYTES;
         let capacity = self.capacity();
         while budget >= self.file_size {
             let Some(f) = self.promo_q.pop_front() else {
@@ -264,7 +255,7 @@ impl TierEngine {
             // Still worth promoting? Heat decays while queued; an
             // object that cooled below the *demotion* floor would be
             // the next demotion victim — skip it.
-            if self.map.heat(f) <= self.cfg.demote_below {
+            if self.map.heat(f) <= DEMOTE_BELOW {
                 self.map.clear_queued(f);
                 continue;
             }
@@ -272,9 +263,7 @@ impl TierEngine {
             // retains the canonical copy of every immutable object).
             if self.map.hot_count() >= capacity {
                 let mut cursor = self.demote_cursor;
-                let victim = self
-                    .map
-                    .find_cold_victim(&mut cursor, 8192, self.cfg.demote_below);
+                let victim = self.map.find_cold_victim(&mut cursor, 8192, DEMOTE_BELOW);
                 self.demote_cursor = cursor;
                 match victim {
                     Some(v) => {
@@ -312,12 +301,6 @@ impl TierEngine {
         } else {
             cold.min(self.next_epoch)
         }
-    }
-
-    /// Promotion-queue depth (tests).
-    #[must_use]
-    pub fn queued_promotions(&self) -> usize {
-        self.promo_q.len()
     }
 }
 
@@ -371,7 +354,6 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(e.classify(cold_obj), Placement::Cold);
         }
-        assert_eq!(e.queued_promotions(), 1);
         run_epoch(&mut e, Nanos::from_millis(50));
         assert!(e.is_hot(cold_obj), "crossed promote_at => promoted");
         assert_eq!(e.stats.promotions, 1);
@@ -389,17 +371,16 @@ mod tests {
                 e.classify(f);
             }
         }
-        assert_eq!(e.queued_promotions(), 200);
         let before = e.cold.stats.bytes;
         assert!(e.maybe_epoch(Nanos::from_millis(50)));
         let launched = e.cold.stats.bytes - before;
         assert!(
-            launched <= e.cfg.promote_budget_bytes,
-            "epoch launched {launched} > budget {}",
-            e.cfg.promote_budget_bytes
+            launched <= PROMOTE_BUDGET_BYTES,
+            "epoch launched {launched} > budget {PROMOTE_BUDGET_BYTES}"
         );
-        // The rest stay queued for later epochs.
-        assert!(e.queued_promotions() > 0);
+        // The rest stay queued: the next epoch launches more.
+        assert!(e.maybe_epoch(Nanos::from_millis(100)));
+        assert!(e.cold.stats.bytes > before + launched);
     }
 
     #[test]
@@ -417,7 +398,7 @@ mod tests {
                     e.classify(a);
                 }
             }
-            now += e.cfg.epoch;
+            now += EPOCH;
             run_epoch(&mut e, now);
         }
         assert!(e.is_hot(a));
@@ -436,7 +417,7 @@ mod tests {
         // demoted even though every seeded object's heat decays to 0.
         let mut now = Nanos::ZERO;
         for _ in 0..10 {
-            now += e.cfg.epoch;
+            now += EPOCH;
             run_epoch(&mut e, now);
         }
         assert_eq!(e.stats.demotions, 0);
@@ -452,7 +433,7 @@ mod tests {
                 let f = FileId(e.perm().apply(i * 7 % 5000));
                 e.classify(f);
                 if i % 100 == 99 {
-                    now += e.cfg.epoch;
+                    now += EPOCH;
                     e.maybe_epoch(now);
                     let mut out = Vec::new();
                     e.drain_serving(now, &mut out);

@@ -33,6 +33,6 @@ pub mod engine;
 pub mod map;
 
 pub use backend::{ColdObjectStore, ColdStoreConfig, GetTicket, NvmeFlatBackend, StorageBackend};
-pub use cache::{CacheConfig, CacheStats, HotChunkCache};
+pub use cache::{CacheStats, HotChunkCache};
 pub use engine::{Placement, TierConfig, TierEngine, TierStats, PROMO_TOKEN_BIT};
 pub use map::TierMap;

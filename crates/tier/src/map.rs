@@ -309,7 +309,7 @@ mod tests {
     fn seeded_flips_match_a_bitmap_reference() {
         for n in [1u64, 64, 65, 1000, 1_000_000] {
             for k in [0, 1, n / 2, n] {
-                let perm = RankPerm::new(n, 0x007E_1A11);
+                let perm = RankPerm::new(n, dcn_simcore::RANK_PERM_SEED);
                 let mut m = TierMap::new(perm, k);
                 let mut r = Reference::new(&perm, k);
                 let ctx = format!("n={n} k={k}");

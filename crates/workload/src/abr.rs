@@ -337,12 +337,6 @@ impl AbrSession {
     pub fn finish(self, now: Nanos) -> QoeStats {
         self.play.finish(now)
     }
-
-    /// Current buffer level (books elapsed playout).
-    #[must_use]
-    pub fn buffer_level(&mut self, now: Nanos) -> Nanos {
-        self.play.level_at(now)
-    }
 }
 
 #[cfg(test)]
@@ -406,7 +400,7 @@ mod tests {
                 FetchStep::PausedUntil(t) => break t,
             }
         };
-        let level = s.buffer_level(now);
+        let level = s.play.level_at(now);
         assert!(level >= s.cfg.target, "paused only at/above target");
         assert_eq!(
             pause_at,

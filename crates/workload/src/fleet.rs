@@ -9,6 +9,7 @@ use dcn_netdev::WireFrame;
 use dcn_obs::qoe::{QoeStats, QoeSummary};
 use dcn_packet::{FlowId, Ipv4Addr, MacAddr, SeqNumber};
 use dcn_simcore::{Nanos, SimRng, TimeBuckets};
+use dcn_srvcore::SERVER_ENDPOINT;
 use dcn_store::{AbrManifest, Catalog};
 use dcn_tcpstack::{ClientConn, Endpoint};
 use std::collections::HashMap;
@@ -25,8 +26,6 @@ pub struct FleetConfig {
     /// Verify every body byte against the catalog oracle (full
     /// fidelity runs only).
     pub verify: bool,
-    pub server_ip: Ipv4Addr,
-    pub server_port: u16,
     /// The first `slowloris` clients are attackers: they complete the
     /// handshake, dribble a truncated request head, and go silent —
     /// the server's header-read timeout must reap them. Excluded from
@@ -39,12 +38,11 @@ pub struct FleetConfig {
     pub abr: Option<AbrConfig>,
     /// Zipf(θ) popularity over the whole catalog, rank-permuted so
     /// the popular head is scattered across the id space. Overrides
-    /// `cacheable`; the million-object tiered-catalog workload.
+    /// `cacheable`; the million-object tiered-catalog workload. Ranks
+    /// map to ids through the permutation of
+    /// `dcn_simcore::RANK_PERM_SEED`, the one the tier seeds its hot
+    /// set from.
     pub zipf: Option<f64>,
-    /// Rank → object-id permutation seed for the Zipf workload; must
-    /// match the server's `TierConfig::perm_seed` so the tier's seeded
-    /// hot set covers the same popular head the clients hammer.
-    pub zipf_perm_seed: u64,
 }
 
 impl Default for FleetConfig {
@@ -54,12 +52,9 @@ impl Default for FleetConfig {
             cacheable: false,
             hot_files: 64,
             verify: true,
-            server_ip: Ipv4Addr::new(10, 0, 0, 1),
-            server_port: 80,
             slowloris: 0,
             abr: None,
             zipf: None,
-            zipf_perm_seed: 0x007E_1A11,
         }
     }
 }
@@ -213,22 +208,12 @@ impl ClientFleet {
     pub fn spawn(&mut self, idx: usize, seed: u64) -> ClientTx {
         assert_eq!(idx, self.clients.len(), "spawn in order");
         let local = Self::endpoint_of(idx);
-        let remote = Endpoint {
-            mac: MacAddr::from_host_id(1),
-            ip: self.cfg.server_ip,
-            port: self.cfg.server_port,
-        };
         let mut rng = SimRng::new(seed ^ (idx as u64) << 20);
         let iss = SeqNumber(rng.next_u64() as u32);
-        let (conn, syn) = ClientConn::connect(local, remote, iss, 4 << 20);
+        let (conn, syn) = ClientConn::connect(local, SERVER_ENDPOINT, iss, 4 << 20);
         let flow = conn.flow();
         let driver = if let Some(theta) = self.cfg.zipf {
-            RequestDriver::zipf_perm(
-                self.catalog.n_files(),
-                theta,
-                self.cfg.zipf_perm_seed,
-                rng.fork(1),
-            )
+            RequestDriver::zipf_perm(self.catalog.n_files(), theta, rng.fork(1))
         } else if self.cfg.cacheable {
             RequestDriver::cacheable(self.catalog.n_files(), self.cfg.hot_files, rng.fork(1))
         } else {

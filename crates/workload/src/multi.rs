@@ -14,6 +14,11 @@
 //! Stream verification carries across the reconnect: resumed
 //! responses are checked against the catalog oracle at their absolute
 //! file offsets.
+//!
+//! A 503 leaves the request outstanding: the client waits out the
+//! server's `Retry-After` and re-sends the same request on the same
+//! connection ([`MultiFleet::fire_retries`]), so the verifier's
+//! expected entry still describes it.
 
 use crate::abr::{AbrSession, FetchStep};
 use crate::receive::{frame_of, ClientStream, Receiver};
@@ -29,7 +34,7 @@ use dcn_packet::{FlowId, Ipv4Addr, MacAddr, SeqNumber};
 use dcn_simcore::{Nanos, SimRng, TimeBuckets};
 use dcn_store::{AbrManifest, Catalog, FileId};
 use dcn_tcpstack::{client::ClientState, ClientConn, Endpoint};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 use crate::fleet::{AbrReadout, ClientTx, FleetConfig};
@@ -118,6 +123,12 @@ pub struct MultiFleet {
     /// The ABR manifest (Some iff `FleetConfig::abr`), shared by every
     /// session and verifier.
     manifest: Option<Rc<AbrManifest>>,
+    /// Deferred re-requests scheduled by Retry-After backoff: (due
+    /// time, client index, server), fired by the harness via
+    /// [`MultiFleet::fire_retries`].
+    pending_retries: BTreeSet<(Nanos, usize, usize)>,
+    /// Retries actually re-sent after a 503 backoff.
+    pub retries_fired: u64,
 }
 
 impl MultiFleet {
@@ -141,6 +152,8 @@ impl MultiFleet {
             resumed_responses: 0,
             resumed_bytes_saved: 0,
             paced: 0,
+            pending_retries: BTreeSet::new(),
+            retries_fired: 0,
         }
     }
 
@@ -160,12 +173,7 @@ impl MultiFleet {
         assert_eq!(idx, self.clients.len(), "spawn in order");
         let mut rng = SimRng::new(seed ^ (idx as u64) << 20);
         let driver = if let Some(theta) = self.cfg.zipf {
-            RequestDriver::zipf_perm(
-                self.catalog.n_files(),
-                theta,
-                self.cfg.zipf_perm_seed,
-                rng.fork(1),
-            )
+            RequestDriver::zipf_perm(self.catalog.n_files(), theta, rng.fork(1))
         } else if self.cfg.cacheable {
             RequestDriver::cacheable(self.catalog.n_files(), self.cfg.hot_files, rng.fork(1))
         } else {
@@ -321,6 +329,12 @@ impl MultiFleet {
                 }
             }
         }
+        if let Some(backoff_ms) = client.driver.take_retry_after() {
+            // Honour the server's Retry-After: park the re-request
+            // until the harness fires it.
+            self.pending_retries
+                .insert((now + Nanos::from_millis(backoff_ms), idx, server));
+        }
         // Handshake completed → release the parked request.
         if matches!(cs.stream.conn.state, ClientState::Established) {
             if let Some(exp) = cs.pending.take() {
@@ -343,6 +357,62 @@ impl MultiFleet {
             server,
             completed,
         })
+    }
+
+    /// Earliest pending Retry-After deadline (for harness scheduling).
+    #[must_use]
+    pub fn next_retry_at(&self) -> Option<Nanos> {
+        self.pending_retries.first().map(|&(at, _, _)| at)
+    }
+
+    /// Re-send shed requests whose 503 backoff has expired, each on the
+    /// connection that was shed. Returns (server, frames) per retried
+    /// client.
+    pub fn fire_retries(&mut self, now: Nanos) -> Vec<(usize, ClientTx)> {
+        let mut txs = Vec::new();
+        while let Some(&(at, idx, server)) = self.pending_retries.first() {
+            if at > now {
+                break;
+            }
+            self.pending_retries.pop_first();
+            let client = &mut self.clients[idx];
+            // Failed over or reset meanwhile: nothing to retry here.
+            let Some((cur_server, file, base)) = client.current else {
+                continue;
+            };
+            let Some(cs) = client.conns[server].as_mut() else {
+                continue;
+            };
+            if cur_server != server || !matches!(cs.stream.conn.state, ClientState::Established) {
+                continue;
+            }
+            let f = cs.stream.conn.send(get_bytes(RequestNeed {
+                client: idx,
+                file,
+                base,
+            }));
+            self.retries_fired += 1;
+            txs.push((
+                server,
+                ClientTx {
+                    flow: cs.stream.conn.flow(),
+                    frames: vec![frame_of(f)],
+                },
+            ));
+        }
+        txs
+    }
+
+    /// 503 load-shed responses observed across the fleet.
+    #[must_use]
+    pub fn rejections_503(&self) -> u64 {
+        self.clients.iter().map(|c| c.driver.rejections_503).sum()
+    }
+
+    /// Shed requests still waiting out their backoff.
+    #[must_use]
+    pub fn retries_pending(&self) -> u64 {
+        self.pending_retries.len() as u64
     }
 
     /// Server `server` is gone (fail-stop): sever its connections and

@@ -119,17 +119,17 @@ enum Ev<E> {
 /// One pending wake per timer: a wake is scheduled only if it beats
 /// the one already queued.
 #[derive(Clone, Copy)]
-pub(crate) struct PendingWake(Nanos);
+pub struct PendingWake(Nanos);
 
 impl PendingWake {
     /// Nothing pending.
-    pub(crate) const IDLE: PendingWake = PendingWake(Nanos::MAX);
+    pub const IDLE: PendingWake = PendingWake(Nanos::MAX);
 
     /// A wake fired at `now`. Forget it only if it was the pending
     /// one: a stale earlier duplicate must not, or every stale pop
     /// would re-schedule the same future deadline and wakes would
     /// multiply without bound.
-    pub(crate) fn fired(&mut self, now: Nanos) {
+    pub fn fired(&mut self, now: Nanos) {
         if now >= self.0 {
             self.0 = Nanos::MAX;
         }
@@ -137,7 +137,7 @@ impl PendingWake {
 
     /// When to schedule a wake for `deadline`, if it beats the
     /// pending one (a deadline in the past fires now).
-    pub(crate) fn arm(&mut self, deadline: Option<Nanos>, now: Nanos) -> Option<Nanos> {
+    pub fn arm(&mut self, deadline: Option<Nanos>, now: Nanos) -> Option<Nanos> {
         let at = deadline?.max(now);
         (at < self.0).then(|| {
             self.0 = at;

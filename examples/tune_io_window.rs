@@ -15,7 +15,6 @@
 //!     cargo run --release --example tune_io_window
 
 use dcn_bench::storage::{run_diskmap, run_diskmap_autotuned};
-use dcn_srvcore::AutotuneConfig;
 use disk_crypt_net::simcore::Nanos;
 
 fn main() {
@@ -51,13 +50,7 @@ fn main() {
     );
 
     println!("\nNow letting the online autotuner find its own operating point...");
-    let (auto, point) = run_diskmap_autotuned(
-        1,
-        16 * 1024,
-        AutotuneConfig::on(),
-        Nanos::from_millis(200),
-        42,
-    );
+    let (auto, point) = run_diskmap_autotuned(1, 16 * 1024, Nanos::from_millis(200), 42);
     println!(
         "Autotuned: cap {} in-flight, watermark {} B -> {:.1} Gb/s at {:.2} ms\n\
          (EWMA latency {:.0} µs, {} controller adjustments)",

@@ -184,3 +184,34 @@ fn goodput_scales_with_servers() {
         "4 servers should far outrun 1: {g1:.2} → {g4:.2} Gbps\n{m4:?}"
     );
 }
+
+#[test]
+fn shed_requests_are_retried_after_their_backoff() {
+    // A DMA-pool watermark that latches under ordinary load (enter
+    // below 25% free of 32 buffers per queue) makes the servers answer
+    // some requests 503 + Retry-After on admitted connections. Each
+    // shed client must wait out the backoff and re-send the same
+    // request on the same connection, where the eventual 200 verifies
+    // against the same oracle entry.
+    let mut sc = smoke(3, 24, false, 41);
+    sc.atlas.bufs_per_queue = 32;
+    sc.atlas.admission.pool_low_enter = 0.25;
+    sc.atlas.admission.pool_low_exit = 0.50;
+    sc.duration = Nanos::from_millis(1500);
+    let m = run_cluster(&sc);
+    assert_clean(&m);
+    assert!(
+        m.client_503s > 0,
+        "watermark shedding must answer 503: {m:?}"
+    );
+    assert!(
+        m.client_retries > 0,
+        "clients must honour Retry-After: {m:?}"
+    );
+    assert_eq!(
+        m.client_retries,
+        m.client_503s - m.client_retries_pending,
+        "every 503 whose backoff expired is retried: {m:?}"
+    );
+    assert!(m.live_fraction > 0.9, "stuck clients: {m:?}");
+}

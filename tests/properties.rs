@@ -359,10 +359,10 @@ fn sg_chunks_are_well_formed() {
 /// spreads files evenly (per-disk counts differ by at most one).
 #[test]
 fn catalog_placement_invariants() {
-    use disk_crypt_net::nvme::{NvmeConfig, LBA_SIZE};
+    use disk_crypt_net::nvme::{LBA_SIZE, NS_LBAS};
     use disk_crypt_net::store::{Catalog, FileId};
 
-    let ns_bytes = NvmeConfig::default().ns_lbas * LBA_SIZE;
+    let ns_bytes = NS_LBAS * LBA_SIZE;
     let mut rng = SimRng::new(0xCA7A);
     for case in 0..CASES {
         let n_files = rng.gen_range(1, 5_000);

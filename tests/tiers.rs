@@ -21,7 +21,7 @@ use disk_crypt_net::faults::FaultConfig;
 use disk_crypt_net::httpd::RequestDriver;
 use disk_crypt_net::kstack::KstackConfig;
 use disk_crypt_net::mem::Fidelity;
-use disk_crypt_net::simcore::{Nanos, RankPerm, SimRng};
+use disk_crypt_net::simcore::{Nanos, RankPerm, SimRng, RANK_PERM_SEED};
 use disk_crypt_net::store::Catalog;
 use disk_crypt_net::tier::TierConfig;
 use disk_crypt_net::workload::{
@@ -29,17 +29,13 @@ use disk_crypt_net::workload::{
 };
 use std::collections::HashSet;
 
-/// The shared default rank-permutation seed (FleetConfig and
-/// TierConfig must agree or the seeded hot set misses the Zipf head).
-const PERM_SEED: u64 = 0x007E_1A11;
-
 // ---------------------------------------------------------- sampler
 
 #[test]
 fn zipf_workload_is_seed_deterministic_and_head_heavy() {
     let n: u64 = 1_000_000;
     let draw = |rng_seed: u64| -> Vec<u64> {
-        let mut d = RequestDriver::zipf_perm(n, 0.9, PERM_SEED, SimRng::new(rng_seed));
+        let mut d = RequestDriver::zipf_perm(n, 0.9, SimRng::new(rng_seed));
         (0..10_000).map(|_| d.next_file().0).collect()
     };
     let a = draw(17);
@@ -51,7 +47,7 @@ fn zipf_workload_is_seed_deterministic_and_head_heavy() {
     // The permuted Zipf head must carry the mass: the top 10% of
     // ranks hold ~79% of Zipf(0.9) over 1M objects, and they must be
     // the *permuted* ids (the same ids the tier engine seeds hot).
-    let perm = RankPerm::new(n, PERM_SEED);
+    let perm = RankPerm::new(n, RANK_PERM_SEED);
     let head: HashSet<u64> = (0..n / 10).map(|r| perm.apply(r)).collect();
     let in_head = a.iter().filter(|f| head.contains(f)).count();
     assert!(
