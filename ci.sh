@@ -21,7 +21,7 @@ cargo build --release --workspace
 echo "==> fault-injection matrix (seeded loss / device-error / replay tests)"
 cargo test -q --release --test faults --test retransmission --test observability
 
-echo "==> cluster smoke (multi-server scale-out / failover)"
+echo "==> cluster smoke (multi-server scale-out / failover; a request no server can take parks until one stops shedding)"
 cargo test -q --release --test cluster
 
 echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop and the one server shell both stacks plug into, pinned to exact counts and goodput bits; front-end answers on both stacks)"
@@ -33,12 +33,14 @@ cargo test -q --release --test knobs
 echo "==> metrics registry gate (keyed per-core series vs an in-test copy of the string-scan reference registry: handles, export names and order, by-name reads)"
 cargo test -q --release -p dcn-obs registry
 
-echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS; server ciphers and client oracles only where bytes are sealed and verified; per-connection size budgets)"
+echo "==> client oracle gate (streaming verifier; head parser; verified content on both stacks, plain and TLS; server ciphers and client oracles only where bytes are sealed and verified; per-connection size budgets; host pages only for held memory on full-fidelity Atlas plain and TLS and kstack TLS)"
 cargo test -q --release -p dcn-workload verify
 cargo test -q --release -p dcn-workload only_when
 cargo test -q --release -p dcn-atlas -p dcn-kstack -p dcn-workload size_budget
 cargo test -q --release -p dcn-httpd
 cargo test -q --release --test end_to_end_atlas --test end_to_end_kstack
+cargo test -q --release --test host_memory -- --exact atlas_plain_host_pages_are_held_pages \
+    atlas_tls_host_pages_are_held_pages kstack_tls_host_pages_are_held_pages
 
 echo "==> overload smoke (2x admission flood: zero leaks, zero verify failures, shedding engaged; Atlas minimum-drain deadline fires at a Normal ladder; kstack SQ-watermark 503s retried and verified; empty waits counted once per wait episode)"
 cargo test -q --release --test overload -- --exact two_x_overload_smoke \

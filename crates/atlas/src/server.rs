@@ -8,7 +8,7 @@ use dcn_crypto::{record_header, RECORD_PAYLOAD_MAX};
 use dcn_diskmap::{BufId, DiskId, DiskmapKernel, IoDesc, NvmeQueue};
 use dcn_faults::{FaultConfig, FaultCounts};
 use dcn_httpd::{response_header, ResponseInfo};
-use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc};
+use dcn_mem::{Agent, CostParams, Fidelity, LlcConfig, PhysAlloc, CHUNK_SIZE};
 /// The frame demux Atlas's RX path uses, re-exported for harnesses
 /// that route frames by flow.
 pub use dcn_netdev::parse_frame;
@@ -614,7 +614,7 @@ impl Stack for Atlas {
                 if token != 0 {
                     s.stack.tracer.finish_tx(token, now);
                     let (c, disk, buf) = untx_token(token);
-                    s.stack.queues[c][disk].pool().free(buf);
+                    Self::recycle(s, c, disk, buf);
                 }
             }
         }
@@ -758,6 +758,13 @@ impl Stack for Atlas {
 
     fn tracer(s: &AtlasServer) -> Option<&Tracer> {
         Some(&s.stack.tracer)
+    }
+
+    /// The pages of every buffer out of its pool (buffers are
+    /// chunk-aligned).
+    fn held_pages(s: &AtlasServer) -> usize {
+        let (free, capacity) = s.stack.pool_totals();
+        (capacity - free) as usize * s.cfg.buf_size.div_ceil(CHUNK_SIZE) as usize
     }
 }
 
@@ -1182,7 +1189,7 @@ impl Atlas {
         if s.front.slots[slot_idx].conn.aborted {
             // Late completion for a torn-down connection: the only
             // obligation left is returning the buffer to its pool.
-            s.stack.queues[core][disk].pool().free(buf);
+            Self::recycle(s, core, disk, buf);
             s.stack.tracer.discard(io.user);
             return;
         }
@@ -1206,7 +1213,7 @@ impl Atlas {
                     slot.conn.fetches_inflight = slot.conn.fetches_inflight.saturating_sub(1);
                 }
             }
-            s.stack.queues[core][disk].pool().free(buf);
+            Self::recycle(s, core, disk, buf);
             s.stack.tracer.discard(io.user);
             return;
         };
@@ -1353,7 +1360,7 @@ impl Atlas {
                     // read: recycle the buffer and abandon to the
                     // RTO, which re-drives the range.
                     slot.tcb.retransmit_abandoned();
-                    s.stack.queues[core][disk].pool().free(buf);
+                    Self::recycle(s, core, disk, buf);
                     s.stack.tracer.discard(io.user);
                 } else {
                     // Slice exactly the requested wire range out of
@@ -1396,7 +1403,7 @@ impl Atlas {
         attempt: u32,
     ) {
         let core = s.front.slots[slot_idx].core;
-        s.stack.queues[core][disk].pool().free(buf);
+        Self::recycle(s, core, disk, buf);
         s.stack.tracer.discard(user);
         s.reg.inc(s.stack.ids.fetch_errors[core]);
         let slot = &mut s.front.slots[slot_idx];
@@ -1588,6 +1595,17 @@ impl Atlas {
         }
     }
 
+    /// Return `buf` to its (core, disk) pool — the one way an Atlas
+    /// buffer is freed. Every caller frees after the NIC has read the
+    /// bytes or when the DMA never happened, so they are dead: host
+    /// memory drops the buffer's pages, and its next fetch writes them
+    /// afresh.
+    fn recycle(s: &mut AtlasServer, core: usize, disk: usize, buf: BufId) {
+        let q = &mut s.stack.queues[core][disk];
+        s.host.discard(q.pool_ref().region(buf));
+        q.pool().free(buf);
+    }
+
     /// Graceful per-connection degradation: tear one connection down
     /// while keeping the server's buffer economy intact. Every DMA
     /// buffer the connection holds goes back to its LIFO pool — the
@@ -1615,7 +1633,7 @@ impl Atlas {
             if item.token != 0 {
                 s.stack.tracer.finish_tx(item.token, now);
                 let (c, d, b) = untx_token(item.token);
-                s.stack.queues[c][d].pool().free(b);
+                Self::recycle(s, c, d, b);
             }
         }
         s.front.close(slot_idx);

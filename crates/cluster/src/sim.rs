@@ -152,8 +152,11 @@ pub struct ClusterMetrics {
     pub fallback_routes: u64,
     /// Requests that left the owner set entirely.
     pub overflow_routes: u64,
-    /// Requests with no live server at all (clients go idle).
+    /// Requests that found no routable server: every live one was
+    /// shedding or draining. Each waits until a server stops shedding…
     pub unroutable: u64,
+    /// …and those still waiting when the run ended.
+    pub unroutable_pending: u64,
     /// 503 load-shed responses the clients received…
     pub client_503s: u64,
     /// …the requests re-sent after their `Retry-After` backoff…
@@ -173,8 +176,10 @@ pub struct ClusterMetrics {
 struct Pod {
     fleet: MultiFleet,
     dispatcher: Dispatcher,
-    /// Requests with no live server at all.
+    /// Requests with no routable server…
     unroutable: u64,
+    /// …parked until a server stops shedding.
+    parked: Vec<RequestNeed>,
     /// Admission-control feedback: servers holding their overload
     /// latch are marked Draining so the dispatcher routes around them;
     /// `shed_marked` remembers which Draining states are ours to undo
@@ -209,15 +214,18 @@ impl Pod {
         }
     }
 
-    /// Route a request to the dispatcher's pick; clients with no live
-    /// server go idle.
+    /// Route a request to the dispatcher's pick; with no routable
+    /// server it parks until one stops shedding.
     fn issue_request(&mut self, net: &mut Net<PodEv>, now: Nanos, need: RequestNeed) {
         match self.dispatcher.route(need.file) {
             Some(server) => {
                 let tx = self.fleet.request(need, server);
                 net.send(now, server, tx);
             }
-            None => self.unroutable += 1,
+            None => {
+                self.unroutable += 1;
+                self.parked.push(need);
+            }
         }
     }
 }
@@ -294,6 +302,12 @@ impl ClientSide for Pod {
                 Health::Healthy
             };
             self.dispatcher.set_health(s, health);
+            if !shedding {
+                let now = net.now();
+                for need in std::mem::take(&mut self.parked) {
+                    self.issue_request(net, now, need);
+                }
+            }
         }
     }
 
@@ -370,6 +384,7 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
         fleet: MultiFleet::new(fleet_cfg, sc.catalog.clone(), endpoints),
         dispatcher: Dispatcher::new(sc.n_servers, sc.vnodes, sc.replication, sc.fleet.hot_files),
         unroutable: 0,
+        parked: Vec::new(),
         shed_marked: vec![false; sc.n_servers],
         operator_drained: vec![false; sc.n_servers],
         retry_wake: PendingWake::IDLE,
@@ -445,6 +460,7 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
         fallback_routes: dispatcher.fallback_routes,
         overflow_routes: dispatcher.overflow_routes,
         unroutable: run.client.unroutable,
+        unroutable_pending: run.client.parked.len() as u64,
         client_503s: fleet.rejections_503(),
         client_retries: fleet.retries_fired,
         client_retries_pending: fleet.retries_pending(),

@@ -171,6 +171,9 @@ pub struct Kstack {
     cold_scratch: Vec<GetTicket>,
     /// Ciphertext socket-buffer frame pool (kTLS output).
     ct_pool: Vec<PhysRegion>,
+    /// Ciphertext regions allocated: the pool's plus those held by
+    /// socket buffers.
+    ct_regions: usize,
     /// Stock only: is this worker's event loop blocked in a
     /// synchronous sendfile I/O? (One outstanding fill per worker.)
     sync_busy: Vec<bool>,
@@ -252,9 +255,14 @@ impl Stack for Kstack {
         phys: &mut PhysAlloc,
         reg: &mut Registry,
     ) -> Self {
+        // The cache's physical range comes before the pool's: the
+        // committed BENCH files depend on this address order.
+        let bufcache = BufferCache::new(BUFCACHE_BYTES, catalog, phys);
+        let ct_pool: Vec<PhysRegion> = (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect();
         Kstack {
-            bufcache: BufferCache::new(BUFCACHE_BYTES, catalog, phys),
-            ct_pool: (0..4096).map(|_| phys.alloc(CT_REGION_LEN)).collect(),
+            bufcache,
+            ct_regions: ct_pool.len(),
+            ct_pool,
             disks,
             fills: HashMap::new(),
             cold_fills: HashMap::new(),
@@ -318,6 +326,7 @@ impl Stack for Kstack {
     /// pressure may proceed now.
     fn on_acked(s: &mut KstackServer, now: Nanos, slot_idx: usize, off: u64) {
         let (bufcache, ct_pool) = (&mut s.stack.bufcache, &mut s.stack.ct_pool);
+        let host = &mut s.host;
         let mut unpinned = false;
         s.front.slots[slot_idx].conn.release_acked(
             off,
@@ -325,7 +334,12 @@ impl Stack for Kstack {
                 bufcache.unpin(f, p);
                 unpinned = true;
             },
-            |r| ct_pool.push(r),
+            // The peer has the ciphertext: its pages go with the
+            // region. Cache frames keep theirs, since hits read them.
+            |r| {
+                host.discard(r);
+                ct_pool.push(r);
+            },
         );
         if unpinned {
             s.wake_waiters(now);
@@ -430,6 +444,13 @@ impl Stack for Kstack {
         for (d, dev) in s.stack.disks.iter_mut().enumerate() {
             dev.set_faults(f.nvme, seed ^ ((d as u64 + 1) << 32));
         }
+    }
+
+    /// Ciphertext regions out of the pool, and every buffer-cache
+    /// frame ever handed out.
+    fn held_pages(s: &KstackServer) -> usize {
+        let ct_out = s.stack.ct_regions - s.stack.ct_pool.len();
+        ct_out * CT_REGION_LEN.div_ceil(CHUNK_SIZE) as usize + s.stack.bufcache.frames_used()
     }
 }
 
@@ -848,6 +869,7 @@ impl Kstack {
                 // The pool grows on demand: the real bound on
                 // ciphertext socket-buffer memory is `SB_MAX` per
                 // connection, enforced at staging time.
+                s.stack.ct_regions += 1;
                 s.phys.alloc(CT_REGION_LEN)
             });
             let ct_region = ct_region.slice(0, rec_plain);

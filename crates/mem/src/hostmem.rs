@@ -6,9 +6,12 @@
 //! into diskmap buffers, the TCP stack encrypts it in place, the NIC
 //! reads frames out, and the client verifies every byte.
 //!
-//! Storage is a sparse page map — only pages that were ever written
-//! exist — so a simulated multi-terabyte address space costs memory
-//! proportional to the live working set.
+//! Storage is a sparse page map holding only pages with live bytes: a
+//! page materializes on its first write, and [`HostMem::discard`]
+//! drops it again when its owner recycles the memory (a DMA buffer
+//! going back to its pool). A simulated multi-terabyte address space
+//! so costs memory proportional to the bytes in use, not to every
+//! buffer ever touched.
 
 use crate::phys::{PhysAddr, PhysRegion, CHUNK_SIZE};
 use std::collections::HashMap;
@@ -37,6 +40,17 @@ impl HostMem {
         self.pages
             .entry(pno)
             .or_insert_with(|| Box::new([0u8; PAGE]))
+    }
+
+    /// Drop every whole page inside `region`: its bytes are dead, and
+    /// it reads as zeros until written again. Pages the region only
+    /// partly covers are kept, since bytes outside it may be live.
+    pub fn discard(&mut self, region: PhysRegion) {
+        let first = region.addr.0.div_ceil(CHUNK_SIZE);
+        let end = region.end() / CHUNK_SIZE;
+        for pno in first..end {
+            self.pages.remove(&pno);
+        }
     }
 
     /// Copy `data` into memory at `addr` (scatter across pages).
@@ -140,6 +154,51 @@ mod tests {
             }
         });
         assert!(m.read_region(r).iter().all(|&b| b == 8));
+    }
+
+    #[test]
+    fn discard_drops_interior_pages_and_keeps_partial_edges() {
+        let mut m = HostMem::new();
+        // Pages 1..=4 written in full; the region covers the tail of
+        // page 1, pages 2 and 3 whole, and the head of page 4.
+        let written = PhysRegion::new(PhysAddr(CHUNK_SIZE), 4 * CHUNK_SIZE);
+        m.fill_region(written, |b| b.fill(9));
+        assert_eq!(m.resident_pages(), 4);
+        m.discard(PhysRegion::new(PhysAddr(CHUNK_SIZE + 10), 3 * CHUNK_SIZE));
+        assert_eq!(m.resident_pages(), 2, "pages 2 and 3 dropped");
+        let page = |pno: u64| {
+            let mut out = vec![0xAAu8; PAGE];
+            m.read(PhysAddr(pno * CHUNK_SIZE), &mut out);
+            out
+        };
+        assert!(page(1).iter().all(|&b| b == 9), "partial head page kept");
+        assert!(page(4).iter().all(|&b| b == 9), "partial tail page kept");
+        assert!(
+            page(2).iter().all(|&b| b == 0),
+            "discarded page reads zeros"
+        );
+        assert!(page(3).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn write_after_discard_rematerializes_the_page() {
+        let mut m = HostMem::new();
+        let r = PhysRegion::new(PhysAddr(2 * CHUNK_SIZE), 2 * CHUNK_SIZE);
+        m.fill_region(r, |b| b.fill(5));
+        m.discard(r);
+        assert_eq!(m.resident_pages(), 0);
+        m.write(PhysAddr(2 * CHUNK_SIZE + 100), &[7; 8]);
+        assert_eq!(m.resident_pages(), 1);
+        let got = m.read_region(r);
+        assert_eq!(&got[100..108], &[7; 8]);
+        let rest = got[..100].iter().chain(&got[108..]);
+        assert!(rest.copied().all(|b| b == 0), "no stale bytes return");
+        // A region inside one page discards nothing.
+        m.discard(PhysRegion::new(
+            PhysAddr(2 * CHUNK_SIZE + 1),
+            CHUNK_SIZE - 2,
+        ));
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]

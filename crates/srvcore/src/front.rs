@@ -352,6 +352,12 @@ impl<C> Front<C> {
         self.conns.remove(&self.slots[slot].flow);
     }
 
+    /// The per-core RX slot regions.
+    #[must_use]
+    pub fn rx_slots(&self) -> &[PhysRegion] {
+        &self.rx_slots
+    }
+
     /// Retransmission timeouts fired over every slot's TCB (slots
     /// outlive their connections, so this is a lifetime total).
     #[must_use]

@@ -34,5 +34,5 @@ pub use autotune::IoTuner;
 pub use control::{CoreControl, ServerControl};
 pub use front::{session_cipher, Answer, ConnSlot, Front, FrontConfig, Rx, ServedWork, Syn};
 pub use overload::{AdmissionConfig, LadderLevel, OverloadState, ResourceSnapshot};
-pub use server::{Server, Shell, Stack, VideoServer, NVME_QUEUE_DEPTH, SERVER_ENDPOINT};
+pub use server::{HostPages, Server, Shell, Stack, VideoServer, NVME_QUEUE_DEPTH, SERVER_ENDPOINT};
 pub use tier::{TierIds, TierMetrics};

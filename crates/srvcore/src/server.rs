@@ -130,6 +130,9 @@ pub trait Stack: Sized {
     fn stack_faults(s: &Server<Self>) -> FaultCounts;
     /// Arm the seeded device fault injectors.
     fn inject_faults(s: &mut Server<Self>, f: &FaultConfig, seed: u64);
+    /// Host pages of the memory the stack holds right now: the only
+    /// stack memory whose bytes may still be read.
+    fn held_pages(s: &Server<Self>) -> usize;
 
     /// A new connection was admitted into `slot`.
     fn on_accept(_s: &mut Server<Self>, _now: Nanos, _slot: usize) {}
@@ -158,6 +161,18 @@ pub trait Stack: Sized {
     fn tracer(_s: &Server<Self>) -> Option<&Tracer> {
         None
     }
+}
+
+/// Host-memory pages of a server, for the live-bytes audit: a server
+/// drops the pages of memory it recycles, so `resident` never exceeds
+/// `held`. A modeled run writes no bytes, so none are resident.
+#[derive(Clone, Copy, Debug)]
+pub struct HostPages {
+    /// Pages holding bytes now.
+    pub resident: usize,
+    /// Pages of the memory still held: the stack's held buffers, the
+    /// RX slots and the DMA-cache slots.
+    pub held: usize,
 }
 
 /// A server: the shell's parts plus one stack's state.
@@ -466,6 +481,8 @@ pub trait VideoServer {
     /// Connections holding a record cipher: only a server that seals
     /// bytes builds them.
     fn record_ciphers(&self) -> usize;
+    /// Materialized host pages against the pages the server holds.
+    fn host_pages(&self) -> HostPages;
 }
 
 impl<S: Stack> VideoServer for Server<S> {
@@ -604,5 +621,14 @@ impl<S: Stack> VideoServer for Server<S> {
     fn record_ciphers(&self) -> usize {
         let slots = &self.front.slots;
         slots.iter().filter(|s| s.cipher.is_some()).count()
+    }
+
+    fn host_pages(&self) -> HostPages {
+        let slots = self.front.rx_slots().iter().chain(&self.cache_slots);
+        let shell: usize = slots.map(|r| r.chunks().count()).sum();
+        HostPages {
+            resident: self.host.resident_pages(),
+            held: S::held_pages(self) + shell,
+        }
     }
 }

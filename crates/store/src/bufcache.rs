@@ -237,6 +237,13 @@ impl BufferCache {
         self.pages.len
     }
 
+    /// Frames handed out so far (resident, reclaimed or released):
+    /// every frame whose memory ever held a page.
+    #[must_use]
+    pub fn frames_used(&self) -> usize {
+        self.frames.len()
+    }
+
     #[must_use]
     pub fn capacity_pages(&self) -> usize {
         self.capacity_pages

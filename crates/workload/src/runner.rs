@@ -10,7 +10,7 @@ use dcn_kstack::{KstackConfig, KstackServer};
 use dcn_mem::Fidelity;
 use dcn_netdev::DelayMiddlebox;
 use dcn_simcore::Nanos;
-pub use dcn_srvcore::{TierMetrics, VideoServer};
+pub use dcn_srvcore::{HostPages, TierMetrics, VideoServer};
 use dcn_store::Catalog;
 use std::path::PathBuf;
 
@@ -221,6 +221,9 @@ pub struct RunMetrics {
     pub retransmit_fetches: u64,
     /// DMA buffers unaccounted for at run end (must be 0).
     pub leaked_buffers: i64,
+    /// Host pages at run end: those holding bytes, against those the
+    /// server still holds (full fidelity only; 0 and 0 when modeled).
+    pub host_pages: HostPages,
     pub faults: FaultMetrics,
     pub overload: OverloadMetrics,
     /// Stage-profiler snapshot, present when the server config set
@@ -301,6 +304,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         disk_read_bytes: served.disk_read_bytes,
         retransmit_fetches: served.retransmit_fetches,
         leaked_buffers: server.leaked_buffers(),
+        host_pages: server.host_pages(),
         faults,
         overload,
         perf: server.prof_report(),

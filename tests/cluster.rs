@@ -215,3 +215,26 @@ fn shed_requests_are_retried_after_their_backoff() {
     );
     assert!(m.live_fraction > 0.9, "stuck clients: {m:?}");
 }
+
+#[test]
+fn unroutable_requests_wait_for_a_server_to_stop_shedding() {
+    // Two servers whose DMA-pool watermark latches under ordinary load
+    // (enter below 30% free of 32 buffers per queue, exit above 50%)
+    // at times shed together, so a request finds no routable server.
+    // It parks and goes out once a server's latch clears, instead of
+    // leaving its client idle for the rest of the run (which held this
+    // run to 38 responses).
+    let mut sc = smoke(2, 16, false, 7);
+    sc.atlas.bufs_per_queue = 32;
+    sc.atlas.admission.pool_low_enter = 0.3;
+    sc.atlas.admission.pool_low_exit = 0.5;
+    sc.duration = Nanos::from_millis(1500);
+    let m = run_cluster(&sc);
+    assert_clean(&m);
+    assert!(m.unroutable > 0, "both servers must shed at once: {m:?}");
+    assert_eq!(
+        m.unroutable_pending, 0,
+        "a parked request never went out: {m:?}"
+    );
+    assert!(m.responses > 100, "idle clients: {m:?}");
+}
