@@ -29,7 +29,9 @@ use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
 use dcn_store::Catalog;
-use dcn_workload::{run_scenario, AbrConfig, FleetConfig, RunMetrics, Scenario, ServerKind};
+use dcn_workload::{
+    run_scenario, AbrConfig, FleetConfig, ObsOptions, RunMetrics, Scenario, ServerKind,
+};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Load {
@@ -231,14 +233,13 @@ fn main() {
          an artifact of steady arrivals: the abr-buffer cells should retain\n\
          at least half of its fixed-rate gain."
     );
-    maybe_run_observed_abr();
+    maybe_run_observed_abr(&args.obs);
 }
 
 /// `--trace-out`/`--metrics-out` hook: like
 /// [`dcn_bench::maybe_run_observed_atlas`], but the observed fleet is
 /// adaptive so the `qoe.*` gauge family lands in the metrics CSV.
-fn maybe_run_observed_abr() {
-    let obs = dcn_bench::obs_from_args();
+fn maybe_run_observed_abr(obs: &ObsOptions) {
     if !obs.active() {
         return;
     }
@@ -249,7 +250,7 @@ fn maybe_run_observed_abr() {
     });
     let mut sc = Scenario::smoke(server, 48, 42);
     sc.fleet.abr = Some(AbrConfig::rate_based());
-    let (m, report) = dcn_workload::run_scenario_observed(&sc, &obs);
+    let (m, report) = dcn_workload::run_scenario_observed(&sc, obs);
     println!("\n=== Observability: traced adaptive Atlas run (full fidelity, TLS) ===");
     println!(
         "responses={} net={:.2} Gbps cpu={:.0}%",

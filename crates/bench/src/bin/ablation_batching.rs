@@ -5,14 +5,15 @@
 //! doorbell syscall. This ablation measures diskmap throughput and
 //! driver CPU per I/O as the submission batch size varies.
 
-use dcn_bench::{print_table, Scale};
+use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_diskmap::{DiskId, DiskmapKernel, IoDesc, NvmeQueue};
 use dcn_mem::{CostParams, HostMem, LlcConfig, MemSystem, PhysAlloc};
 use dcn_nvme::{Fidelity, NvmeConfig, NvmeDevice, SyntheticBacking};
 use dcn_simcore::{Nanos, SimRng};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
+    let scale = args.scale;
     let horizon = Nanos::from_millis(if scale == Scale::Quick { 60 } else { 250 });
     let mut rows = Vec::new();
     for &batch in &[1usize, 4, 16, 64] {
@@ -93,5 +94,5 @@ fn main() {
         &["batch", "gbps", "cpu_ns/io", "syscalls"],
         &rows,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

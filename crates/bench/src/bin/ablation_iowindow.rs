@@ -93,5 +93,5 @@ fn main() {
          operating point online instead of trusting a profile of a\n\
          different drive."
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -262,5 +262,5 @@ fn main() {
     if !wrote {
         print!("{doc}");
     }
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -68,5 +68,5 @@ fn main() {
         "\nSmaller batches = more timely buffer recycling = tighter LIFO reuse\n\
          = smaller working set in the LLC (the paper's §5 design principle)."
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -56,5 +56,5 @@ fn main() {
         &["watermark", "net_gbps", "R:net", "responses"],
         &rows,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

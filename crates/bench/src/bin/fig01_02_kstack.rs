@@ -8,10 +8,10 @@
 //! 0%BC with all cores saturated.
 
 use dcn_bench::sweep::{print_metric, sweep, Variant};
-use dcn_bench::Scale;
+use dcn_bench::BenchArgs;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
     for (fig, enc) in [("Fig 1 (plaintext)", false), ("Fig 2 (encrypted)", true)] {
         let variants = [
             Variant::netflix(enc, true),
@@ -19,7 +19,7 @@ fn main() {
             Variant::stock(enc, true),
             Variant::stock(enc, false),
         ];
-        let curves = sweep(&variants, scale);
+        let curves = sweep(&variants, &args);
         print_metric(
             &format!("{fig}: network throughput (Gb/s)"),
             &curves,
@@ -33,5 +33,5 @@ fn main() {
             0,
         );
     }
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

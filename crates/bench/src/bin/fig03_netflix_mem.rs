@@ -5,12 +5,12 @@
 //! (175 Gb/s when serving ~68 Gb/s from cache).
 
 use dcn_bench::sweep::{print_metric, sweep, Variant};
-use dcn_bench::Scale;
+use dcn_bench::BenchArgs;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
     let variants = [Variant::netflix(true, false), Variant::netflix(true, true)];
-    let curves = sweep(&variants, scale);
+    let curves = sweep(&variants, &args);
     print_metric(
         "Fig 3: memory READ (Gb/s)",
         &curves,
@@ -35,5 +35,5 @@ fn main() {
         |a| &a.read_net_ratio,
         2,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

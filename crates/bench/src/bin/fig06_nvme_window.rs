@@ -6,11 +6,12 @@
 //! saturation, latency grows linearly with the window (Little's law).
 
 use dcn_bench::storage::run_diskmap;
-use dcn_bench::{print_table, Scale};
+use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_simcore::Nanos;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
+    let scale = args.scale;
     let windows: &[usize] = match scale {
         Scale::Quick => &[1, 8, 64, 256],
         _ => &[1, 2, 4, 8, 16, 32, 64, 96, 128, 192, 256, 384, 512, 600],
@@ -33,5 +34,5 @@ fn main() {
         &["window", "latency_ms", "gbps", "ios"],
         &rows,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -8,11 +8,12 @@
 //! aggregate limit.
 
 use dcn_bench::storage::{run_aio, run_diskmap, run_pread};
-use dcn_bench::{print_table, Scale};
+use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_simcore::Nanos;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
+    let scale = args.scale;
     let sizes: &[u64] = match scale {
         Scale::Quick => &[512, 4096, 16_384, 131_072],
         _ => &[512, 1024, 2048, 4096, 8192, 16_384, 32_768, 65_536, 131_072],
@@ -38,5 +39,5 @@ fn main() {
         &["KiB", "diskmap", "aio(4)", "pread(2)"],
         &rows,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

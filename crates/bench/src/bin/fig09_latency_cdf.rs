@@ -6,11 +6,12 @@
 //! kqueue and its higher per-request CPU cost inflates queueing.
 
 use dcn_bench::storage::{run_aio, run_diskmap};
-use dcn_bench::{print_table, Scale};
+use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_simcore::Nanos;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
+    let scale = args.scale;
     let horizon = Nanos::from_millis(if scale == Scale::Quick { 80 } else { 300 });
     let d = run_diskmap(1, 512, 128, horizon, 42);
     let a = run_aio(1, 512, 128, horizon, 42);
@@ -40,5 +41,5 @@ fn main() {
             .collect();
         println!("  {name}: {}", sampled.join(" "));
     }
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -8,16 +8,16 @@
 //! Atlas CPU-LLC-miss reads ≈ 0.
 
 use dcn_bench::sweep::{print_metric, sweep, Variant};
-use dcn_bench::Scale;
+use dcn_bench::BenchArgs;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
     let variants = [
         Variant::netflix(false, false),
         Variant::netflix(false, true),
         Variant::atlas(false),
     ];
-    let curves = sweep(&variants, scale);
+    let curves = sweep(&variants, &args);
     print_metric(
         "Fig 11a: network throughput (Gb/s)",
         &curves,
@@ -49,5 +49,5 @@ fn main() {
         |a| &a.llc_miss_e8,
         2,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -6,16 +6,16 @@
 //! 2.6 in both BC modes (out-of-place kTLS + NT stores), Atlas ≈ 1.5.
 
 use dcn_bench::sweep::{print_metric, sweep, Variant};
-use dcn_bench::Scale;
+use dcn_bench::BenchArgs;
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
     let variants = [
         Variant::netflix(true, false),
         Variant::netflix(true, true),
         Variant::atlas(true),
     ];
-    let curves = sweep(&variants, scale);
+    let curves = sweep(&variants, &args);
     print_metric(
         "Fig 13a: network throughput (Gb/s)",
         &curves,
@@ -47,5 +47,5 @@ fn main() {
         |a| &a.llc_miss_e8,
         2,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

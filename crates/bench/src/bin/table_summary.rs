@@ -8,10 +8,10 @@
 //! * stock + userspace TLS collapses (the 40 → 8.5 Gb/s anecdote).
 
 use dcn_bench::sweep::{sweep, Variant};
-use dcn_bench::{print_table, Scale};
+use dcn_bench::{print_table, BenchArgs};
 
 fn main() {
-    let scale = Scale::from_args();
+    let args = BenchArgs::parse();
     let variants = [
         Variant::stock(false, false),
         Variant::netflix(false, false),
@@ -28,7 +28,7 @@ fn main() {
         "Netflix TLS 0%BC",
         "Atlas TLS",
     ];
-    let curves = sweep(&variants, scale);
+    let curves = sweep(&variants, &args);
     let last = curves[0].points.len() - 1;
     let rows: Vec<Vec<String>> = curves
         .iter()
@@ -57,5 +57,5 @@ fn main() {
         ],
         &rows,
     );
-    dcn_bench::maybe_run_observed_atlas();
+    dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

@@ -62,27 +62,16 @@ pub enum Scale {
     Paper,
 }
 
-/// Observability flags shared by every figure binary:
-/// `--trace-out <path>` (chunk-lifecycle JSONL) and
-/// `--metrics-out <path>` (registry time-series CSV).
-/// Thin wrapper over [`BenchArgs::parse`] for callers that only need
-/// the obs flags.
-#[must_use]
-pub fn obs_from_args() -> ObsOptions {
-    BenchArgs::parse().obs
-}
-
-/// If `--trace-out` / `--metrics-out` was passed, run one small
+/// If `obs` asks for a `--trace-out` or `--metrics-out`, run one small
 /// full-fidelity TLS Atlas scenario with the chunk-lifecycle tracer
 /// on, dump the requested artifacts, and print the per-stage latency
 /// summary (p50/p99). No-op without the flags, so every figure binary
 /// can call this unconditionally at the end of `main`.
-pub fn maybe_run_observed_atlas() {
+pub fn maybe_run_observed_atlas(obs: &ObsOptions) {
     use dcn_atlas::AtlasConfig;
     use dcn_mem::Fidelity;
     use dcn_workload::{run_scenario_observed, Scenario, ServerKind};
 
-    let obs = obs_from_args();
     if !obs.active() {
         return;
     }
@@ -92,7 +81,7 @@ pub fn maybe_run_observed_atlas() {
         ..AtlasConfig::default()
     });
     let sc = Scenario::smoke(server, 48, 42);
-    let (m, report) = run_scenario_observed(&sc, &obs);
+    let (m, report) = run_scenario_observed(&sc, obs);
     println!("\n=== Observability: traced Atlas run (full fidelity, TLS) ===");
     println!(
         "responses={} net={:.2} Gbps cpu={:.0}%",
@@ -112,13 +101,6 @@ pub fn maybe_run_observed_atlas() {
 }
 
 impl Scale {
-    /// Thin wrapper over [`BenchArgs::parse`] for callers that only
-    /// need the scale.
-    #[must_use]
-    pub fn from_args() -> Scale {
-        BenchArgs::parse().scale
-    }
-
     /// Connection-count sweep for the macro figures.
     #[must_use]
     pub fn conns(self) -> Vec<usize> {

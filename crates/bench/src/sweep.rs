@@ -1,7 +1,7 @@
 //! Macro-figure sweep driver: run (variant × connection-count ×
 //! seed) scenarios and aggregate the paper's series.
 
-use crate::Scale;
+use crate::BenchArgs;
 use dcn_atlas::AtlasConfig;
 use dcn_kstack::KstackConfig;
 use dcn_mem::Fidelity;
@@ -93,8 +93,8 @@ impl Variant {
 /// flags: `--catalog` resizes the catalog away from the paper's 2M
 /// chunks, `--zipf` switches every variant's fleet to rank-permuted
 /// Zipf popularity (tiered-catalog workload shaping).
-pub fn sweep(variants: &[Variant], scale: Scale) -> Vec<Curve> {
-    let args = crate::BenchArgs::parse();
+pub fn sweep(variants: &[Variant], args: &BenchArgs) -> Vec<Curve> {
+    let scale = args.scale;
     let conns = scale.conns();
     let seeds = scale.seeds();
     let duration = scale.duration();
