@@ -63,8 +63,11 @@ pub struct Net<E> {
     q: EventQueue<Ev<E>>,
 }
 
-/// The clients, as the loop sees them: `ClientFleet` for a lone
-/// server, `dcn-cluster`'s `MultiFleet` behind its dispatcher.
+/// The clients, as the loop sees them: the lone server's
+/// `ClientFleet`, or `dcn-cluster`'s `Pod` (a `MultiFleet` behind its
+/// dispatcher). The two fleets are one client implementation over two
+/// connection topologies; a client side adds only how its requests
+/// are routed and its wakes scheduled.
 pub trait ClientSide {
     /// Timers and control-plane actions the client side schedules.
     type Event;
