@@ -24,7 +24,7 @@ cargo test -q --release --test faults --test retransmission --test observability
 echo "==> cluster smoke (multi-server scale-out / failover; a request no server can take parks until one stops shedding)"
 cargo test -q --release --test cluster
 
-echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop and the one server shell both stacks plug into, pinned to exact counts and goodput bits; front-end answers on both stacks)"
+echo "==> testbed known-answer gate (single-server and cluster runs through the one event loop, the one server shell both stacks plug into and the one client fleet both topologies share, pinned to exact counts and goodput bits, including an adaptive cluster run's ABR resume wakes and decision count; front-end answers on both stacks)"
 cargo test -q --release --test testbed --test front_end
 
 echo "==> knob census (the settable fields of every public server and workload config, pinned by name)"
