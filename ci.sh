@@ -84,8 +84,11 @@ cargo test -q --release --test abr
 echo "==> ABR ablation smoke (on-off workload matrix + burst microscope)"
 ./target/release/ablation_abr --quick
 
-echo "==> tier gate (1M-object Zipf e2e on both stacks + cluster, cold-path byte-exactness, zero-leak audit)"
+echo "==> tier gate (1M-object Zipf e2e on both stacks + cluster, cold-path byte-exactness, zero-leak audit; sparse heat: decay drops cold entries, live heat follows the recent requests)"
 cargo test -q --release -p dcn-tier
+cargo test -q --release -p dcn-tier -- --exact map::tests::decay_drops_every_entry_it_halves_to_zero \
+    map::tests::metadata_is_compact_at_a_million_objects \
+    engine::tests::live_heat_follows_the_recent_requests_not_the_catalog
 cargo test -q --release --test tiers
 
 echo "==> tier ablation smoke (back-to-back runs must be byte-identical)"

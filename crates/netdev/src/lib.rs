@@ -20,13 +20,11 @@
 //!   client→server traffic.
 
 pub mod nic;
-pub mod pcap;
 pub mod rings;
 pub mod sg;
 pub mod wire;
 
 pub use nic::{parse_frame, tcp_frame_info, FramePayload, Nic, NicConfig, SentBurst, TcpFrameInfo};
-pub use pcap::PcapWriter;
 pub use rings::{RxRing, TxDescriptor, TxRing};
 pub use sg::{PayloadBytes, SgChunk, SgList};
 pub use wire::{DelayMiddlebox, WireFrame, ETH_WIRE_OVERHEAD};

@@ -425,6 +425,44 @@ mod tests {
     }
 
     #[test]
+    fn live_heat_follows_the_recent_requests_not_the_catalog() {
+        // The benchmark's shape: a million objects, 40% hot, Zipf(0.9)
+        // requests. Heat saturates at 255 and halves every epoch, so
+        // an object not requested in the last 8 epochs has none.
+        const N: u64 = 1_000_000;
+        const PER_EPOCH: u64 = 2000;
+        let catalog = Catalog::new(N, 300 * 1024, 4, 7);
+        let mut e = TierEngine::new(TierConfig::default(), &catalog, 42);
+        let zipf = dcn_simcore::Zipf::new(N, 0.9);
+        let mut rng = dcn_simcore::SimRng::new(9);
+        let mut last_touch: std::collections::HashMap<u64, u64> = Default::default();
+        let mut now = Nanos::ZERO;
+        for epoch in 0..40u64 {
+            for _ in 0..PER_EPOCH {
+                let f = FileId(e.perm().apply(zipf.sample(&mut rng)));
+                e.classify(f);
+                last_touch.insert(f.0, epoch);
+            }
+            now += EPOCH;
+            run_epoch(&mut e, now);
+            let recent = last_touch.values().filter(|&&t| t + 8 > epoch).count();
+            let live = e.map.live_heat();
+            assert!(
+                live <= recent,
+                "epoch {epoch}: {live} live > {recent} recent"
+            );
+            assert!(recent as u64 <= 8 * PER_EPOCH);
+            // One decay leaves every object of the last epoch warm.
+            let last = last_touch.values().filter(|&&t| t == epoch).count();
+            assert!(
+                live >= last,
+                "epoch {epoch}: {live} live < {last} just requested"
+            );
+        }
+        assert!(last_touch.len() > 40_000, "{}", last_touch.len());
+    }
+
+    #[test]
     fn epoch_replay_is_deterministic() {
         let run = || {
             let mut e = engine(5000, 0.05);

@@ -13,8 +13,9 @@
 //!   as the hot tier) and [`ColdObjectStore`] (configurable base
 //!   latency + seeded jitter, a shared bandwidth pipe, and
 //!   per-request/per-byte cost accounting).
-//! * [`map`] — [`TierMap`]: compact residency + heat metadata, 1.25 MB
-//!   per million objects, no per-object allocation.
+//! * [`map`] — [`TierMap`]: compact residency + heat metadata: two
+//!   bitmaps, 250 KB per million objects, and a sparse heat map of
+//!   the recently requested objects only; no per-object allocation.
 //! * [`engine`] — [`TierEngine`]: hysteretic promotion/demotion driven
 //!   by access heat, with epoch decay and a bounded promotion
 //!   bandwidth budget so migrations cannot starve serving.

@@ -1,12 +1,19 @@
 //! Compact per-object tier metadata.
 //!
 //! A million-object catalog cannot afford a `HashMap<FileId, _>` per
-//! concern. [`TierMap`] keeps exactly three flat arrays — a residency
-//! flip bitmap, a promotion-queued bitmap, and one saturating heat
-//! byte per object — 1.25 MB per million objects, never resized. Each
-//! starts all zeros, so each is a [`ZeroedTable`]: construction
-//! writes none of it, and a page costs its first-touch fault when the
-//! run first uses it.
+//! concern. [`TierMap`] keeps two flat bitmaps — a residency flip
+//! bitmap and a promotion-queued bitmap, 250 KB per million objects,
+//! never resized — and a sparse heat map. Each bitmap starts all
+//! zeros, so each is a [`ZeroedTable`]: construction writes none of
+//! it, and a page costs its first-touch fault when the run first uses
+//! it.
+//!
+//! Heat is non-zero only for recently requested objects: a touch adds
+//! at most 255 and every epoch halves it, so an object nobody asked
+//! for in 8 epochs reads 0. The heat map holds only those live
+//! entries; an absent object reads 0, and [`TierMap::decay`] walks
+//! the live entries and drops the ones that reach 0, so its cost and
+//! memory follow the recent request stream, not the catalog.
 //!
 //! Residency is stored relative to the seeded hot set: the `seeded`
 //! most popular objects under the catalog's [`RankPerm`] start hot,
@@ -16,6 +23,7 @@
 
 use dcn_simcore::{RankPerm, ZeroedTable};
 use dcn_store::FileId;
+use std::collections::HashMap;
 
 /// Residency + access-heat metadata for every catalog object.
 pub struct TierMap {
@@ -27,8 +35,11 @@ pub struct TierMap {
     flipped: ZeroedTable<u64>,
     /// Bit set ⇒ object is already in the promotion queue (dedup).
     queued: ZeroedTable<u64>,
-    /// Saturating access-heat counter, halved every epoch.
-    heat: ZeroedTable<u8>,
+    /// Saturating access-heat counter, halved every epoch, for the
+    /// objects whose heat is non-zero (keyed by object id). Nothing
+    /// iterates it in an order that reaches an output: `decay` halves
+    /// every entry alike.
+    heat: HashMap<u32, u8>,
     hot_count: u64,
 }
 
@@ -39,13 +50,14 @@ impl TierMap {
     pub fn new(perm: RankPerm, seeded: u64) -> Self {
         let n = perm.len();
         assert!(seeded <= n);
+        assert!(n <= 1 << 32, "object ids must fit the heat map's u32 keys");
         let words = n.div_ceil(64) as usize;
         TierMap {
             perm,
             seeded,
             flipped: ZeroedTable::new(words),
             queued: ZeroedTable::new(words),
-            heat: ZeroedTable::new(n as usize),
+            heat: HashMap::new(),
             hot_count: seeded,
         }
     }
@@ -117,29 +129,37 @@ impl TierMap {
 
     #[must_use]
     pub fn heat(&self, f: FileId) -> u8 {
-        self.heat[f.0 as usize]
+        self.heat.get(&(f.0 as u32)).copied().unwrap_or(0)
     }
 
     /// Record one access; returns the new heat.
     pub fn touch(&mut self, f: FileId, step: u8) -> u8 {
-        let h = &mut self.heat[f.0 as usize];
+        let h = self.heat.entry(f.0 as u32).or_insert(0);
         *h = h.saturating_add(step);
         *h
     }
 
-    /// Epoch decay: halve every heat counter. O(n) over one byte per
-    /// object — ~1 MB scanned per epoch for a million objects.
+    /// Epoch decay: halve every heat counter. Walks only the live
+    /// entries and drops those that reach 0 — O(live), not O(catalog).
     pub fn decay(&mut self) {
-        for h in self.heat.iter_mut() {
+        self.heat.retain(|_, h| {
             *h >>= 1;
-        }
+            *h != 0
+        });
+    }
+
+    /// Live heat entries: the objects touched since their heat last
+    /// decayed to 0.
+    #[cfg(test)]
+    pub(crate) fn live_heat(&self) -> usize {
+        self.heat.len()
     }
 
     /// Scan up to `limit` objects starting at `*cursor` (wrapping) for
     /// a hot, unqueued object with heat ≤ `threshold` — a demotion
     /// victim. Advances the cursor past the scanned range. Residency
-    /// is a permutation inverse, so it is tested after the byte and
-    /// bit reads.
+    /// is a permutation inverse, so it is tested after the heat
+    /// lookup and the bit read.
     pub fn find_cold_victim(&self, cursor: &mut u64, limit: u64, threshold: u8) -> Option<FileId> {
         let n = self.len();
         for _ in 0..limit.min(n) {
@@ -152,10 +172,13 @@ impl TierMap {
         None
     }
 
-    /// Approximate resident-set bytes of the metadata itself.
+    /// Approximate resident-set bytes of the metadata itself: the two
+    /// bitmaps plus each live heat entry (key, value and the hash
+    /// table's control byte).
     #[must_use]
     pub fn metadata_bytes(&self) -> u64 {
-        (self.flipped.len() * 8 + self.queued.len() * 8 + self.heat.len()) as u64
+        let entry = std::mem::size_of::<(u32, u8)>() + 1;
+        (self.flipped.len() * 8 + self.queued.len() * 8 + self.heat.len() * entry) as u64
     }
 }
 
@@ -197,11 +220,42 @@ mod tests {
     }
 
     #[test]
+    fn decay_drops_every_entry_it_halves_to_zero() {
+        const K: u64 = 1000;
+        let mut m = unseeded(1_000_000);
+        for id in 0..K {
+            m.touch(FileId(id * 997), u8::MAX);
+        }
+        assert_eq!(m.live_heat(), K as usize);
+        // 255 needs eight halvings to reach 0.
+        let mut want = u8::MAX;
+        for epoch in 1..=8 {
+            m.decay();
+            want >>= 1;
+            let left = if epoch < 8 { K as usize } else { 0 };
+            assert_eq!(m.live_heat(), left, "after {epoch} decays");
+            assert_eq!(m.heat(FileId(997)), want);
+        }
+        assert!(m.heat.is_empty());
+    }
+
+    #[test]
     fn metadata_is_compact_at_a_million_objects() {
-        let m = unseeded(1_000_000);
-        // Hard bound from the issue: compact metadata, no per-object
-        // allocation. 1 byte heat + 2 bits of bitmaps per object.
+        let mut m = unseeded(1_000_000);
+        // Hard bound: compact metadata, no per-object allocation. 2
+        // bits of bitmaps per object, plus only the live heat entries.
         assert!(m.metadata_bytes() < 2_000_000, "{}", m.metadata_bytes());
+        let bitmaps = m.metadata_bytes();
+        assert!(bitmaps < 300_000, "{bitmaps}");
+        for id in 0..10_000 {
+            m.touch(FileId(id), 3);
+        }
+        let entry = m.metadata_bytes() - bitmaps;
+        assert_eq!(entry % 10_000, 0);
+        assert!((5..=16).contains(&(entry / 10_000)), "{entry}");
+        m.decay();
+        m.decay();
+        assert_eq!(m.metadata_bytes(), bitmaps, "decayed entries still counted");
     }
 
     #[test]
@@ -222,7 +276,8 @@ mod tests {
     #[test]
     fn a_map_built_after_a_dropped_one_reads_only_the_seeded_head() {
         // A million objects, as the tier serves, so the second map's
-        // tables are the size of the first's.
+        // bitmaps are the size of the first's; the first map's heat
+        // holds every object, the second's none.
         const N: u64 = 1_000_000;
         let perm = RankPerm::new(N, 0x5eed);
         let seeded = N * 2 / 5;
@@ -238,9 +293,11 @@ mod tests {
             first.set_queued(f);
         }
         assert_eq!(first.hot_count(), N - seeded);
+        assert_eq!(first.live_heat(), N as usize);
         drop(first);
         let second = TierMap::new(perm, seeded);
         assert_eq!(second.hot_count(), seeded);
+        assert_eq!(second.live_heat(), 0);
         for id in 0..N {
             let f = FileId(id);
             assert_eq!(second.is_hot(f), perm.rank_of(id) < seeded, "id {id}");
@@ -379,6 +436,8 @@ mod tests {
                     assert_eq!(m.heat(f), r.heat[id as usize], "{ctx} id {id}");
                     assert_eq!(m.is_queued(f), r.queued[id as usize], "{ctx} id {id}");
                 }
+                let live = r.heat.iter().filter(|&&h| h != 0).count();
+                assert_eq!(m.live_heat(), live, "{ctx}");
             }
         }
     }

@@ -278,20 +278,21 @@ impl<T: Topology> Fleet<T> {
         txs
     }
 
-    /// Close every ABR session and aggregate the fleet's QoE plus the
-    /// canonical decision trace. None for fixed-rate fleets.
+    /// Close every ABR session and aggregate the fleet's QoE, keeping
+    /// each session's decisions for the trace. None for fixed-rate
+    /// fleets.
     pub fn finish_abr(&mut self, now: Nanos) -> Option<AbrReadout> {
         self.cfg.abr?;
         let mut out = AbrReadout::default();
         let mut stats: Vec<QoeStats> = Vec::new();
         for (i, c) in self.clients.iter_mut().enumerate() {
-            let Some(abr) = c.abr.take() else { continue };
+            let Some(mut abr) = c.abr.take() else {
+                continue;
+            };
             out.decisions += abr.decisions.len() as u64;
             out.downswitches += abr.downswitches();
             out.paced_wakes += abr.resumes;
-            for d in &abr.decisions {
-                out.trace.push_str(&d.trace_line(i));
-            }
+            out.log.push((i, std::mem::take(&mut abr.decisions)));
             stats.push(abr.finish(now));
         }
         out.qoe = QoeSummary::aggregate(&stats, now);

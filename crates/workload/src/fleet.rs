@@ -5,7 +5,7 @@
 //! (a cluster), one client implementation over two connection
 //! topologies.
 
-use crate::abr::AbrConfig;
+use crate::abr::{AbrConfig, AbrDecision};
 use dcn_netdev::WireFrame;
 use dcn_obs::qoe::QoeSummary;
 use dcn_packet::FlowId;
@@ -55,7 +55,8 @@ impl Default for FleetConfig {
     }
 }
 
-/// End-of-run ABR readout: fleet QoE plus the canonical decision
+/// End-of-run ABR readout: fleet QoE plus every session's decisions,
+/// from which [`AbrReadout::trace`] renders the canonical decision
 /// trace (byte-identical across replays of one seed).
 #[derive(Clone, Debug, Default)]
 pub struct AbrReadout {
@@ -64,16 +65,26 @@ pub struct AbrReadout {
     pub decisions: u64,
     /// Decisions strictly below the previous one (quality drops).
     pub downswitches: u64,
-    /// Concatenated per-client decision trace lines.
-    pub trace: String,
     /// On-off "on" edges: fetches resumed after a full-buffer pause
     /// (how many synchronized bursts the server absorbed). A wake that
     /// pauses again, or a pause still pending when the run ends, is
     /// not one.
     pub paced_wakes: u64,
+    /// Each adaptive client's index and its decisions, in client order.
+    pub(crate) log: Vec<(usize, Vec<AbrDecision>)>,
 }
 
 impl AbrReadout {
+    /// The concatenated per-client decision trace lines.
+    #[must_use]
+    pub fn trace(&self) -> String {
+        let lines = self
+            .log
+            .iter()
+            .flat_map(|(i, ds)| ds.iter().map(|d| d.trace_line(*i)));
+        lines.collect()
+    }
+
     /// Publish the fleet's QoE as `qoe.*` gauges.
     pub fn publish(&self, reg: &mut dcn_obs::Registry) {
         let q = &self.qoe;

@@ -337,7 +337,15 @@ fn run_lone(sc: &Scenario, obs: &ObsOptions) -> testbed::Finished<ClientFleet> {
     // At modeled fidelity there are no real bytes to verify.
     fleet_cfg.verify &= matches!(fidelity, Fidelity::Full);
     // Client-fault modes live in the fleet: the first N clients turn
-    // into slowloris attackers.
+    // into slowloris attackers. The fault config names them, so a
+    // fleet setting that disagrees fails instead of being dropped.
+    assert!(
+        sc.fleet.slowloris == 0 || sc.fleet.slowloris == sc.faults.client.slowloris_conns as usize,
+        "FleetConfig::slowloris ({}) disagrees with faults.client.slowloris_conns ({}): \
+         a lone run takes its attackers from the fault config",
+        sc.fleet.slowloris,
+        sc.faults.client.slowloris_conns
+    );
     fleet_cfg.slowloris = (sc.faults.client.slowloris_conns as usize).min(fleet_cfg.n_clients);
     // Effective fault configuration: the legacy `data_loss` knob maps
     // onto the uniform loss model when no explicit model is set.

@@ -150,7 +150,7 @@ fn assert_abr_clean(m: &RunMetrics, n_clients: u64) {
     assert!(abr.qoe.started > 0, "nobody started playback: {abr:?}");
     assert!(abr.decisions > 0);
     assert!(abr.qoe.avg_bitrate_mbps > 0.0);
-    assert!(!abr.trace.is_empty(), "decision trace must be recorded");
+    assert!(!abr.trace().is_empty(), "decision trace must be recorded");
 }
 
 #[test]
@@ -310,8 +310,8 @@ fn abr_decisions_replay_bit_identically() {
     };
     let (a, b) = (run(), run());
     let (ta, tb) = (
-        a.abr.as_ref().expect("abr").trace.clone(),
-        b.abr.as_ref().expect("abr").trace.clone(),
+        a.abr.as_ref().expect("abr").trace(),
+        b.abr.as_ref().expect("abr").trace(),
     );
     assert!(!ta.is_empty());
     assert_eq!(ta, tb, "decision traces must be byte-identical");
