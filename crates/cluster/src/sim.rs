@@ -169,6 +169,8 @@ pub struct ClusterMetrics {
     /// ABR readout (QoE + decision trace), present when the fleet ran
     /// in adaptive mode.
     pub abr: Option<AbrReadout>,
+    /// The testbed's run digest of every event it handled.
+    pub digest: u64,
 }
 
 /// The cluster's clients: a `MultiFleet` behind the dispatcher, plus
@@ -474,6 +476,7 @@ pub fn run_cluster_observed(sc: &ClusterConfig, obs: &ObsOptions) -> (ClusterMet
         per_server,
         recovery,
         abr: run.abr,
+        digest: run.digest.0,
     };
     (metrics, run.report)
 }

@@ -237,6 +237,8 @@ pub struct RunMetrics {
     pub pool_occ: Option<PoolOcc>,
     /// Tiered-catalog readout, present when the server ran tiered.
     pub tier: Option<TierMetrics>,
+    /// The testbed's [`testbed::RunDigest`] of every event it handled.
+    pub digest: u64,
 }
 
 /// Run one scenario to completion and report metrics.
@@ -312,6 +314,7 @@ pub fn run_scenario_observed(sc: &Scenario, obs: &ObsOptions) -> (RunMetrics, Ob
         abr: run.abr,
         pool_occ: run.pool_occ[0],
         tier: server.tier_ids().map(|ids| ids.read(reg)),
+        digest: run.digest.0,
     };
     (metrics, run.report)
 }

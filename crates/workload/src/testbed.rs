@@ -11,7 +11,8 @@
 //! client ramp, one pending wake per server, an alive flag per server
 //! (a killed server's frames vanish in both directions), the wire
 //! (middlebox, link faults, client stalls), DMA-pool sampling, the
-//! steady-state allocation audit, and the metrics CSV and chunk trace.
+//! steady-state allocation audit, the metrics CSV and chunk trace, and
+//! the run digest.
 //! What differs between a lone server's fleet and a dispatched
 //! cluster sits behind [`ClientSide`].
 
@@ -103,6 +104,46 @@ pub struct Finished<C: ClientSide> {
     pub pool_occ: Vec<Option<PoolOcc>>,
     pub abr: Option<AbrReadout>,
     pub report: ObsReport,
+    /// Every event the loop handled, folded in order.
+    pub digest: RunDigest,
+}
+
+/// A 64-bit fingerprint of a run's event sequence: each event the loop
+/// handles folds in its virtual time, its kind, the server, client or
+/// flow it addresses, and the wire bytes it carries. Two runs with the
+/// same digest handled the same events at the same instants, so a
+/// known-answer test that pins it catches a reordering that leaves
+/// every total unchanged. Folding allocates nothing.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunDigest(pub u64);
+
+impl RunDigest {
+    /// One word in (the Fx hash step: rotate, xor, multiply).
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn event<E>(&mut self, at: Nanos, ev: &Ev<E>) {
+        self.fold(at.as_nanos());
+        let (kind, target, bytes) = match ev {
+            Ev::Spawn(idx) => (0, *idx as u64, 0),
+            Ev::ServerRx(s, frames) => (1, *s as u64, wire_bytes(frames)),
+            Ev::ClientRx(flow, frames) => {
+                self.fold(u64::from(flow.src_ip.0) << 32 | u64::from(flow.dst_ip.0));
+                let ports = u64::from(flow.src_port) << 16 | u64::from(flow.dst_port);
+                (2, ports, wire_bytes(frames))
+            }
+            Ev::ServerWake(s) => (3, *s as u64, 0),
+            Ev::PoolSample => (4, 0, 0),
+            Ev::Client(_) => (5, 0, 0),
+        };
+        self.fold(kind << 56 | target);
+        self.fold(bytes);
+    }
+}
+
+fn wire_bytes(frames: &[WireFrame]) -> u64 {
+    frames.iter().map(WireFrame::wire_len).sum()
 }
 
 enum Ev<E> {
@@ -315,6 +356,7 @@ pub fn run<C: ClientSide>(tb: Testbed, mut client: C, obs: &ObsOptions) -> Finis
     // Per server: free buffers at each post-warm-up sample, capacity.
     let mut pools = vec![(Vec::new(), 0); n];
     let mut steady_armed = false;
+    let mut digest = RunDigest::default();
     while let Some(ev) = net.q.pop() {
         let now = ev.at;
         if !steady_armed && now >= warmup {
@@ -328,6 +370,7 @@ pub fn run<C: ClientSide>(tb: Testbed, mut client: C, obs: &ObsOptions) -> Finis
         if now > duration {
             break;
         }
+        digest.event(now, &ev.event);
         if let Some(ts) = series.as_mut() {
             while next_sample <= now {
                 net.sample(ts, next_sample, &client);
@@ -432,6 +475,7 @@ pub fn run<C: ClientSide>(tb: Testbed, mut client: C, obs: &ObsOptions) -> Finis
         client,
         abr,
         report,
+        digest,
     }
 }
 

@@ -12,8 +12,11 @@
 //! An adaptive cluster run, pinned before the two client fleets
 //! became one, covers the cluster's ABR path: its per-client resume
 //! wakes and its fleet's ABR readout.
-//! A change to event order anywhere in the loop moves at least one of
-//! these numbers.
+//! Each pin also holds the run's digest, a fold of every event the
+//! loop handled (its time, kind, target and wire bytes), captured
+//! before the buffer cache's bookkeeping was narrowed: a change to
+//! event order anywhere in the loop moves it even where every total
+//! stays put.
 
 use disk_crypt_net::atlas::AtlasConfig;
 use disk_crypt_net::cluster::{run_cluster, ClusterConfig, ClusterMetrics};
@@ -37,6 +40,8 @@ struct Pin {
     failovers: u64,
     resumed_bytes_saved: u64,
     per_server_responses: Vec<u64>,
+    /// The run digest: every event the loop handled, folded in order.
+    digest: u64,
 }
 
 fn pin_single(m: &RunMetrics) -> Pin {
@@ -52,6 +57,7 @@ fn pin_single(m: &RunMetrics) -> Pin {
         failovers: 0,
         resumed_bytes_saved: 0,
         per_server_responses: vec![m.responses],
+        digest: m.digest,
     }
 }
 
@@ -70,6 +76,7 @@ fn pin_cluster(m: &ClusterMetrics) -> Pin {
         failovers: m.failovers,
         resumed_bytes_saved: m.resumed_bytes_saved,
         per_server_responses: m.per_server.iter().map(|s| s.responses).collect(),
+        digest: m.digest,
     }
 }
 
@@ -103,6 +110,7 @@ fn atlas_plain_bursty_loss_with_client_stalls() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![10],
+            digest: 8140336674569114328,
         }
     );
 }
@@ -134,6 +142,7 @@ fn atlas_tls_overload_reaps_slowloris_and_retries_503s() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![23],
+            digest: 14534347714089873265,
         }
     );
 }
@@ -157,6 +166,7 @@ fn kstack_tls_serves_its_fleet() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![80],
+            digest: 2885754153941779130,
         }
     );
 }
@@ -185,6 +195,7 @@ fn atlas_abr_on_off_fleet() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![993],
+            digest: 13516726471373857118,
         }
     );
 }
@@ -218,6 +229,7 @@ fn cluster_kill_detects_and_resumes_mid_body() {
             failovers: 10,
             resumed_bytes_saved: 393216,
             per_server_responses: vec![54, 8, 30],
+            digest: 801631987194560478,
         }
     );
 }
@@ -248,6 +260,7 @@ fn cluster_drain_routes_new_work_around_the_server() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![60, 49, 20],
+            digest: 8663654190114326785,
         }
     );
 }
@@ -275,6 +288,7 @@ fn cluster_abr_on_off_fleet() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![243, 250, 192],
+            digest: 6010496491796937975,
         }
     );
 }
@@ -309,6 +323,7 @@ fn tiered_atlas_wakes_before_its_first_frame() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![21],
+            digest: 17429146548009589417,
         }
     );
 }
@@ -333,6 +348,7 @@ fn tiered_cluster_wakes_before_first_frames() {
             failovers: 0,
             resumed_bytes_saved: 0,
             per_server_responses: vec![22, 9, 11],
+            digest: 4400559798369376132,
         }
     );
 }
