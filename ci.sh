@@ -59,7 +59,7 @@ trap 'rm -rf "$perf_tmp"' EXIT
 cmp "$perf_tmp/run1.json" "$perf_tmp/run2.json" \
     || { echo "error: perf_baseline is nondeterministic (back-to-back runs differ)" >&2; exit 1; }
 
-echo "==> buffer-cache and socket-buffer gate (zeroed tables start zero after a filled one drops, arena vs reference model, page index vs HashMap, compact send queue vs spined reference)"
+echo "==> buffer-cache and socket-buffer gate (zeroed tables start zero after a filled one drops; 10-byte frames with 24-bit links and 3-byte page-index slots: arena vs reference model, page index vs HashMap, 24-bit round trips and limits; compact send queue vs spined reference)"
 cargo test -q --release -p dcn-simcore zeroed
 cargo test -q --release -p dcn-store bufcache
 cargo test -q --release -p dcn-kstack

@@ -16,7 +16,7 @@ use dcn_srvcore::{
     AdmissionConfig, Answer, FrontConfig, ResourceSnapshot, ServedWork, Server, Shell, Stack,
     NVME_QUEUE_DEPTH, SERVER_ENDPOINT,
 };
-use dcn_store::{BufferCache, Catalog};
+use dcn_store::{BufferCache, Catalog, VmPressure};
 use dcn_tcpstack::{Endpoint, TcbConfig};
 use dcn_tier::{GetTicket, Placement, TierConfig};
 use std::collections::{BTreeSet, HashMap};
@@ -116,9 +116,10 @@ struct Fill {
     st: StagedResponse,
     len: u64,
     /// Cache page held by `frames[0]`; `frames[i]` holds page
-    /// `first_page + i`.
+    /// `first_page + i`. Frame numbers, not regions:
+    /// [`BufferCache::frame_region`] derives each region on use.
     first_page: u64,
-    frames: Vec<PhysRegion>,
+    frames: Vec<u32>,
     issued_at: Nanos,
     /// How many times this fill has been (re)issued; device read
     /// errors retry up to [`MAX_FILL_ATTEMPTS`].
@@ -139,6 +140,11 @@ struct KstackIds {
     /// does no per-sample name scans (`find_*`/`sum_prefixed` stay
     /// reserved for end-of-run export).
     bufcache_hit_ratio: GaugeId,
+    /// The cache's VM-pressure counts: page inserts, reclaims, and
+    /// allocations that found every page pinned.
+    bufcache_inserts: GaugeId,
+    bufcache_reclaims: GaugeId,
+    bufcache_reclaim_stalls: GaugeId,
     nvme_read_errors: GaugeId,
     nvme_latency_spikes: GaugeId,
 }
@@ -150,6 +156,9 @@ impl KstackIds {
             disk_read_bytes: reg.counters_per_core("kstack.disk_read_bytes", cores),
             fill_retries: reg.counters_per_core("kstack.fill_retries", cores),
             bufcache_hit_ratio: reg.gauge("kstack.bufcache_hit_ratio"),
+            bufcache_inserts: reg.gauge("kstack.bufcache.inserts"),
+            bufcache_reclaims: reg.gauge("kstack.bufcache.reclaims"),
+            bufcache_reclaim_stalls: reg.gauge("kstack.bufcache.reclaim_stalls"),
             nvme_read_errors: reg.gauge("faults.nvme_read_errors"),
             nvme_latency_spikes: reg.gauge("faults.nvme_latency_spikes"),
         }
@@ -402,10 +411,16 @@ impl Stack for Kstack {
             .fold(None, |acc, d| earliest(acc, d.poll_at()))
     }
 
-    /// Buffer-cache hit ratio and device fault gauges.
+    /// Buffer-cache hit ratio and VM-pressure counts, and device fault
+    /// gauges.
     fn publish(s: &mut KstackServer) {
+        let (ids, vm) = (&s.stack.ids, s.stack.bufcache.stats);
         s.reg
-            .set(s.stack.ids.bufcache_hit_ratio, s.stack.bufcache.hit_ratio());
+            .set(ids.bufcache_hit_ratio, s.stack.bufcache.hit_ratio());
+        s.reg.set(ids.bufcache_inserts, vm.inserts as f64);
+        s.reg.set(ids.bufcache_reclaims, vm.reclaims as f64);
+        s.reg
+            .set(ids.bufcache_reclaim_stalls, vm.reclaim_stalls as f64);
         let faults = Kstack::stack_faults(s);
         s.reg
             .set(s.stack.ids.nvme_read_errors, faults.nvme_read_errors as f64);
@@ -451,6 +466,14 @@ impl Stack for Kstack {
     fn held_pages(s: &KstackServer) -> usize {
         let ct_out = s.stack.ct_regions - s.stack.ct_pool.len();
         ct_out * CT_REGION_LEN.div_ceil(CHUNK_SIZE) as usize + s.stack.bufcache.frames_used()
+    }
+}
+
+impl Kstack {
+    /// The buffer cache's VM-pressure statistics so far.
+    #[must_use]
+    pub fn vm_pressure(&self) -> VmPressure {
+        self.bufcache.stats
     }
 }
 
@@ -519,7 +542,7 @@ impl Kstack {
                 let (hit, cyc) = s.stack.bufcache.lookup(st.file, p, &costs);
                 lookup_cycles += cyc;
                 match hit {
-                    Some(r) => pages.push(r.region),
+                    Some(r) => pages.push(r.frame),
                     None => {
                         all_hit = false;
                         // Unpin what we already pinned this round.
@@ -552,7 +575,7 @@ impl Kstack {
                 match s.stack.bufcache.try_insert(st.file, p, &costs, cores_n) {
                     Some((r, cyc)) => {
                         alloc_cycles += cyc;
-                        frames.push(r.region);
+                        frames.push(r.frame);
                     }
                     None => {
                         pressured = true;
@@ -622,9 +645,9 @@ impl Kstack {
         // PRP list = the cache page frames.
         let mut prp: Vec<PhysRegion> = Vec::new();
         let mut remaining = aligned;
-        for frame in &fill.frames {
+        for &frame in &fill.frames {
             let n = remaining.min(CHUNK_SIZE);
-            prp.push(frame.slice(0, n));
+            prp.push(s.stack.bufcache.frame_region(frame).slice(0, n));
             remaining -= n;
             if remaining == 0 {
                 break;
@@ -770,7 +793,7 @@ impl Kstack {
         st: StagedResponse,
         len: u64,
         first_page: u64,
-        frames: Vec<PhysRegion>,
+        frames: Vec<u32>,
     ) {
         let costs = s.cfg.costs;
         let core = s.front.slots[slot_idx].core;
@@ -785,9 +808,9 @@ impl Kstack {
             let mut sg = SgList::empty();
             let mut remaining = len;
             let mut pinned = 0u32;
-            for frame in &frames {
+            for &frame in &frames {
                 let n = remaining.min(CHUNK_SIZE);
-                sg.push_region(frame.slice(0, n));
+                sg.push_region(s.stack.bufcache.frame_region(frame).slice(0, n));
                 pinned += 1;
                 remaining -= n;
                 if remaining == 0 {
@@ -816,13 +839,13 @@ impl Kstack {
             s.stack.crypt_scratch.resize(len as usize, 0);
             dcn_obs::steady::note_growth(cap_before, s.stack.crypt_scratch.capacity());
             let mut off = 0usize;
-            for frame in &frames {
+            for &frame in &frames {
                 if off >= len as usize {
                     break;
                 }
                 let n = (len as usize - off).min(CHUNK_SIZE as usize);
-                s.host
-                    .read(frame.addr, &mut s.stack.crypt_scratch[off..off + n]);
+                let addr = s.stack.bufcache.frame_region(frame).addr;
+                s.host.read(addr, &mut s.stack.crypt_scratch[off..off + n]);
                 off += n;
             }
             let tag_cap_before = s.stack.tag_scratch.capacity();
@@ -857,7 +880,7 @@ impl Kstack {
             let mut page_cursor = (off_in_fill / CHUNK_SIZE) as usize;
             let mut in_page = off_in_fill % CHUNK_SIZE;
             while remaining > 0 {
-                let frame = frames[page_cursor];
+                let frame = s.stack.bufcache.frame_region(frames[page_cursor]);
                 let n = remaining.min(CHUNK_SIZE - in_page);
                 s.stack.src_scratch.push(frame.slice(in_page, n));
                 remaining -= n;
@@ -1012,9 +1035,9 @@ impl Kstack {
             // NIC DMA writes the object bytes into the cache frames,
             // page by page — same layout the NVMe PRP list would use.
             let mut remaining = tk.len;
-            for (p, frame) in (fill.first_page..).zip(&fill.frames) {
+            for (p, &frame) in (fill.first_page..).zip(&fill.frames) {
                 let n = remaining.min(CHUNK_SIZE);
-                let region = frame.slice(0, n);
+                let region = s.stack.bufcache.frame_region(frame).slice(0, n);
                 if s.cfg.fidelity == Fidelity::Full {
                     let seed = s.catalog.file_seed(fill.st.file);
                     s.host

@@ -20,14 +20,17 @@ mod sealed {
     impl Sealed for u8 {}
     impl Sealed for u32 {}
     impl Sealed for u64 {}
+    impl Sealed for [u8; 3] {}
 }
 
-/// An integer type whose all-zero bytes are the value 0 and for which
-/// every bit pattern is valid.
+/// An integer type (or a 3-byte little-endian integer, as a byte
+/// array) whose all-zero bytes are the value 0 and for which every
+/// bit pattern is valid.
 pub trait Zeroable: sealed::Sealed + Copy {}
 impl Zeroable for u8 {}
 impl Zeroable for u32 {}
 impl Zeroable for u64 {}
+impl Zeroable for [u8; 3] {}
 
 const PROT_READ: c_int = 1;
 const PROT_WRITE: c_int = 2;
@@ -148,6 +151,9 @@ mod tests {
         assert!(ZeroedTable::<u8>::new(3 * 4096 + 1).iter().all(|&x| x == 0));
         assert!(ZeroedTable::<u32>::new(1 << 20).iter().all(|&x| x == 0));
         assert!(ZeroedTable::<u64>::new(7).iter().all(|&x| x == 0));
+        assert!(ZeroedTable::<[u8; 3]>::new(4097)
+            .iter()
+            .all(|&x| x == [0; 3]));
     }
 
     #[test]
@@ -168,20 +174,22 @@ mod tests {
 
     /// A table that reused its predecessor's memory without clearing it
     /// would read the old values back.
-    fn refill_and_rebuild<T: Zeroable + Into<u64>>(len: usize, fill: T) {
+    fn refill_and_rebuild<T: Zeroable + Default + PartialEq>(len: usize, fill: T) {
         for round in 0..20 {
             let mut t = ZeroedTable::<T>::new(len);
-            assert!(t.iter().all(|&x| x.into() == 0), "round {round}");
+            assert!(t.iter().all(|x| *x == T::default()), "round {round}");
             t.fill(fill);
-            assert!(t.iter().all(|&x| x.into() == fill.into()));
+            assert!(t.iter().all(|x| *x == fill));
         }
     }
 
     #[test]
     fn zeroed_a_rebuilt_table_is_zero_after_a_filled_one_drops() {
-        // The buffer-cache page index at its 6 GiB cap, and a small
-        // table of each other element type.
-        refill_and_rebuild::<u32>(2 << 20, 0xdead_beef);
+        // The buffer-cache page index at its 6 GiB cap (⌈8/7⌉ of
+        // 1,572,864 three-byte slots), and a small table of each other
+        // element type.
+        refill_and_rebuild::<[u8; 3]>(1_797_559, [0xef, 0xbe, 0xad]);
+        refill_and_rebuild::<u32>(1000, 0xdead_beef);
         refill_and_rebuild::<u8>(1000, 0xa5);
         refill_and_rebuild::<u64>(33, u64::MAX);
     }

@@ -12,88 +12,154 @@
 //! partitioning and batched re-enqueueing).
 //!
 //! A multi-GiB cache has over a million frames, so the bookkeeping is
-//! kept flat: frames live in one index-addressed arena that fills
-//! lazily, a frame's physical region is derived from its index, the
-//! page map is an open-addressed table of frame indices that reads
-//! each key from the arena, and the LRU order of the unpinned frames
-//! is a doubly linked list threaded through the arena. A page's key
-//! is its dense index in the catalog, `file × pages_per_file + page`,
-//! which fits a `u32` for any catalog the cache accepts (the paper's
-//! takes 150 M of the 4.29 G keys). A frame costs 12 bytes plus its
-//! share of the table, 5.3 bytes at the kstack's 6 GiB cap: 17.3
-//! bytes in all.
+//! kept flat and each field only as wide as the frame cap needs:
+//! frames live in one index-addressed arena that fills lazily, a
+//! frame's physical region is derived from its index, the page map is
+//! an open-addressed table of 24-bit frame indices that reads each key
+//! from the arena, and the LRU order of the unpinned frames is a
+//! doubly linked list of 24-bit links threaded through the arena. A
+//! page's key is its dense index in the catalog,
+//! `file × pages_per_file + page`, which fits a `u32` for any catalog
+//! the cache accepts (the paper's takes 150 M of the 4.29 G keys). A
+//! frame costs 10 bytes plus its share of the table, 3 × 8/7 = 3.4
+//! bytes: 13.4 bytes in all, 21 MB at the kstack's 6 GiB cap.
 
 use crate::catalog::{Catalog, FileId};
 use dcn_mem::{CostParams, PhysAddr, PhysAlloc, PhysRegion, CHUNK_SIZE};
 use dcn_simcore::ZeroedTable;
 
-/// Null link in the LRU list.
-const NIL: u32 = u32::MAX;
+/// A frame link, pin count or page-index slot: 24 bits, little-endian.
+type U24 = [u8; 3];
+
+fn u24(v: u32) -> U24 {
+    debug_assert!(v <= NIL, "{v} does not fit 24 bits");
+    let [a, b, c, _] = v.to_le_bytes();
+    [a, b, c]
+}
+
+fn from_u24([a, b, c]: U24) -> u32 {
+    u32::from_le_bytes([a, b, c, 0])
+}
+
+/// Null link in the LRU list: the largest 24-bit value.
+const NIL: u32 = (1 << 24) - 1;
 
 /// `Frame::next` of a pinned frame, whose `prev` holds the pin count.
-const PINNED: u32 = u32::MAX - 1;
+/// Frame indices stay below it, so a cache has at most `PINNED` frames.
+const PINNED: u32 = NIL - 1;
 
 /// A resident cache page handed to sendfile.
 #[derive(Clone, Copy, Debug)]
 pub struct CachePageRef {
-    pub region: PhysRegion,
+    /// The frame holding the page; [`BufferCache::frame_region`] maps
+    /// it to the page's physical region.
+    pub frame: u32,
     /// Pin count > 0 ⇒ not reclaimable (mapped into a socket buffer).
     pub pinned: bool,
 }
 
-/// One page frame of the arena. Pinned pages are not eligible for
-/// reclaim, so they stay off the LRU list and reclaim never walks
-/// past them; a pinned frame needs no links, and its two link words
-/// hold the pin count instead.
+/// One page frame of the arena, 10 bytes. Pinned pages are not
+/// eligible for reclaim, so they stay off the LRU list and reclaim
+/// never walks past them; a pinned frame needs no links, and its two
+/// link fields hold the pin count instead.
+#[derive(Clone, Copy)]
 struct Frame {
-    /// Key of the page this frame holds (while it is mapped).
-    key: u32,
+    /// Key of the page this frame holds (while it is mapped), in
+    /// bytes so the frame needs no 4-byte alignment.
+    key: [u8; 4],
     /// Unpinned: the LRU predecessor (`NIL` at the head).
     /// Pinned: the pin count, at least 1.
-    prev: u32,
+    prev: U24,
     /// Unpinned: the LRU successor (`NIL` at the tail).
     /// Pinned: `PINNED`.
-    next: u32,
+    next: U24,
 }
 
 impl Frame {
+    /// A frame for `key`, pinned once.
+    fn pinned_once(key: u32) -> Frame {
+        Frame {
+            key: key.to_le_bytes(),
+            prev: u24(1),
+            next: u24(PINNED),
+        }
+    }
+
+    fn key(&self) -> u32 {
+        u32::from_le_bytes(self.key)
+    }
+
+    fn prev(&self) -> u32 {
+        from_u24(self.prev)
+    }
+
+    fn next(&self) -> u32 {
+        from_u24(self.next)
+    }
+
+    fn set_prev(&mut self, v: u32) {
+        self.prev = u24(v);
+    }
+
+    fn set_next(&mut self, v: u32) {
+        self.next = u24(v);
+    }
+
     fn pinned(&self) -> bool {
-        self.next == PINNED
+        self.next() == PINNED
     }
 }
 
 /// Resident pages: an open-addressed table of frame indices, keyed by
 /// the page key the frame itself holds. Linear probing; deletion
 /// shifts the rest of the probe run back, so there are no tombstones.
-/// A slot holds `index + 1`, so an empty table is all zeros, and its
-/// slots are a [`ZeroedTable`]: fresh zero pages that construction does
-/// not write, whatever the process allocated and freed before (a heap
-/// `calloc` of the kstack's 8 MiB would zero-fill it on the spot).
+/// A slot holds `index + 1` in 24 bits, so an empty table is all
+/// zeros, and its slots are a [`ZeroedTable`]: fresh zero pages that
+/// construction does not write, whatever the process allocated and
+/// freed before (a heap `calloc` of the kstack's 5.4 MB would
+/// zero-fill it on the spot).
 struct PageIndex {
-    slots: ZeroedTable<u32>,
-    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
-    shift: u32,
+    slots: ZeroedTable<U24>,
     len: usize,
 }
 
 impl PageIndex {
-    /// A table for up to `capacity` entries, at most 7/8 full.
+    /// A table for up to `capacity` entries, at most 7/8 full: exactly
+    /// ⌈8/7 · capacity⌉ slots, with no rounding to a power of two.
     fn new(capacity: usize) -> Self {
-        let n = (capacity * 8).div_ceil(7).next_power_of_two().max(2);
         PageIndex {
-            slots: ZeroedTable::new(n),
-            shift: 64 - n.trailing_zeros(),
+            slots: ZeroedTable::new((capacity * 8).div_ceil(7)),
             len: 0,
         }
     }
 
-    /// Home slot of `key` (Fibonacci hashing).
+    /// Home slot of `key`: Fibonacci hashing, then the product's high
+    /// word scaled to the table (a multiply-high range reduction).
     fn home(&self, key: u32) -> usize {
-        (u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+        let h = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((u128::from(h) * self.slots.len() as u128) >> 64) as usize
     }
 
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
+    /// The slot after `i`, wrapping past the last.
+    fn succ(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// Probe steps from slot `from` forward to slot `to`.
+    fn dist(&self, from: usize, to: usize) -> usize {
+        if to >= from {
+            to - from
+        } else {
+            to + self.slots.len() - from
+        }
+    }
+
+    fn slot(&self, i: usize) -> u32 {
+        from_u24(self.slots[i])
     }
 
     /// The slot holding `key`, or the empty slot that ends its probe
@@ -101,10 +167,10 @@ impl PageIndex {
     fn probe(&self, key: u32, frames: &[Frame]) -> (usize, Option<u32>) {
         let mut i = self.home(key);
         loop {
-            match self.slots[i] {
+            match self.slot(i) {
                 0 => return (i, None),
-                s if frames[s as usize - 1].key == key => return (i, Some(s - 1)),
-                _ => i = (i + 1) & self.mask(),
+                s if frames[s as usize - 1].key() == key => return (i, Some(s - 1)),
+                _ => i = self.succ(i),
             }
         }
     }
@@ -115,11 +181,11 @@ impl PageIndex {
 
     /// Map `frames[idx].key` to `idx`; returns the frame it replaces.
     fn insert(&mut self, idx: u32, frames: &[Frame]) -> Option<u32> {
-        let (i, old) = self.probe(frames[idx as usize].key, frames);
+        let (i, old) = self.probe(frames[idx as usize].key(), frames);
         if old.is_none() {
             self.len += 1;
         }
-        self.slots[i] = idx + 1;
+        self.slots[i] = u24(idx + 1);
         old
     }
 
@@ -129,21 +195,20 @@ impl PageIndex {
         self.len -= 1;
         // Backward-shift: pull each later entry of the run into the
         // hole unless that would move it before its home slot.
-        let mask = self.mask();
         let mut j = hole;
         loop {
-            j = (j + 1) & mask;
-            let s = self.slots[j];
+            j = self.succ(j);
+            let s = self.slot(j);
             if s == 0 {
                 break;
             }
-            let home = self.home(frames[s as usize - 1].key);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = s;
+            let home = self.home(frames[s as usize - 1].key());
+            if self.dist(home, j) >= self.dist(hole, j) {
+                self.slots[hole] = self.slots[j];
                 hole = j;
             }
         }
-        self.slots[hole] = 0;
+        self.slots[hole] = u24(0);
         found
     }
 }
@@ -187,15 +252,17 @@ pub struct BufferCache {
 
 impl BufferCache {
     /// A cache of `capacity_bytes` over `catalog`'s pages, reserving
-    /// its whole physical range from `phys` up front. Panics if the
-    /// catalog has more pages than a `u32` key can name.
+    /// its whole physical range from `phys` up front. Panics, before
+    /// it allocates anything, if the catalog has more pages than a
+    /// `u32` key can name or the cache more frames than a 24-bit link
+    /// can address.
     #[must_use]
     pub fn new(capacity_bytes: u64, catalog: &Catalog, phys: &mut PhysAlloc) -> Self {
         let capacity_pages = (capacity_bytes / CHUNK_SIZE) as usize;
         assert!(capacity_pages > 0);
         assert!(
-            capacity_pages < PINNED as usize,
-            "too many buffer-cache frames"
+            capacity_pages <= PINNED as usize,
+            "{capacity_pages} buffer-cache frames do not fit 24-bit links"
         );
         let n_files = catalog.n_files();
         let pages_per_file = catalog.file_size().div_ceil(CHUNK_SIZE);
@@ -284,16 +351,17 @@ impl BufferCache {
             return (None, costs.bufcache_page_cycles);
         };
         self.stats.hits += 1;
-        if self.frames[idx as usize].pinned() {
-            self.frames[idx as usize].prev += 1;
+        let f = &mut self.frames[idx as usize];
+        if f.pinned() {
+            let pins = f.prev();
+            assert!(pins < NIL, "buffer-cache pin count overflows 24 bits");
+            f.set_prev(pins + 1);
         } else {
             self.unlink(idx);
-            let f = &mut self.frames[idx as usize];
-            f.prev = 1;
-            f.next = PINNED;
+            self.frames[idx as usize] = Frame::pinned_once(key);
         }
         let r = CachePageRef {
-            region: self.region(idx),
+            frame: idx,
             pinned: true,
         };
         (Some(r), costs.bufcache_page_cycles)
@@ -328,11 +396,7 @@ impl BufferCache {
         let key = self.page_key(file, page);
         self.stats.inserts += 1;
         let mut cycles = costs.bufcache_page_cycles;
-        let frame = Frame {
-            key,
-            prev: 1,
-            next: PINNED,
-        };
+        let frame = Frame::pinned_once(key);
         let idx = if let Some(idx) = self.free.pop() {
             self.frames[idx as usize] = frame;
             idx
@@ -361,7 +425,7 @@ impl BufferCache {
         // Pinned on insert: joins the LRU list at unpin.
         Some((
             CachePageRef {
-                region: self.region(idx),
+                frame: idx,
                 pinned: true,
             },
             cycles,
@@ -376,7 +440,7 @@ impl BufferCache {
         self.unlink(idx);
         let victim = self
             .pages
-            .remove(self.frames[idx as usize].key, &self.frames);
+            .remove(self.frames[idx as usize].key(), &self.frames);
         debug_assert_eq!(victim, Some(idx), "victim resident");
         self.stats.reclaims += 1;
         (
@@ -391,43 +455,49 @@ impl BufferCache {
         if let Some(idx) = self.pages.get(self.page_key(file, page), &self.frames) {
             let f = &mut self.frames[idx as usize];
             assert!(f.pinned(), "unpin of unpinned page");
-            f.prev -= 1;
-            if f.prev == 0 {
+            let pins = f.prev() - 1;
+            f.set_prev(pins);
+            if pins == 0 {
                 self.push_tail(idx);
             }
         }
     }
 
-    fn region(&self, idx: u32) -> PhysRegion {
-        let page = (self.capacity_pages - 1 - idx as usize) as u64;
+    /// The physical page of frame `frame` (of a [`CachePageRef`]): a
+    /// pure function of the index, so it holds for as long as the
+    /// caller keeps the page pinned.
+    #[must_use]
+    pub fn frame_region(&self, frame: u32) -> PhysRegion {
+        let page = (self.capacity_pages - 1 - frame as usize) as u64;
         PhysRegion::new(PhysAddr(self.base + page * CHUNK_SIZE), CHUNK_SIZE)
     }
 
     fn push_tail(&mut self, idx: u32) {
         let tail = self.lru_tail;
         let f = &mut self.frames[idx as usize];
-        f.prev = tail;
-        f.next = NIL;
+        f.set_prev(tail);
+        f.set_next(NIL);
         if tail == NIL {
             self.lru_head = idx;
         } else {
-            self.frames[tail as usize].next = idx;
+            self.frames[tail as usize].set_next(idx);
         }
         self.lru_tail = idx;
         self.lru_len += 1;
     }
 
     fn unlink(&mut self, idx: u32) {
-        let Frame { prev, next, .. } = self.frames[idx as usize];
+        let f = self.frames[idx as usize];
+        let (prev, next) = (f.prev(), f.next());
         if prev == NIL {
             self.lru_head = next;
         } else {
-            self.frames[prev as usize].next = next;
+            self.frames[prev as usize].set_next(next);
         }
         if next == NIL {
             self.lru_tail = prev;
         } else {
-            self.frames[next as usize].prev = prev;
+            self.frames[next as usize].set_prev(prev);
         }
         self.lru_len -= 1;
     }
@@ -586,18 +656,71 @@ mod tests {
     }
 
     #[test]
-    fn frame_is_twelve_bytes() {
-        assert_eq!(std::mem::size_of::<Frame>(), 12);
+    fn frame_is_ten_bytes() {
+        assert_eq!(std::mem::size_of::<Frame>(), 10);
     }
 
     #[test]
-    fn page_index_is_at_most_eight_mib_at_the_frame_cap() {
-        let frames = (6u64 << 30) / CHUNK_SIZE;
-        let index = PageIndex::new(frames as usize);
-        assert_eq!(index.slots.len() * 4, 8 << 20);
+    fn page_index_is_at_most_5_4_mb_at_the_frame_cap() {
+        let frames = ((6u64 << 30) / CHUNK_SIZE) as usize;
+        let index = PageIndex::new(frames);
+        assert_eq!(index.slots.len(), 1_797_559);
+        assert!(index.slots.len() * 3 <= 5_400_000);
+        // ⌈8/7 · capacity⌉, with no rounding to a power of two.
         assert_eq!(PageIndex::new(1).slots.len(), 2);
         assert_eq!(PageIndex::new(7).slots.len(), 8);
-        assert_eq!(PageIndex::new(8).slots.len(), 16);
+        assert_eq!(PageIndex::new(8).slots.len(), 10);
+        assert_eq!(PageIndex::new(64).slots.len(), 74);
+    }
+
+    #[test]
+    fn u24_fields_round_trip_at_both_ends() {
+        let last = (1 << 24) - 3;
+        for v in [0, 1, last, PINNED, NIL] {
+            assert_eq!(from_u24(u24(v)), v);
+        }
+        let mut f = Frame::pinned_once(u32::MAX);
+        assert!(f.pinned());
+        f.set_prev(0);
+        f.set_next(last);
+        assert_eq!((f.key(), f.prev(), f.next()), (u32::MAX, 0, last));
+        assert!(!f.pinned());
+        f.set_prev(last);
+        f.set_next(0);
+        assert_eq!((f.key(), f.prev(), f.next()), (u32::MAX, last, 0));
+        // The largest frame index, as a page-index slot (`index + 1`).
+        let mut index = PageIndex::new(4);
+        index.slots[3] = u24(last + 1);
+        assert_eq!(index.slot(3), last + 1);
+    }
+
+    #[test]
+    fn construction_rejects_more_frames_than_24_bit_links_address() {
+        // `PINNED` frames (indices up to 2^24 − 3) fit; one more does
+        // not, and construction says so before it reserves anything.
+        let mut phys = PhysAlloc::new();
+        let too_many = u64::from(PINNED + 1) * CHUNK_SIZE;
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            BufferCache::new(too_many, &catalog(), &mut phys)
+        }));
+        let Err(err) = built else {
+            panic!("a cache of 2^24 − 1 frames must be refused");
+        };
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("do not fit 24-bit links"), "{msg}");
+        assert_eq!(phys.allocated(), 0, "nothing reserved");
+    }
+
+    #[test]
+    #[should_panic(expected = "pin count overflows 24 bits")]
+    fn pin_count_overflow_fails_loudly() {
+        let (mut c, costs) = cache(4);
+        let (page, _) = c.insert(FileId(3), 5, &costs, 1);
+        // One pin short of the 24-bit maximum, then two more hits.
+        c.frames[page.frame as usize].set_prev(NIL - 1);
+        c.lookup(FileId(3), 5, &costs);
+        assert_eq!(c.frames[page.frame as usize].prev(), NIL);
+        c.lookup(FileId(3), 5, &costs);
     }
 
     #[test]
@@ -624,28 +747,29 @@ mod tests {
     /// Every entry is reachable from its home slot without crossing an
     /// empty slot, which is what backward-shift deletion must keep.
     fn assert_probe_runs_intact(index: &PageIndex, frames: &[Frame]) {
-        let mask = index.mask();
-        for (i, &s) in index.slots.iter().enumerate() {
+        for i in 0..index.slots.len() {
+            let s = index.slot(i);
             if s == 0 {
                 continue;
             }
-            let mut j = index.home(frames[s as usize - 1].key);
+            let mut j = index.home(frames[s as usize - 1].key());
             while j != i {
-                assert_ne!(index.slots[j], 0, "slot {i} cut off from its home");
-                j = (j + 1) & mask;
+                assert_ne!(index.slot(j), 0, "slot {i} cut off from its home");
+                j = index.succ(j);
             }
         }
     }
 
     #[test]
     fn page_index_matches_hashmap_under_collisions_and_wrap() {
-        // A 16-slot table holding up to 14 keys drawn from a pool in
-        // which every key shares one of two home slots: the last slot
-        // (so runs wrap around to slot 0) and slot 7.
-        const CAP: usize = 14;
+        // A 14-slot table (not a power of two) holding up to 12 keys
+        // drawn from a pool in which every key shares one of two home
+        // slots: the last slot (so runs wrap around to slot 0) and
+        // slot 7.
+        const CAP: usize = 12;
         let mut index = PageIndex::new(CAP);
-        assert_eq!(index.slots.len(), 16);
-        let last = index.mask();
+        assert_eq!(index.slots.len(), 14);
+        let last = index.slots.len() - 1;
         let pool: Vec<u32> = (0u32..)
             .filter(|&k| index.home(k) == 7 || index.home(k) == last)
             .take(40)
@@ -660,11 +784,7 @@ mod tests {
             let key = pool[rng.gen_range(0, pool.len() as u64) as usize];
             let insert = rng.next_f64() < 0.55;
             if insert && (reference.len() < CAP || reference.contains_key(&key)) {
-                let frame = Frame {
-                    key,
-                    prev: 1,
-                    next: PINNED,
-                };
+                let frame = Frame::pinned_once(key);
                 let idx = if let Some(i) = free.pop() {
                     frames[i as usize] = frame;
                     i
@@ -687,7 +807,7 @@ mod tests {
                     .count();
                 shifted += u64::from(moved > 1);
             }
-            wrapped += u64::from(index.slots[0] != 0 && index.slots[last] != 0);
+            wrapped += u64::from(index.slot(0) != 0 && index.slot(last) != 0);
             assert_eq!(index.len, reference.len());
             for &k in &pool {
                 assert_eq!(index.get(k, &frames), reference.get(&k).copied(), "{k}");
@@ -826,7 +946,8 @@ mod tests {
             }
             let (got, cycles) = self.arena.lookup(file, page, &self.costs);
             let want = self.reference.lookup(file, page);
-            assert_eq!(got.map(|r| (r.region, r.pinned)), want.map(|r| (r, true)));
+            let got = got.map(|r| (self.arena.frame_region(r.frame), r.pinned));
+            assert_eq!(got, want.map(|r| (r, true)));
             assert_eq!(cycles, self.costs.bufcache_page_cycles);
             got.is_some()
         }
@@ -840,7 +961,7 @@ mod tests {
             let got = self.arena.try_insert(file, page, &self.costs, cores);
             let want = self.reference.try_insert(file, page, &self.costs, cores);
             assert_eq!(
-                got.map(|(r, cyc)| (r.region, r.pinned, cyc)),
+                got.map(|(r, cyc)| (self.arena.frame_region(r.frame), r.pinned, cyc)),
                 want.map(|(r, cyc)| (r, true, cyc))
             );
             got.is_some()

@@ -3,13 +3,14 @@
 //! answered 206 from the record-aligned offset and verifies at absolute
 //! file offsets, a range past the end of the file gets a bodiless 416,
 //! and an oversized request head gets exactly one 431
-//! that ends parsing on that stream while the socket stays up.
+//! that ends parsing on that stream while the socket stays up. The
+//! kernel stack's buffer-cache gauges read its cache's own counts.
 
-use disk_crypt_net::atlas::AtlasConfig;
+use disk_crypt_net::atlas::{AtlasConfig, AtlasServer};
 use disk_crypt_net::crypto::{RecordCipher, RECORD_PAYLOAD_MAX};
 use disk_crypt_net::httpd::parser::{build_get, build_get_range};
 use disk_crypt_net::httpd::response::scan_response_head;
-use disk_crypt_net::kstack::KstackConfig;
+use disk_crypt_net::kstack::{KstackConfig, KstackServer};
 use disk_crypt_net::netdev::{parse_frame, PayloadBytes, WireFrame};
 use disk_crypt_net::packet::{Ipv4Addr, MacAddr, SeqNumber};
 use disk_crypt_net::simcore::{prf_bytes, Nanos};
@@ -22,8 +23,8 @@ use std::collections::VecDeque;
 const ONE_WAY: Nanos = Nanos::from_micros(100);
 
 /// One client, one server, frames delivered after `ONE_WAY` in order.
-struct Rig {
-    server: Box<dyn VideoServer>,
+struct Rig<S: VideoServer> {
+    server: S,
     catalog: Catalog,
     client: ClientConn,
     cipher: RecordCipher,
@@ -34,8 +35,8 @@ struct Rig {
     stream: Vec<u8>,
 }
 
-impl Rig {
-    fn new(server: Box<dyn VideoServer>, catalog: Catalog) -> Self {
+impl<S: VideoServer> Rig<S> {
+    fn new(server: S, catalog: Catalog) -> Self {
         let local = Endpoint {
             mac: MacAddr::from_host_id(Ipv4Addr::new(10, 1, 0, 1).0),
             ip: Ipv4Addr::new(10, 1, 0, 1),
@@ -161,28 +162,26 @@ fn catalog() -> Catalog {
     Catalog::new(64, 300 * 1024, 4, 11)
 }
 
-fn atlas(encrypted: bool) -> Rig {
+fn atlas(encrypted: bool) -> Rig<AtlasServer> {
     let cfg = AtlasConfig {
         encrypted,
         ..AtlasConfig::default()
     };
-    let server = disk_crypt_net::atlas::AtlasServer::new(cfg, catalog(), 5);
-    Rig::new(Box::new(server), catalog())
+    Rig::new(AtlasServer::new(cfg, catalog(), 5), catalog())
 }
 
-fn kstack(encrypted: bool) -> Rig {
+fn kstack(encrypted: bool) -> Rig<KstackServer> {
     let cfg = KstackConfig {
         encrypted,
         ..KstackConfig::netflix()
     };
-    let server = disk_crypt_net::kstack::KstackServer::new(cfg, catalog(), 5);
-    Rig::new(Box::new(server), catalog())
+    Rig::new(KstackServer::new(cfg, catalog(), 5), catalog())
 }
 
 /// A resumed GET asks for a mid-record offset; the server answers 206
 /// from the record boundary below it, and every delivered byte matches
 /// the file at its absolute offset.
-fn ranged_get_is_a_verified_206(mut rig: Rig) {
+fn ranged_get_is_a_verified_206<S: VideoServer>(mut rig: Rig<S>) {
     let file = FileId(9);
     let base = 5 * RECORD_PAYLOAD_MAX;
     rig.send(&build_get_range("/chunk/9", "h", base + 1000));
@@ -218,7 +217,7 @@ fn atlas_tls_serves_range_as_206() {
 /// but past the end, are each answered 416 with the file's size in
 /// `Content-Range` and no body (RFC 9110); a plain GET pipelined after
 /// them is still served and verifies.
-fn range_past_the_end_gets_416(mut rig: Rig) {
+fn range_past_the_end_gets_416<S: VideoServer>(mut rig: Rig<S>) {
     let size = rig.catalog.file_size();
     assert!(size % RECORD_PAYLOAD_MAX > 1000, "the file ends mid-record");
     let mut data = build_get_range("/chunk/9", "h", size);
@@ -262,7 +261,7 @@ fn atlas_tls_answers_range_past_end_with_416() {
 /// pipelined: the first is served in full, the second gets the one
 /// 431, and nothing after it is parsed — even a request sent later —
 /// while the connection stays open.
-fn oversized_head_gets_one_431_and_keeps_the_socket(mut rig: Rig, prefix: &str) {
+fn oversized_head_gets_one_431_and_keeps_the_socket<S: VideoServer>(mut rig: Rig<S>, prefix: &str) {
     let mut data = build_get("/chunk/3", "h");
     data.extend_from_slice(b"GET /chunk/4 HTTP/1.1\r\nX-Pad: ");
     data.extend(std::iter::repeat_n(b'a', 9000));
@@ -290,4 +289,30 @@ fn atlas_answers_oversized_head_with_one_431() {
 #[test]
 fn kstack_answers_oversized_head_with_one_431() {
     oversized_head_gets_one_431_and_keeps_the_socket(kstack(true), "kstack");
+}
+
+/// The buffer cache's VM-pressure gauges, published next to its hit
+/// ratio, read the cache's own counts after a few pipelined GETs.
+#[test]
+fn kstack_bufcache_gauges_equal_the_cache_stats() {
+    let mut rig = kstack(true);
+    let mut data = build_get("/chunk/3", "h");
+    data.extend(build_get("/chunk/4", "h"));
+    data.extend(build_get("/chunk/3", "h"));
+    rig.send(&data);
+    rig.run_for(Nanos::from_millis(200));
+    assert_eq!(rig.statuses(), vec![200, 200, 200]);
+    rig.server.publish_obs();
+    let vm = rig.server.stack.vm_pressure();
+    let gauge = |name: &str| rig.server.reg.find_gauge(name).expect(name);
+    assert_eq!(gauge("kstack.bufcache.inserts"), vm.inserts as f64);
+    assert_eq!(gauge("kstack.bufcache.reclaims"), vm.reclaims as f64);
+    assert_eq!(
+        gauge("kstack.bufcache.reclaim_stalls"),
+        vm.reclaim_stalls as f64
+    );
+    // Two files' pages went in once each; the repeat GET hit them.
+    let pages = rig.catalog.file_size().div_ceil(4096);
+    assert_eq!(vm.inserts, 2 * pages, "{vm:?}");
+    assert_eq!(vm.hits, pages, "{vm:?}");
 }
