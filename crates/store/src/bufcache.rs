@@ -463,12 +463,15 @@ impl BufferCache {
         }
     }
 
-    /// The physical page of frame `frame` (of a [`CachePageRef`]): a
-    /// pure function of the index, so it holds for as long as the
-    /// caller keeps the page pinned.
+    /// The physical page of frame `frame` (of a [`CachePageRef`]), a
+    /// pure function of the frame number; the frame holds the caller's
+    /// page for as long as the caller keeps it pinned. Panics on a
+    /// frame outside the cache.
     #[must_use]
     pub fn frame_region(&self, frame: u32) -> PhysRegion {
-        let page = (self.capacity_pages - 1 - frame as usize) as u64;
+        let page = (self.capacity_pages - 1)
+            .checked_sub(frame as usize)
+            .expect("frame outside the buffer cache") as u64;
         PhysRegion::new(PhysAddr(self.base + page * CHUNK_SIZE), CHUNK_SIZE)
     }
 
@@ -622,6 +625,14 @@ mod tests {
     fn oversized_file_id_fails_loudly() {
         let (mut c, costs) = cache(4);
         c.lookup(FileId(128), 0, &costs);
+    }
+
+    #[test]
+    #[should_panic(expected = "frame outside the buffer cache")]
+    fn frame_region_outside_the_cache_fails_loudly() {
+        let (c, _) = cache(4);
+        assert_eq!(c.frame_region(3).addr.0, c.base);
+        let _ = c.frame_region(4);
     }
 
     #[test]

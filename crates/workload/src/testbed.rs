@@ -110,10 +110,11 @@ pub struct Finished<C: ClientSide> {
 
 /// A 64-bit fingerprint of a run's event sequence: each event the loop
 /// handles folds in its virtual time, its kind, the server, client or
-/// flow it addresses, and the wire bytes it carries. Two runs with the
-/// same digest handled the same events at the same instants, so a
-/// known-answer test that pins it catches a reordering that leaves
-/// every total unchanged. Folding allocates nothing.
+/// flow it addresses, and the wire bytes it carries. Runs that handle
+/// different events, or the same events at other instants, almost
+/// surely differ in it, so a known-answer test that pins it catches a
+/// reordering that leaves every total unchanged. Folding allocates
+/// nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunDigest(pub u64);
 
