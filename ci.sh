@@ -51,10 +51,12 @@ cargo test -q --release --test overload -- --exact two_x_overload_smoke \
 echo "==> headline gate: Atlas TLS 2k steady state ≥ Netflix-0%BC in goodput and read:net < 0.5×"
 cargo test -q --release --test paper_shapes headline_atlas_tls_2k_steady_state_beats_netflix
 
-echo "==> perf gate (perf_baseline vs committed BENCH_perf_baseline.json, plus determinism)"
+echo "==> perf ledger gate (perf_baseline vs committed BENCH_perf_baseline.json, byte for byte, plus determinism)"
 perf_tmp="$(mktemp -d)"
 trap 'rm -rf "$perf_tmp"' EXIT
-./target/release/perf_baseline --out "$perf_tmp/run1.json" --check BENCH_perf_baseline.json
+./target/release/perf_baseline --out "$perf_tmp/run1.json" >/dev/null
+cmp "$perf_tmp/run1.json" BENCH_perf_baseline.json \
+    || { echo "error: perf_baseline differs from committed BENCH_perf_baseline.json" >&2; exit 1; }
 ./target/release/perf_baseline --out "$perf_tmp/run2.json" >/dev/null
 cmp "$perf_tmp/run1.json" "$perf_tmp/run2.json" \
     || { echo "error: perf_baseline is nondeterministic (back-to-back runs differ)" >&2; exit 1; }

@@ -38,8 +38,6 @@ pub struct AtlasConfig {
     pub cores: usize,
     /// Diskmap buffers per (core, disk) queue pair.
     pub bufs_per_queue: u32,
-    /// Buffer size == fetch unit == TLS record (16 KiB sweet spot).
-    pub buf_size: u64,
     /// Fetch watermark: delay I/O until this much window is free
     /// (§3.2: 10×MSS).
     pub watermark: u64,
@@ -91,7 +89,6 @@ impl Default for AtlasConfig {
         AtlasConfig {
             cores: 4,
             bufs_per_queue: 320,
-            buf_size: RECORD_PAYLOAD_MAX,
             watermark: 10 * 1448,
             encrypted: false,
             tcb: TcbConfig::default(),
@@ -327,7 +324,8 @@ impl Stack for Atlas {
                         DiskId(d),
                         core as u16,
                         cfg.bufs_per_queue,
-                        cfg.buf_size,
+                        // Buffer == fetch unit == TLS record (16 KiB).
+                        RECORD_PAYLOAD_MAX,
                         phys,
                     )
                     .expect("attach")
@@ -764,7 +762,7 @@ impl Stack for Atlas {
     /// chunk-aligned).
     fn held_pages(s: &AtlasServer) -> usize {
         let (free, capacity) = s.stack.pool_totals();
-        (capacity - free) as usize * s.cfg.buf_size.div_ceil(CHUNK_SIZE) as usize
+        (capacity - free) as usize * RECORD_PAYLOAD_MAX.div_ceil(CHUNK_SIZE) as usize
     }
 }
 

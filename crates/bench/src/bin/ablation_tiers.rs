@@ -17,17 +17,17 @@
 //!   mattering, and what the residual misses cost (micro-cents).
 //!
 //! Emits `BENCH_tiers.json` (deterministic, byte-identical across
-//! runs — same hand-rolled JSON discipline as `perf_baseline`).
+//! runs; the same ledger writer as `perf_baseline`).
 //!
 //! Usage:
-//!   ablation_tiers                 # table + JSON to stdout
-//!   ablation_tiers --out <path>    # also write the JSON to <path>
-//!   ablation_tiers --write         # refresh BENCH_tiers.json (CWD)
-//!   ablation_tiers --zipf <θ>      # restrict the skew axis to one θ
-//!   ablation_tiers --catalog <n>   # catalog size (default 1M objects)
+//!   ablation_tiers                          # table + JSON to stdout
+//!   ablation_tiers --out <path>             # write the JSON to <path>
+//!   ablation_tiers --out BENCH_tiers.json   # refresh the ledger
+//!   ablation_tiers --zipf <θ>               # restrict the skew axis to one θ
+//!   ablation_tiers --catalog <n>            # catalog size (default 1M objects)
 
 use dcn_atlas::AtlasConfig;
-use dcn_bench::perf::fmt_f64;
+use dcn_bench::ledger::{self, fmt_f64, LedgerCell};
 use dcn_bench::{print_table, BenchArgs, Scale};
 use dcn_mem::Fidelity;
 use dcn_simcore::Nanos;
@@ -51,7 +51,7 @@ struct Cell {
     tier: TierMetrics,
 }
 
-impl Cell {
+impl LedgerCell for Cell {
     fn to_json(&self, out: &mut String, indent: &str) {
         let i2 = format!("{indent}  ");
         let t = &self.tier;
@@ -90,25 +90,6 @@ impl Cell {
         let _ = writeln!(out, "{i2}\"cache_dram_bytes\": {}", t.cache_dram_bytes);
         let _ = write!(out, "{indent}}}");
     }
-}
-
-fn tiers_document(seed: u64, clients: usize, catalog: u64, dur_ms: u64, cells: &[Cell]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": {TIERS_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"bench\": \"ablation_tiers\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"clients\": {clients},");
-    let _ = writeln!(out, "  \"catalog_objects\": {catalog},");
-    let _ = writeln!(out, "  \"duration_ms\": {dur_ms},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        c.to_json(&mut out, "    ");
-        let _ = writeln!(out, "{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
 }
 
 fn main() {
@@ -239,28 +220,17 @@ fn main() {
          which is the paper's §2 argument against a buffer cache."
     );
 
-    let doc = tiers_document(
-        seed,
-        clients,
-        n_files,
-        duration.as_nanos() / 1_000_000,
+    let doc = ledger::document(
+        TIERS_SCHEMA_VERSION,
+        "ablation_tiers",
+        &[
+            ("seed", seed),
+            ("clients", clients as u64),
+            ("catalog_objects", n_files),
+            ("duration_ms", duration.as_nanos() / 1_000_000),
+        ],
         &cells,
     );
-    let mut wrote = false;
-    if let Some(path) = &args.out {
-        let shown = path.display();
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {shown}: {e}"));
-        println!("tiers JSON -> {shown}");
-        wrote = true;
-    }
-    if args.write {
-        let path = "BENCH_tiers.json";
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("tiers baseline refreshed -> {path}");
-        wrote = true;
-    }
-    if !wrote {
-        print!("{doc}");
-    }
+    ledger::emit(&doc, args.out.as_deref(), "tiers");
     dcn_bench::maybe_run_observed_atlas(&args.obs);
 }

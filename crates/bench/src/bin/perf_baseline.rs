@@ -1,22 +1,22 @@
 //! Perf-trajectory baseline: a fixed seeded matrix profiled end to
-//! end, emitted as schema-versioned JSON, and compared against the
-//! committed `BENCH_perf_baseline.json` as a regression gate.
+//! end and emitted as schema-versioned JSON, the committed
+//! `BENCH_perf_baseline.json` ledger.
 //!
 //! The matrix is {Atlas, Netflix kstack} × {plaintext, TLS} at one
 //! fixed operating point (64 clients, seed 7001, 700 ms simulated,
 //! 250 ms warm-up, modeled fidelity) with the stage profiler on. The
 //! simulator is deterministic, so the same code always produces
-//! byte-identical JSON; CI exploits that by requiring two consecutive
-//! runs to `cmp` equal before applying the tolerance-based comparator.
+//! byte-identical JSON; CI regenerates it and requires it to `cmp`
+//! equal to the committed file.
 //!
 //! Usage:
-//!   perf_baseline                      # run + print the table & JSON to stdout
-//!   perf_baseline --out <path>         # also write the JSON to <path>
-//!   perf_baseline --check <baseline>   # exit 1 if regressed vs <baseline>
-//!   perf_baseline --write              # refresh BENCH_perf_baseline.json (CWD)
+//!   perf_baseline                                # table + JSON to stdout
+//!   perf_baseline --out <path>                   # write the JSON to <path>
+//!   perf_baseline --out BENCH_perf_baseline.json # refresh the ledger
 
 use dcn_atlas::AtlasConfig;
-use dcn_bench::perf::{compare_perf, perf_document, PerfCell};
+use dcn_bench::ledger;
+use dcn_bench::perf::{PerfCell, PERF_SCHEMA_VERSION};
 use dcn_bench::{print_table, BenchArgs};
 use dcn_kstack::KstackConfig;
 use dcn_mem::Fidelity;
@@ -68,7 +68,17 @@ fn main() {
         run_cell("kstack_plain", false, false),
         run_cell("kstack_tls", true, false),
     ];
-    let doc = perf_document(SEED, CLIENTS, DURATION_MS, WARMUP_MS, &cells);
+    let doc = ledger::document(
+        PERF_SCHEMA_VERSION,
+        "perf_baseline",
+        &[
+            ("seed", SEED),
+            ("clients", CLIENTS as u64),
+            ("duration_ms", DURATION_MS),
+            ("warmup_ms", WARMUP_MS),
+        ],
+        &cells,
+    );
 
     let rows: Vec<Vec<String>> = cells
         .iter()
@@ -104,42 +114,5 @@ fn main() {
         &rows,
     );
 
-    let mut wrote = false;
-    if let Some(path) = &args.out {
-        let shown = path.display();
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {shown}: {e}"));
-        println!("perf JSON -> {shown}");
-        wrote = true;
-    }
-    if args.write {
-        let path = "BENCH_perf_baseline.json";
-        std::fs::write(path, &doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("baseline refreshed -> {path}");
-        wrote = true;
-    }
-    if let Some(check) = &args.check {
-        let path = check.display();
-        let baseline =
-            std::fs::read_to_string(check).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        match compare_perf(&baseline, &doc) {
-            Ok(regs) if regs.is_empty() => {
-                println!("perf gate: OK vs {path}");
-            }
-            Ok(regs) => {
-                eprintln!("perf gate: {} regression(s) vs {path}:", regs.len());
-                for r in &regs {
-                    eprintln!("  REGRESSION {r}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("perf gate: cannot compare: {e}");
-                std::process::exit(1);
-            }
-        }
-        wrote = true;
-    }
-    if !wrote {
-        print!("{doc}");
-    }
+    ledger::emit(&doc, args.out.as_deref(), "perf");
 }

@@ -12,8 +12,7 @@
 //! * `--metrics-out <path>` — registry time-series CSV;
 //! * `--catalog <n>` — catalog size in objects (tiered runs);
 //! * `--zipf <theta>` — Zipf popularity skew for the client fleet;
-//! * `--out <path>` / `--check <path>` / `--write` — write, gate
-//!   against, or refresh a committed `BENCH_*.json` ledger
+//! * `--out <path>` — write the binary's `BENCH_*.json` ledger there
 //!   (`perf_baseline`, `ablation_tiers`).
 
 use crate::Scale;
@@ -22,7 +21,7 @@ use std::path::PathBuf;
 
 /// The one usage line, printed with every command-line error.
 pub const USAGE: &str = "usage: <bin> [--quick | --paper] [--seed <u64>] [--trace-out <path>] \
-[--metrics-out <path>] [--catalog <n>] [--zipf <theta>] [--out <path>] [--check <path>] [--write]";
+[--metrics-out <path>] [--catalog <n>] [--zipf <theta>] [--out <path>]";
 
 /// Parsed flags. Parsing is strict: an unknown flag, a missing value or
 /// a value that does not parse is an error, never a silent default.
@@ -41,10 +40,6 @@ pub struct BenchArgs {
     pub zipf: Option<f64>,
     /// `--out <path>`: write the binary's JSON ledger here.
     pub out: Option<PathBuf>,
-    /// `--check <path>`: gate the run against this committed ledger.
-    pub check: Option<PathBuf>,
-    /// `--write`: refresh the committed ledger in place.
-    pub write: bool,
 }
 
 impl BenchArgs {
@@ -72,14 +67,12 @@ impl BenchArgs {
             match flag.as_str() {
                 "--quick" => a.scale = Scale::Quick,
                 "--paper" => paper = true,
-                "--write" => a.write = true,
                 "--seed" => a.seed = Some(parse_value(&flag, &value()?)?),
                 "--catalog" => a.catalog = Some(parse_value(&flag, &value()?)?),
                 "--zipf" => a.zipf = Some(parse_value(&flag, &value()?)?),
                 "--trace-out" => a.obs.trace_out = Some(value()?.into()),
                 "--metrics-out" => a.obs.metrics_out = Some(value()?.into()),
                 "--out" => a.out = Some(value()?.into()),
-                "--check" => a.check = Some(value()?.into()),
                 _ => return Err(format!("unknown argument {flag:?}")),
             }
         }
@@ -126,9 +119,6 @@ mod tests {
             "0.9",
             "--out",
             "/tmp/o.json",
-            "--check",
-            "BENCH.json",
-            "--write",
         ])
         .expect("parses");
         assert_eq!(a.scale, Scale::Paper);
@@ -139,8 +129,6 @@ mod tests {
         assert_eq!(a.obs.metrics_out.as_deref(), Some("/tmp/m.csv".as_ref()));
         assert!(a.obs.active());
         assert_eq!(a.out.as_deref(), Some("/tmp/o.json".as_ref()));
-        assert_eq!(a.check.as_deref(), Some("BENCH.json".as_ref()));
-        assert!(a.write);
     }
 
     #[test]
@@ -152,7 +140,7 @@ mod tests {
         assert!(!a.obs.active());
         assert_eq!(a.catalog_or(500), 500);
         assert_eq!(a.zipf, None);
-        assert_eq!((a.out, a.check, a.write), (None, None, false));
+        assert_eq!(a.out, None);
     }
 
     #[test]
@@ -163,5 +151,9 @@ mod tests {
         assert!(err(&["--zipf", "x"]).contains("--zipf"));
         assert!(err(&["--catalog", "-1"]).contains("--catalog"));
         assert!(err(&["--out"]).contains("needs a value"));
+        // A ledger is refreshed with `--out` and gated with `cmp`: no
+        // check or write flag.
+        assert!(err(&["--check", "x"]).contains("--check"));
+        assert!(err(&["--write"]).contains("--write"));
     }
 }

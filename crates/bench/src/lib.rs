@@ -12,6 +12,7 @@
 //!   minutes of wall time.
 
 pub mod cli;
+pub mod ledger;
 pub mod perf;
 pub mod storage;
 pub mod sweep;

@@ -1,45 +1,14 @@
-//! `perf_baseline` support: deterministic JSON emission, a minimal
-//! JSON parser, and the regression comparator.
-//!
-//! The bench emits `BENCH_perf_baseline.json` — a schema-versioned
-//! snapshot of the headline performance numbers over a fixed seeded
-//! matrix — and CI re-runs the matrix and compares against the
-//! committed file. The simulator is deterministic, so two runs of the
-//! same code produce *byte-identical* JSON; the comparator's tolerance
-//! exists only to let intentional small cost-model adjustments land
-//! without a baseline refresh, while real regressions (slower, more
-//! DRAM traffic per byte) fail the gate.
-//!
-//! The container builds offline (no serde), so both the emitter and
-//! the parser are hand-rolled. Emission uses a fixed key order and a
-//! fixed float format (`{:.6}`), which is what makes the byte-identity
-//! guarantee checkable with `cmp`.
+//! `perf_baseline` support: the cells of the perf matrix and their
+//! headline metrics, written into `BENCH_perf_baseline.json` by the
+//! one ledger writer ([`crate::ledger`]).
 
+use crate::ledger::{fmt_f64, LedgerCell};
 use dcn_obs::{ProfReport, ProfStage, StallKind};
 use dcn_workload::RunMetrics;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema version stamped into the JSON; bump on any key change.
 pub const PERF_SCHEMA_VERSION: u64 = 1;
-
-/// Relative tolerance for the direction-aware comparisons.
-pub const PERF_TOLERANCE: f64 = 0.01;
-
-// ------------------------------------------------------------- emit
-
-/// Format a float exactly the way the baseline file does. NaN and
-/// infinities (possible when a cell moved no bytes) clamp to 0 so the
-/// output stays valid JSON.
-#[must_use]
-pub fn fmt_f64(x: f64) -> String {
-    if x.is_finite() {
-        // `+ 0.0` turns -0.0 into 0.0 so no cell prints "-0.000000".
-        format!("{:.6}", x + 0.0)
-    } else {
-        "0.000000".to_string()
-    }
-}
 
 /// One cell of the perf matrix with its derived headline metrics.
 #[derive(Debug, Clone)]
@@ -85,7 +54,9 @@ impl PerfCell {
             report,
         }
     }
+}
 
+impl LedgerCell for PerfCell {
     fn to_json(&self, out: &mut String, indent: &str) {
         let i2 = format!("{indent}  ");
         let i3 = format!("{indent}    ");
@@ -151,441 +122,5 @@ impl PerfCell {
         }
         let _ = writeln!(out, "{i2}]");
         let _ = write!(out, "{indent}}}");
-    }
-}
-
-/// Render the whole baseline document. Fixed key order, fixed float
-/// format, trailing newline: byte-identical across runs of the same
-/// code on the same seed.
-#[must_use]
-pub fn perf_document(
-    seed: u64,
-    clients: usize,
-    duration_ms: u64,
-    warmup_ms: u64,
-    cells: &[PerfCell],
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema_version\": {PERF_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"bench\": \"perf_baseline\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"clients\": {clients},");
-    let _ = writeln!(out, "  \"duration_ms\": {duration_ms},");
-    let _ = writeln!(out, "  \"warmup_ms\": {warmup_ms},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        c.to_json(&mut out, "    ");
-        let _ = writeln!(out, "{}", if i + 1 < cells.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
-}
-
-// ------------------------------------------------------------ parse
-
-/// Minimal JSON value — just enough to read the baseline back.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// `obj.get(key).as_f64()` in one step.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Json::as_f64)
-    }
-}
-
-/// Recursive-descent JSON parser. Strict enough for round-tripping
-/// our own emitters (objects, arrays, strings with `\"`/`\\`/`\n`
-/// escapes, numbers, bools, null); rejects trailing garbage.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), String> {
-    skip_ws(b, pos);
-    if *pos < b.len() && b[*pos] == ch {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected '{}' at byte {}", ch as char, *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    let Some(&c) = b.get(*pos) else {
-        return Err("unexpected end of input".into());
-    };
-    match c {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
-        b'"' => Ok(Json::Str(parse_string(b, pos)?)),
-        b't' => parse_lit(b, pos, "true", Json::Bool(true)),
-        b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
-        b'n' => parse_lit(b, pos, "null", Json::Null),
-        _ => parse_num(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut s = String::new();
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return Ok(s);
-            }
-            b'\\' => {
-                *pos += 1;
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                s.push(match esc {
-                    b'"' => '"',
-                    b'\\' => '\\',
-                    b'/' => '/',
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    _ => return Err(format!("unsupported escape \\{}", esc as char)),
-                });
-                *pos += 1;
-            }
-            c => {
-                // Multi-byte UTF-8 passes through unchanged.
-                let ch_len = match c {
-                    0x00..=0x7F => 1,
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    _ => 4,
-                };
-                let chunk = b
-                    .get(*pos..*pos + ch_len)
-                    .ok_or("truncated UTF-8 sequence")?;
-                s.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                *pos += ch_len;
-            }
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'{')?;
-    let mut m = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(m));
-    }
-    loop {
-        skip_ws(b, pos);
-        let k = parse_string(b, pos)?;
-        expect(b, pos, b':')?;
-        let v = parse_value(b, pos)?;
-        m.insert(k, v);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(m));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    expect(b, pos, b'[')?;
-    let mut v = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(v));
-    }
-    loop {
-        v.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(&b',') => *pos += 1,
-            Some(&b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(v));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-// ---------------------------------------------------------- compare
-
-/// Direction-aware regression check of `current` against `baseline`
-/// (both full `BENCH_perf_baseline.json` texts). Returns the list of
-/// regressions; empty means the gate passes.
-///
-/// What counts as a regression (beyond [`PERF_TOLERANCE`]):
-/// * a cell missing from the current run, or a schema mismatch;
-/// * `chunks_per_sec_per_core` or `net_gbps` **lower**;
-/// * `dram_bytes_per_net_byte` **higher**;
-/// * any stage's `chunk_cycles_p99` **higher** (with a small absolute
-///   floor so zero-sample stages don't trip on noise).
-///
-/// Improvements (faster, less DRAM) never fail — they print as info in
-/// the binary but the baseline should then be refreshed with
-/// `perf_baseline --write`.
-pub fn compare_perf(baseline: &str, current: &str) -> Result<Vec<String>, String> {
-    let base = parse_json(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cur = parse_json(current).map_err(|e| format!("current: {e}"))?;
-    let mut regressions = Vec::new();
-    let bver = base.num("schema_version");
-    let cver = cur.num("schema_version");
-    if bver != cver {
-        return Err(format!(
-            "schema_version mismatch: baseline {bver:?} vs current {cver:?}"
-        ));
-    }
-    let bcells = base
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("baseline: no cells array")?;
-    let ccells = cur
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("current: no cells array")?;
-    let by_name = |cells: &[Json]| -> BTreeMap<String, Json> {
-        cells
-            .iter()
-            .filter_map(|c| Some((c.get("name")?.as_str()?.to_string(), c.clone())))
-            .collect()
-    };
-    let cmap = by_name(ccells);
-    for (name, b) in by_name(bcells) {
-        let Some(c) = cmap.get(&name) else {
-            regressions.push(format!("{name}: cell missing from current run"));
-            continue;
-        };
-        let tol = PERF_TOLERANCE;
-        // Lower-is-regression metrics.
-        for key in ["chunks_per_sec_per_core", "net_gbps"] {
-            let (bv, cv) = (b.num(key).unwrap_or(0.0), c.num(key).unwrap_or(0.0));
-            if cv < bv * (1.0 - tol) {
-                regressions.push(format!(
-                    "{name}: {key} regressed {bv:.3} -> {cv:.3} (-{:.1}%)",
-                    (1.0 - cv / bv) * 100.0
-                ));
-            }
-        }
-        // Higher-is-regression metrics.
-        let (bv, cv) = (
-            b.num("dram_bytes_per_net_byte").unwrap_or(0.0),
-            c.num("dram_bytes_per_net_byte").unwrap_or(0.0),
-        );
-        if cv > bv * (1.0 + tol) + 1e-9 {
-            regressions.push(format!(
-                "{name}: dram_bytes_per_net_byte regressed {bv:.3} -> {cv:.3} (+{:.1}%)",
-                (cv / bv.max(1e-12) - 1.0) * 100.0
-            ));
-        }
-        // Per-stage p99 cycles/chunk: higher is a regression. The
-        // absolute floor (64 cycles) keeps empty/near-empty stages
-        // from tripping the gate.
-        let stages = |v: &Json| -> BTreeMap<String, f64> {
-            v.get("stages")
-                .and_then(Json::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|s| {
-                            Some((
-                                s.get("stage")?.as_str()?.to_string(),
-                                s.num("chunk_cycles_p99")?,
-                            ))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        let bstages = stages(&b);
-        for (stage, cv) in stages(c) {
-            let bv = bstages.get(&stage).copied().unwrap_or(0.0);
-            if cv > bv * (1.0 + tol) + 64.0 {
-                regressions.push(format!(
-                    "{name}: {stage} chunk_cycles_p99 regressed {bv:.0} -> {cv:.0}"
-                ));
-            }
-        }
-    }
-    Ok(regressions)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample_doc(rate: f64, dram: f64, p99: u64) -> String {
-        let mut cell = PerfCell {
-            name: "atlas_plain".into(),
-            net_gbps: 10.0,
-            chunks: 1000,
-            chunks_per_sec_per_core: rate,
-            dram_bytes_per_net_byte: dram,
-            cpu_busy_frac: 0.5,
-            llc_resident_dma_frac: 0.9,
-            llc_resident_encrypt_frac: 1.0,
-            stalls: [5, 0, 2],
-            report: ProfReport::default(),
-        };
-        cell.report.chunk_cycles_p99[ProfStage::Encrypt as usize] = p99;
-        perf_document(7001, 64, 700, 250, &[cell])
-    }
-
-    #[test]
-    fn emitted_document_parses_and_round_trips() {
-        let doc = sample_doc(5000.0, 1.25, 30_000);
-        let v = parse_json(&doc).expect("parses");
-        assert_eq!(v.num("schema_version"), Some(1.0));
-        assert_eq!(v.num("seed"), Some(7001.0));
-        let cells = v.get("cells").and_then(Json::as_arr).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].get("name").unwrap().as_str(), Some("atlas_plain"));
-        assert_eq!(cells[0].num("chunks"), Some(1000.0));
-        let stages = cells[0].get("stages").and_then(Json::as_arr).unwrap();
-        assert_eq!(stages.len(), dcn_obs::PROF_STAGE_COUNT);
-        // Identical inputs emit identical bytes.
-        assert_eq!(doc, sample_doc(5000.0, 1.25, 30_000));
-    }
-
-    #[test]
-    fn identical_docs_pass_the_gate() {
-        let doc = sample_doc(5000.0, 1.25, 30_000);
-        assert!(compare_perf(&doc, &doc).unwrap().is_empty());
-    }
-
-    #[test]
-    fn throughput_drop_is_a_regression() {
-        let base = sample_doc(5000.0, 1.25, 30_000);
-        let cur = sample_doc(4000.0, 1.25, 30_000);
-        let regs = compare_perf(&base, &cur).unwrap();
-        assert!(
-            regs.iter().any(|r| r.contains("chunks_per_sec_per_core")),
-            "{regs:?}"
-        );
-        // The reverse direction (faster) is not a regression.
-        assert!(compare_perf(&cur, &base).unwrap().is_empty());
-    }
-
-    #[test]
-    fn dram_growth_and_p99_growth_regress() {
-        let base = sample_doc(5000.0, 1.25, 30_000);
-        let more_dram = sample_doc(5000.0, 1.5, 30_000);
-        let slower_p99 = sample_doc(5000.0, 1.25, 40_000);
-        assert!(compare_perf(&base, &more_dram)
-            .unwrap()
-            .iter()
-            .any(|r| r.contains("dram_bytes_per_net_byte")));
-        assert!(compare_perf(&base, &slower_p99)
-            .unwrap()
-            .iter()
-            .any(|r| r.contains("chunk_cycles_p99")));
-        // Within-tolerance wiggle passes.
-        let wiggle = sample_doc(4975.0, 1.256, 30_100);
-        assert!(compare_perf(&base, &wiggle).unwrap().is_empty());
-    }
-
-    #[test]
-    fn schema_mismatch_is_an_error_not_a_pass() {
-        let doc = sample_doc(5000.0, 1.25, 30_000);
-        let other = doc.replace("\"schema_version\": 1", "\"schema_version\": 2");
-        assert!(compare_perf(&doc, &other).is_err());
-    }
-
-    #[test]
-    fn missing_cell_is_a_regression() {
-        let base = sample_doc(5000.0, 1.25, 30_000);
-        let cur = base.replace("atlas_plain", "something_else");
-        let regs = compare_perf(&base, &cur).unwrap();
-        assert!(regs.iter().any(|r| r.contains("missing")), "{regs:?}");
-    }
-
-    #[test]
-    fn parser_handles_escapes_null_and_rejects_garbage() {
-        let v = parse_json(r#"{"s": "a\"b\\c", "n": null, "b": true, "x": -1.5e3}"#).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\\c"));
-        assert_eq!(v.get("n"), Some(&Json::Null));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
-        assert_eq!(v.num("x"), Some(-1500.0));
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("").is_err());
     }
 }

@@ -14,14 +14,11 @@
 //! stage that caused them without the cost model knowing anything
 //! about pipeline structure.
 //!
-//! Disabled (the default), the handle is simply never installed — a
-//! `None` check per hook — and a constructed-but-disabled profiler
-//! early-returns from every entry point like the [`Tracer`]; no
-//! allocation, no arithmetic. Either way the profiler is purely
-//! observational: it never alters completion times, so a seed
-//! produces bit-identical runs with profiling on or off.
-//!
-//! [`Tracer`]: crate::trace::Tracer
+//! Disabled (the default), no profiler exists: the [`Prof`] handle is
+//! `None`, so each hook costs one `None` check and nothing allocates.
+//! The profiler is purely observational: it never alters completion
+//! times, so a seed produces bit-identical runs with profiling on or
+//! off.
 
 use crate::registry::Registry;
 use std::cell::RefCell;
@@ -42,7 +39,7 @@ impl Prof {
     /// An enabled profiler over `n_cores` cores, or the no-op handle.
     #[must_use]
     pub fn new(enabled: bool, n_cores: usize) -> Self {
-        Prof(enabled.then(|| Rc::new(RefCell::new(StageProfiler::enabled(n_cores)))))
+        Prof(enabled.then(|| Rc::new(RefCell::new(StageProfiler::new(n_cores)))))
     }
 
     /// The shared handle, for installing into the `CoreSet` and
@@ -101,7 +98,7 @@ impl Prof {
     /// Publish the `prof.*` metrics (no-op when profiling is off).
     pub fn publish(&self, reg: &mut Registry) {
         if let Some(p) = &self.0 {
-            p.borrow().publish(reg);
+            p.borrow().report().publish(reg);
         }
     }
 }
@@ -186,7 +183,6 @@ impl StallKind {
 
 #[derive(Debug, Default)]
 pub struct StageProfiler {
-    enabled: bool,
     /// Stage each core is currently executing (sweep loops update it).
     cur_stage: Vec<ProfStage>,
     /// Core whose section last changed — DRAM accesses attribute here
@@ -216,15 +212,9 @@ pub struct StageProfiler {
 }
 
 impl StageProfiler {
-    /// The default: every entry point is a no-op and nothing allocates
-    /// (`Vec::new` is allocation-free).
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    pub fn enabled(n_cores: usize) -> Self {
+    /// A profiler over `n_cores` cores.
+    pub fn new(n_cores: usize) -> Self {
         StageProfiler {
-            enabled: true,
             cur_stage: vec![ProfStage::Other; n_cores],
             cycles: vec![[0; PROF_STAGE_COUNT]; n_cores],
             chunk_cycles: vec![BTreeMap::new(); PROF_STAGE_COUNT],
@@ -233,18 +223,10 @@ impl StageProfiler {
         }
     }
 
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Declare the stage `core` is about to execute. Subsequent cycle
     /// charges on that core and DRAM traffic attribute to `stage`.
     #[inline]
     pub fn set_context(&mut self, core: usize, stage: ProfStage) {
-        if !self.enabled {
-            return;
-        }
         if let Some(s) = self.cur_stage.get_mut(core) {
             *s = stage;
             self.cur_core = core;
@@ -254,9 +236,6 @@ impl StageProfiler {
     /// Hook: `CoreSet::run_on` reports every cycle charge here.
     #[inline]
     pub fn on_cycles(&mut self, core: usize, cycles: u64) {
-        if !self.enabled {
-            return;
-        }
         if let Some(per_core) = self.cycles.get_mut(core) {
             let stage = self.cur_stage[core];
             per_core[stage as usize] += cycles;
@@ -266,9 +245,6 @@ impl StageProfiler {
     /// Hook: `MemSystem` reports DRAM traffic caused by each access.
     #[inline]
     pub fn on_dram(&mut self, rd_bytes: u64, wr_bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         let stage = self
             .cur_stage
             .get(self.cur_core)
@@ -283,9 +259,6 @@ impl StageProfiler {
     /// fraction.
     #[inline]
     pub fn on_dma_read(&mut self, dram_bytes: u64, hit_bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         self.dma_read_dram_bytes += dram_bytes;
         self.dma_read_hit_bytes += hit_bytes;
     }
@@ -294,9 +267,6 @@ impl StageProfiler {
     /// p50/p99 sample, distinct from the aggregate `on_cycles` total).
     #[inline]
     pub fn chunk_sample(&mut self, stage: ProfStage, cycles: u64) {
-        if !self.enabled {
-            return;
-        }
         *self.chunk_cycles[stage as usize].entry(cycles).or_insert(0) += 1;
     }
 
@@ -304,18 +274,12 @@ impl StageProfiler {
     /// for the LLC-resident-encrypt fraction).
     #[inline]
     pub fn add_encrypt_bytes(&mut self, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         self.encrypt_bytes += bytes;
     }
 
     /// One chunk fully served (payload queued to the wire) on `core`.
     #[inline]
     pub fn chunk_done(&mut self, core: usize) {
-        if !self.enabled {
-            return;
-        }
         if let Some(c) = self.chunks.get_mut(core) {
             *c += 1;
         }
@@ -324,9 +288,6 @@ impl StageProfiler {
     /// Count a sweep stall event.
     #[inline]
     pub fn stall(&mut self, kind: StallKind) {
-        if !self.enabled {
-            return;
-        }
         self.stalls[kind as usize] += 1;
     }
 
@@ -347,7 +308,6 @@ impl StageProfiler {
             p99[i] = exact_quantile(hist, samples[i], 0.99);
         }
         ProfReport {
-            enabled: self.enabled,
             chunks_per_core: self.chunks.clone(),
             stage_cycles,
             stage_dram_rd: self.dram_rd,
@@ -360,16 +320,6 @@ impl StageProfiler {
             dma_read_dram_bytes: self.dma_read_dram_bytes,
             encrypt_bytes: self.encrypt_bytes,
         }
-    }
-
-    /// Publish the profile as `prof.*` gauges (report/sample path —
-    /// string lookups are fine here).
-    pub fn publish(&self, reg: &mut Registry) {
-        if !self.enabled {
-            return;
-        }
-        let r = self.report();
-        r.publish(reg);
     }
 }
 
@@ -395,7 +345,6 @@ fn exact_quantile(hist: &BTreeMap<u64, u64>, n: u64, q: f64) -> u64 {
 /// the bench layer turns into `BENCH_perf_baseline.json`.
 #[derive(Debug, Clone, Default)]
 pub struct ProfReport {
-    pub enabled: bool,
     pub chunks_per_core: Vec<u64>,
     /// Total cycles per stage, all cores.
     pub stage_cycles: [u64; PROF_STAGE_COUNT],
@@ -479,24 +428,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_profiler_records_nothing() {
-        let mut p = StageProfiler::disabled();
-        p.set_context(0, ProfStage::Encrypt);
-        p.on_cycles(0, 1000);
-        p.on_dram(64, 64);
-        p.chunk_sample(ProfStage::Encrypt, 500);
-        p.chunk_done(0);
-        p.stall(StallKind::PoolEmpty);
-        let r = p.report();
-        assert!(!r.enabled);
-        assert_eq!(r.total_chunks(), 0);
-        assert_eq!(r.total_cycles(), 0);
-        assert_eq!(r.chunk_samples, [0; PROF_STAGE_COUNT]);
-    }
-
-    #[test]
     fn cycles_and_dram_attribute_to_current_stage() {
-        let mut p = StageProfiler::enabled(2);
+        let mut p = StageProfiler::new(2);
         p.set_context(0, ProfStage::Fetch);
         p.on_cycles(0, 450);
         p.on_dram(4096, 0);
@@ -515,7 +448,7 @@ mod tests {
 
     #[test]
     fn chunk_quantiles_are_exact_nearest_rank() {
-        let mut p = StageProfiler::enabled(1);
+        let mut p = StageProfiler::new(1);
         for c in [100u64, 200, 300, 400, 500] {
             p.chunk_sample(ProfStage::Packetize, c);
         }
@@ -540,7 +473,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_match_the_sorted_sample_vector() {
-        let mut p = StageProfiler::enabled(1);
+        let mut p = StageProfiler::new(1);
         let mut raw: Vec<Vec<u64>> = vec![Vec::new(); PROF_STAGE_COUNT];
         // Seeded xorshift; few distinct values per stage so most
         // samples are duplicates. `Other` stays empty.
@@ -571,7 +504,7 @@ mod tests {
 
     #[test]
     fn llc_fractions() {
-        let mut p = StageProfiler::enabled(1);
+        let mut p = StageProfiler::new(1);
         p.on_dma_read(300, 700); // 70% of DMA reads hit LLC
         p.set_context(0, ProfStage::Encrypt);
         p.on_dram(250, 0);
@@ -580,14 +513,14 @@ mod tests {
         assert!((r.llc_resident_dma_frac() - 0.7).abs() < 1e-9);
         assert!((r.llc_resident_encrypt_frac() - 0.75).abs() < 1e-9);
         // Empty profiler: both fractions defined as 1.0.
-        let empty = StageProfiler::enabled(1).report();
+        let empty = StageProfiler::new(1).report();
         assert_eq!(empty.llc_resident_dma_frac(), 1.0);
         assert_eq!(empty.llc_resident_encrypt_frac(), 1.0);
     }
 
     #[test]
     fn stalls_and_chunks_count() {
-        let mut p = StageProfiler::enabled(2);
+        let mut p = StageProfiler::new(2);
         p.stall(StallKind::CwndLimited);
         p.stall(StallKind::CwndLimited);
         p.stall(StallKind::NvmeWait);
@@ -604,12 +537,12 @@ mod tests {
 
     #[test]
     fn publish_emits_prof_gauges() {
-        let mut p = StageProfiler::enabled(1);
+        let mut p = StageProfiler::new(1);
         p.set_context(0, ProfStage::Parse);
         p.on_cycles(0, 42);
         p.chunk_done(0);
         let mut reg = Registry::new();
-        p.publish(&mut reg);
+        p.report().publish(&mut reg);
         assert_eq!(reg.find_gauge("prof.cycles.parse"), Some(42.0));
         assert_eq!(reg.find_gauge("prof.chunks"), Some(1.0));
         assert_eq!(reg.find_gauge("prof.llc_resident_dma_frac"), Some(1.0));

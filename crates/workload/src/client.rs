@@ -53,6 +53,9 @@ pub struct Fleet<T: Topology> {
     pub(crate) cfg: FleetConfig,
     catalog: Catalog,
     pub(crate) clients: Vec<Client<T::Link>>,
+    /// The first `attackers` clients are slowloris attackers (a lone
+    /// fleet's only; see [`crate::ClientFleet::with_attackers`]).
+    pub(crate) attackers: usize,
     /// (client, server) of every client→server flow.
     pub(crate) by_flow: HashMap<FlowId, (usize, usize)>,
     /// The one delivery buffer every connection's bursts pass through.
@@ -86,6 +89,7 @@ impl<T: Topology> Fleet<T> {
             cfg,
             catalog,
             clients: Vec::new(),
+            attackers: 0,
             by_flow: HashMap::new(),
             rx: Receiver::default(),
             goodput: TimeBuckets::new(Nanos::from_millis(1)),
@@ -306,11 +310,11 @@ impl<T: Topology> Fleet<T> {
     }
 
     /// Fraction of well-behaved clients that completed at least one
-    /// response (slowloris attackers, the first `FleetConfig::slowloris`
-    /// clients, never complete by design).
+    /// response (slowloris attackers, the first `attackers` clients,
+    /// never complete by design).
     #[must_use]
     pub fn live_fraction(&self) -> f64 {
-        let normal = self.clients.iter().skip(self.cfg.slowloris);
+        let normal = self.clients.iter().skip(self.attackers);
         let n = normal.len();
         if n == 0 {
             return 0.0;

@@ -21,12 +21,6 @@ pub struct FleetConfig {
     /// Verify every body byte against the catalog oracle (full
     /// fidelity runs only).
     pub verify: bool,
-    /// The first `slowloris` clients are attackers: they complete the
-    /// handshake, dribble a truncated request head, and go silent —
-    /// the server's header-read timeout must reap them. Excluded from
-    /// `live_fraction`. A lone server's fleet only: a cluster fleet
-    /// rejects it.
-    pub slowloris: usize,
     /// Adaptive-streaming mode: every (non-attacker) client runs an
     /// [`AbrSession`](crate::AbrSession) over the manifest instead of drawing files from
     /// the popularity distribution. None = the classic fixed-rate
@@ -48,7 +42,6 @@ impl Default for FleetConfig {
             cacheable: false,
             hot_files: 64,
             verify: true,
-            slowloris: 0,
             abr: None,
             zipf: None,
         }

@@ -70,8 +70,18 @@ impl ClientFleet {
         Fleet::with(cfg, catalog, lone)
     }
 
-    /// Spawn the next client: returns its SYN. The first
-    /// `FleetConfig::slowloris` clients are attackers.
+    /// Make the first `n` clients slowloris attackers: they complete
+    /// the handshake, dribble a truncated request head, and go silent,
+    /// so the server's header-read timeout must reap them. Excluded
+    /// from `live_fraction`.
+    #[must_use]
+    pub(crate) fn with_attackers(mut self, n: usize) -> Self {
+        self.attackers = n.min(self.cfg.n_clients);
+        self
+    }
+
+    /// Spawn the next client: returns its SYN. The first `attackers`
+    /// clients are attackers.
     pub fn spawn(&mut self, idx: usize, seed: u64) -> ClientTx {
         let mut rng = self.client_rng(idx, seed);
         let iss = rng.next_u64() as u32;
@@ -110,7 +120,7 @@ impl ClientFleet {
         let established = link.stream.established();
         let first = established && !link.first_request_sent;
         link.first_request_sent |= established;
-        if idx < self.cfg.slowloris {
+        if idx < self.attackers {
             // The attack: a truncated request head, then silence. The
             // connection keeps ACKing (it is alive at the TCP layer)
             // but never completes a request.

@@ -120,10 +120,6 @@ impl MultiFleet {
     #[must_use]
     pub fn new(cfg: FleetConfig, catalog: Catalog, endpoints: Vec<Endpoint>) -> Self {
         assert!(!endpoints.is_empty(), "need at least one server");
-        assert_eq!(
-            cfg.slowloris, 0,
-            "FleetConfig::slowloris: a cluster fleet has no slowloris clients"
-        );
         let cluster = Cluster {
             endpoints,
             failovers: 0,

@@ -339,17 +339,6 @@ fn run_lone(sc: &Scenario, obs: &ObsOptions) -> testbed::Finished<ClientFleet> {
     let mut fleet_cfg = sc.fleet;
     // At modeled fidelity there are no real bytes to verify.
     fleet_cfg.verify &= matches!(fidelity, Fidelity::Full);
-    // Client-fault modes live in the fleet: the first N clients turn
-    // into slowloris attackers. The fault config names them, so a
-    // fleet setting that disagrees fails instead of being dropped.
-    assert!(
-        sc.fleet.slowloris == 0 || sc.fleet.slowloris == sc.faults.client.slowloris_conns as usize,
-        "FleetConfig::slowloris ({}) disagrees with faults.client.slowloris_conns ({}): \
-         a lone run takes its attackers from the fault config",
-        sc.fleet.slowloris,
-        sc.faults.client.slowloris_conns
-    );
-    fleet_cfg.slowloris = (sc.faults.client.slowloris_conns as usize).min(fleet_cfg.n_clients);
     // Effective fault configuration: the legacy `data_loss` knob maps
     // onto the uniform loss model when no explicit model is set.
     let mut faults = sc.faults;
@@ -367,7 +356,10 @@ fn run_lone(sc: &Scenario, obs: &ObsOptions) -> testbed::Finished<ClientFleet> {
         seed: sc.seed,
         tag_servers: false,
     };
-    let clients = ClientFleet::new(fleet_cfg, sc.catalog.clone(), sc.seed);
+    // Client-fault modes live in the fleet: the first N clients turn
+    // into the slowloris attackers the fault config names.
+    let clients = ClientFleet::new(fleet_cfg, sc.catalog.clone(), sc.seed)
+        .with_attackers(sc.faults.client.slowloris_conns as usize);
     testbed::run(testbed, clients, obs)
 }
 

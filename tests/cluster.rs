@@ -239,16 +239,8 @@ fn unroutable_requests_wait_for_a_server_to_stop_shedding() {
     assert!(m.responses > 100, "idle clients: {m:?}");
 }
 
-// A cluster fleet has no slowloris mode: either setting fails the run
-// instead of being ignored.
-#[test]
-#[should_panic(expected = "FleetConfig::slowloris")]
-fn cluster_rejects_slowloris_clients() {
-    let mut sc = smoke(2, 4, false, 5);
-    sc.fleet.slowloris = 1;
-    run_cluster(&sc);
-}
-
+// A cluster fleet has no slowloris mode: the fault setting fails the
+// run instead of being ignored.
 #[test]
 #[should_panic(expected = "faults.client.slowloris_conns")]
 fn cluster_rejects_slowloris_faults() {

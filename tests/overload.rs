@@ -95,29 +95,6 @@ fn slowloris_readers_are_reaped_and_buffers_audited() {
     );
 }
 
-// A lone run takes its attackers from the fault config: a fleet
-// setting that names the same count runs them, one that disagrees
-// fails the run instead of being overwritten.
-#[test]
-fn lone_run_with_agreeing_slowloris_settings_runs_its_attackers() {
-    let mut sc = Scenario::smoke(ServerKind::Atlas(capped_atlas(true, 8)), 18, 37);
-    sc.faults.client.slowloris_conns = 6;
-    sc.fleet.slowloris = 6;
-    sc.duration = Nanos::from_millis(1500);
-    let m = run_scenario(&sc);
-    assert_overload_invariants(&m);
-    assert!(m.overload.reaped_idle >= 6, "{:?}", m.overload);
-    assert!(m.overload.client_resets >= 6, "{:?}", m.overload);
-}
-
-#[test]
-#[should_panic(expected = "FleetConfig::slowloris")]
-fn lone_run_rejects_a_slowloris_disagreement() {
-    let mut sc = Scenario::smoke(ServerKind::Atlas(capped_atlas(true, 8)), 18, 37);
-    sc.fleet.slowloris = 2;
-    run_scenario(&sc);
-}
-
 #[test]
 fn resource_shedding_sends_503_and_clients_retry_to_completion() {
     // Force the DMA-pool watermark to latch essentially immediately
